@@ -17,11 +17,13 @@ from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.data.synthetic import make_regression
 from repro.distsim.faults import FaultPlan, RankCrash
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 NRANKS = 8
 ITERS = 32 if QUICK else 128
+MACHINE = "comet_paper"
 SOLVER_KW = dict(
-    machine="comet_paper", k=2, S=1, b=0.2, epochs=1, iters_per_epoch=ITERS,
+    k=2, S=1, b=0.2, epochs=1, iters_per_epoch=ITERS,
     estimator="plain", seed=0, monitor_every=8,
 )
 
@@ -34,16 +36,17 @@ def _problem() -> L1LeastSquares:
 
 def _compute():
     problem = _problem()
-    base = rc_sfista_distributed(problem, NRANKS, **SOLVER_KW)
+    base = rc_sfista_distributed(
+        problem, NRANKS, runtime=RuntimeConfig(machine=MACHINE), **SOLVER_KW
+    )
     rows = [("fault-free", base, None)]
     # Crash rank 3 at 75% of the fault-free makespan: a late failure, the
     # regime where the checkpoint interval matters most.
     crash = FaultPlan(crashes=(RankCrash(rank=3, at_time=0.75 * base.sim_time),))
     for every in (0, 8, 2):
         name = "crash, restart from scratch" if every == 0 else f"crash, ckpt every {every}"
-        res = rc_sfista_distributed(
-            problem, NRANKS, faults=crash, checkpoint_every=every, **SOLVER_KW
-        )
+        runtime = RuntimeConfig(machine=MACHINE, faults=crash, checkpoint_every=every)
+        res = rc_sfista_distributed(problem, NRANKS, runtime=runtime, **SOLVER_KW)
         rows.append((name, res, every))
     return base, rows
 

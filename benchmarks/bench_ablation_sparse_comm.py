@@ -24,6 +24,7 @@ from repro.distsim.collectives import allreduce_cost, sparse_allreduce_cost
 from repro.distsim.machine import get_machine
 from repro.obs import MetricsRegistry, TelemetryRecorder, write_chrome_trace
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 SMOKE_SCHEMA = "repro.obs/bench_smoke@1"
 
@@ -66,9 +67,7 @@ def _solve(comm: str):
         estimator="plain",
         seed=0,
         monitor_every=4,
-        comm=comm,
-        telemetry=recorder,
-        metrics=registry,
+        runtime=RuntimeConfig(comm=comm, telemetry=recorder, metrics=registry),
     )
     return res, recorder, registry
 

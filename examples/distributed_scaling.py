@@ -15,8 +15,9 @@ from repro.core import rc_sfista_distributed, sfista_distributed, solve_referenc
 from repro.core.stopping import StoppingCriterion
 from repro.data import get_dataset
 from repro.perf.bounds import k_bound_latency_bandwidth
-from repro.perf.model import rc_sfista_costs, sfista_costs
+from repro.perf.model import rc_sfista_costs
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 MACHINE = "comet_effective"
 
@@ -35,13 +36,15 @@ def main() -> None:
     rows = []
     for P in (4, 16, 64):
         base = sfista_distributed(
-            problem, P, machine=MACHINE, b=b, iters_per_epoch=N, seed=0,
+            problem, P, b=b, iters_per_epoch=N, seed=0,
             monitor_every=N, stopping=stop,
+            runtime=RuntimeConfig(machine=MACHINE),
         )
         for k in (1, 2, 4, 8):
             rc = rc_sfista_distributed(
-                problem, P, machine=MACHINE, k=k, b=b, iters_per_epoch=N, seed=0,
+                problem, P, k=k, b=b, iters_per_epoch=N, seed=0,
                 monitor_every=N, stopping=stop,
+                runtime=RuntimeConfig(machine=MACHINE),
             )
             model = rc_sfista_costs(N, problem.d, rc.meta["mbar"], 0.22, P, k, 1)
             rows.append(

@@ -7,6 +7,11 @@ decisions are derived from a seed shared by all ranks, so the global index
 set ``I_n`` is agreed upon without communication — each rank keeps the
 indices it owns (paper §5.5: "initializing all processors with the same
 seed").
+
+It also holds the scaffold every distributed solver shares around its
+stage A–D body: :class:`RankPlacement` (everything whose shape depends on
+the rank count, rebuilt on an elastic shrink) and :func:`run_params` (the
+runtime half of the run summary).
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ from repro.sparse.partition import ColumnPartition, partition_columns
 
 __all__ = [
     "RankData",
+    "RankPlacement",
     "RankWorkspaces",
     "DistributedData",
     "distribute_problem",
+    "run_params",
     "hessian_reuse_update",
     "UPDATE_FLOPS",
 ]
@@ -306,3 +313,85 @@ def distribute_problem(problem: ERMObjective, nranks: int) -> DistributedData:
             )
         )
     return DistributedData(problem=problem, partition=part, ranks=ranks)
+
+
+class RankPlacement:
+    """The rank-count-dependent state of one distributed run.
+
+    Holds the column-partitioned data (:class:`DistributedData`), the Gram
+    scratch (:class:`RankWorkspaces`) and one stage-C payload buffer of
+    ``payload_words`` per rank, so a per-rank stage-B closure builds its
+    blocks in place with no per-iteration allocation. Workspaces and
+    buffers exist exactly when the objective is squared+l1 (``gram=True``):
+    the curvature-weighted general path builds its blocks per call. The
+    solver reads ``placement.data`` / ``placement.nranks`` afresh every
+    round, because an elastic pool shrink swaps them in
+    :meth:`repartition`.
+    """
+
+    def __init__(
+        self, data: DistributedData, loop, *, mbar: int, payload_words: int, gram: bool
+    ) -> None:
+        self._loop = loop
+        self._mbar = mbar
+        self._payload_words = payload_words
+        self._gram = gram
+        self._place(data)
+
+    @property
+    def nranks(self) -> int:
+        return self.data.nranks
+
+    def _place(self, data: DistributedData) -> None:
+        self.data = data
+        self.workspaces: RankWorkspaces | None = None
+        self.buffers: list[np.ndarray] | None = None
+        if self._gram:
+            self.workspaces = RankWorkspaces(
+                data.nranks,
+                data.problem.d,
+                self._mbar,
+                parallel=self._loop.backend.parallel_ranks,
+            )
+            self.buffers = [np.empty(self._payload_words) for _ in range(data.nranks)]
+        # The loop reports the workspaces' reuse counter in meta["perf"].
+        self._loop.workspace = self.workspaces
+
+    def repartition(self, new_nranks: int, lost_ranks) -> float:
+        """Shrink to *new_nranks*: re-scatter columns, rebuild rank-sized state.
+
+        Returns the words that must move to new owners — the lost ranks'
+        column blocks (``local_size`` columns of X plus y) — charged by
+        the loop as recovery traffic. Deterministic: ``partition_columns``
+        depends only on (m, P′), so every replay shrinks identically.
+        """
+        problem = self.data.problem
+        moved = float(
+            (problem.d + 1) * sum(self.data.partition.local_size(r) for r in lost_ranks)
+        )
+        self._place(distribute_problem(problem, new_nranks))
+        return moved
+
+
+def run_params(loop, nranks: int, resolved) -> dict:
+    """The runtime keys every distributed solver reports in its run summary.
+
+    Each solver merges its own algorithm keys into this dict and hands the
+    result to ``loop.start``; ``loop.finish`` returns it, with the outcome
+    and the ``resilience``/``perf`` blocks, as ``SolveResult.meta``.
+    """
+    config = loop.config
+    return {
+        "nranks": nranks,
+        "machine": loop.backend.machine_name,
+        "allreduce_algorithm": loop.backend.allreduce_algorithm,
+        "comm": config.comm,
+        "comm_topology": config.comm_topology,
+        "comm_compress": config.comm_compress,
+        "checkpoint_every": config.checkpoint_every,
+        "on_nan": config.on_nan,
+        "max_recoveries": config.max_recoveries,
+        "adaptive_restart": config.adaptive_restart,
+        "loss": resolved.loss.name,
+        "penalty": resolved.penalty.spec,
+    }

@@ -37,9 +37,10 @@ import numpy as np
 
 from repro.core._dist_common import (
     UPDATE_FLOPS,
-    RankWorkspaces,
+    RankPlacement,
     distribute_problem,
     hessian_reuse_update,
+    run_params,
 )
 from repro.core.cd import coordinate_descent_quadratic
 from repro.core.fista import fista, momentum_mu, t_next
@@ -48,13 +49,8 @@ from repro.core.objectives import QuadraticModel
 from repro.core.proximal import L1Prox, soft_threshold
 from repro.core.results import History, SolveResult
 from repro.core.stopping import StoppingCriterion
-from repro.distsim.bsp import BSPCluster
-from repro.distsim.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.distsim.machine import MachineSpec
 from repro.exceptions import ValidationError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryCallback
-from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend, resolve_runtime
+from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend
 from repro.sparse.ops import GramWorkspace, sampled_gram
 from repro.utils.rng import RandomState, as_generator, minibatch_size, sample_indices
 from repro.utils.validation import check_in_range, check_positive
@@ -199,7 +195,6 @@ def proximal_newton_distributed(
     problem: ERMObjective,
     nranks: int,
     *,
-    machine: str | MachineSpec = "comet_effective",
     inner: str = "rc_sfista",
     n_outer: int = 5,
     inner_iters: int = 40,
@@ -211,17 +206,6 @@ def proximal_newton_distributed(
     seed: RandomState = 0,
     stopping: StoppingCriterion | None = None,
     monitor_every: int = 1,
-    allreduce_algorithm: str = "recursive_doubling",
-    comm: str = "dense",
-    cluster: BSPCluster | None = None,
-    faults: FaultPlan | FaultInjector | None = None,
-    retry: RetryPolicy | None = None,
-    recv_timeout: float | None = None,
-    checkpoint_every: int = 0,
-    on_nan: str | None = None,
-    max_recoveries: int = 3,
-    telemetry: TelemetryCallback | None = None,
-    metrics: MetricsRegistry | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> SolveResult:
     """Distributed PN (Fig. 7 experiment) — see module docstring.
@@ -230,42 +214,23 @@ def proximal_newton_distributed(
     solver choice controls where the data for ``∇Φ`` comes from and hence
     the communication pattern. ``step_size`` is the inner γ (defaults to
     the problem's 1/L, shared by all variants for comparability).
-
-    ``comm`` selects the collective encoding for every allreduce (gradient,
-    Hessian-vector and sampled-block phases): ``"dense"``, ``"sparse"``
-    (index+value, O(nnz_union) words) or ``"auto"`` (per-phase
-    stream-and-switch on measured density, logged into the trace).
+    ``damping`` is the outer step ``γ_n`` (Alg. 1 line 6) and must be > 0.
 
     Runtime
     -------
     runtime:
-        A :class:`~repro.runtime.RuntimeConfig` bundling the execution
-        knobs (machine/comm, faults, retry, recv_timeout, checkpointing
-        every ``checkpoint_every`` *outer* iterations with bit-exact
-        rollback replay, ``on_nan`` screening of every collective result
-        and monitored objective, telemetry, metrics). The individual
-        kwargs remain accepted but cannot be combined with ``runtime=``;
-        the resilience/observability ones are deprecated as kwargs.
-        ``telemetry`` receives one record per inner iteration
-        (``objective=None``, ``phase="inner"``) plus one per monitored
-        outer boundary (``phase="outer"``); both observers are strictly
-        out of band.
+        A :class:`~repro.runtime.RuntimeConfig` (default ``RuntimeConfig()``)
+        bundling the execution knobs (machine, ``comm`` encoding of every
+        allreduce — gradient, Hessian-vector and sampled-block phases —
+        faults, retry, recv_timeout, checkpointing every
+        ``checkpoint_every`` *outer* iterations with bit-exact rollback
+        replay, ``on_nan`` screening of every collective result and
+        monitored objective, telemetry, metrics). ``telemetry`` receives
+        one record per inner iteration (``objective=None``,
+        ``phase="inner"``) plus one per monitored outer boundary
+        (``phase="outer"``); both observers are strictly out of band.
     """
-    config = resolve_runtime(
-        runtime,
-        machine=machine,
-        allreduce_algorithm=allreduce_algorithm,
-        comm=comm,
-        cluster=cluster,
-        faults=faults,
-        retry=retry,
-        recv_timeout=recv_timeout,
-        checkpoint_every=checkpoint_every,
-        on_nan=on_nan,
-        max_recoveries=max_recoveries,
-        telemetry=telemetry,
-        metrics=metrics,
-    )
+    config = runtime if runtime is not None else RuntimeConfig()
     if inner not in ("fista", "sfista", "rc_sfista"):
         raise ValidationError(f"inner must be fista|sfista|rc_sfista, got {inner!r}")
     if inner != "rc_sfista" and (k != 1 or S != 1):
@@ -274,6 +239,7 @@ def proximal_newton_distributed(
         raise ValidationError("n_outer, inner_iters, k, S must be >= 1")
     if monitor_every < 1:
         raise ValidationError(f"monitor_every must be >= 1, got {monitor_every}")
+    check_positive(damping, "damping")
     stopping = stopping or StoppingCriterion()
     # Legacy squared+l1 keeps every historical branch byte-identical; any
     # other loss/penalty runs the curvature-weighted general path with the
@@ -300,24 +266,13 @@ def proximal_newton_distributed(
     backend = build_host_backend(config, nranks)
     loop = ResilientLoop(backend, config, solver="proximal_newton_distributed")
     loop.step_size = gamma
-    # Reusable scratch for the sampled-block stages (bit-identical): one
-    # shared workspace, or one per rank under a parallel map_ranks. The
-    # general path builds curvature-weighted blocks without workspaces.
-    workspaces = (
-        RankWorkspaces(nranks, d, mbar, parallel=backend.parallel_ranks)
-        if config.gram_workspace and not general
-        else None
-    )
-    loop.workspace = workspaces
     max_block = k if inner == "rc_sfista" else 1
-    g_bufs = (
-        [np.empty(max_block * d * d) for _ in range(nranks)]
-        if workspaces is not None
-        else None
+    placement = RankPlacement(
+        data, loop, mbar=mbar, payload_words=max_block * d * d, gram=not general
     )
     loop.start(
         {
-            "nranks": nranks,
+            **run_params(loop, nranks, resolved),
             "inner": inner,
             "n_outer": n_outer,
             "inner_iters": inner_iters,
@@ -326,18 +281,11 @@ def proximal_newton_distributed(
             "b": b,
             "damping": damping,
             "step_size": gamma,
-            "loss": resolved.loss.name,
-            "penalty": resolved.penalty.spec,
-            "comm": config.comm,
-            "comm_topology": config.comm_topology,
-            "comm_compress": config.comm_compress,
-            "machine": backend.machine_name,
-            "checkpoint_every": config.checkpoint_every,
-            "on_nan": config.on_nan,
         }
     )
 
     def dist_full_gradient(point: np.ndarray) -> np.ndarray:
+        data = placement.data
         if general:
             def contribution(p: int):
                 return data.ranks[p].loss_gradient_contribution(
@@ -346,14 +294,15 @@ def proximal_newton_distributed(
         else:
             def contribution(p: int):
                 return data.ranks[p].full_gradient_contribution(point, problem.m)
-        results = backend.map_ranks(contribution, nranks)
+        results = backend.map_ranks(contribution, data.nranks)
         backend.compute([fl for _g, fl in results], label="full_gradient")
         return loop.allreduce([g for g, _fl in results], "allreduce_grad")
 
     def local_curvatures(point: np.ndarray) -> list[np.ndarray]:
         """Per-rank curvature weights ``ℓ''(X_pᵀ point, y_p)`` (general path)."""
+        data = placement.data
         results = backend.map_ranks(
-            lambda p: data.ranks[p].local_predictions(point), nranks
+            lambda p: data.ranks[p].local_predictions(point), data.nranks
         )
         backend.compute(
             [fl + 2.0 * data.ranks[p].m_local for p, (_z, fl) in enumerate(results)],
@@ -370,6 +319,7 @@ def proximal_newton_distributed(
 
     def dist_hessian_apply(vec: np.ndarray) -> np.ndarray:
         """(Weighted) Hessian-vector product through the distributed data."""
+        data = placement.data
 
         def apply_rank(p: int) -> tuple[np.ndarray, float]:
             rd = data.ranks[p]
@@ -383,7 +333,7 @@ def proximal_newton_distributed(
             hv = rd.X_local.matvec(curv[p] * z if general else z) / problem.m
             return hv, float(4 * rd.X_local.nnz)
 
-        results = backend.map_ranks(apply_rank, nranks)
+        results = backend.map_ranks(apply_rank, data.nranks)
         backend.compute([fl for _hv, fl in results], label="hessian_apply")
         return loop.allreduce([hv for hv, _fl in results], "allreduce_Hv")
 
@@ -394,10 +344,11 @@ def proximal_newton_distributed(
         how the per-rank map executes (serial or parallel).
         """
         idx_sets = [sample_indices(rng, problem.m, mbar) for _ in range(count)]
+        data = placement.data
         if general:
             # Curvature-weighted blocks at the outer iterate — the same
             # count·d² payload as the data-only Gram blocks below.
-            packed = [np.empty(0)] * nranks
+            packed = [np.empty(0)] * data.nranks
 
             def build_rank(p: int) -> float:
                 rd = data.ranks[p]
@@ -421,17 +372,12 @@ def proximal_newton_distributed(
                 packed[p] = np.concatenate(chunks)
                 return fl_sum
 
-            backend.compute(
-                np.asarray(backend.map_ranks(build_rank, nranks)),
-                label="hessian_blocks",
-            )
-            return loop.allreduce(packed, "allreduce_G")
-        if g_bufs is not None:
-            packed = [buf[: count * d * d] for buf in g_bufs]
+        else:
+            packed = [buf[: count * d * d] for buf in placement.buffers]
 
             def build_rank(p: int) -> float:
                 rd = data.ranks[p]
-                ws = workspaces[p]
+                ws = placement.workspaces[p]
                 buf = packed[p]
                 fl_sum = 0.0
                 for j, idx in enumerate(idx_sets):
@@ -442,27 +388,9 @@ def proximal_newton_distributed(
                     fl_sum += fl
                 return fl_sum
 
-            backend.compute(
-                np.asarray(backend.map_ranks(build_rank, nranks)),
-                label="hessian_blocks",
-            )
-            return loop.allreduce(packed, "allreduce_G")
-
-        packed = [np.empty(0)] * nranks
-
-        def build_rank(p: int) -> float:
-            rd = data.ranks[p]
-            chunks: list[np.ndarray] = []
-            fl_sum = 0.0
-            for idx in idx_sets:
-                H_p, _local, fl = rd.sampled_hessian_contribution(idx, mbar, d)
-                chunks.append(H_p.ravel())
-                fl_sum += fl
-            packed[p] = np.concatenate(chunks)
-            return fl_sum
-
         backend.compute(
-            np.asarray(backend.map_ranks(build_rank, nranks)), label="hessian_blocks"
+            np.asarray(backend.map_ranks(build_rank, data.nranks)),
+            label="hessian_blocks",
         )
         return loop.allreduce(packed, "allreduce_G")
 
@@ -481,26 +409,6 @@ def proximal_newton_distributed(
             rng=rng,
             history_len=len(history),
         )
-
-    def repartition(new_nranks: int, lost_ranks) -> float:
-        """Shrink to *new_nranks* after an elastic pool loss (see driver).
-
-        Returns the lost ranks' row-block words (rows of X plus y) that
-        must travel to their new owners, charged as recovery traffic.
-        """
-        nonlocal nranks, data, workspaces, g_bufs
-        moved = float(
-            (d + 1) * sum(data.partition.local_size(r) for r in lost_ranks)
-        )
-        nranks = new_nranks
-        data = distribute_problem(problem, new_nranks)
-        if workspaces is not None:
-            workspaces = RankWorkspaces(
-                new_nranks, d, mbar, parallel=backend.parallel_ranks
-            )
-            loop.workspace = workspaces
-            g_bufs = [np.empty(max_block * d * d) for _ in range(new_nranks)]
-        return moved
 
     def restore(ck: Checkpoint) -> None:
         nonlocal w, prev_obj, outer_done, start_n, converged
@@ -591,7 +499,10 @@ def proximal_newton_distributed(
     # periodic checkpoints restarts from scratch.
     try:
         loop.run(
-            main_loop, capture=lambda: capture(1), restore=restore, repartition=repartition
+            main_loop,
+            capture=lambda: capture(1),
+            restore=restore,
+            repartition=placement.repartition,
         )
     finally:
         # Real-parallelism backends hold worker processes / thread pools;
@@ -599,7 +510,7 @@ def proximal_newton_distributed(
         # the trace remain valid.
         backend.close()
 
-    loop.finish(
+    meta = loop.finish(
         {
             "converged": converged,
             "n_outer_done": outer_done,
@@ -607,7 +518,6 @@ def proximal_newton_distributed(
             "n_comm_rounds": loop.comm_rounds,
         }
     )
-
     return SolveResult(
         w=w,
         converged=converged,
@@ -615,24 +525,5 @@ def proximal_newton_distributed(
         history=history,
         n_comm_rounds=loop.comm_rounds,
         cost=backend.cost_summary(),
-        meta={
-            "solver": "proximal_newton_distributed",
-            "inner": inner,
-            "n_outer": n_outer,
-            "inner_iters": inner_iters,
-            "k": k,
-            "S": S,
-            "b": b,
-            "loss": resolved.loss.name,
-            "penalty": resolved.penalty.spec,
-            "nranks": nranks,
-            "machine": backend.machine_name,
-            "comm": config.comm,
-            "comm_topology": config.comm_topology,
-            "comm_compress": config.comm_compress,
-            "checkpoint_every": config.checkpoint_every,
-            "on_nan": config.on_nan,
-            "max_recoveries": config.max_recoveries,
-            "resilience": loop.stats.as_meta(),
-        },
+        meta=meta,
     )

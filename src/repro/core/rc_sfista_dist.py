@@ -20,9 +20,8 @@ happens), which the integration tests assert.
 Unified runtime
 ---------------
 Execution-substrate, resilience and observability concerns live in
-:mod:`repro.runtime`: bundle them in ``runtime=RuntimeConfig(...)`` (the
-individual kwargs remain accepted; the resilience/observability ones are
-deprecated). The solver body here is purely algorithmic — an
+:mod:`repro.runtime` and arrive as ``runtime=RuntimeConfig(...)``. The
+solver body here is purely algorithmic — an
 :class:`~repro.runtime.backend.ExecutionBackend` supplies the collectives
 (serial or BSP-simulated) and a
 :class:`~repro.runtime.driver.ResilientLoop` supplies checkpointing,
@@ -35,9 +34,10 @@ import numpy as np
 
 from repro.core._dist_common import (
     UPDATE_FLOPS,
-    RankWorkspaces,
+    RankPlacement,
     distribute_problem,
     hessian_reuse_update,
+    run_params,
 )
 from repro.core.fista import momentum_mu, t_next
 from repro.core.model import ERMObjective, resolve_objective
@@ -45,13 +45,8 @@ from repro.core.results import History, SolveResult
 from repro.core.sfista import GradientEstimator, stochastic_step_size
 from repro.core.sfista_dist import _epoch_anchor_gradient
 from repro.core.stopping import StoppingCriterion
-from repro.distsim.bsp import BSPCluster
-from repro.distsim.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.distsim.machine import MachineSpec
 from repro.exceptions import ValidationError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryCallback
-from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend, resolve_runtime
+from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend
 from repro.utils.rng import RandomState, as_generator, minibatch_size, sample_indices
 from repro.utils.validation import check_positive
 
@@ -62,7 +57,6 @@ def rc_sfista_distributed(
     problem: ERMObjective,
     nranks: int,
     *,
-    machine: str | MachineSpec = "comet_effective",
     k: int = 1,
     S: int = 1,
     b: float = 0.1,
@@ -74,19 +68,6 @@ def rc_sfista_distributed(
     stopping: StoppingCriterion | None = None,
     monitor_every: int = 1,
     restart_momentum: bool = True,
-    allreduce_algorithm: str = "recursive_doubling",
-    comm: str = "dense",
-    jitter_seed: RandomState = None,
-    cluster: BSPCluster | None = None,
-    faults: FaultPlan | FaultInjector | None = None,
-    retry: RetryPolicy | None = None,
-    recv_timeout: float | None = None,
-    checkpoint_every: int = 0,
-    on_nan: str | None = None,
-    max_recoveries: int = 3,
-    adaptive_restart: bool = False,
-    telemetry: TelemetryCallback | None = None,
-    metrics: MetricsRegistry | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> SolveResult:
     """Distributed RC-SFISTA (Alg. 5 on the cluster of Fig. 1).
@@ -97,42 +78,23 @@ def rc_sfista_distributed(
     parameters. ``history`` carries simulated times; ``cost`` the cluster
     counters.
 
-    ``comm`` selects the collective encoding: ``"dense"`` ships full
-    buffers, ``"sparse"`` ships index+value pairs charged at O(nnz_union)
-    words, ``"auto"`` measures the union density per phase and picks the
-    cheaper encoding (the decision is logged into the cluster trace).
-    Iterates are bit-identical across the three modes.
-
     Runtime
     -------
     runtime:
-        A :class:`~repro.runtime.RuntimeConfig` bundling the execution
-        knobs below (machine/comm selection, faults, retry, recv_timeout,
+        A :class:`~repro.runtime.RuntimeConfig` (default ``RuntimeConfig()``)
+        bundling machine/comm selection, faults, retry, recv_timeout,
         checkpointing, on_nan, max_recoveries, adaptive_restart,
-        telemetry, metrics — see that class for per-field docs). The
-        individual kwargs remain accepted for compatibility but cannot be
-        combined with ``runtime=``; passing the resilience/observability
-        ones individually is deprecated. ``RuntimeConfig(backend="serial")``
-        runs the same body on the zero-cost single-rank backend.
+        telemetry and metrics — see that class for per-field docs.
+        ``comm`` selects the collective encoding: ``"dense"`` ships full
+        buffers, ``"sparse"`` ships index+value pairs charged at
+        O(nnz_union) words, ``"auto"`` measures the union density per
+        phase and picks the cheaper encoding (the decision is logged into
+        the cluster trace); iterates are bit-identical across the three.
+        ``RuntimeConfig(backend="serial")`` runs the same body on the
+        zero-cost single-rank backend.
     """
     estimator = GradientEstimator(estimator)
-    config = resolve_runtime(
-        runtime,
-        machine=machine,
-        allreduce_algorithm=allreduce_algorithm,
-        comm=comm,
-        jitter_seed=jitter_seed,
-        cluster=cluster,
-        faults=faults,
-        retry=retry,
-        recv_timeout=recv_timeout,
-        checkpoint_every=checkpoint_every,
-        on_nan=on_nan,
-        max_recoveries=max_recoveries,
-        adaptive_restart=adaptive_restart,
-        telemetry=telemetry,
-        metrics=metrics,
-    )
+    config = runtime if runtime is not None else RuntimeConfig()
     if k < 1 or S < 1:
         raise ValidationError(f"k and S must be >= 1, got k={k}, S={S}")
     if estimator is GradientEstimator.EXACT:
@@ -173,23 +135,12 @@ def rc_sfista_distributed(
     loop = ResilientLoop(backend, config, solver="rc_sfista_distributed")
     loop.step_size = gamma
     stride = d * d + d
-    # Reusable scratch: per-rank stage-C payload buffers plus the Gram
-    # workspaces (one shared, or one per rank when the backend maps ranks
-    # in parallel). Bit-identical to the allocating path (pinned by tests).
-    # The general path builds curvature-weighted blocks and has no
-    # workspace variant.
-    workspaces = (
-        RankWorkspaces(nranks, d, mbar, parallel=backend.parallel_ranks)
-        if config.gram_workspace and not general
-        else None
-    )
-    loop.workspace = workspaces
-    packed_bufs = (
-        [np.empty(k * stride) for _ in range(nranks)] if workspaces is not None else None
+    placement = RankPlacement(
+        data, loop, mbar=mbar, payload_words=k * stride, gram=not general
     )
     loop.start(
         {
-            "nranks": nranks,
+            **run_params(loop, nranks, resolved),
             "k": k,
             "S": S,
             "b": b,
@@ -198,14 +149,6 @@ def rc_sfista_distributed(
             "iters_per_epoch": iters_per_epoch,
             "estimator": estimator.value,
             "step_size": gamma,
-            "loss": resolved.loss.name,
-            "penalty": resolved.penalty.spec,
-            "comm": config.comm,
-            "comm_topology": config.comm_topology,
-            "comm_compress": config.comm_compress,
-            "machine": backend.machine_name,
-            "checkpoint_every": config.checkpoint_every,
-            "on_nan": config.on_nan,
         }
     )
     w = np.zeros(d)
@@ -240,28 +183,6 @@ def rc_sfista_distributed(
             history_len=len(history),
         )
 
-    def repartition(new_nranks: int, lost_ranks) -> float:
-        """Shrink to *new_nranks*: re-scatter rows, rebuild rank-sized state.
-
-        Returns the words that must move to new owners — the lost ranks'
-        row blocks (``local_size`` rows of X plus y) — charged by the loop
-        as recovery traffic. Deterministic: ``partition_columns`` depends
-        only on (m, P′), so every replay shrinks identically.
-        """
-        nonlocal nranks, data, workspaces, packed_bufs
-        moved = float(
-            (d + 1) * sum(data.partition.local_size(r) for r in lost_ranks)
-        )
-        nranks = new_nranks
-        data = distribute_problem(problem, new_nranks)
-        if workspaces is not None:
-            workspaces = RankWorkspaces(
-                new_nranks, d, mbar, parallel=backend.parallel_ranks
-            )
-            loop.workspace = workspaces
-            packed_bufs = [np.empty(k * stride) for _ in range(new_nranks)]
-        return moved
-
     def restore(ck: Checkpoint) -> None:
         nonlocal w, w_prev, t_prev, prev_obj, sampled_iter, anchor, full_grad
         nonlocal rounds_done, start_epoch, start_rnd, in_epoch, converged, diverged
@@ -295,7 +216,7 @@ def rc_sfista_distributed(
                     loop.screened(
                         lambda: _epoch_anchor_gradient(
                             backend,
-                            data,
+                            placement.data,
                             anchor,
                             problem.m,
                             loss=resolved.loss if general else None,
@@ -319,6 +240,7 @@ def rc_sfista_distributed(
                 # rng stream is identical whether the ranks run serially or
                 # in parallel (the map closures never touch the generator).
                 idx_sets = [sample_indices(rng, problem.m, mbar) for _ in range(block)]
+                data = placement.data
                 round_anchor: np.ndarray | None = None
                 if general:
                     # Model-anchored stages A+B: every block of this round
@@ -327,7 +249,7 @@ def rc_sfista_distributed(
                     # packed in the same [H_j | g_j] layout and stride, so
                     # stage C communicates exactly k(d² + d) words as before.
                     round_anchor = w.copy()
-                    packed = [np.empty(0)] * nranks
+                    packed = [np.empty(0)] * data.nranks
 
                     def build_rank(p: int) -> float:
                         rank_data = data.ranks[p]
@@ -353,15 +275,14 @@ def rc_sfista_distributed(
                         packed[p] = np.concatenate(chunks)
                         return flops
 
-                elif packed_bufs is not None:
-                    # Workspace path: build each block directly inside the
-                    # reused stage-C payload buffer — no per-iteration
-                    # allocation, bit-identical payload values.
-                    packed = [buf[: block * stride] for buf in packed_bufs]
+                else:
+                    # Build each block directly inside the reused stage-C
+                    # payload buffer — no per-iteration allocation.
+                    packed = [buf[: block * stride] for buf in placement.buffers]
 
                     def build_rank(p: int) -> float:
                         rank_data = data.ranks[p]
-                        ws = workspaces[p]
+                        ws = placement.workspaces[p]
                         buf = packed[p]
                         flops = 0.0
                         for j, idx in enumerate(idx_sets):
@@ -381,30 +302,7 @@ def rc_sfista_distributed(
                             flops += fl + fl_r
                         return flops
 
-                else:
-                    packed = [np.empty(0)] * nranks
-
-                    def build_rank(p: int) -> float:
-                        rank_data = data.ranks[p]
-                        chunks: list[np.ndarray] = []
-                        flops = 0.0
-                        for idx in idx_sets:
-                            H_p, local_idx, fl = rank_data.sampled_hessian_contribution(
-                                idx, mbar, d
-                            )
-                            if estimator is GradientEstimator.PLAIN:
-                                R_p, fl_r = rank_data.sampled_rhs_contribution(
-                                    local_idx, mbar, d
-                                )
-                            else:
-                                R_p, fl_r = np.zeros(d), 0.0
-                            chunks.append(H_p.ravel())
-                            chunks.append(R_p)
-                            flops += fl + fl_r
-                        packed[p] = np.concatenate(chunks)
-                        return flops
-
-                per_rank_flops = np.asarray(backend.map_ranks(build_rank, nranks))
+                per_rank_flops = np.asarray(backend.map_ranks(build_rank, data.nranks))
                 backend.compute(per_rank_flops, label="hessian_blocks")
 
                 # ---- stage C: ONE allreduce of k(d² + d) words --------- #
@@ -488,7 +386,7 @@ def rc_sfista_distributed(
             main_loop,
             capture=lambda: capture(0, 0, mid_epoch=False),
             restore=restore,
-            repartition=repartition,
+            repartition=placement.repartition,
         )
     finally:
         # Real-parallelism backends hold worker processes / thread pools;
@@ -496,7 +394,7 @@ def rc_sfista_distributed(
         # the trace remain valid.
         backend.close()
 
-    loop.finish(
+    meta = loop.finish(
         {
             "converged": converged,
             "diverged": diverged,
@@ -504,7 +402,6 @@ def rc_sfista_distributed(
             "n_comm_rounds": loop.comm_rounds,
         }
     )
-
     return SolveResult(
         w=w,
         converged=converged,
@@ -512,27 +409,5 @@ def rc_sfista_distributed(
         history=history,
         n_comm_rounds=loop.comm_rounds,
         cost=backend.cost_summary(),
-        meta={
-            "solver": "rc_sfista_distributed",
-            "diverged": diverged,
-            "k": k,
-            "S": S,
-            "b": b,
-            "mbar": mbar,
-            "estimator": estimator.value,
-            "step_size": gamma,
-            "loss": resolved.loss.name,
-            "penalty": resolved.penalty.spec,
-            "nranks": nranks,
-            "machine": backend.machine_name,
-            "allreduce_algorithm": backend.allreduce_algorithm,
-            "comm": config.comm,
-            "comm_topology": config.comm_topology,
-            "comm_compress": config.comm_compress,
-            "checkpoint_every": config.checkpoint_every,
-            "on_nan": config.on_nan,
-            "max_recoveries": config.max_recoveries,
-            "adaptive_restart": config.adaptive_restart,
-            "resilience": loop.stats.as_meta(),
-        },
+        meta=meta,
     )

@@ -30,24 +30,18 @@ import copy
 
 import numpy as np
 
-from repro.core._dist_common import distribute_problem, hessian_reuse_update
+from repro.core._dist_common import (
+    RankPlacement,
+    distribute_problem,
+    hessian_reuse_update,
+    run_params,
+)
 from repro.core.fista import momentum_mu, t_next
 from repro.core.model import ERMObjective, resolve_objective
 from repro.core.results import SolveResult
 from repro.core.sfista import GradientEstimator, stochastic_step_size
-from repro.distsim.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.distsim.machine import MachineSpec
 from repro.exceptions import NumericalFaultError, ValidationError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryCallback
-from repro.runtime import (
-    ResilientLoop,
-    RollbackRequested,
-    RuntimeConfig,
-    SPMDBackend,
-    resolve_runtime,
-)
-from repro.sparse.ops import GramWorkspace
+from repro.runtime import ResilientLoop, RollbackRequested, RuntimeConfig, SPMDBackend
 from repro.utils.rng import RandomState, as_generator, minibatch_size, sample_indices
 from repro.utils.validation import check_positive
 
@@ -58,30 +52,21 @@ def rc_sfista_spmd(
     problem: ERMObjective,
     nranks: int,
     *,
-    machine: str | MachineSpec = "comet_effective",
     k: int = 1,
     b: float = 0.1,
     step_size: float | None = None,
     n_iterations: int = 100,
     estimator: GradientEstimator | str = GradientEstimator.PLAIN,
     seed: RandomState = 0,
-    allreduce_algorithm: str = "recursive_doubling",
-    comm: str = "dense",
-    faults: FaultPlan | FaultInjector | None = None,
-    retry: RetryPolicy | None = None,
-    recv_timeout: float | None = None,
-    checkpoint_every: int = 0,
-    on_nan: str | None = None,
-    max_recoveries: int = 3,
-    adaptive_restart: bool = False,
-    telemetry: TelemetryCallback | None = None,
-    metrics: MetricsRegistry | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> SolveResult:
     """Run RC-SFISTA (k-overlap, S=1, single epoch) on the SPMD engine.
 
-    ``comm`` selects the stage-C allreduce encoding (``"dense"``,
-    ``"sparse"``, ``"auto"``); iterates are bit-identical across modes.
+    Every runtime knob below is a field of ``runtime=RuntimeConfig(...)``
+    (default ``RuntimeConfig()``). The rank programs always run on the
+    SPMD engine, so ``backend`` must be ``"bsp"``. ``comm`` selects the
+    stage-C allreduce encoding (``"dense"``, ``"sparse"``, ``"auto"``);
+    iterates are bit-identical across modes.
 
     Resilience: ``faults``/``retry``/``recv_timeout`` configure the
     engine's fault layer. With ``checkpoint_every > 0`` the rank programs
@@ -103,35 +88,16 @@ def rc_sfista_spmd(
     also enables the engine trace so the recorder can harvest a timeline.
     ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry` the engine
     publishes into. Both are strictly out of band.
-
-    All the runtime knobs can equivalently be bundled in
-    ``runtime=RuntimeConfig(...)``; mixing ``runtime=`` with explicit
-    kwargs is rejected, and the resilience/observability kwargs are
-    deprecated in favour of the bundle.
     """
     estimator = GradientEstimator(estimator)
-    config = resolve_runtime(
-        runtime,
-        machine=machine,
-        allreduce_algorithm=allreduce_algorithm,
-        comm=comm,
-        faults=faults,
-        retry=retry,
-        recv_timeout=recv_timeout,
-        checkpoint_every=checkpoint_every,
-        on_nan=on_nan,
-        max_recoveries=max_recoveries,
-        adaptive_restart=adaptive_restart,
-        telemetry=telemetry,
-        metrics=metrics,
-    )
+    config = runtime if runtime is not None else RuntimeConfig()
     if estimator is GradientEstimator.EXACT:
         raise ValidationError("SPMD RC-SFISTA requires a sampled estimator")
-    if config.backend in ("mp", "threads"):
+    if config.backend != "bsp":
         raise ValidationError(
             "rc_sfista_spmd always runs its rank programs on the SPMD engine; "
             f"backend={config.backend!r} selects a host-view substrate — use "
-            "rc_sfista_distributed for real-parallelism backends"
+            "rc_sfista_distributed for the serial and real-parallelism backends"
         )
     if k < 1 or n_iterations < 1:
         raise ValidationError("k and n_iterations must be >= 1")
@@ -163,27 +129,25 @@ def rc_sfista_spmd(
     backend = SPMDBackend.from_config(config, nranks)
     loop = ResilientLoop(backend, config, solver="rc_sfista_spmd")
     loop.step_size = gamma
+    stride = d * d + d
+    # Each rank's packed payload must stay intact until the collective
+    # completes, so every rank program builds into its own buffer.
+    placement = RankPlacement(
+        data, loop, mbar=mbar, payload_words=k * stride, gram=not general
+    )
     guard = loop.guard
     # Objective monitoring is only needed when a feature consumes it; it is
     # out of band (never charged) and replicated, so every rank sees it.
     monitored = guard.enabled or config.adaptive_restart
     loop.start(
         {
-            "nranks": nranks,
+            **run_params(loop, nranks, resolved),
             "k": k,
             "b": b,
             "mbar": mbar,
             "n_iterations": n_iterations,
             "estimator": estimator.value,
             "step_size": gamma,
-            "loss": resolved.loss.name,
-            "penalty": resolved.penalty.spec,
-            "comm": config.comm,
-            "comm_topology": config.comm_topology,
-            "comm_compress": config.comm_compress,
-            "machine": backend.machine_name,
-            "checkpoint_every": config.checkpoint_every,
-            "on_nan": config.on_nan,
         }
     )
 
@@ -212,7 +176,6 @@ def rc_sfista_spmd(
             raise RollbackRequested(what)
         return True
 
-    stride = d * d + d
     # Replicated-work cache: the stage-D update and the monitored objective
     # are identical on every rank (same seed, same reduced inputs), so with
     # dedup enabled rank 0 computes them once per collective epoch and the
@@ -225,14 +188,6 @@ def rc_sfista_spmd(
         # Every rank derives the same sampling stream from the shared seed
         # (paper §5.5) — no communication needed to agree on I_n.
         rng = as_generator(int(seed))
-        # Per-rank scratch: each rank's packed payload must stay intact
-        # until the collective completes, so buffers are program-local.
-        workspace = (
-            GramWorkspace(d, mbar) if config.gram_workspace and not general else None
-        )
-        packed_buf = np.empty(k * stride) if workspace is not None else None
-        if workspace is not None and ctx.rank == 0:
-            loop.workspace = workspace
 
         w = np.zeros(d)
         w_prev = w.copy()
@@ -293,8 +248,9 @@ def rc_sfista_spmd(
                     chunks.append(H_p.ravel())
                     chunks.append(g_p)
                 packed = np.concatenate(chunks)
-            elif workspace is not None:
-                packed = packed_buf[: block * stride]
+            else:
+                workspace = placement.workspaces[ctx.rank]
+                packed = placement.buffers[ctx.rank][: block * stride]
                 for _j in range(block):
                     base = _j * stride
                     idx = sample_indices(rng, problem.m, mbar)
@@ -309,22 +265,6 @@ def rc_sfista_spmd(
                         )
                     else:
                         R_out.fill(0.0)
-            else:
-                chunks = []
-                for _j in range(block):
-                    idx = sample_indices(rng, problem.m, mbar)
-                    H_p, local_idx, _fl = rank_data.sampled_hessian_contribution(
-                        idx, mbar, d
-                    )
-                    if estimator is GradientEstimator.PLAIN:
-                        R_p, _flr = rank_data.sampled_rhs_contribution(
-                            local_idx, mbar, d
-                        )
-                    else:
-                        R_p = np.zeros(d)
-                    chunks.append(H_p.ravel())
-                    chunks.append(R_p)
-                packed = np.concatenate(chunks)
             # Stage C: one allreduce of k(d² + d) words.
             for _attempt in range(config.max_recoveries + 1):
                 combined = yield ctx.allreduce(packed, comm=config.comm)
@@ -420,39 +360,15 @@ def rc_sfista_spmd(
             raise ValidationError("replicated iterates diverged across ranks")
 
     loop.stats.checkpoints = ck_holder["count"]
-    loop.finish(
-        {
-            "n_iterations": n_iterations,
-            "checkpoints": ck_holder["count"],
-            "rank_failures_recovered": loop.stats.rank_failures_recovered,
-        }
-    )
+    n_comm_rounds = -(-n_iterations // k) + (1 if estimator is GradientEstimator.SVRG else 0)
+    meta = loop.finish({"n_iterations": n_iterations, "n_comm_rounds": n_comm_rounds})
     return SolveResult(
         # Private writable copy: with dedup the per-rank results are one
         # shared frozen view.
         w=np.array(per_rank_w[0]),
         converged=False,
         n_iterations=n_iterations,
-        n_comm_rounds=-(-n_iterations // k)
-        + (1 if estimator is GradientEstimator.SVRG else 0),
+        n_comm_rounds=n_comm_rounds,
         cost=backend.cost_summary(),
-        meta={
-            "solver": "rc_sfista_spmd",
-            "k": k,
-            "b": b,
-            "mbar": mbar,
-            "estimator": estimator.value,
-            "step_size": gamma,
-            "loss": resolved.loss.name,
-            "penalty": resolved.penalty.spec,
-            "nranks": nranks,
-            "comm": config.comm,
-            "comm_topology": config.comm_topology,
-            "comm_compress": config.comm_compress,
-            "checkpoint_every": config.checkpoint_every,
-            "on_nan": config.on_nan,
-            "max_recoveries": config.max_recoveries,
-            "adaptive_restart": config.adaptive_restart,
-            "resilience": loop.stats.as_meta(),
-        },
+        meta=meta,
     )

@@ -14,9 +14,9 @@ Two communication modes:
   compatible with Hessian-reuse, but shows the design space.
 
 Like every distributed solver the baseline runs on the unified
-:mod:`repro.runtime`: pass ``runtime=RuntimeConfig(...)`` (or the legacy
-individual kwargs) to get fault injection, checkpoint/rollback recovery,
-NaN screening, telemetry and metrics — the same resilience surface as
+:mod:`repro.runtime`: pass ``runtime=RuntimeConfig(...)`` to get fault
+injection, checkpoint/rollback recovery, NaN screening, telemetry and
+metrics — the same resilience surface as
 :func:`repro.core.rc_sfista_dist.rc_sfista_distributed`, so the paper
 comparison stays apples-to-apples under failures too.
 """
@@ -27,9 +27,10 @@ import numpy as np
 
 from repro.core._dist_common import (
     UPDATE_FLOPS,
-    RankWorkspaces,
+    RankPlacement,
     distribute_problem,
     hessian_reuse_update,
+    run_params,
 )
 from repro.core.fista import momentum_mu, t_next
 from repro.core.model import ERMObjective, resolve_objective
@@ -37,13 +38,8 @@ from repro.core.proximal import soft_threshold
 from repro.core.results import History, SolveResult
 from repro.core.sfista import GradientEstimator, stochastic_step_size
 from repro.core.stopping import StoppingCriterion
-from repro.distsim.bsp import BSPCluster
-from repro.distsim.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.distsim.machine import MachineSpec
 from repro.exceptions import ValidationError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryCallback
-from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend, resolve_runtime
+from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend
 from repro.runtime.backend import ExecutionBackend
 from repro.sparse.ops import _select_columns_dense
 from repro.utils.rng import RandomState, as_generator, minibatch_size, sample_indices
@@ -79,7 +75,6 @@ def sfista_distributed(
     problem: ERMObjective,
     nranks: int,
     *,
-    machine: str | MachineSpec = "comet_effective",
     b: float = 0.1,
     step_size: float | None = None,
     epochs: int = 1,
@@ -90,18 +85,6 @@ def sfista_distributed(
     stopping: StoppingCriterion | None = None,
     monitor_every: int = 1,
     restart_momentum: bool = True,
-    allreduce_algorithm: str = "recursive_doubling",
-    jitter_seed: RandomState = None,
-    cluster: BSPCluster | None = None,
-    faults: FaultPlan | FaultInjector | None = None,
-    retry: RetryPolicy | None = None,
-    recv_timeout: float | None = None,
-    checkpoint_every: int = 0,
-    on_nan: str | None = None,
-    max_recoveries: int = 3,
-    adaptive_restart: bool = False,
-    telemetry: TelemetryCallback | None = None,
-    metrics: MetricsRegistry | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> SolveResult:
     """Distributed SFISTA on the simulated cluster.
@@ -118,30 +101,13 @@ def sfista_distributed(
     Runtime
     -------
     runtime:
-        A :class:`~repro.runtime.RuntimeConfig` bundling machine/comm
-        selection, fault injection, retry, checkpointing (every
-        ``checkpoint_every`` communication rounds), ``on_nan`` screening,
-        ``adaptive_restart``, telemetry and metrics. The individual
-        kwargs remain accepted but cannot be combined with ``runtime=``;
-        the resilience/observability ones are deprecated as kwargs.
+        A :class:`~repro.runtime.RuntimeConfig` (default ``RuntimeConfig()``)
+        bundling machine/comm selection, fault injection, retry,
+        checkpointing (every ``checkpoint_every`` communication rounds),
+        ``on_nan`` screening, ``adaptive_restart``, telemetry and metrics.
     """
     estimator = GradientEstimator(estimator)
-    config = resolve_runtime(
-        runtime,
-        machine=machine,
-        allreduce_algorithm=allreduce_algorithm,
-        jitter_seed=jitter_seed,
-        cluster=cluster,
-        faults=faults,
-        retry=retry,
-        recv_timeout=recv_timeout,
-        checkpoint_every=checkpoint_every,
-        on_nan=on_nan,
-        max_recoveries=max_recoveries,
-        adaptive_restart=adaptive_restart,
-        telemetry=telemetry,
-        metrics=metrics,
-    )
+    config = runtime if runtime is not None else RuntimeConfig()
     if comm_mode not in ("hessian", "gradient"):
         raise ValidationError(f"comm_mode must be 'hessian' or 'gradient', got {comm_mode!r}")
     if estimator is GradientEstimator.EXACT:
@@ -178,21 +144,12 @@ def sfista_distributed(
     backend = build_host_backend(config, nranks)
     loop = ResilientLoop(backend, config, solver="sfista_distributed")
     loop.step_size = gamma
-    stride = d * d + d
-    # Reusable scratch (bit-identical to the allocating path): the Gram
-    # workspaces (shared, or one per rank under a parallel map) plus one
-    # [H_p | R_p] payload buffer per rank. The general path builds
-    # curvature-weighted blocks and has no workspace variant.
-    workspaces = (
-        RankWorkspaces(nranks, d, mbar, parallel=backend.parallel_ranks)
-        if config.gram_workspace and not general
-        else None
+    placement = RankPlacement(
+        data, loop, mbar=mbar, payload_words=d * d + d, gram=not general
     )
-    loop.workspace = workspaces
-    hr_bufs = [np.empty(stride) for _ in range(nranks)] if workspaces is not None else None
     loop.start(
         {
-            "nranks": nranks,
+            **run_params(loop, nranks, resolved),
             "b": b,
             "mbar": mbar,
             "epochs": epochs,
@@ -200,14 +157,6 @@ def sfista_distributed(
             "estimator": estimator.value,
             "comm_mode": comm_mode,
             "step_size": gamma,
-            "loss": resolved.loss.name,
-            "penalty": resolved.penalty.spec,
-            "comm": config.comm,
-            "comm_topology": config.comm_topology,
-            "comm_compress": config.comm_compress,
-            "machine": backend.machine_name,
-            "checkpoint_every": config.checkpoint_every,
-            "on_nan": config.on_nan,
         }
     )
 
@@ -242,26 +191,6 @@ def sfista_distributed(
             history_len=len(history),
         )
 
-    def repartition(new_nranks: int, lost_ranks) -> float:
-        """Shrink to *new_nranks* after an elastic pool loss (see driver).
-
-        Returns the lost ranks' row-block words (rows of X plus y) that
-        must travel to their new owners, charged as recovery traffic.
-        """
-        nonlocal nranks, data, workspaces, hr_bufs
-        moved = float(
-            (d + 1) * sum(data.partition.local_size(r) for r in lost_ranks)
-        )
-        nranks = new_nranks
-        data = distribute_problem(problem, new_nranks)
-        if workspaces is not None:
-            workspaces = RankWorkspaces(
-                new_nranks, d, mbar, parallel=backend.parallel_ranks
-            )
-            loop.workspace = workspaces
-            hr_bufs = [np.empty(stride) for _ in range(new_nranks)]
-        return moved
-
     def restore(ck: Checkpoint) -> None:
         nonlocal w, w_prev, t_prev, prev_obj, total_iter, anchor, full_grad
         nonlocal rounds_done, start_epoch, start_n, in_epoch, converged, diverged
@@ -291,7 +220,7 @@ def sfista_distributed(
                     loop.screened(
                         lambda: _epoch_anchor_gradient(
                             backend,
-                            data,
+                            placement.data,
                             anchor,
                             problem.m,
                             loss=resolved.loss if general else None,
@@ -310,6 +239,7 @@ def sfista_distributed(
             for _n in range(start_n, iters_per_epoch):
                 total_iter += 1
                 idx = sample_indices(rng, problem.m, mbar)
+                data = placement.data
 
                 t_cur = t_next(t_prev)
                 mu = momentum_mu(t_prev, t_cur)
@@ -333,7 +263,7 @@ def sfista_distributed(
                         )
                         return np.concatenate([H_p.ravel(), g_p]), fl_z + fl_a + fl
 
-                    results = backend.map_ranks(build_rank, nranks)
+                    results = backend.map_ranks(build_rank, data.nranks)
                     packed = [buf for buf, _fl in results]
                     backend.compute([fl for _buf, fl in results], label="hessian_blocks")
                     combined = loop.allreduce(packed, label="allreduce_HR")
@@ -352,34 +282,23 @@ def sfista_distributed(
                     # real; each touches only its own buffers/workspace).
                     def build_rank(p: int) -> tuple[np.ndarray, float]:
                         rank_data = data.ranks[p]
-                        if hr_bufs is not None:
-                            buf = hr_bufs[p]
-                            ws = workspaces[p]
-                            H_out = buf[: d * d].reshape(d, d)
-                            R_out = buf[d * d :]
-                            _, local_idx, fl = rank_data.sampled_hessian_contribution(
-                                idx, mbar, d, workspace=ws, out=H_out
-                            )
-                            if estimator is GradientEstimator.PLAIN:
-                                _, fl_r = rank_data.sampled_rhs_contribution(
-                                    local_idx, mbar, d, workspace=ws, out=R_out
-                                )
-                            else:
-                                R_out.fill(0.0)
-                                fl_r = 0.0
-                            return buf, fl + fl_r
-                        H_p, local_idx, fl = rank_data.sampled_hessian_contribution(
-                            idx, mbar, d
+                        buf = placement.buffers[p]
+                        ws = placement.workspaces[p]
+                        H_out = buf[: d * d].reshape(d, d)
+                        R_out = buf[d * d :]
+                        _, local_idx, fl = rank_data.sampled_hessian_contribution(
+                            idx, mbar, d, workspace=ws, out=H_out
                         )
                         if estimator is GradientEstimator.PLAIN:
-                            R_p, fl_r = rank_data.sampled_rhs_contribution(
-                                local_idx, mbar, d
+                            _, fl_r = rank_data.sampled_rhs_contribution(
+                                local_idx, mbar, d, workspace=ws, out=R_out
                             )
                         else:
-                            R_p, fl_r = np.zeros(d), 0.0
-                        return np.concatenate([H_p.ravel(), R_p]), fl + fl_r
+                            R_out.fill(0.0)
+                            fl_r = 0.0
+                        return buf, fl + fl_r
 
-                    results = backend.map_ranks(build_rank, nranks)
+                    results = backend.map_ranks(build_rank, data.nranks)
                     packed = [buf for buf, _fl in results]
                     backend.compute([fl for _buf, fl in results], label="hessian_blocks")
                     # Stage C: one allreduce of d² + d words.
@@ -399,9 +318,9 @@ def sfista_distributed(
                         local_idx = rank_data._restrict(idx)
                         if local_idx.size == 0:
                             return np.zeros(d), 0.0
-                        if workspaces is not None:
+                        if placement.workspaces is not None:
                             A = _select_columns_dense(
-                                rank_data.X_local, local_idx, workspaces[p]
+                                rank_data.X_local, local_idx, placement.workspaces[p]
                             )
                         elif isinstance(rank_data.X_local, np.ndarray):
                             A = rank_data.X_local[:, local_idx]
@@ -422,7 +341,7 @@ def sfista_distributed(
                             g_p = A @ (A.T @ (v - anchor)) / mbar
                         return g_p, float(4 * A.shape[0] * A.shape[1])
 
-                    results = backend.map_ranks(gradient_rank, nranks)
+                    results = backend.map_ranks(gradient_rank, data.nranks)
                     backend.compute([fl for _g, fl in results], label="gradient_blocks")
                     g = loop.allreduce([g_p for g_p, _fl in results], label="allreduce_grad")
                     if estimator is GradientEstimator.SVRG:
@@ -474,7 +393,7 @@ def sfista_distributed(
             main_loop,
             capture=lambda: capture(0, 0, mid_epoch=False),
             restore=restore,
-            repartition=repartition,
+            repartition=placement.repartition,
         )
     finally:
         # Real-parallelism backends hold worker processes / thread pools;
@@ -482,7 +401,7 @@ def sfista_distributed(
         # the trace remain valid.
         backend.close()
 
-    loop.finish(
+    meta = loop.finish(
         {
             "converged": converged,
             "diverged": diverged,
@@ -490,7 +409,6 @@ def sfista_distributed(
             "n_comm_rounds": loop.comm_rounds,
         }
     )
-
     return SolveResult(
         w=w,
         converged=converged,
@@ -498,26 +416,5 @@ def sfista_distributed(
         history=history,
         n_comm_rounds=loop.comm_rounds,
         cost=backend.cost_summary(),
-        meta={
-            "solver": "sfista_distributed",
-            "diverged": diverged,
-            "b": b,
-            "mbar": mbar,
-            "estimator": estimator.value,
-            "comm_mode": comm_mode,
-            "step_size": gamma,
-            "loss": resolved.loss.name,
-            "penalty": resolved.penalty.spec,
-            "nranks": nranks,
-            "machine": backend.machine_name,
-            "allreduce_algorithm": backend.allreduce_algorithm,
-            "comm": config.comm,
-            "comm_topology": config.comm_topology,
-            "comm_compress": config.comm_compress,
-            "checkpoint_every": config.checkpoint_every,
-            "on_nan": config.on_nan,
-            "max_recoveries": config.max_recoveries,
-            "adaptive_restart": config.adaptive_restart,
-            "resilience": loop.stats.as_meta(),
-        },
+        meta=meta,
     )

@@ -37,6 +37,7 @@ from repro.experiments.runner import (
     reference_value,
     speedup_cell,
 )
+from repro.runtime import RuntimeConfig
 
 __all__ = [
     "fig2a_sampling_rate",
@@ -447,12 +448,14 @@ def table1_costs(
     d = problem.d
 
     sf = sfista_distributed(
-        problem, nranks, machine=machine, b=b, iters_per_epoch=n_iters,
+        problem, nranks, b=b, iters_per_epoch=n_iters,
         estimator="plain", seed=seed, monitor_every=n_iters,
+        runtime=RuntimeConfig(machine=machine),
     )
     rc = rc_sfista_distributed(
-        problem, nranks, machine=machine, k=k, S=S, b=b, iters_per_epoch=n_iters,
+        problem, nranks, k=k, S=S, b=b, iters_per_epoch=n_iters,
         estimator="plain", seed=seed, monitor_every=n_iters,
+        runtime=RuntimeConfig(machine=machine),
     )
     model_sf = sfista_costs(n_iters, d, mbar, f, nranks)
     model_rc = rc_sfista_costs(n_iters, d, mbar, f, nranks, k, S)

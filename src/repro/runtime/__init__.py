@@ -4,9 +4,8 @@ This package is the one place the distributed solvers get their
 cross-cutting machinery from:
 
 * :class:`~repro.runtime.config.RuntimeConfig` — the validated bundle of
-  machine/comm/fault/checkpoint/telemetry knobs every solver accepts as
-  ``runtime=`` (with :func:`~repro.runtime.config.resolve_runtime`
-  merging in legacy per-solver kwargs).
+  machine/comm/fault/checkpoint/telemetry knobs, the only runtime
+  surface of every distributed solver (``runtime=``).
 * :class:`~repro.runtime.backend.ExecutionBackend` — the collective
   protocol with :class:`~repro.runtime.backend.SerialBackend`,
   :class:`~repro.runtime.backend.BSPBackend` and
@@ -19,7 +18,7 @@ cross-cutting machinery from:
 * :class:`~repro.runtime.driver.ResilientLoop` — the single
   checkpoint/rollback/bit-exact-replay driver.
 * :mod:`~repro.runtime.resilience` — checkpoints, NaN guards and
-  recovery statistics (formerly ``repro.core.resilience``).
+  recovery statistics.
 
 See ``docs/RUNTIME.md`` for the architecture walkthrough.
 """
@@ -36,7 +35,6 @@ from repro.runtime.config import (
     FAILURE_POLICIES,
     RuntimeConfig,
     parse_backend_spec,
-    resolve_runtime,
 )
 from repro.runtime.dedup import ReplicatedCache
 from repro.runtime.driver import ResilientLoop
@@ -71,5 +69,4 @@ __all__ = [
     "WorkerSupervisor",
     "build_host_backend",
     "parse_backend_spec",
-    "resolve_runtime",
 ]

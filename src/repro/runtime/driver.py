@@ -14,9 +14,9 @@ per run, hands it the body as a closure plus ``capture``/``restore``
 callbacks for its replayable state, and keeps only its algorithm::
 
     loop = ResilientLoop(backend, config, solver="rc_sfista_distributed")
-    loop.start(params)                      # telemetry on_run_start
-    result = loop.run(body, capture=capture, restore=restore)
-    return loop.finish(meta=...)            # telemetry on_run_end + meta
+    loop.start(params)                      # run summary; telemetry on_run_start
+    loop.run(body, capture=capture, restore=restore, repartition=...)
+    meta = loop.finish(outcome)             # telemetry on_run_end; SolveResult.meta
 
 The loop also owns iteration telemetry (:meth:`emit`) so records carry a
 uniform shape — retries/recoveries/sim_time come from the loop's own
@@ -76,6 +76,8 @@ class ResilientLoop:
         # Optional GramWorkspace the solver installs; finish() reports its
         # reuse counter alongside the backend's dedup hit/miss counts.
         self.workspace = None
+        # The run summary handed to start(); finish() returns it as meta.
+        self.params: dict[str, Any] = {}
 
     # ------------------------------------------------------------------ #
     # screened collectives
@@ -121,8 +123,10 @@ class ResilientLoop:
     # telemetry
     # ------------------------------------------------------------------ #
     def start(self, params: dict[str, Any]) -> None:
+        """Record the run summary *params* (runtime plus algorithm keys)."""
+        self.params = dict(params)
         if self.telemetry is not None:
-            self.telemetry.on_run_start(self.solver, params)
+            self.telemetry.on_run_start(self.solver, self.params)
 
     def emit(
         self,
@@ -150,22 +154,26 @@ class ResilientLoop:
             )
         )
 
-    def finish(self, meta: dict[str, Any]) -> dict[str, Any]:
-        """Close out telemetry; returns *meta* enriched with resilience stats.
+    def finish(self, outcome: dict[str, Any]) -> dict[str, Any]:
+        """Close out telemetry; returns the run's ``SolveResult.meta``.
 
-        Also publishes the host-performance counters (``runtime_dedup_*``,
-        ``gram_workspace_reuses``) under ``meta["perf"]`` and into the
-        configured metrics registry — how much replicated work the run
-        elided. Observational only: values never feed back into costs.
+        That is the solver name, the :meth:`start` params, *outcome*, the
+        resilience stats, and the host-performance counters
+        (``runtime_dedup_*``, ``gram_workspace_reuses``) under ``perf`` —
+        how much replicated work the run elided, also published into the
+        configured metrics registry. Observational only: values never
+        feed back into costs.
         """
-        meta = dict(meta)
-        meta.setdefault("resilience", self.stats.as_meta())
-        meta.setdefault("perf", self._perf_meta())
+        meta = {
+            "solver": self.solver,
+            **self.params,
+            **outcome,
+            "resilience": self.stats.as_meta(),
+            "perf": self._perf_meta(),
+        }
         if self.telemetry is not None:
             self.telemetry.on_run_end(
-                cost=self.backend.cost_summary(),
-                trace=self.backend.trace,
-                meta={"solver": self.solver, **meta},
+                cost=self.backend.cost_summary(), trace=self.backend.trace, meta=meta
             )
         return meta
 

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core._dist_common import UPDATE_FLOPS, distribute_problem
+from repro.core.prox_newton import proximal_newton_distributed
+from repro.core.rc_sfista_dist import rc_sfista_distributed
+from repro.core.rc_sfista_spmd import rc_sfista_spmd
+from repro.core.sfista_dist import sfista_distributed
 from repro.exceptions import ValidationError
 from repro.perf.model import update_flops_per_step
 from repro.sparse.ops import sampled_gram
@@ -111,3 +115,36 @@ class TestUpdateFlopsConsistency:
         """The solver charge and the Table 1 model must stay in sync."""
         for d in (1, 7, 54, 780):
             assert UPDATE_FLOPS(d) == update_flops_per_step(d)
+
+
+RUNTIME_KEYS = {
+    "nranks", "machine", "allreduce_algorithm", "comm", "comm_topology",
+    "comm_compress", "checkpoint_every", "on_nan", "max_recoveries",
+    "adaptive_restart", "loss", "penalty",
+}
+
+#: One tiny fixed-budget run per distributed solver.
+SOLVER_RUNS = {
+    "rc_sfista_distributed": lambda prob: rc_sfista_distributed(
+        prob, 4, k=2, b=0.2, iters_per_epoch=4, seed=0
+    ),
+    "sfista_distributed": lambda prob: sfista_distributed(
+        prob, 4, b=0.2, iters_per_epoch=4, seed=0
+    ),
+    "proximal_newton_distributed": lambda prob: proximal_newton_distributed(
+        prob, 4, n_outer=1, inner_iters=4, k=2, b=0.2, seed=0
+    ),
+    "rc_sfista_spmd": lambda prob: rc_sfista_spmd(prob, 4, k=2, b=0.2, n_iterations=4),
+}
+
+
+class TestRunSummary:
+    @pytest.mark.parametrize("solver", sorted(SOLVER_RUNS))
+    def test_every_solver_reports_the_same_runtime_keys(self, small_dense_problem, solver):
+        meta = SOLVER_RUNS[solver](small_dense_problem).meta
+        assert meta["solver"] == solver
+        assert RUNTIME_KEYS | {"perf", "resilience"} <= set(meta)
+        assert meta["nranks"] == 4
+        assert meta["machine"] == "comet_effective"
+        assert meta["allreduce_algorithm"] == "recursive_doubling"
+        assert meta["perf"]["gram_workspace_reuses"] > 0

@@ -14,6 +14,7 @@ from repro.core.sfista import sfista
 from repro.core.sfista_dist import sfista_distributed
 from repro.distsim.collectives import ceil_log2
 from repro.exceptions import ValidationError
+from repro.runtime import RuntimeConfig
 
 
 class TestSfistaDistEquivalence:
@@ -121,7 +122,7 @@ class TestCommunicationAccounting:
         for k in (1, 2, 8):
             res = rc_sfista_distributed(
                 tiny_covtype_problem, 16, k=k, b=0.1, iters_per_epoch=16, seed=0,
-                machine="comet_effective",
+                runtime=RuntimeConfig(machine="comet_effective"),
             )
             times.append(res.sim_time)
         assert times[0] > times[1] > times[2]
@@ -129,7 +130,7 @@ class TestCommunicationAccounting:
     def test_ring_allreduce_supported(self, tiny_covtype_problem):
         res = rc_sfista_distributed(
             tiny_covtype_problem, 4, k=2, b=0.2, iters_per_epoch=8, seed=0,
-            allreduce_algorithm="ring",
+            runtime=RuntimeConfig(allreduce_algorithm="ring"),
         )
         ser = rc_sfista(tiny_covtype_problem, k=2, b=0.2, iters_per_epoch=8, seed=0)
         np.testing.assert_allclose(res.w, ser.w, atol=1e-9)

@@ -90,6 +90,12 @@ class TestDistributedPN:
         with pytest.raises(ValidationError):
             proximal_newton_distributed(tiny_covtype_problem, 2, inner="cg")
 
+    @pytest.mark.parametrize("damping", [0.0, -1.0, float("nan")])
+    def test_invalid_damping(self, tiny_covtype_problem, damping):
+        """Zero, negative or NaN damping must fail, not return a bad w."""
+        with pytest.raises(ValidationError, match="damping"):
+            proximal_newton_distributed(tiny_covtype_problem, 2, damping=damping)
+
     def test_history_has_sim_times(self, tiny_covtype_problem):
         res = proximal_newton_distributed(
             tiny_covtype_problem, 4, inner="rc_sfista", k=2, n_outer=3, inner_iters=6

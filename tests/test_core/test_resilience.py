@@ -15,13 +15,6 @@ from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.reference import solve_reference
-from repro.core.resilience import (
-    ON_NAN_POLICIES,
-    Checkpoint,
-    NumericalGuard,
-    RecoveryStats,
-    RollbackRequested,
-)
 from repro.core.results import History, SolveResult
 from repro.distsim.faults import FaultPlan, PayloadCorruption, RankCrash
 from repro.exceptions import (
@@ -29,6 +22,14 @@ from repro.exceptions import (
     NumericalFaultError,
     RankFailureError,
     ValidationError,
+)
+from repro.runtime import RuntimeConfig
+from repro.runtime.resilience import (
+    ON_NAN_POLICIES,
+    Checkpoint,
+    NumericalGuard,
+    RecoveryStats,
+    RollbackRequested,
 )
 
 pytestmark = pytest.mark.faults
@@ -133,19 +134,25 @@ class TestHistoryTruncate:
 # ---------------------------------------------------------------------- #
 # solver-level recovery: the recovered solution equals the fault-free one
 # ---------------------------------------------------------------------- #
-BSP_KW = dict(machine="comet_paper", k=2, S=1, b=0.2, epochs=1,
-              iters_per_epoch=6, estimator="plain", seed=0, monitor_every=2)
+BSP_KW = dict(k=2, S=1, b=0.2, epochs=1, iters_per_epoch=6, estimator="plain",
+              seed=0, monitor_every=2)
+
+
+def _paper(**runtime) -> RuntimeConfig:
+    """Every solve here runs on the comet_paper machine model."""
+    return RuntimeConfig(machine="comet_paper", **runtime)
 
 
 def _baseline(problem):
-    return rc_sfista_distributed(problem, 4, **BSP_KW)
+    return rc_sfista_distributed(problem, 4, runtime=_paper(), **BSP_KW)
 
 
 class TestRCSFISTARecovery:
     def test_zero_fault_identity(self, small_dense_problem):
         base = _baseline(small_dense_problem)
-        wired = rc_sfista_distributed(small_dense_problem, 4, faults=FaultPlan(),
-                                      checkpoint_every=0, **BSP_KW)
+        wired = rc_sfista_distributed(
+            small_dense_problem, 4, runtime=_paper(faults=FaultPlan()), **BSP_KW
+        )
         assert np.array_equal(base.w, wired.w)
         assert base.cost == wired.cost
 
@@ -153,8 +160,10 @@ class TestRCSFISTARecovery:
         base = _baseline(small_dense_problem)
         crash_at = 0.5 * base.sim_time
         plan = FaultPlan(crashes=(RankCrash(rank=1, at_time=crash_at),))
-        rec = rc_sfista_distributed(small_dense_problem, 4, faults=plan,
-                                    checkpoint_every=2, **BSP_KW)
+        rec = rc_sfista_distributed(
+            small_dense_problem, 4, runtime=_paper(faults=plan, checkpoint_every=2),
+            **BSP_KW,
+        )
         assert rec.meta["resilience"]["rank_failures_recovered"] == 1
         assert rec.meta["resilience"]["healed_ranks"] == [1]
         assert np.array_equal(base.w, rec.w)
@@ -169,16 +178,19 @@ class TestRCSFISTARecovery:
     ):
         base = _baseline(small_dense_problem)
         plan = FaultPlan(crashes=(RankCrash(rank=2, at_time=0.5 * base.sim_time),))
-        rec = rc_sfista_distributed(small_dense_problem, 4, faults=plan,
-                                    checkpoint_every=0, **BSP_KW)
+        rec = rc_sfista_distributed(
+            small_dense_problem, 4, runtime=_paper(faults=plan), **BSP_KW
+        )
         assert rec.meta["resilience"]["rank_failures_recovered"] == 1
         assert np.array_equal(base.w, rec.w)
 
     def test_max_recoveries_zero_propagates(self, small_dense_problem):
         plan = FaultPlan(crashes=(RankCrash(rank=1, at_time=0.0),))
         with pytest.raises(RankFailureError):
-            rc_sfista_distributed(small_dense_problem, 4, faults=plan,
-                                  max_recoveries=0, **BSP_KW)
+            rc_sfista_distributed(
+                small_dense_problem, 4, runtime=_paper(faults=plan, max_recoveries=0),
+                **BSP_KW,
+            )
 
     def test_prebuilt_cluster_rejects_solver_side_fault_knobs(
         self, small_dense_problem
@@ -187,13 +199,19 @@ class TestRCSFISTARecovery:
 
         cluster = BSPCluster(4, "comet_paper")
         with pytest.raises(ValidationError, match="cluster"):
-            rc_sfista_distributed(small_dense_problem, 4, cluster=cluster,
-                                  faults=FaultPlan(crashes=(RankCrash(rank=0, at_op=0),)),
-                                  **BSP_KW)
+            rc_sfista_distributed(
+                small_dense_problem, 4,
+                runtime=_paper(
+                    cluster=cluster,
+                    faults=FaultPlan(crashes=(RankCrash(rank=0, at_op=0),)),
+                ),
+                **BSP_KW,
+            )
 
     def test_adaptive_restart_smoke(self, small_dense_problem):
-        res = rc_sfista_distributed(small_dense_problem, 4, adaptive_restart=True,
-                                    **BSP_KW)
+        res = rc_sfista_distributed(
+            small_dense_problem, 4, runtime=_paper(adaptive_restart=True), **BSP_KW
+        )
         assert res.meta["adaptive_restart"] is True
         assert res.meta["resilience"]["momentum_restarts"] >= 0
 
@@ -207,13 +225,17 @@ class TestNumericalPolicies:
 
     def test_on_nan_raise(self, small_dense_problem):
         with pytest.raises(NumericalFaultError):
-            rc_sfista_distributed(small_dense_problem, 4, faults=self._corrupting_plan(),
-                                  on_nan="raise", **BSP_KW)
+            rc_sfista_distributed(
+                small_dense_problem, 4,
+                runtime=_paper(faults=self._corrupting_plan(), on_nan="raise"), **BSP_KW,
+            )
 
     def test_on_nan_recompute_matches_fault_free(self, small_dense_problem):
         base = _baseline(small_dense_problem)
-        rec = rc_sfista_distributed(small_dense_problem, 4, faults=self._corrupting_plan(),
-                                    on_nan="recompute", **BSP_KW)
+        rec = rc_sfista_distributed(
+            small_dense_problem, 4,
+            runtime=_paper(faults=self._corrupting_plan(), on_nan="recompute"), **BSP_KW,
+        )
         assert rec.meta["resilience"]["recomputes"] >= 1
         assert np.array_equal(base.w, rec.w)
 
@@ -221,48 +243,60 @@ class TestNumericalPolicies:
         base = _baseline(small_dense_problem)
         # no periodic checkpoints: they are collectives too and would shift
         # the global collective index the one-shot corruption targets
-        rec = rc_sfista_distributed(small_dense_problem, 4, faults=self._corrupting_plan(),
-                                    on_nan="rollback", **BSP_KW)
+        rec = rc_sfista_distributed(
+            small_dense_problem, 4,
+            runtime=_paper(faults=self._corrupting_plan(), on_nan="rollback"), **BSP_KW,
+        )
         assert rec.meta["resilience"]["rollbacks"] >= 1
         assert np.array_equal(base.w, rec.w)
 
     def test_invalid_policy_rejected(self, small_dense_problem):
         with pytest.raises(ValidationError):
-            rc_sfista_distributed(small_dense_problem, 4, on_nan="explode", **BSP_KW)
+            rc_sfista_distributed(
+                small_dense_problem, 4, runtime=_paper(on_nan="explode"), **BSP_KW
+            )
 
 
-PN_KW = dict(machine="comet_paper", inner="rc_sfista", n_outer=4, inner_iters=6,
-             k=2, b=0.5, seed=0)
+PN_KW = dict(inner="rc_sfista", n_outer=4, inner_iters=6, k=2, b=0.5, seed=0)
 
 
 class TestProxNewtonRecovery:
     def test_crash_recovery_matches_fault_free(self, small_dense_problem):
-        base = proximal_newton_distributed(small_dense_problem, 4, **PN_KW)
+        base = proximal_newton_distributed(
+            small_dense_problem, 4, runtime=_paper(), **PN_KW
+        )
         plan = FaultPlan(crashes=(RankCrash(rank=1, at_time=0.5 * base.sim_time),))
-        rec = proximal_newton_distributed(small_dense_problem, 4, faults=plan,
-                                          checkpoint_every=1, **PN_KW)
+        rec = proximal_newton_distributed(
+            small_dense_problem, 4, runtime=_paper(faults=plan, checkpoint_every=1),
+            **PN_KW,
+        )
         assert rec.meta["resilience"]["rank_failures_recovered"] == 1
         assert np.array_equal(base.w, rec.w)
         assert base.history.objectives == rec.history.objectives
         assert rec.cost["checkpoint_words_total"] > 0
 
     def test_zero_fault_identity(self, small_dense_problem):
-        base = proximal_newton_distributed(small_dense_problem, 4, **PN_KW)
-        wired = proximal_newton_distributed(small_dense_problem, 4,
-                                            faults=FaultPlan(), **PN_KW)
+        base = proximal_newton_distributed(
+            small_dense_problem, 4, runtime=_paper(), **PN_KW
+        )
+        wired = proximal_newton_distributed(
+            small_dense_problem, 4, runtime=_paper(faults=FaultPlan()), **PN_KW
+        )
         assert np.array_equal(base.w, wired.w)
         assert base.cost == wired.cost
 
 
-SPMD_KW = dict(machine="comet_paper", k=2, b=0.2, n_iterations=8, seed=0)
+SPMD_KW = dict(k=2, b=0.2, n_iterations=8, seed=0)
 
 
 class TestSPMDRecovery:
     def test_crash_recovery_matches_fault_free(self, small_dense_problem):
-        base = rc_sfista_spmd(small_dense_problem, 4, **SPMD_KW)
+        base = rc_sfista_spmd(small_dense_problem, 4, runtime=_paper(), **SPMD_KW)
         plan = FaultPlan(crashes=(RankCrash(rank=2, at_time=0.5 * base.sim_time),))
-        rec = rc_sfista_spmd(small_dense_problem, 4, faults=plan,
-                             checkpoint_every=1, **SPMD_KW)
+        rec = rc_sfista_spmd(
+            small_dense_problem, 4, runtime=_paper(faults=plan, checkpoint_every=1),
+            **SPMD_KW,
+        )
         assert rec.meta["resilience"]["rank_failures_recovered"] == 1
         assert rec.meta["resilience"]["healed_ranks"] == [2]
         assert np.array_equal(base.w, rec.w)
@@ -270,8 +304,10 @@ class TestSPMDRecovery:
         assert rec.cost["words_total"] > base.cost["words_total"]
 
     def test_zero_fault_identity(self, small_dense_problem):
-        base = rc_sfista_spmd(small_dense_problem, 4, **SPMD_KW)
-        wired = rc_sfista_spmd(small_dense_problem, 4, faults=FaultPlan(), **SPMD_KW)
+        base = rc_sfista_spmd(small_dense_problem, 4, runtime=_paper(), **SPMD_KW)
+        wired = rc_sfista_spmd(
+            small_dense_problem, 4, runtime=_paper(faults=FaultPlan()), **SPMD_KW
+        )
         assert np.array_equal(base.w, wired.w)
         assert base.cost == wired.cost
 

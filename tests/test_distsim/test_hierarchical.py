@@ -7,6 +7,7 @@ from repro.distsim.bsp import BSPCluster
 from repro.distsim.collectives import allreduce_cost, barrier_cost, bcast_cost
 from repro.distsim.machine import HierarchicalMachine, MachineSpec, get_machine
 from repro.exceptions import ValidationError
+from repro.runtime import RuntimeConfig
 
 
 @pytest.fixture()
@@ -94,6 +95,7 @@ class TestBspIntegration:
         from repro.core.rc_sfista_dist import rc_sfista_distributed
 
         res = rc_sfista_distributed(
-            tiny_covtype_problem, 8, machine="comet_4ppn", k=2, b=0.2, iters_per_epoch=8
+            tiny_covtype_problem, 8, k=2, b=0.2, iters_per_epoch=8,
+            runtime=RuntimeConfig(machine="comet_4ppn"),
         )
         assert res.sim_time > 0

@@ -18,6 +18,7 @@ from repro.core import (
 from repro.core.stopping import StoppingCriterion
 from repro.data import get_dataset
 from repro.sparse import load_libsvm, save_libsvm
+from repro.runtime import RuntimeConfig
 
 
 class TestPackage:
@@ -45,8 +46,9 @@ class TestReadmeQuickstart:
     def test_distributed_flow(self):
         problem = get_dataset("covtype", size="tiny").problem()
         res = rc_sfista_distributed(
-            problem, nranks=8, machine="comet_effective", k=4, S=2, b=0.1,
+            problem, nranks=8, k=4, S=2, b=0.1,
             iters_per_epoch=20,
+            runtime=RuntimeConfig(machine="comet_effective"),
         )
         assert res.sim_time > 0
         assert res.cost["messages_per_rank_max"] > 0

@@ -1,6 +1,4 @@
-"""RuntimeConfig validation and the legacy-kwarg resolution path."""
-
-import warnings
+"""RuntimeConfig validation and backend-spec parsing."""
 
 import pytest
 
@@ -13,7 +11,6 @@ from repro.runtime import (
     FAILURE_POLICIES,
     RuntimeConfig,
     parse_backend_spec,
-    resolve_runtime,
 )
 
 
@@ -188,33 +185,6 @@ class TestCollectivesV2Knobs:
                 cluster=BSPCluster(2, "comet_effective"),
                 comm_compress="topk:frac=0.1",
             )
-
-
-class TestResolveRuntime:
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(ValidationError, match="unknown runtime kwargs"):
-            resolve_runtime(None, machne="comet_effective")
-
-    def test_runtime_plus_moved_legacy_rejected(self):
-        with pytest.raises(ValidationError, match="not both"):
-            resolve_runtime(RuntimeConfig(), checkpoint_every=2)
-
-    def test_runtime_with_default_legacy_passes_through(self):
-        cfg = RuntimeConfig(comm="auto")
-        assert resolve_runtime(cfg, checkpoint_every=0, on_nan=None) is cfg
-
-    def test_deprecated_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="runtime=RuntimeConfig"):
-            cfg = resolve_runtime(None, on_nan="raise", checkpoint_every=3)
-        assert cfg.on_nan == "raise"
-        assert cfg.checkpoint_every == 3
-
-    def test_shape_kwargs_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = resolve_runtime(None, machine="comet_paper", comm="sparse")
-        assert cfg.machine == "comet_paper"
-        assert cfg.comm == "sparse"
 
 
 class TestParseBackendSpec:

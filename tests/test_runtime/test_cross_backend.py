@@ -10,8 +10,8 @@ The BSP reference is itself pinned bit-for-bit to checked-in golden
 traces (``tests/test_distsim/test_golden_trace.py``), so equality with
 BSP here transitively pins every backend in the matrix to the golden
 accounting. ``rc_sfista_spmd`` participates through its own row: it is
-bit-identical to BSP (``TestBspVsSpmd``) and rejects the real-parallelism
-substrates, which run host-view solvers only.
+bit-identical to BSP (``TestBspVsSpmd``) and rejects the serial and
+real-parallelism substrates, which run host-view solvers only.
 """
 
 import numpy as np
@@ -153,7 +153,7 @@ class TestRealParallelismConformance:
         assert np.array_equal(ref.w, res.w)
         assert res.cost == ref.cost
 
-    @pytest.mark.parametrize("backend", ["mp", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "mp", "threads"])
     def test_spmd_solver_rejects_host_view_substrates(
         self, tiny_covtype_problem, backend
     ):

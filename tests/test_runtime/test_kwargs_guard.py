@@ -1,10 +1,9 @@
-"""Kwargs-drift guard: solver signatures stay in lock-step with RuntimeConfig.
+"""Runtime-surface guard: ``runtime=`` is the only way in.
 
-The refactor's whole point is that the runtime surface lives in ONE
-place. This test fails when someone adds a resilience/observability kwarg
-to a solver without teaching RuntimeConfig about it, or lets a solver
-default drift away from the config default (which would make the
-``runtime=`` path and the legacy-kwarg path disagree).
+Every runtime knob lives on :class:`~repro.runtime.RuntimeConfig`, and the
+distributed solvers accept it only as ``runtime=RuntimeConfig(...)``. This
+test fails when a solver signature grows a parameter named after a config
+field — a second, drifting path to the same knob.
 """
 
 import dataclasses
@@ -16,8 +15,8 @@ from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.sfista_dist import sfista_distributed
+from repro.distsim.faults import FaultPlan
 from repro.runtime import RuntimeConfig
-from repro.runtime.config import _DEPRECATED_KWARGS
 
 RUNTIME_SOLVERS = [
     rc_sfista_distributed,
@@ -26,7 +25,7 @@ RUNTIME_SOLVERS = [
     rc_sfista_spmd,
 ]
 
-CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RuntimeConfig)}
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(RuntimeConfig)}
 
 
 @pytest.mark.parametrize("solver", RUNTIME_SOLVERS, ids=lambda s: s.__name__)
@@ -36,67 +35,13 @@ class TestSignatureLockstep:
         assert "runtime" in params, f"{solver.__name__} lost its runtime= kwarg"
         assert params["runtime"].default is None
 
-    def test_legacy_kwargs_are_known_to_config(self, solver):
-        """Every resilience/obs kwarg a solver exposes must be a config field."""
-        params = inspect.signature(solver).parameters
-        exposed = set(params) & (_DEPRECATED_KWARGS | {"comm", "machine"})
-        unknown = exposed - set(CONFIG_DEFAULTS)
-        assert not unknown, (
-            f"{solver.__name__} exposes runtime kwargs {sorted(unknown)} that "
-            "RuntimeConfig does not know — add them to the config or drop them"
+    def test_no_config_field_in_signature(self, solver):
+        exposed = set(inspect.signature(solver).parameters) & CONFIG_FIELDS
+        assert not exposed, (
+            f"{solver.__name__} exposes RuntimeConfig fields {sorted(exposed)} as "
+            "kwargs — pass them through runtime=RuntimeConfig(...) instead"
         )
 
-    def test_legacy_defaults_match_config(self, solver):
-        """A drifted default would make runtime= and legacy paths disagree."""
-        params = inspect.signature(solver).parameters
-        for name in set(params) & _DEPRECATED_KWARGS:
-            assert params[name].default == CONFIG_DEFAULTS[name], (
-                f"{solver.__name__}({name}={params[name].default!r}) drifted "
-                f"from RuntimeConfig.{name}={CONFIG_DEFAULTS[name]!r}"
-            )
-
-
-SURFACES = ("shape", "resilience", "observability", "perf")
-
-
-def test_every_config_field_declares_a_surface():
-    """A new knob without a surface tag would silently escape the guard.
-
-    The deprecated-kwarg set is *generated* from the field metadata, so
-    the only way a new field can drift is by not being tagged at all —
-    which this test turns into a hard failure.
-    """
-    untagged = [
-        f.name
-        for f in dataclasses.fields(RuntimeConfig)
-        if f.metadata.get("surface") not in SURFACES
-    ]
-    assert not untagged, (
-        f"RuntimeConfig fields {untagged} carry no surface tag — declare "
-        f"them with _knob(default, surface) so the kwargs guard sees them"
-    )
-
-
-def test_deprecated_set_is_the_resilience_surface():
-    """The warned set tracks exactly the resilience/observability fields."""
-    expected = {
-        f.name
-        for f in dataclasses.fields(RuntimeConfig)
-        if f.metadata.get("surface") in ("resilience", "observability")
-    }
-    assert _DEPRECATED_KWARGS == expected
-    assert _DEPRECATED_KWARGS <= set(CONFIG_DEFAULTS)
-
-
-def test_shape_knobs_are_never_deprecated():
-    """Execution-shape keys (backend="mp", mp_timeout, …) are first-class:
-    they must never fall into the legacy-kwarg warning path."""
-    shape = {
-        f.name
-        for f in dataclasses.fields(RuntimeConfig)
-        if f.metadata.get("surface") == "shape"
-    }
-    assert {
-        "backend", "machine", "comm", "mp_timeout", "cluster", "loss", "penalty"
-    } <= shape
-    assert _DEPRECATED_KWARGS.isdisjoint(shape)
+    def test_legacy_kwarg_is_a_type_error(self, small_dense_problem, solver):
+        with pytest.raises(TypeError, match="faults"):
+            solver(small_dense_problem, 2, faults=FaultPlan())
