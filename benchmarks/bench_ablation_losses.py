@@ -4,9 +4,9 @@ The paper frames Eq. (1) as general ERM ("including logistic regression
 and regularized least squares", §2.1) but only instantiates least
 squares. This ablation runs RC-SFISTA over the {squared, logistic} ×
 {l1, elastic_net, group_l1} grid and records convergence against
-*communicated words*: the model-anchored general path ships the same
-``k(d²+d)``-word ``[H|g]`` payload per round as the legacy squared-loss
-path, so the words axis is identical across all six objectives — the
+*communicated words*: every objective runs the same stage-B path, which
+ships the same ``k(d²+d)``-word ``[H|R]`` payload per round whatever the
+loss, so the words axis is identical across all six objectives — the
 communication-avoidance story is loss-independent.
 
 Gated by CI against ``benchmarks/baselines/losses.json``:

@@ -614,7 +614,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "solve":
-        return _solve(args)
+        try:
+            return _solve(args)
+        except ValidationError as exc:
+            # Solver-side argument checks (k < 1, a backend the solver
+            # cannot run on) are usage errors too, not tracebacks.
+            raise SystemExit(f"invalid solve configuration: {exc}")
     if args.command == "datasets":
         return _list_datasets()
     if args.command == "machines":

@@ -10,8 +10,15 @@ seed").
 
 It also holds the scaffold every distributed solver shares around its
 stage A–D body: :class:`RankPlacement` (everything whose shape depends on
-the rank count, rebuilt on an elastic shrink) and :func:`run_params` (the
-runtime half of the run summary).
+the rank count, rebuilt on an elastic shrink, and the one stage-B packer),
+:func:`svrg_rhs` and :func:`hessian_reuse_update` (stage D) and
+:func:`run_params` (the runtime half of the run summary).
+
+Stages B and D run one path for every (loss, penalty) pair: each rank
+evaluates its loss's quadratic model at the linearization point
+(:meth:`RankData.local_model`) and the packer weights the sampled Gram
+by its curvatures. The squared loss is the unweighted case ``c ≡ 1,
+r = y``, which computes and charges nothing beyond the data-only blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model import ERMObjective
-from repro.core.proximal import soft_threshold
 from repro.exceptions import ValidationError
 from repro.sparse.csr import CSCMatrix, CSRMatrix
 from repro.sparse.ops import GramWorkspace, gram_flops, rhs_flops, sampled_gram, sampled_rhs
@@ -35,6 +41,7 @@ __all__ = [
     "distribute_problem",
     "run_params",
     "hessian_reuse_update",
+    "svrg_rhs",
     "UPDATE_FLOPS",
 ]
 
@@ -77,32 +84,48 @@ def hessian_reuse_update(
     v: np.ndarray,
     *,
     gamma: float,
-    thresh: float | None = None,
+    prox,
     S: int = 1,
     eps_reg: float = 0.0,
-    prox=None,
 ) -> np.ndarray:
     """``S`` Hessian-reuse prox steps on the sampled model (Eqs. 20–23).
 
     The replicated stage-D arithmetic shared by every execution substrate
     (serial, BSP host view, SPMD rank programs): starting from the
-    momentum point ``v``, iterate ``u ← prox(u − γ(Hu − R + ε(u − v)))``.
-    ``S=1, eps_reg=0`` is the plain SFISTA step. The caller charges the
-    ``UPDATE_FLOPS`` cost — this function is pure arithmetic.
-
-    ``prox`` generalizes the penalty: ``None`` (the legacy l1 path, kept
-    verbatim for byte-identity) soft-thresholds at ``thresh = λγ``; a
-    callable ``prox(w, gamma)`` applies any
-    :class:`~repro.core.model.Regularizer` instead.
+    momentum point ``v``, iterate ``u ← prox(u − γ(Hu − R + ε(u − v)), γ)``
+    with the penalty's ``prox(w, gamma)`` (for ``λ‖·‖₁`` the
+    soft-threshold at ``λγ``). ``S=1, eps_reg=0`` is the plain SFISTA
+    step. The caller charges the ``UPDATE_FLOPS`` cost — this function is
+    pure arithmetic.
     """
     u = v
     for _s in range(S):
         step_dir = H @ u - R + eps_reg * (u - v)
-        if prox is None:
-            u = soft_threshold(u - gamma * step_dir, thresh)
-        else:
-            u = prox(u - gamma * step_dir, gamma)
+        u = prox(u - gamma * step_dir, gamma)
     return u
+
+
+def svrg_rhs(
+    H: np.ndarray, correction: np.ndarray, anchor: np.ndarray, full_grad: np.ndarray, loss
+) -> np.ndarray:
+    """Stage-D right-hand side of the SVRG model: ``R = Hŵ − ∇f(ŵ) + corr``.
+
+    With ``R`` so, ``Hu − R = H(u − a) + ĝ_S(a) − ĝ_S(ŵ) + ∇f(ŵ)`` (with
+    ``ĝ_S(x) = (1/m̄) X_S ℓ'(z_x)``) is the variance-reduced gradient of
+    the sampled model linearized at ``a``. ``correction`` is
+    the block's stage-B payload ``(1/m̄) X_S[c(z_a − z_ŵ) − ℓ'(z_a) +
+    ℓ'(z_ŵ)]``; it vanishes identically for a constant-curvature loss,
+    whose payload is zero-filled and not added.
+    """
+    R = H @ anchor - full_grad
+    if not loss.constant_curvature:
+        R += correction
+    return R
+
+
+#: Elementwise flops per local sample of one model evaluation: ``ℓ'``,
+#: ``ℓ''`` and the combination ``c·z − ℓ'``.
+MODEL_FLOPS_PER_SAMPLE = 6.0
 
 
 def UPDATE_FLOPS(d: int) -> float:
@@ -135,13 +158,16 @@ class RankData:
         *,
         workspace=None,
         out: np.ndarray | None = None,
+        weights: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Local contribution ``(1/m̄) X_p,S X_p,Sᵀ`` plus its flop cost.
+        """Local contribution ``(1/m̄) X_p,S diag(c) X_p,Sᵀ`` plus its flop cost.
 
         Returns ``(H_p, local_idx, flops)`` where summing ``H_p`` over
-        ranks gives the global sampled Hessian exactly. ``workspace``/
-        ``out`` (see :func:`repro.sparse.ops.sampled_gram`) make the
-        computation allocation-free with bit-identical results.
+        ranks gives the global sampled Hessian exactly. ``weights`` are
+        this rank's per-sample curvatures ``c`` (``None``: ``c ≡ 1``, the
+        data-only Gram). ``workspace``/``out`` (see
+        :func:`repro.sparse.ops.sampled_gram`) make the computation
+        allocation-free with bit-identical results.
         """
         local_idx = self._restrict(global_idx)
         if local_idx.size == 0:
@@ -150,9 +176,10 @@ class RankData:
             out.fill(0.0)
             return out, local_idx, 0.0
         H_p = sampled_gram(
-            self.X_local, local_idx, scale=1.0 / mbar, workspace=workspace, out=out
+            self.X_local, local_idx, scale=1.0 / mbar, workspace=workspace, out=out,
+            weights=weights,
         )
-        flops = float(gram_flops(self.X_local, local_idx))
+        flops = float(gram_flops(self.X_local, local_idx, weighted=weights is not None))
         return H_p, local_idx, flops
 
     def sampled_rhs_contribution(
@@ -163,43 +190,47 @@ class RankData:
         *,
         workspace=None,
         out: np.ndarray | None = None,
+        response: np.ndarray | None = None,
     ) -> tuple[np.ndarray, float]:
-        """Local contribution ``(1/m̄) X_p,S y_p,S`` plus its flop cost."""
+        """Local contribution ``(1/m̄) X_p,S r_p,S`` plus its flop cost.
+
+        ``response`` is this rank's per-sample vector ``r`` (``None``: the
+        labels ``y_p``, the squared loss's working response).
+        """
         if local_idx.size == 0:
             if out is None:
                 return np.zeros(d), 0.0
             out.fill(0.0)
             return out, 0.0
         R_p = sampled_rhs(
-            self.X_local, self.y_local, local_idx, scale=1.0 / mbar,
-            workspace=workspace, out=out,
+            self.X_local, self.y_local if response is None else response, local_idx,
+            scale=1.0 / mbar, workspace=workspace, out=out,
         )
         return R_p, float(rhs_flops(self.X_local, local_idx))
 
-    def full_gradient_contribution(self, w: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-        """Local contribution ``(1/m) X_p (X_pᵀ w − y_p)`` plus flops."""
+    def gradient_contribution(self, w: np.ndarray, m: int, loss) -> tuple[np.ndarray, float]:
+        """Local gradient ``(1/m) X_p ℓ'(X_pᵀ w, y_p)`` plus flops.
+
+        Charged ``4·nnz`` (dense: ``4·d·m_local``) for every loss: the two
+        products dominate; for the squared loss ``ℓ'(z, y) = z − y`` is the
+        residual.
+        """
         if self.m_local == 0:
             return np.zeros(w.shape[0]), 0.0
+        z, flops = self.local_predictions(w)
+        gvec = loss.grad(z, self.y_local)
         if isinstance(self.X_local, np.ndarray):
-            r = self.X_local.T @ w - self.y_local
-            g = self.X_local @ r / m
-            flops = float(4 * self.X_local.shape[0] * self.m_local)
+            g = self.X_local @ gvec / m
         else:
-            r = self.X_local.rmatvec(w) - self.y_local
-            g = self.X_local.matvec(r) / m
-            flops = float(4 * self.X_local.nnz)
-        return g, flops
-
-    # ---------------- generalized-loss contributions ------------------- #
-    # The methods below power the model-anchored path for non-squared
-    # losses (RuntimeConfig(loss=...)): curvature and gradients are
-    # evaluated at a round-start anchor, so the k sampled blocks of one
-    # stage-C payload share a single linearization point (the §3.3
-    # prox-Newton observation). The column partition places every sample
-    # wholly on one rank, so predictions z_i = x_iᵀw are local.
+            g = self.X_local.matvec(gvec) / m
+        return g, 2.0 * flops
 
     def local_predictions(self, w: np.ndarray) -> tuple[np.ndarray, float]:
-        """Per-sample local predictions ``z_p = X_pᵀ w`` plus flops."""
+        """Per-sample local predictions ``z_p = X_pᵀ w`` plus flops.
+
+        The column partition places every sample wholly on one rank, so
+        predictions need no communication.
+        """
         if self.m_local == 0:
             return np.zeros(0), 0.0
         if isinstance(self.X_local, np.ndarray):
@@ -210,59 +241,31 @@ class RankData:
             flops = float(2 * self.X_local.nnz)
         return z, flops
 
-    def loss_gradient_contribution(
-        self, w: np.ndarray, m: int, loss
-    ) -> tuple[np.ndarray, float]:
-        """Local general-loss gradient ``(1/m) X_p ℓ'(X_pᵀw, y_p)`` + flops."""
-        if self.m_local == 0:
-            return np.zeros(w.shape[0]), 0.0
-        z, fl_z = self.local_predictions(w)
-        gvec = loss.grad(z, self.y_local)
-        if isinstance(self.X_local, np.ndarray):
-            g = self.X_local @ gvec / m
-            flops = fl_z + float(2 * self.X_local.shape[0] * self.m_local)
-        else:
-            g = self.X_local.matvec(gvec) / m
-            flops = fl_z + float(2 * self.X_local.nnz)
-        return g, flops + float(2 * self.m_local)
+    def local_model(
+        self, point: np.ndarray, loss, *, anchor: np.ndarray | None = None
+    ) -> tuple[np.ndarray | None, np.ndarray | None, float]:
+        """This rank's per-sample quadratic model of *loss* at *point*.
 
-    def model_block_contribution(
-        self,
-        global_idx: np.ndarray,
-        mbar: int,
-        d: int,
-        *,
-        loss,
-        z_round: np.ndarray,
-        z_anchor: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Curvature-weighted block ``(H_p, g_p, flops)`` at the round anchor.
-
-        ``H_p = (1/m̄) X_{p,S} diag(ℓ''(z)) X_{p,S}ᵀ`` and
-        ``g_p = (1/m̄) X_{p,S} ℓ'(z)`` (plain) or the SVRG difference
-        ``(1/m̄) X_{p,S} (ℓ'(z_round) − ℓ'(z_anchor))``; summing over ranks
-        gives the global weighted sampled Hessian / gradient estimate
-        exactly. ``z_round``/``z_anchor`` are this rank's *local*
-        prediction vectors (length ``m_local``).
+        Returns ``(c, r, flops)`` from :meth:`SmoothLoss.model
+        <repro.core.model.SmoothLoss.model>` at ``z = X_pᵀ point``: the
+        curvature weights (``None`` for a constant-curvature loss) and the
+        working response, the per-sample inputs of the stage-B packer.
+        With an SVRG ``anchor`` ŵ, ``r`` is instead the correction
+        ``c(z − z_ŵ) − ℓ'(z) + ℓ'(z_ŵ)`` (see :func:`svrg_rhs`), which is
+        ``None`` for a constant-curvature loss. A constant-curvature model
+        needs no predictions and costs no flops.
         """
-        local_idx = self._restrict(global_idx)
-        if local_idx.size == 0:
-            return np.zeros((d, d)), np.zeros(d), 0.0
-        if isinstance(self.X_local, np.ndarray):
-            A = self.X_local[:, local_idx]
-        else:
-            A = self.X_local.select_columns(local_idx).to_dense()
-        ys = self.y_local[local_idx]
-        zr = z_round[local_idx]
-        c = loss.curvature(zr, ys)
-        H_p = (A * c[None, :]) @ A.T / mbar
-        gvec = loss.grad(zr, ys)
-        if z_anchor is not None:
-            gvec = gvec - loss.grad(z_anchor[local_idx], ys)
-        g_p = A @ gvec / mbar
-        n = local_idx.size
-        flops = float(2.0 * d * d * n + d * n + 2.0 * d * n + 6.0 * n)
-        return H_p, g_p, flops
+        if loss.constant_curvature:
+            c, r = loss.model(None, self.y_local)
+            return c, (r if anchor is None else None), 0.0
+        z, flops = self.local_predictions(point)
+        c, r = loss.model(z, self.y_local)
+        flops += MODEL_FLOPS_PER_SAMPLE * self.m_local
+        if anchor is not None:
+            z_anchor, fl = self.local_predictions(anchor)
+            r = r - (c * z_anchor - loss.grad(z_anchor, self.y_local))
+            flops += fl + MODEL_FLOPS_PER_SAMPLE * self.m_local
+        return c, r, flops
 
     def _restrict(self, global_idx: np.ndarray) -> np.ndarray:
         lo = self.col_offset
@@ -320,22 +323,16 @@ class RankPlacement:
 
     Holds the column-partitioned data (:class:`DistributedData`), the Gram
     scratch (:class:`RankWorkspaces`) and one stage-C payload buffer of
-    ``payload_words`` per rank, so a per-rank stage-B closure builds its
-    blocks in place with no per-iteration allocation. Workspaces and
-    buffers exist exactly when the objective is squared+l1 (``gram=True``):
-    the curvature-weighted general path builds its blocks per call. The
-    solver reads ``placement.data`` / ``placement.nranks`` afresh every
-    round, because an elastic pool shrink swaps them in
-    :meth:`repartition`.
+    ``payload_words`` per rank, so :meth:`pack` builds each rank's blocks
+    in place with no per-iteration allocation. The solver reads
+    ``placement.data`` / ``placement.nranks`` afresh every round, because
+    an elastic pool shrink swaps them in :meth:`repartition`.
     """
 
-    def __init__(
-        self, data: DistributedData, loop, *, mbar: int, payload_words: int, gram: bool
-    ) -> None:
+    def __init__(self, data: DistributedData, loop, *, mbar: int, payload_words: int) -> None:
         self._loop = loop
         self._mbar = mbar
         self._payload_words = payload_words
-        self._gram = gram
         self._place(data)
 
     @property
@@ -344,18 +341,58 @@ class RankPlacement:
 
     def _place(self, data: DistributedData) -> None:
         self.data = data
-        self.workspaces: RankWorkspaces | None = None
-        self.buffers: list[np.ndarray] | None = None
-        if self._gram:
-            self.workspaces = RankWorkspaces(
-                data.nranks,
-                data.problem.d,
-                self._mbar,
-                parallel=self._loop.backend.parallel_ranks,
-            )
-            self.buffers = [np.empty(self._payload_words) for _ in range(data.nranks)]
+        self.workspaces = RankWorkspaces(
+            data.nranks,
+            data.problem.d,
+            self._mbar,
+            parallel=self._loop.backend.parallel_ranks,
+        )
+        self.buffers = [np.empty(self._payload_words) for _ in range(data.nranks)]
         # The loop reports the workspaces' reuse counter in meta["perf"].
         self._loop.workspace = self.workspaces
+
+    def pack(
+        self,
+        p: int,
+        idx_sets: list[np.ndarray],
+        *,
+        weights: np.ndarray | None = None,
+        response: np.ndarray | None = None,
+        rhs: bool = True,
+    ) -> tuple[np.ndarray, float]:
+        """Stage B of rank *p*: one block per sample set, in its payload buffer.
+
+        Block ``j`` is ``H_j = (1/m̄) X_{p,S_j} diag(c) X_{p,S_j}ᵀ`` followed,
+        with ``rhs``, by ``R_j = (1/m̄) X_{p,S_j} r``: ``weights`` and
+        ``response`` are the rank's per-sample ``c`` and ``r`` from
+        :meth:`RankData.local_model` (``response=None`` zero-fills ``R_j``).
+        Summing the returned views over ranks gives the global blocks
+        exactly. Returns the filled view of the buffer and its flops.
+        """
+        rank_data = self.data.ranks[p]
+        ws = self.workspaces[p]
+        d = self.data.problem.d
+        stride = d * d + d if rhs else d * d
+        buf = self.buffers[p][: len(idx_sets) * stride]
+        flops = 0.0
+        for j, idx in enumerate(idx_sets):
+            base = j * stride
+            H_out = buf[base : base + d * d].reshape(d, d)
+            _, local_idx, fl = rank_data.sampled_hessian_contribution(
+                idx, self._mbar, d, workspace=ws, out=H_out, weights=weights
+            )
+            flops += fl
+            if not rhs:
+                continue
+            R_out = buf[base + d * d : base + stride]
+            if response is None:
+                R_out.fill(0.0)
+            else:
+                _, fl_r = rank_data.sampled_rhs_contribution(
+                    local_idx, self._mbar, d, workspace=ws, out=R_out, response=response
+                )
+                flops += fl_r
+        return buf, flops
 
     def repartition(self, new_nranks: int, lost_ranks) -> float:
         """Shrink to *new_nranks*: re-scatter columns, rebuild rank-sized state.

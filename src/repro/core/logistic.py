@@ -13,30 +13,17 @@ This module provides that instance:
     \\qquad g(w) = λ\\|w\\|_1, \\qquad y_i ∈ \\{-1, +1\\},
 
 with ``∇f(w) = -(1/m) X (y ⊙ σ(-y ⊙ Xᵀw))`` and
-``∇²f(w) = (1/m) X D(w) Xᵀ``, ``D_ii = σ_i (1 - σ_i)``.
+``∇²f(w) = (1/m) X D(w) Xᵀ``, ``D_ii = σ_i (1 - σ_i)``. It is the
+``ERMObjective(loss="logistic", penalty="l1")`` instance under a name.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.model import (
-    ERMObjective,
-    LogisticLoss,
-    _log1pexp,
-    _matvec_x,
-    _matvec_xt,
-    _sigmoid,
-    make_penalty,
-)
-from repro.exceptions import ShapeError, ValidationError
-from repro.sparse.csr import CSCMatrix, CSRMatrix
-from repro.utils.rng import RandomState, as_generator
-from repro.utils.validation import check_positive, check_vector
+from repro.core.model import ERMObjective, Matrix
 
 __all__ = ["L1Logistic"]
-
-Matrix = np.ndarray | CSRMatrix | CSCMatrix
 
 
 class L1Logistic(ERMObjective):
@@ -50,101 +37,7 @@ class L1Logistic(ERMObjective):
         Labels in ``{-1, +1}``, shape ``(m,)``.
     lam:
         l1 penalty.
-
-    The interface mirrors :class:`L1LeastSquares` where the semantics
-    coincide (``value``/``gradient``/``lipschitz``/``d``/``m``/``lam``), and
-    adds :meth:`hessian_at` for curvature at a point — which
-    :func:`repro.core.prox_newton.proximal_newton` uses when present.
     """
 
     def __init__(self, X: Matrix, y: np.ndarray, lam: float) -> None:
-        d, m = X.shape
-        if d == 0 or m == 0:
-            raise ValidationError(f"X must be non-empty, got shape {(d, m)}")
-        y = check_vector(y, "y")
-        if y.shape != (m,):
-            raise ShapeError(f"y must have shape ({m},), got {y.shape}")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValidationError("labels must be in {-1, +1}")
-        self.X = X
-        self.y = y
-        self.lam = check_positive(lam, "lambda", strict=False)
-        self.d = d
-        self.m = m
-        # Model-layer identity: logistic loss + plain l1. The specialized
-        # numerics below stay as-is; the generic ERMObjective base
-        # contributes max_sample_lipschitz / sampled_hessian_deviation
-        # (curvature_bound-scaled), making this problem a first-class
-        # citizen of the sampled distributed solvers.
-        self._adopt_model(LogisticLoss(), make_penalty("l1", lam=self.lam))
-
-    # ------------------------------------------------------------------ #
-    def margins(self, w: np.ndarray) -> np.ndarray:
-        """``y ⊙ Xᵀw`` — per-sample classification margins."""
-        return self.y * _matvec_xt(self.X, np.asarray(w, dtype=np.float64))
-
-    def smooth_value(self, w: np.ndarray) -> float:
-        """``f(w) = (1/m) Σ log(1 + exp(-margin_i))``."""
-        return float(np.sum(_log1pexp(-self.margins(w)))) / self.m
-
-    def reg_value(self, w: np.ndarray) -> float:
-        return self.lam * float(np.sum(np.abs(w)))
-
-    def value(self, w: np.ndarray) -> float:
-        return self.smooth_value(w) + self.reg_value(w)
-
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        """``∇f(w) = -(1/m) X (y ⊙ σ(-margins))``."""
-        probs = _sigmoid(-self.margins(w))
-        return -_matvec_x(self.X, self.y * probs) / self.m
-
-    def hessian_at(self, w: np.ndarray) -> np.ndarray:
-        """``∇²f(w) = (1/m) X D Xᵀ`` with ``D = diag(σ(1-σ))`` at ``w``."""
-        sig = _sigmoid(self.margins(w))
-        weights = sig * (1.0 - sig)
-        dense = self.X if isinstance(self.X, np.ndarray) else self.X.to_dense()
-        weighted = dense * weights[None, :]
-        H = weighted @ dense.T / self.m
-        return 0.5 * (H + H.T)
-
-    def lipschitz(self, *, n_iter: int = 100, tol: float = 1e-9, rng: RandomState = 0) -> float:
-        """Upper bound ``λmax((1/4m) X Xᵀ)`` (σ(1−σ) ≤ 1/4) via power iteration."""
-        gen = as_generator(rng)
-        u = gen.standard_normal(self.d)
-        u /= np.linalg.norm(u)
-        lam_prev = 0.0
-        for _ in range(n_iter):
-            hu = _matvec_x(self.X, _matvec_xt(self.X, u)) / (4.0 * self.m)
-            lam = float(np.dot(u, hu))
-            norm = np.linalg.norm(hu)
-            if norm == 0:
-                return 0.0
-            u = hu / norm
-            if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-                lam_prev = lam
-                break
-            lam_prev = lam
-        return abs(lam_prev)
-
-    def default_step(self, **kwargs: object) -> float:
-        L = self.lipschitz(**kwargs)  # type: ignore[arg-type]
-        if L <= 0:
-            raise ValidationError("cannot derive a step size: the data matrix is zero")
-        return 1.0 / L
-
-    def accuracy(self, w: np.ndarray) -> float:
-        """Training classification accuracy of ``sign(Xᵀw)``."""
-        preds = np.sign(_matvec_xt(self.X, np.asarray(w, dtype=np.float64)))
-        preds[preds == 0] = 1.0
-        return float(np.mean(preds == self.y))
-
-    def optimality_residual(self, w: np.ndarray) -> float:
-        """∞-norm distance of ``−∇f(w)`` from ``∂(λ‖·‖₁)(w)``."""
-        w = np.asarray(w, dtype=np.float64)
-        grad = self.gradient(w)
-        res = np.where(
-            w != 0.0,
-            np.abs(grad + self.lam * np.sign(w)),
-            np.maximum(np.abs(grad) - self.lam, 0.0),
-        )
-        return float(np.max(res)) if res.size else 0.0
+        super().__init__(X, y, loss="logistic", penalty="l1", lam=lam)

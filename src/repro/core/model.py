@@ -18,15 +18,21 @@ This module is the one place that knows what ``ℓ`` and ``g`` can be:
   ``elastic_net``, ``group_l1``) so configs, specs, and fingerprints can
   refer to it canonically.
 * :class:`ERMObjective` — the generic data-backed composite objective
-  built from any (loss, penalty) pair. ``L1LeastSquares`` and
-  ``L1Logistic`` are its specialized subclasses (their numerics are
-  unchanged — bit-for-bit); arbitrary combinations instantiate the base
-  class directly.
+  built from any (loss, penalty) pair. ``L1LeastSquares`` is its
+  specialized subclass (its numerics are unchanged — bit-for-bit) and
+  ``L1Logistic`` a named instance; arbitrary combinations instantiate
+  the base class directly.
 * :func:`resolve_objective` — the bridge the runtime solvers use: given a
   problem plus the ``RuntimeConfig(loss=..., penalty=...)`` overrides it
-  returns the objective to run, the loss/penalty pair, and whether the
-  combination is the *legacy* squared+l1 one — in which case the solvers
-  take their historical code path and stay byte-identical.
+  returns the objective to run and the loss/penalty pair.
+
+Every solver runs one path for every pair. At a linearization point
+``a`` the sampled quadratic model is ``H = (1/m̄) X_S diag(c) X_Sᵀ`` and
+``R = (1/m̄) X_S r`` with ``c = ℓ''(z_a)`` and the working response
+``r = c·z_a − ℓ'(z_a)`` (:meth:`SmoothLoss.model`, the IRLS form), so the
+model gradient ``Hu − R`` has the paper's Eq. 18 form for any loss. The
+squared loss is the case ``c ≡ 1, r = y``: the data-only Gram and
+right-hand side of the least-squares problem.
 
 Adding a loss
 -------------
@@ -135,8 +141,9 @@ class SmoothLoss(ABC):
     #: global upper bound on ``ℓ''`` — scales the squared-loss Lipschitz
     #: and step-size machinery to the general case
     curvature_bound: float = 1.0
-    #: ``ℓ''`` independent of ``(z, y)`` (squared loss): the Hessian is the
-    #: plain data Gram, constant in ``w`` — solvers may then cache it
+    #: ``ℓ'' ≡ 1`` (squared loss): the Hessian is the plain data Gram,
+    #: constant in ``w`` — solvers may then cache it, and the model at a
+    #: point needs no predictions (see :meth:`model`)
     constant_curvature: bool = False
     #: labels restricted to {-1, +1}
     classification: bool = False
@@ -152,6 +159,21 @@ class SmoothLoss(ABC):
     @abstractmethod
     def curvature(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-sample second derivatives ``∂²ℓ/∂z²`` (a.e. where kinked)."""
+
+    def model(
+        self, z: np.ndarray | None, y: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """Per-sample quadratic model ``(c, r)`` at predictions ``z``.
+
+        ``c = ℓ''(z, y)`` are the curvature weights and ``r = c·z − ℓ'(z, y)``
+        the working response, so ``c·z − r = ℓ'(z, y)``: the sampled model
+        ``H = (1/m̄) X_S diag(c) X_Sᵀ``, ``R = (1/m̄) X_S r`` has gradient
+        ``Ha − R = (1/m̄) X_S ℓ'(z_a)`` at the linearization point ``a``.
+        A constant-curvature loss returns ``c = None`` (meaning ``c ≡ 1``)
+        and an ``r`` independent of ``z``, which it accepts as ``None``.
+        """
+        c = self.curvature(z, y)
+        return c, c * z - self.grad(z, y)
 
     def validate_labels(self, y: np.ndarray) -> None:
         """Reject labels outside this loss's domain (classification: ±1)."""
@@ -178,6 +200,12 @@ class SquaredLoss(SmoothLoss):
 
     def curvature(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.ones_like(z)
+
+    def model(
+        self, z: np.ndarray | None, y: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        # c ≡ 1 and r = z − (z − y) = y: the data-only Gram and X_S y.
+        return None, y
 
 
 class LogisticLoss(SmoothLoss):
@@ -350,11 +378,6 @@ class Regularizer:
         tail = ",".join(f"{k}={self.params[k]:g}" for k in sorted(self.params))
         return f"{self.name}:{tail}"
 
-    def is_plain_l1(self, lam: float) -> bool:
-        """True iff this is exactly ``λ‖·‖₁`` at the given λ — the legacy
-        combination whose solver code path is pinned byte-identical."""
-        return self.name == "l1" and isinstance(self.op, L1Prox) and self.op.lam == lam
-
     def at_lam(self, lam: float, d: int | None = None) -> "Regularizer":
         """The same penalty family rebuilt at another λ."""
         return make_penalty(self.spec, lam=lam, d=d)
@@ -479,9 +502,9 @@ class ERMObjective:
     """General composite objective ``F(w) = (1/m) Σ ℓ(x_iᵀw, y_i) + g(w)``.
 
     ``X`` is features × samples (paper layout, one column per sample).
-    :class:`~repro.core.objectives.L1LeastSquares` and
-    :class:`~repro.core.logistic.L1Logistic` subclass this with their
-    historical specialized numerics; direct instances cover every other
+    :class:`~repro.core.objectives.L1LeastSquares` subclasses this with its
+    historical specialized numerics; direct instances (and the named
+    :class:`~repro.core.logistic.L1Logistic`) cover every other
     (loss, penalty) combination with generic implementations. All solvers
     consume the same surface: ``value``/``smooth_value``/``reg_value``/
     ``gradient``/``hessian_at``/``lipschitz``/``default_step`` plus the
@@ -524,9 +547,9 @@ class ERMObjective:
         self._gram_deviation_cache: dict[int, float] = {}
 
     def _adopt_model(self, loss: SmoothLoss, penalty: Regularizer) -> None:
-        """Attach (loss, penalty) identity — used by specialized subclasses
-        (``L1LeastSquares``, ``L1Logistic``) whose own ``__init__`` performs
-        the historical validation and therefore skips the base one."""
+        """Attach (loss, penalty) identity — used by ``L1LeastSquares``,
+        whose own ``__init__`` performs the historical validation and
+        therefore skips the base one."""
         self.loss = loss
         self.penalty = penalty
         self._gram_lipschitz_cache = None
@@ -652,17 +675,15 @@ class ERMObjective:
 class ResolvedObjective:
     """What a runtime solver actually optimizes after config overrides.
 
-    ``objective`` is the problem to evaluate/monitor (the original when no
-    override applies, else a fresh :class:`ERMObjective` view over the
-    same ``X``/``y``); ``legacy`` is True exactly for squared loss + plain
-    l1 at the problem's own λ — the combination whose historical solver
-    code path is preserved verbatim (byte-identical traces and costs).
+    ``objective`` is the problem to evaluate/monitor: the original when
+    the overrides name its own loss and penalty, else a fresh
+    :class:`ERMObjective` view over the same ``X``/``y``. ``loss`` and
+    ``penalty`` are the pair every solver stage runs with.
     """
 
     objective: Any
     loss: SmoothLoss
     penalty: Regularizer
-    legacy: bool
 
 
 def resolve_objective(
@@ -673,27 +694,28 @@ def resolve_objective(
 ) -> ResolvedObjective:
     """Merge a problem's own (loss, penalty) with config overrides.
 
-    No override and a squared+l1 problem → the legacy path. Overrides (or
-    a problem that is already a general :class:`ERMObjective`) → the
-    generalized model-anchored path with the resolved pair.
+    An override that names the problem's own loss and penalty (same spec
+    at the same λ) resolves to the problem itself; any other pair to a
+    fresh :class:`ERMObjective` over the problem's data.
     """
     base_loss: SmoothLoss = getattr(problem, "loss", None) or SquaredLoss()
     base_penalty: Regularizer | None = getattr(problem, "penalty", None)
     if base_penalty is None:
         base_penalty = make_penalty("l1", lam=problem.lam, d=problem.d)
     resolved_loss = make_loss(loss) if loss is not None else base_loss
+    if resolved_loss.name == base_loss.name:
+        resolved_loss = base_loss
     resolved_penalty = (
         make_penalty(penalty, lam=problem.lam, d=problem.d)
         if penalty is not None
         else base_penalty
     )
-    legacy = resolved_loss.name == "squared" and resolved_penalty.is_plain_l1(
-        problem.lam
-    )
-    same_as_problem = (
-        resolved_loss is base_loss and resolved_penalty is base_penalty
-    )
-    if legacy or same_as_problem:
+    # Two "custom" operators share a spec but not their math.
+    if resolved_penalty.name != "custom" and (
+        resolved_penalty.spec, resolved_penalty.lam
+    ) == (base_penalty.spec, base_penalty.lam):
+        resolved_penalty = base_penalty
+    if resolved_loss is base_loss and resolved_penalty is base_penalty:
         objective = problem
     else:
         objective = ERMObjective(
@@ -704,8 +726,5 @@ def resolve_objective(
             lam=problem.lam,
         )
     return ResolvedObjective(
-        objective=objective,
-        loss=resolved_loss,
-        penalty=resolved_penalty,
-        legacy=legacy,
+        objective=objective, loss=resolved_loss, penalty=resolved_penalty
     )

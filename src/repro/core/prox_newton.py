@@ -46,7 +46,6 @@ from repro.core.cd import coordinate_descent_quadratic
 from repro.core.fista import fista, momentum_mu, t_next
 from repro.core.model import ERMObjective, resolve_objective
 from repro.core.objectives import QuadraticModel
-from repro.core.proximal import L1Prox, soft_threshold
 from repro.core.results import History, SolveResult
 from repro.core.stopping import StoppingCriterion
 from repro.exceptions import ValidationError
@@ -95,19 +94,14 @@ def proximal_newton(
     check_in_range(b_hessian, "b_hessian", 0.0, 1.0, low_inclusive=False)
     check_positive(damping, "damping")
     stopping = stopping or StoppingCriterion()
-    # Inherit the problem's own (loss, penalty); squared+plain-l1 keeps the
-    # historical inner prox verbatim. The exact-CD inner solver minimizes
-    # the l1 model in closed form and supports no other penalty.
-    resolved = resolve_objective(problem)
-    if not resolved.penalty.is_plain_l1(problem.lam):
-        if inner == "cd":
-            raise ValidationError(
-                "inner='cd' supports only the plain l1 penalty; use "
-                f"inner='fista' for {resolved.penalty.spec!r}"
-            )
-        inner_prox = resolved.penalty
-    else:
-        inner_prox = None  # legacy: L1Prox(lam) below, byte-identical
+    # Inherit the problem's own (loss, penalty). The exact-CD inner solver
+    # minimizes the l1 model in closed form and supports no other penalty.
+    penalty = resolve_objective(problem).penalty
+    if inner == "cd" and penalty.name != "l1":
+        raise ValidationError(
+            "inner='cd' supports only the plain l1 penalty; use "
+            f"inner='fista' for {penalty.spec!r}"
+        )
     rng = as_generator(seed)
     d, lam = problem.d, problem.lam
 
@@ -146,7 +140,7 @@ def proximal_newton(
             step = 1.0 / L if L > 0 else 1.0
             z = fista(
                 model,
-                prox=inner_prox if inner_prox is not None else L1Prox(lam),
+                prox=penalty,
                 w0=w,
                 step_size=step,
                 max_iter=inner_iters,
@@ -241,19 +235,18 @@ def proximal_newton_distributed(
         raise ValidationError(f"monitor_every must be >= 1, got {monitor_every}")
     check_positive(damping, "damping")
     stopping = stopping or StoppingCriterion()
-    # Legacy squared+l1 keeps every historical branch byte-identical; any
-    # other loss/penalty runs the curvature-weighted general path with the
-    # same payload sizes (blocks weighted at the outer iterate — the §3.3
-    # prox-Newton linearization point).
+    # Every (loss, penalty) pair runs the same stages: Hessians are weighted
+    # by the loss's curvature at the outer iterate (the §3.3 prox-Newton
+    # linearization point); the squared loss is the unweighted case.
     resolved = resolve_objective(problem, loss=config.loss, penalty=config.penalty)
     view = resolved.objective
-    general = not resolved.legacy
+    loss = resolved.loss
+    prox = resolved.penalty.prox
     rng = as_generator(seed)
-    d, lam = problem.d, problem.lam
+    d = problem.d
     gamma = (
         check_positive(step_size, "step_size") if step_size is not None else view.default_step()
     )
-    thresh = lam * gamma
     mbar = minibatch_size(problem.m, b)
     # Proximal-point damping of the Hessian-reuse subproblem (see rc_sfista).
     eps_reg = (
@@ -267,9 +260,7 @@ def proximal_newton_distributed(
     loop = ResilientLoop(backend, config, solver="proximal_newton_distributed")
     loop.step_size = gamma
     max_block = k if inner == "rc_sfista" else 1
-    placement = RankPlacement(
-        data, loop, mbar=mbar, payload_words=max_block * d * d, gram=not general
-    )
+    placement = RankPlacement(data, loop, mbar=mbar, payload_words=max_block * d * d)
     loop.start(
         {
             **run_params(loop, nranks, resolved),
@@ -286,52 +277,46 @@ def proximal_newton_distributed(
 
     def dist_full_gradient(point: np.ndarray) -> np.ndarray:
         data = placement.data
-        if general:
-            def contribution(p: int):
-                return data.ranks[p].loss_gradient_contribution(
-                    point, problem.m, resolved.loss
-                )
-        else:
-            def contribution(p: int):
-                return data.ranks[p].full_gradient_contribution(point, problem.m)
-        results = backend.map_ranks(contribution, data.nranks)
+        results = backend.map_ranks(
+            lambda p: data.ranks[p].gradient_contribution(point, problem.m, loss),
+            data.nranks,
+        )
         backend.compute([fl for _g, fl in results], label="full_gradient")
         return loop.allreduce([g for g, _fl in results], "allreduce_grad")
 
-    def local_curvatures(point: np.ndarray) -> list[np.ndarray]:
-        """Per-rank curvature weights ``ℓ''(X_pᵀ point, y_p)`` (general path)."""
+    def local_curvatures(point: np.ndarray) -> list[np.ndarray | None]:
+        """Per-rank curvature weights ``ℓ''(X_pᵀ point, y_p)``; ``None``
+        (``c ≡ 1``, nothing computed or charged) for a constant-curvature
+        loss."""
         data = placement.data
+        if loss.constant_curvature:
+            return [None] * data.nranks
         results = backend.map_ranks(
-            lambda p: data.ranks[p].local_predictions(point), data.nranks
+            lambda p: data.ranks[p].local_model(point, loss), data.nranks
         )
-        backend.compute(
-            [fl + 2.0 * data.ranks[p].m_local for p, (_z, fl) in enumerate(results)],
-            label="curvature",
-        )
-        return [
-            resolved.loss.curvature(z, data.ranks[p].y_local)
-            for p, (z, _fl) in enumerate(results)
-        ]
+        backend.compute([fl for _c, _r, fl in results], label="curvature")
+        return [c for c, _r, _fl in results]
 
-    # Curvature weights at the current outer iterate (general path only);
-    # refreshed at the top of every outer round.
-    curv: list[np.ndarray] | None = None
+    # Curvature weights at the current outer iterate, refreshed at the top
+    # of every outer round.
+    curv: list[np.ndarray | None] = []
 
     def dist_hessian_apply(vec: np.ndarray) -> np.ndarray:
-        """(Weighted) Hessian-vector product through the distributed data."""
+        """Curvature-weighted Hessian-vector product through the distributed data."""
         data = placement.data
 
         def apply_rank(p: int) -> tuple[np.ndarray, float]:
             rd = data.ranks[p]
             if rd.m_local == 0:
                 return np.zeros(d), 0.0
+            z, flops = rd.local_predictions(vec)
+            if curv[p] is not None:
+                z = curv[p] * z
             if isinstance(rd.X_local, np.ndarray):
-                z = rd.X_local.T @ vec
-                hv = rd.X_local @ (curv[p] * z if general else z) / problem.m
-                return hv, float(4 * rd.X_local.shape[0] * rd.m_local)
-            z = rd.X_local.rmatvec(vec)
-            hv = rd.X_local.matvec(curv[p] * z if general else z) / problem.m
-            return hv, float(4 * rd.X_local.nnz)
+                hv = rd.X_local @ z / problem.m
+            else:
+                hv = rd.X_local.matvec(z) / problem.m
+            return hv, 2.0 * flops
 
         results = backend.map_ranks(apply_rank, data.nranks)
         backend.compute([fl for _hv, fl in results], label="hessian_apply")
@@ -345,54 +330,12 @@ def proximal_newton_distributed(
         """
         idx_sets = [sample_indices(rng, problem.m, mbar) for _ in range(count)]
         data = placement.data
-        if general:
-            # Curvature-weighted blocks at the outer iterate — the same
-            # count·d² payload as the data-only Gram blocks below.
-            packed = [np.empty(0)] * data.nranks
-
-            def build_rank(p: int) -> float:
-                rd = data.ranks[p]
-                chunks: list[np.ndarray] = []
-                fl_sum = 0.0
-                for idx in idx_sets:
-                    local_idx = rd._restrict(idx)
-                    if local_idx.size == 0:
-                        chunks.append(np.zeros(d * d))
-                        continue
-                    if isinstance(rd.X_local, np.ndarray):
-                        A = rd.X_local[:, local_idx]
-                    else:
-                        A = rd.X_local.select_columns(local_idx).to_dense()
-                    c = curv[p][local_idx]
-                    H_p = (A * c[None, :]) @ A.T / mbar
-                    chunks.append(H_p.ravel())
-                    fl_sum += float(
-                        2.0 * d * d * local_idx.size + d * local_idx.size
-                    )
-                packed[p] = np.concatenate(chunks)
-                return fl_sum
-
-        else:
-            packed = [buf[: count * d * d] for buf in placement.buffers]
-
-            def build_rank(p: int) -> float:
-                rd = data.ranks[p]
-                ws = placement.workspaces[p]
-                buf = packed[p]
-                fl_sum = 0.0
-                for j, idx in enumerate(idx_sets):
-                    H_out = buf[j * d * d : (j + 1) * d * d].reshape(d, d)
-                    _, _local, fl = rd.sampled_hessian_contribution(
-                        idx, mbar, d, workspace=ws, out=H_out
-                    )
-                    fl_sum += fl
-                return fl_sum
-
-        backend.compute(
-            np.asarray(backend.map_ranks(build_rank, data.nranks)),
-            label="hessian_blocks",
+        results = backend.map_ranks(
+            lambda p: placement.pack(p, idx_sets, weights=curv[p], rhs=False),
+            data.nranks,
         )
-        return loop.allreduce(packed, "allreduce_G")
+        backend.compute([fl for _buf, fl in results], label="hessian_blocks")
+        return loop.allreduce([buf for buf, _fl in results], "allreduce_G")
 
     w = np.zeros(d)
     history = History()
@@ -425,8 +368,7 @@ def proximal_newton_distributed(
     def main_loop() -> None:
         nonlocal w, prev_obj, converged, outer_done, inner_count, curv
         for n in range(start_n, n_outer + 1):
-            if general:
-                curv = local_curvatures(w)
+            curv = local_curvatures(w)
             grad = dist_full_gradient(w)
 
             # Inner solve of Eq. (19) warm-started at w.
@@ -440,10 +382,7 @@ def proximal_newton_distributed(
                     v = u + mu * (u - u_prev)
                     g = dist_hessian_apply(v - w) + grad
                     backend.compute(8.0 * d, label="update")
-                    if general:
-                        u_new = resolved.penalty.prox(v - gamma * g, gamma)
-                    else:
-                        u_new = soft_threshold(v - gamma * g, thresh)
+                    u_new = prox(v - gamma * g, gamma)
                     u_prev, u = u, u_new
                     t_prev = t_cur
                     inner_count += 1
@@ -465,9 +404,7 @@ def proximal_newton_distributed(
                         mu = momentum_mu(t_prev, t_cur)
                         v = u + mu * (u - u_prev)
                         z = hessian_reuse_update(
-                            H_j, R_j, v, gamma=gamma, thresh=thresh, S=reuse_S,
-                            eps_reg=eps_reg,
-                            prox=resolved.penalty.prox if general else None,
+                            H_j, R_j, v, gamma=gamma, prox=prox, S=reuse_S, eps_reg=eps_reg
                         )
                         for _s in range(reuse_S):  # Hessian-reuse prox steps
                             backend.compute(UPDATE_FLOPS(d), label="update")

@@ -38,6 +38,7 @@ from repro.core._dist_common import (
     distribute_problem,
     hessian_reuse_update,
     run_params,
+    svrg_rhs,
 )
 from repro.core.fista import momentum_mu, t_next
 from repro.core.model import ERMObjective, resolve_objective
@@ -104,13 +105,11 @@ def rc_sfista_distributed(
     if monitor_every < 1:
         raise ValidationError(f"monitor_every must be >= 1, got {monitor_every}")
     stopping = stopping or StoppingCriterion()
-    # The objective view: for the historical squared+l1 pair this is the
-    # problem itself and every branch below takes the legacy byte-identical
-    # path; any other loss/penalty switches to the model-anchored general
-    # path (same payload layout, same communicated words).
+    # The objective view: the problem itself unless the config overrides
+    # its (loss, penalty); every pair runs the same stages below.
     resolved = resolve_objective(problem, loss=config.loss, penalty=config.penalty)
     view = resolved.objective
-    general = not resolved.legacy
+    loss = resolved.loss
     rng = as_generator(seed)
     mbar = minibatch_size(problem.m, b)
     gamma = (
@@ -126,7 +125,6 @@ def rc_sfista_distributed(
         )
     )
     d = problem.d
-    thresh = problem.lam * gamma
     # See rc_sfista: proximal-point damping of the reuse subproblem.
     eps_reg = 0.25 * view.sampled_hessian_deviation(mbar) if S > 1 else 0.0
 
@@ -135,9 +133,7 @@ def rc_sfista_distributed(
     loop = ResilientLoop(backend, config, solver="rc_sfista_distributed")
     loop.step_size = gamma
     stride = d * d + d
-    placement = RankPlacement(
-        data, loop, mbar=mbar, payload_words=k * stride, gram=not general
-    )
+    placement = RankPlacement(data, loop, mbar=mbar, payload_words=k * stride)
     loop.start(
         {
             **run_params(loop, nranks, resolved),
@@ -219,7 +215,7 @@ def rc_sfista_distributed(
                             placement.data,
                             anchor,
                             problem.m,
-                            loss=resolved.loss if general else None,
+                            loss,
                         ),
                         "anchor gradient allreduce",
                     )
@@ -239,99 +235,37 @@ def rc_sfista_distributed(
                 # All sample sets are drawn before the per-rank map so the
                 # rng stream is identical whether the ranks run serially or
                 # in parallel (the map closures never touch the generator).
+                # Every block of the round shares one linearization point,
+                # the round-start iterate a = w (the §3.3 PN observation).
                 idx_sets = [sample_indices(rng, problem.m, mbar) for _ in range(block)]
                 data = placement.data
-                round_anchor: np.ndarray | None = None
-                if general:
-                    # Model-anchored stages A+B: every block of this round
-                    # shares one linearization point a = w (round start) —
-                    # H_j and g_j are curvature/gradient of the loss at a,
-                    # packed in the same [H_j | g_j] layout and stride, so
-                    # stage C communicates exactly k(d² + d) words as before.
-                    round_anchor = w.copy()
-                    packed = [np.empty(0)] * data.nranks
+                svrg_anchor = anchor if estimator is GradientEstimator.SVRG else None
 
-                    def build_rank(p: int) -> float:
-                        rank_data = data.ranks[p]
-                        z_r, flops = rank_data.local_predictions(round_anchor)
-                        if estimator is GradientEstimator.SVRG:
-                            z_a, fl_a = rank_data.local_predictions(anchor)
-                            flops += fl_a
-                        else:
-                            z_a = None
-                        chunks: list[np.ndarray] = []
-                        for idx in idx_sets:
-                            H_p, g_p, fl = rank_data.model_block_contribution(
-                                idx,
-                                mbar,
-                                d,
-                                loss=resolved.loss,
-                                z_round=z_r,
-                                z_anchor=z_a,
-                            )
-                            chunks.append(H_p.ravel())
-                            chunks.append(g_p)
-                            flops += fl
-                        packed[p] = np.concatenate(chunks)
-                        return flops
+                def build_rank(p: int) -> tuple[np.ndarray, float]:
+                    c, r, flops = data.ranks[p].local_model(w, loss, anchor=svrg_anchor)
+                    buf, fl = placement.pack(p, idx_sets, weights=c, response=r)
+                    return buf, flops + fl
 
-                else:
-                    # Build each block directly inside the reused stage-C
-                    # payload buffer — no per-iteration allocation.
-                    packed = [buf[: block * stride] for buf in placement.buffers]
-
-                    def build_rank(p: int) -> float:
-                        rank_data = data.ranks[p]
-                        ws = placement.workspaces[p]
-                        buf = packed[p]
-                        flops = 0.0
-                        for j, idx in enumerate(idx_sets):
-                            base = j * stride
-                            H_out = buf[base : base + d * d].reshape(d, d)
-                            R_out = buf[base + d * d : base + stride]
-                            _, local_idx, fl = rank_data.sampled_hessian_contribution(
-                                idx, mbar, d, workspace=ws, out=H_out
-                            )
-                            if estimator is GradientEstimator.PLAIN:
-                                _, fl_r = rank_data.sampled_rhs_contribution(
-                                    local_idx, mbar, d, workspace=ws, out=R_out
-                                )
-                            else:
-                                R_out.fill(0.0)
-                                fl_r = 0.0
-                            flops += fl + fl_r
-                        return flops
-
-                per_rank_flops = np.asarray(backend.map_ranks(build_rank, data.nranks))
-                backend.compute(per_rank_flops, label="hessian_blocks")
+                results = backend.map_ranks(build_rank, data.nranks)
+                backend.compute([fl for _buf, fl in results], label="hessian_blocks")
 
                 # ---- stage C: ONE allreduce of k(d² + d) words --------- #
-                combined = loop.allreduce(packed, label="allreduce_G")
+                combined = loop.allreduce([buf for buf, _fl in results], label="allreduce_G")
 
                 # ---- stage D: k × S replicated local updates ----------- #
                 stop_now = False
                 for j in range(block):
                     base = j * stride
                     H = combined[base : base + d * d].reshape(d, d)
-                    if general:
-                        # step_dir = Hu − R = H(u − a) + g_S(a) [+ SVRG
-                        # correction] — reduces exactly to the legacy
-                        # formulas below for the squared loss.
-                        R = H @ round_anchor - combined[base + d * d : base + stride]
-                        if estimator is not GradientEstimator.PLAIN:
-                            R = R - full_grad  # type: ignore[operator]
-                        backend.compute(2.0 * d * d, label="model_rhs")
-                    elif estimator is GradientEstimator.PLAIN:
-                        R = combined[base + d * d : base + stride]
-                    else:
-                        R = H @ anchor - full_grad  # type: ignore[operator]
+                    R = combined[base + d * d : base + stride]
+                    if estimator is GradientEstimator.SVRG:
+                        R = svrg_rhs(H, R, anchor, full_grad, loss)
                         backend.compute(2.0 * d * d, label="svrg_rhs")
                     t_cur = t_next(t_prev)
                     mu = momentum_mu(t_prev, t_cur)
                     v = w + mu * (w - w_prev)
                     u = hessian_reuse_update(
-                        H, R, v, gamma=gamma, thresh=thresh, S=S, eps_reg=eps_reg,
-                        prox=resolved.penalty.prox if general else None,
+                        H, R, v, gamma=gamma, prox=resolved.penalty.prox, S=S, eps_reg=eps_reg
                     )
                     for _s in range(S):  # Eqs. (20)-(23): S prox steps on the model
                         backend.compute(UPDATE_FLOPS(d), label="update")

@@ -35,6 +35,7 @@ from repro.core._dist_common import (
     distribute_problem,
     hessian_reuse_update,
     run_params,
+    svrg_rhs,
 )
 from repro.core.fista import momentum_mu, t_next
 from repro.core.model import ERMObjective, resolve_objective
@@ -101,12 +102,11 @@ def rc_sfista_spmd(
         )
     if k < 1 or n_iterations < 1:
         raise ValidationError("k and n_iterations must be >= 1")
-    # Legacy squared+l1 keeps the historical byte-identical rank program;
-    # other losses/penalties run the model-anchored general path (same
-    # payload layout and stride — see rc_sfista_dist).
+    # Every (loss, penalty) pair runs the same rank program (see
+    # rc_sfista_dist).
     resolved = resolve_objective(problem, loss=config.loss, penalty=config.penalty)
     view = resolved.objective
-    general = not resolved.legacy
+    loss = resolved.loss
     mbar = minibatch_size(problem.m, b)
     gamma = (
         check_positive(step_size, "step_size")
@@ -123,7 +123,6 @@ def rc_sfista_spmd(
     if not isinstance(seed, (int, np.integer)):
         raise ValidationError("rc_sfista_spmd needs an integer seed shared by all ranks")
     d = problem.d
-    thresh = problem.lam * gamma
     data = distribute_problem(problem, nranks)
 
     backend = SPMDBackend.from_config(config, nranks)
@@ -132,9 +131,7 @@ def rc_sfista_spmd(
     stride = d * d + d
     # Each rank's packed payload must stay intact until the collective
     # completes, so every rank program builds into its own buffer.
-    placement = RankPlacement(
-        data, loop, mbar=mbar, payload_words=k * stride, gram=not general
-    )
+    placement = RankPlacement(data, loop, mbar=mbar, payload_words=k * stride)
     guard = loop.guard
     # Objective monitoring is only needed when a feature consumes it; it is
     # out of band (never charged) and replicated, so every rank sees it.
@@ -208,12 +205,7 @@ def rc_sfista_spmd(
             prev_obj = ck["prev_obj"]
             rng.bit_generator.state = copy.deepcopy(ck["rng_state"])
         elif estimator is GradientEstimator.SVRG:
-            if general:
-                g_p, _fl = rank_data.loss_gradient_contribution(
-                    anchor, problem.m, resolved.loss
-                )
-            else:
-                g_p, _fl = rank_data.full_gradient_contribution(anchor, problem.m)
+            g_p, _fl = rank_data.gradient_contribution(anchor, problem.m, loss)
             for _attempt in range(config.max_recoveries + 1):
                 full_grad = yield ctx.allreduce(g_p, comm=config.comm)
                 if not screen_replicated(ctx, full_grad, "anchor gradient allreduce"):
@@ -228,43 +220,13 @@ def rc_sfista_spmd(
 
         while done < n_iterations:
             block = min(k, n_iterations - done)
-            round_anchor = None
-            # Stages A+B: local contributions for the whole block.
-            if general:
-                # Model-anchored block: linearize the loss at the round
-                # anchor a = w; the payload keeps the [H_j | g_j] layout
-                # and the k(d² + d)-word stride of the legacy path.
-                round_anchor = w.copy()
-                z_r, _flz = rank_data.local_predictions(round_anchor)
-                z_a = None
-                if estimator is GradientEstimator.SVRG:
-                    z_a, _fla = rank_data.local_predictions(anchor)
-                chunks = []
-                for _j in range(block):
-                    idx = sample_indices(rng, problem.m, mbar)
-                    H_p, g_p, _fl = rank_data.model_block_contribution(
-                        idx, mbar, d, loss=resolved.loss, z_round=z_r, z_anchor=z_a
-                    )
-                    chunks.append(H_p.ravel())
-                    chunks.append(g_p)
-                packed = np.concatenate(chunks)
-            else:
-                workspace = placement.workspaces[ctx.rank]
-                packed = placement.buffers[ctx.rank][: block * stride]
-                for _j in range(block):
-                    base = _j * stride
-                    idx = sample_indices(rng, problem.m, mbar)
-                    H_out = packed[base : base + d * d].reshape(d, d)
-                    _, local_idx, _fl = rank_data.sampled_hessian_contribution(
-                        idx, mbar, d, workspace=workspace, out=H_out
-                    )
-                    R_out = packed[base + d * d : base + stride]
-                    if estimator is GradientEstimator.PLAIN:
-                        rank_data.sampled_rhs_contribution(
-                            local_idx, mbar, d, workspace=workspace, out=R_out
-                        )
-                    else:
-                        R_out.fill(0.0)
+            # Stages A+B: the block's model, linearized at the round-start
+            # iterate, built into this rank's own payload buffer.
+            idx_sets = [sample_indices(rng, problem.m, mbar) for _j in range(block)]
+            c, r, _fl = rank_data.local_model(
+                w, loss, anchor=anchor if estimator is GradientEstimator.SVRG else None
+            )
+            packed, _fl = placement.pack(ctx.rank, idx_sets, weights=c, response=r)
             # Stage C: one allreduce of k(d² + d) words.
             for _attempt in range(config.max_recoveries + 1):
                 combined = yield ctx.allreduce(packed, comm=config.comm)
@@ -287,23 +249,13 @@ def rc_sfista_spmd(
                 t_cur = t_next(t_prev)
                 mu = momentum_mu(t_prev, t_cur)
 
-                def compute_update(
-                    base=base, mu=mu, w=w, w_prev=w_prev, round_anchor=round_anchor
-                ):
+                def compute_update(base=base, mu=mu, w=w, w_prev=w_prev):
                     H = combined[base : base + d * d].reshape(d, d)
-                    if general:
-                        R = H @ round_anchor - combined[base + d * d : base + stride]
-                        if estimator is not GradientEstimator.PLAIN:
-                            R = R - full_grad
-                    elif estimator is GradientEstimator.PLAIN:
-                        R = combined[base + d * d : base + stride]
-                    else:
-                        R = H @ anchor - full_grad
+                    R = combined[base + d * d : base + stride]
+                    if estimator is GradientEstimator.SVRG:
+                        R = svrg_rhs(H, R, anchor, full_grad, loss)
                     v = w + mu * (w - w_prev)
-                    return hessian_reuse_update(
-                        H, R, v, gamma=gamma, thresh=thresh,
-                        prox=resolved.penalty.prox if general else None,
-                    )
+                    return hessian_reuse_update(H, R, v, gamma=gamma, prox=resolved.penalty.prox)
 
                 w_new = replicated.get(epoch, ("update", it_no), compute_update)
                 w_prev, w = w, w_new

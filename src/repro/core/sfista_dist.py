@@ -31,10 +31,10 @@ from repro.core._dist_common import (
     distribute_problem,
     hessian_reuse_update,
     run_params,
+    svrg_rhs,
 )
 from repro.core.fista import momentum_mu, t_next
 from repro.core.model import ERMObjective, resolve_objective
-from repro.core.proximal import soft_threshold
 from repro.core.results import History, SolveResult
 from repro.core.sfista import GradientEstimator, stochastic_step_size
 from repro.core.stopping import StoppingCriterion
@@ -49,24 +49,19 @@ __all__ = ["sfista_distributed"]
 
 
 def _epoch_anchor_gradient(
-    backend: ExecutionBackend, data, w: np.ndarray, m: int, *, loss=None
+    backend: ExecutionBackend, data, w: np.ndarray, m: int, loss
 ) -> np.ndarray:
-    """SVRG anchor gradient: local contributions + one d-word allreduce.
+    """SVRG anchor gradient ``(1/m) X ℓ'(Xᵀw, y)``: local contributions +
+    one d-word allreduce.
 
     The per-rank contributions go through ``backend.map_ranks`` so a
     real-parallelism backend computes them concurrently; each closure
     touches only its own rank's data, keeping results bit-identical to
-    the serial sweep. ``loss=None`` is the legacy squared-loss sweep
-    (kept verbatim); a :class:`~repro.core.model.SmoothLoss` computes
-    ``(1/m) X ℓ'(Xᵀw, y)`` instead, with identical labels and payload.
+    the serial sweep.
     """
-    if loss is None:
-        def contribution(p: int):
-            return data.ranks[p].full_gradient_contribution(w, m)
-    else:
-        def contribution(p: int):
-            return data.ranks[p].loss_gradient_contribution(w, m, loss)
-    results = backend.map_ranks(contribution, data.nranks)
+    results = backend.map_ranks(
+        lambda p: data.ranks[p].gradient_contribution(w, m, loss), data.nranks
+    )
     backend.compute([fl for _g, fl in results], label="anchor_gradient")
     return backend.allreduce([g for g, _fl in results], label="allreduce_anchor_grad")
 
@@ -117,12 +112,10 @@ def sfista_distributed(
     if monitor_every < 1:
         raise ValidationError(f"monitor_every must be >= 1, got {monitor_every}")
     stopping = stopping or StoppingCriterion()
-    # Legacy squared+l1 keeps the historical byte-identical branches; any
-    # other loss/penalty takes the model-anchored general path with the
-    # same payload layout (see rc_sfista_dist).
+    # Every (loss, penalty) pair runs the same stages (see rc_sfista_dist).
     resolved = resolve_objective(problem, loss=config.loss, penalty=config.penalty)
     view = resolved.objective
-    general = not resolved.legacy
+    loss = resolved.loss
     rng = as_generator(seed)
     mbar = minibatch_size(problem.m, b)
     gamma = (
@@ -138,15 +131,12 @@ def sfista_distributed(
         )
     )
     d = problem.d
-    thresh = problem.lam * gamma
 
     data = distribute_problem(problem, nranks)
     backend = build_host_backend(config, nranks)
     loop = ResilientLoop(backend, config, solver="sfista_distributed")
     loop.step_size = gamma
-    placement = RankPlacement(
-        data, loop, mbar=mbar, payload_words=d * d + d, gram=not general
-    )
+    placement = RankPlacement(data, loop, mbar=mbar, payload_words=d * d + d)
     loop.start(
         {
             **run_params(loop, nranks, resolved),
@@ -223,7 +213,7 @@ def sfista_distributed(
                             placement.data,
                             anchor,
                             problem.m,
-                            loss=resolved.loss if general else None,
+                            loss,
                         ),
                         "anchor gradient allreduce",
                     )
@@ -245,58 +235,19 @@ def sfista_distributed(
                 mu = momentum_mu(t_prev, t_cur)
                 v = w + mu * (w - w_prev)
 
-                if comm_mode == "hessian" and general:
-                    # General path: one [H | g] block linearized at the
-                    # momentum point v — same d² + d words as the legacy
-                    # payload. step_dir = Hv − R below collapses to the
-                    # sampled loss gradient at v (the H transport is the
-                    # paper-faithful PN framing: every rank receives H).
-                    def build_rank(p: int) -> tuple[np.ndarray, float]:
-                        rank_data = data.ranks[p]
-                        z_v, fl_z = rank_data.local_predictions(v)
-                        if estimator is GradientEstimator.SVRG:
-                            z_a, fl_a = rank_data.local_predictions(anchor)
-                        else:
-                            z_a, fl_a = None, 0.0
-                        H_p, g_p, fl = rank_data.model_block_contribution(
-                            idx, mbar, d, loss=resolved.loss, z_round=z_v, z_anchor=z_a
-                        )
-                        return np.concatenate([H_p.ravel(), g_p]), fl_z + fl_a + fl
+                if comm_mode == "hessian":
+                    # Stages A+B: one [H | R] block of the loss's model
+                    # linearized at the momentum point v, one closure per
+                    # rank (parallel on backends that map ranks for real;
+                    # each touches only its own buffer/workspace). The H
+                    # transport is the paper-faithful PN framing: every
+                    # rank receives H.
+                    svrg_anchor = anchor if estimator is GradientEstimator.SVRG else None
 
-                    results = backend.map_ranks(build_rank, data.nranks)
-                    packed = [buf for buf, _fl in results]
-                    backend.compute([fl for _buf, fl in results], label="hessian_blocks")
-                    combined = loop.allreduce(packed, label="allreduce_HR")
-                    H = combined[: d * d].reshape(d, d)
-                    R = H @ v - combined[d * d :]
-                    if estimator is not GradientEstimator.PLAIN:
-                        R = R - full_grad  # type: ignore[operator]
-                    backend.compute(2.0 * d * d, label="model_rhs")
-                    w_new = hessian_reuse_update(
-                        H, R, v, gamma=gamma, prox=resolved.penalty.prox
-                    )
-                    backend.compute(UPDATE_FLOPS(d), label="update")
-                elif comm_mode == "hessian":
-                    # Stages A+B: local sampled Gram blocks, one closure
-                    # per rank (parallel on backends that map ranks for
-                    # real; each touches only its own buffers/workspace).
                     def build_rank(p: int) -> tuple[np.ndarray, float]:
-                        rank_data = data.ranks[p]
-                        buf = placement.buffers[p]
-                        ws = placement.workspaces[p]
-                        H_out = buf[: d * d].reshape(d, d)
-                        R_out = buf[d * d :]
-                        _, local_idx, fl = rank_data.sampled_hessian_contribution(
-                            idx, mbar, d, workspace=ws, out=H_out
-                        )
-                        if estimator is GradientEstimator.PLAIN:
-                            _, fl_r = rank_data.sampled_rhs_contribution(
-                                local_idx, mbar, d, workspace=ws, out=R_out
-                            )
-                        else:
-                            R_out.fill(0.0)
-                            fl_r = 0.0
-                        return buf, fl + fl_r
+                        c, r, flops = data.ranks[p].local_model(v, loss, anchor=svrg_anchor)
+                        buf, fl = placement.pack(p, [idx], weights=c, response=r)
+                        return buf, flops + fl
 
                     results = backend.map_ranks(build_rank, data.nranks)
                     packed = [buf for buf, _fl in results]
@@ -304,12 +255,11 @@ def sfista_distributed(
                     # Stage C: one allreduce of d² + d words.
                     combined = loop.allreduce(packed, label="allreduce_HR")
                     H = combined[: d * d].reshape(d, d)
-                    if estimator is GradientEstimator.PLAIN:
-                        R = combined[d * d :]
-                    else:  # svrg: R = Hŵ − ∇f(ŵ), replicated arithmetic
-                        R = H @ anchor - full_grad  # type: ignore[operator]
+                    R = combined[d * d :]
+                    if estimator is GradientEstimator.SVRG:
+                        R = svrg_rhs(H, R, anchor, full_grad, loss)
                         backend.compute(2.0 * d * d, label="svrg_rhs")
-                    w_new = hessian_reuse_update(H, R, v, gamma=gamma, thresh=thresh)
+                    w_new = hessian_reuse_update(H, R, v, gamma=gamma, prox=resolved.penalty.prox)
                     backend.compute(UPDATE_FLOPS(d), label="update")
                 else:
                     # Gradient mode: local sampled-gradient contributions.
@@ -318,28 +268,20 @@ def sfista_distributed(
                         local_idx = rank_data._restrict(idx)
                         if local_idx.size == 0:
                             return np.zeros(d), 0.0
-                        if placement.workspaces is not None:
-                            A = _select_columns_dense(
-                                rank_data.X_local, local_idx, placement.workspaces[p]
-                            )
-                        elif isinstance(rank_data.X_local, np.ndarray):
-                            A = rank_data.X_local[:, local_idx]
-                        else:
-                            A = rank_data.X_local.select_columns(local_idx).to_dense()
-                        if general:
-                            ys = rank_data.y_local[local_idx]
-                            gvec = resolved.loss.grad(A.T @ v, ys)
-                            extra = 0.0
-                            if estimator is GradientEstimator.SVRG:
-                                gvec = gvec - resolved.loss.grad(A.T @ anchor, ys)
-                                extra = float(2 * A.shape[0] * A.shape[1])
-                            g_p = A @ gvec / mbar
-                            return g_p, float(4 * A.shape[0] * A.shape[1]) + extra
+                        A = _select_columns_dense(
+                            rank_data.X_local, local_idx, placement.workspaces[p]
+                        )
+                        ys = rank_data.y_local[local_idx]
+                        flops = float(4 * A.shape[0] * A.shape[1])
                         if estimator is GradientEstimator.PLAIN:
-                            g_p = A @ (A.T @ v - rank_data.y_local[local_idx]) / mbar
+                            gvec = loss.grad(A.T @ v, ys)
+                        elif loss.constant_curvature:
+                            # ℓ'(z_v) − ℓ'(z_ŵ) = z_v − z_ŵ when ℓ'' ≡ 1.
+                            gvec = A.T @ (v - anchor)
                         else:
-                            g_p = A @ (A.T @ (v - anchor)) / mbar
-                        return g_p, float(4 * A.shape[0] * A.shape[1])
+                            gvec = loss.grad(A.T @ v, ys) - loss.grad(A.T @ anchor, ys)
+                            flops += float(2 * A.shape[0] * A.shape[1])
+                        return A @ gvec / mbar, flops
 
                     results = backend.map_ranks(gradient_rank, data.nranks)
                     backend.compute([fl for _g, fl in results], label="gradient_blocks")
@@ -347,10 +289,7 @@ def sfista_distributed(
                     if estimator is GradientEstimator.SVRG:
                         g = g + full_grad  # type: ignore[operator]
                     backend.compute(8.0 * d, label="update")
-                    if general:
-                        w_new = resolved.penalty.prox(v - gamma * g, gamma)
-                    else:
-                        w_new = soft_threshold(v - gamma * g, thresh)
+                    w_new = resolved.penalty.prox(v - gamma * g, gamma)
 
                 w_prev, w = w, w_new
                 t_prev = t_cur

@@ -9,7 +9,10 @@ These implement the two quantities RC-SFISTA builds every inner iteration
     R_n = \\frac{1}{\\bar m} X I_n I_n^T y
 
 where ``X`` is the (d × m) data matrix, ``I_n`` selects ``m̄`` sampled
-columns, and ``y`` holds the labels. The flop helpers return the *sparse*
+columns, and ``y`` holds the labels. For a general smooth loss the same
+kernels build the sampled quadratic model at a point: ``weights`` puts
+the curvatures ``c = ℓ''`` between the factors of ``H_n``, and the working
+response ``r`` takes the place of ``y``. The flop helpers return the *sparse*
 operation counts the paper's model charges (Table 1), computed from matrix
 metadata so the cost model and the numerics cannot drift apart.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ShapeError
+from repro.exceptions import ShapeError, ValidationError
 from repro.sparse.csr import CSCMatrix, CSRMatrix
 
 __all__ = [
@@ -115,8 +118,9 @@ def sampled_gram(
     scale: float | None = None,
     workspace: GramWorkspace | None = None,
     out: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Dense sampled Gram matrix ``(1/m̄) X_S X_Sᵀ`` with ``S = cols``.
+    """Dense sampled Gram matrix ``(1/m̄) X_S diag(c_S) X_Sᵀ`` with ``S = cols``.
 
     Parameters
     ----------
@@ -132,6 +136,11 @@ def sampled_gram(
         allocated. Results are bit-identical to the allocating path.
     out:
         Optional ``(d, d)`` float64 output buffer, written in place.
+    weights:
+        Optional non-negative per-column weights ``c`` of length ``m``
+        (curvatures ``ℓ''`` of a convex loss); ``None`` is ``c ≡ 1``. The
+        gathered block is scaled in place by ``√c_S``, so the weighted
+        Gram reuses the unweighted product and its buffers.
 
     Returns
     -------
@@ -141,6 +150,12 @@ def sampled_gram(
     if cols.size == 0:
         raise ShapeError("sampled_gram requires at least one sampled column")
     A = _select_columns_dense(X, cols, workspace)
+    if weights is not None:
+        c = np.asarray(weights, dtype=np.float64)[cols]
+        if np.any(c < 0):
+            raise ValidationError("sampled_gram weights must be non-negative")
+        # The gather is a fresh copy or workspace scratch, never X itself.
+        A *= np.sqrt(c)
     s = (1.0 / cols.size) if scale is None else float(scale)
     if workspace is None:
         H = A @ A.T
@@ -218,24 +233,28 @@ def _nnz_of_columns(X: Matrix, cols: np.ndarray) -> int:
     return int(per_col[cols].sum())
 
 
-def gram_flops(X: Matrix, cols: np.ndarray, d: int | None = None) -> int:
+def gram_flops(
+    X: Matrix, cols: np.ndarray, d: int | None = None, *, weighted: bool = False
+) -> int:
     """Flops to form ``X_S X_Sᵀ`` sparsely: ``Σ_s nnz(x_s)²`` multiply-adds.
 
     The paper's Table 1 models this as ``O(d² m̄ f)``; with uniformly
     distributed non-zeros ``nnz(x_s) ≈ d·f`` and the two agree. We charge
-    2 flops per multiply-add.
+    2 flops per multiply-add. ``weighted`` adds the one scaling multiply
+    per stored entry of the curvature-weighted kernel.
     """
     cols = np.asarray(cols, dtype=np.int64)
+    scaling = _nnz_of_columns(X, cols) if weighted else 0
     if isinstance(X, np.ndarray):
         dd = X.shape[0]
-        return int(2 * dd * dd * cols.size)
+        return int(2 * dd * dd * cols.size) + scaling
     if isinstance(X, CSCMatrix):
         per_col = X.col_nnz()[cols].astype(np.int64)
-        return int(2 * np.sum(per_col * per_col))
+        return int(2 * np.sum(per_col * per_col)) + scaling
     # CSR fallback: average fill model.
     dd = d if d is not None else X.shape[0]
     f = X.density
-    return int(round(2 * dd * dd * f * f * cols.size)) if f else 0
+    return (int(round(2 * dd * dd * f * f * cols.size)) if f else 0) + scaling
 
 
 def rhs_flops(X: Matrix, cols: np.ndarray) -> int:

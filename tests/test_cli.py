@@ -170,6 +170,16 @@ class TestCollectivesV2Flags:
                   "--solver", "sfista_dist", "--machine", "comet_paper",
                   "--comm-topology", "hier"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--solver", "rc_sfista_spmd", "--backend", "serial"],
+         ["--solver", "rc_sfista_dist", "--k", "0"]],
+        ids=["spmd-on-serial", "k-zero"],
+    )
+    def test_solver_validation_is_usage_error(self, flags):
+        with pytest.raises(SystemExit, match="invalid solve configuration"):
+            main(["solve", "--dataset", "covtype", "--size", "tiny", *flags])
+
     @pytest.mark.parametrize("command", ["solve", "submit"])
     def test_golden_help_text(self, command, capsys):
         """The v2 flags and their documented forms are pinned in --help."""

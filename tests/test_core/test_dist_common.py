@@ -80,8 +80,9 @@ class TestRankContributions:
         w = rng.standard_normal(p.d)
         total = np.zeros(p.d)
         for rd in data.ranks:
-            g_p, _fl = rd.full_gradient_contribution(w, p.m)
+            g_p, fl = rd.gradient_contribution(w, p.m, p.loss)
             total += g_p
+            assert fl == 4 * p.d * rd.m_local  # the historical charge
         np.testing.assert_allclose(total, p.gradient(w), atol=1e-10)
 
     def test_empty_rank_contributes_zero(self):

@@ -5,8 +5,11 @@ Three contracts live here:
 * analytic derivatives of every :class:`SmoothLoss` match central
   differences (the generalized solvers trust ``grad``/``curvature``);
 * penalty specs parse, canonicalise and reject malformed input at
-  build time, and :func:`resolve_objective` detects the legacy
-  squared+l1 combination exactly;
+  build time, and :func:`resolve_objective` keeps the problem itself
+  whenever the overrides name its own (loss, penalty);
+* every loss's sampled quadratic model ``(c, r)`` reproduces the sampled
+  loss gradient, and the squared loss is its unweighted case — so
+  squared+elastic_net charges the same sparse Gram flops as squared+l1;
 * **byte-identity pin** — default runs and explicit
   ``RuntimeConfig(loss="squared", penalty="l1")`` runs produce
   bit-identical iterates and equal charged costs across all four
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core._dist_common import distribute_problem, svrg_rhs
 from repro.core.model import (
     LOSSES,
     PENALTIES,
@@ -38,8 +42,12 @@ from repro.core.proximal import ElasticNetProx, GroupL1Prox, L1Prox
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.sfista_dist import sfista_distributed
+from repro.data.synthetic import make_regression
+from repro.distsim.bsp import BSPCluster
+from repro.distsim.trace import Trace
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
+from repro.sparse.csr import CSCMatrix
 
 pytestmark = pytest.mark.losses
 
@@ -193,11 +201,6 @@ class TestRegularizer:
         assert moved.lam == 0.5 and moved.spec == reg.spec
         assert moved.op.lam2 == pytest.approx(2 * 0.5)
 
-    def test_is_plain_l1(self):
-        assert make_penalty("l1", lam=0.3).is_plain_l1(0.3)
-        assert not make_penalty("l1", lam=0.3).is_plain_l1(0.4)
-        assert not make_penalty("elastic_net:l2=1", lam=0.3).is_plain_l1(0.3)
-
 
 # --------------------------------------------------------------------- #
 # ERMObjective vs the historical L1LeastSquares
@@ -251,15 +254,15 @@ class TestERMObjectiveEquivalence:
 class TestResolveObjective:
     def test_default_squared_l1_is_legacy(self, tiny_covtype_problem):
         res = resolve_objective(tiny_covtype_problem)
-        assert res.legacy
         assert res.objective is tiny_covtype_problem
-        assert res.loss.name == "squared" and res.penalty.is_plain_l1(
-            tiny_covtype_problem.lam
-        )
+        assert res.loss is tiny_covtype_problem.loss
+        assert res.penalty is tiny_covtype_problem.penalty
+        assert res.loss.name == "squared" and res.penalty.spec == "l1"
 
     def test_explicit_legacy_override_keeps_problem(self, tiny_covtype_problem):
         res = resolve_objective(tiny_covtype_problem, loss="squared", penalty="l1")
-        assert res.legacy and res.objective is tiny_covtype_problem
+        assert res.objective is tiny_covtype_problem
+        assert res.penalty is tiny_covtype_problem.penalty
 
     def test_loss_override_builds_general_view(self, tiny_covtype_problem):
         # Classification losses validate ±1 labels, so the override sits on
@@ -269,7 +272,7 @@ class TestResolveObjective:
             base.X, np.where(base.y >= 0, 1.0, -1.0), base.lam
         )
         res = resolve_objective(classified, loss="logistic")
-        assert not res.legacy
+        assert res.objective is not classified
         assert isinstance(res.objective, ERMObjective)
         assert res.objective.X is classified.X
         assert res.objective.lam == classified.lam
@@ -285,8 +288,11 @@ class TestResolveObjective:
             penalty="elastic_net:l2=1", lam=base.lam,
         )
         res = resolve_objective(erm)
-        assert not res.legacy
         assert res.objective is erm
+        same = resolve_objective(erm, loss="logistic", penalty="elastic_net:l2=1")
+        assert same.objective is erm and same.penalty is erm.penalty
+        other = resolve_objective(erm, penalty="elastic_net:l2=2")
+        assert other.objective is not erm and other.penalty.spec == "elastic_net:l2=2"
 
 
 # --------------------------------------------------------------------- #
@@ -404,3 +410,82 @@ def test_erm_value_decomposes(seed, lam):
     assert erm.smooth_value(w) == pytest.approx(
         float(np.mean(erm.loss.values(z, y)))
     )
+
+
+# --------------------------------------------------------------------- #
+# one objective path: the sampled quadratic model and its charges
+# --------------------------------------------------------------------- #
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    loss=st.sampled_from(ALL_LOSSES),
+    sparse=st.booleans(),
+)
+def test_sampled_model_gradient_is_the_sampled_loss_gradient(seed, loss, sparse):
+    """``H a − R`` built from ``(c, r)`` at ``a`` is ``(1/m̄) X_S ℓ'(z_a)``,
+    and the SVRG right-hand side adds exactly ``−ĝ_S(ŵ) + ∇f(ŵ)``."""
+    rng = np.random.default_rng(seed)
+    d, m, mbar = 6, 40, 15
+    dense = rng.standard_normal((d, m))
+    if sparse:
+        dense[rng.random((d, m)) > 0.4] = 0.0
+    X = CSCMatrix.from_dense(dense) if sparse else dense
+    y = _labels_for(loss, rng, m)
+    rd = distribute_problem(ERMObjective(X, y, loss=loss, lam=0.1), 1).ranks[0]
+    idx = rng.integers(0, m, size=mbar)
+    a, anchor = rng.standard_normal(d), rng.standard_normal(d)
+    full_grad = rng.standard_normal(d)
+
+    def blocks(c, r):
+        H, local_idx, _ = rd.sampled_hessian_contribution(idx, mbar, d, weights=c)
+        if r is None:
+            return H, np.zeros(d)
+        return H, rd.sampled_rhs_contribution(local_idx, mbar, d, response=r)[0]
+
+    def sampled_grad(point):
+        z = dense[:, idx].T @ point
+        return dense[:, idx] @ loss.grad(z, y[idx]) / mbar
+
+    def close(got, want, scale):
+        assert np.linalg.norm(got - want) <= 1e-12 * max(scale, 1.0)
+
+    c, r, _ = rd.local_model(a, loss)
+    H, R = blocks(c, r)
+    close(H @ a - R, sampled_grad(a), np.linalg.norm(H @ a) + np.linalg.norm(R))
+
+    c, corr, _ = rd.local_model(a, loss, anchor=anchor)
+    H, R = blocks(c, corr)
+    R_svrg = svrg_rhs(H, R, anchor, full_grad, loss)
+    want = sampled_grad(a) - sampled_grad(anchor) + full_grad
+    close(H @ a - R_svrg, want, np.linalg.norm(H @ a) + np.linalg.norm(R_svrg))
+
+
+def _sparse_problem():
+    X, y, _ = make_regression(60, 600, density=0.02, noise=0.05, rng=3)
+    return L1LeastSquares(X, y, 0.01)
+
+
+@pytest.mark.parametrize(
+    "solver", [rc_sfista_distributed, sfista_distributed, proximal_newton_distributed],
+    ids=lambda s: s.__name__,
+)
+def test_general_penalty_charges_the_sparse_gram(solver):
+    """The penalty does not change stage B: squared+elastic_net builds the
+    same blocks with the same sparse Gram kernel, and is charged the same
+    flops for them, as squared+l1."""
+
+    def hessian_block_flops(penalty):
+        cluster = BSPCluster(4, "comet_paper", trace=Trace())
+        runtime = RuntimeConfig(cluster=cluster, penalty=penalty)
+        if solver is proximal_newton_distributed:
+            solver(_sparse_problem(), 4, n_outer=2, inner_iters=8, k=4, b=0.1,
+                   seed=0, runtime=runtime)
+        else:
+            kw = {"k": 4} if solver is rc_sfista_distributed else {}
+            solver(_sparse_problem(), 4, b=0.1, iters_per_epoch=8,
+                   estimator="plain", seed=0, runtime=runtime, **kw)
+        return sum(e.flops for e in cluster.trace.events if e.label == "hessian_blocks")
+
+    l1 = hessian_block_flops("l1")
+    assert l1 > 0
+    assert hessian_block_flops("elastic_net:l2=1e-12") == l1

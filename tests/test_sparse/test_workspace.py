@@ -9,7 +9,7 @@ allocating slow path, including duplicate sample indices.
 import numpy as np
 import pytest
 
-from repro.exceptions import ShapeError
+from repro.exceptions import ShapeError, ValidationError
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import GramWorkspace, sampled_gram, sampled_rhs
 from repro.sparse.random import random_csr
@@ -72,17 +72,35 @@ class TestGatherDense:
 
 
 class TestWorkspaceBitIdentity:
-    @pytest.mark.parametrize("kind", ["dense", "csr", "csc"])
-    def test_sampled_gram_identical(self, kind, dense, csr, csc, idx):
+    @pytest.mark.parametrize(
+        "kind, weighted",
+        [
+            pytest.param(kind, weighted, id=kind + ("-weighted" if weighted else ""))
+            for weighted in (False, True)
+            for kind in ("dense", "csr", "csc")
+        ],
+    )
+    def test_sampled_gram_identical(self, kind, weighted, dense, csr, csc, idx):
         X = {"dense": dense, "csr": csr, "csc": csc}[kind]
+        # Curvature-like weights, zeros included (squared hinge's are 0/1).
+        weights = np.random.default_rng(3).uniform(0.0, 0.25, 400) if weighted else None
+        if weighted:
+            weights[:50] = 0.0
         workspace = GramWorkspace(X.shape[0], idx.size)
-        slow = sampled_gram(X, idx)
-        fast = sampled_gram(X, idx, workspace=workspace)
+        slow = sampled_gram(X, idx, weights=weights)
+        fast = sampled_gram(X, idx, workspace=workspace, weights=weights)
         assert np.array_equal(slow, fast)
         # Second pass reuses the warm buffers — still bit-identical.
-        again = sampled_gram(X, idx, workspace=workspace)
+        again = sampled_gram(X, idx, workspace=workspace, weights=weights)
         assert np.array_equal(slow, again)
         assert workspace.reuses > 0
+        if weighted:
+            A = dense[:, idx]
+            reference = (A * weights[idx]) @ A.T / idx.size
+            np.testing.assert_allclose(slow, reference, rtol=1e-12, atol=1e-14)
+        else:
+            # weights=None is c ≡ 1, bit for bit.
+            assert np.array_equal(slow, sampled_gram(X, idx, weights=np.ones(400)))
 
     @pytest.mark.parametrize("kind", ["dense", "csr", "csc"])
     def test_sampled_rhs_identical(self, kind, dense, csr, csc, idx):
@@ -114,3 +132,9 @@ class TestWorkspaceBitIdentity:
     def test_workspace_validates_dimension(self):
         with pytest.raises(ShapeError):
             GramWorkspace(0)
+
+    def test_weights_must_be_non_negative(self, dense, idx):
+        weights = np.ones(400)
+        weights[idx[3]] = -1.0
+        with pytest.raises(ValidationError, match="non-negative"):
+            sampled_gram(dense, idx, weights=weights)
