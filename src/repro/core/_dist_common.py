@@ -23,14 +23,21 @@ r = y``, which computes and charges nothing beyond the data-only blocks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.model import ERMObjective
-from repro.exceptions import ValidationError
+from repro.exceptions import ShapeError, ValidationError
 from repro.sparse.csr import CSCMatrix, CSRMatrix
-from repro.sparse.ops import GramWorkspace, gram_flops, rhs_flops, sampled_gram, sampled_rhs
+from repro.sparse.ops import (
+    GramWorkspace,
+    gram_flops,
+    rhs_flops,
+    sampled_gram_blocks,
+    sampled_rhs,
+)
 from repro.sparse.partition import ColumnPartition, partition_columns
 
 __all__ = [
@@ -62,11 +69,11 @@ class RankWorkspaces:
     ``gram_workspace_reuses`` perf stat unchanged.
     """
 
-    def __init__(self, nranks: int, d: int, mbar: int, *, parallel: bool) -> None:
+    def __init__(self, nranks: int, d: int, max_cols: int, *, parallel: bool) -> None:
         if parallel:
-            self._workspaces = [GramWorkspace(d, mbar) for _ in range(nranks)]
+            self._workspaces = [GramWorkspace(d, max_cols) for _ in range(nranks)]
         else:
-            shared = GramWorkspace(d, mbar)
+            shared = GramWorkspace(d, max_cols)
             self._workspaces = [shared] * nranks
 
     def __getitem__(self, rank: int) -> GramWorkspace:
@@ -152,35 +159,51 @@ class RankData:
 
     def sampled_hessian_contribution(
         self,
-        global_idx: np.ndarray,
+        idx_sets: Sequence[np.ndarray],
         mbar: int,
         d: int,
         *,
         workspace=None,
         out: np.ndarray | None = None,
         weights: np.ndarray | None = None,
+        response: np.ndarray | None = None,
+        rhs: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Local contribution ``(1/m̄) X_p,S diag(c) X_p,Sᵀ`` plus its flop cost.
+        """This rank's stage-B blocks of one round, plus their flop cost.
 
-        Returns ``(H_p, local_idx, flops)`` where summing ``H_p`` over
-        ranks gives the global sampled Hessian exactly. ``weights`` are
-        this rank's per-sample curvatures ``c`` (``None``: ``c ≡ 1``, the
-        data-only Gram). ``workspace``/``out`` (see
-        :func:`repro.sparse.ops.sampled_gram`) make the computation
-        allocation-free with bit-identical results.
+        Row ``j`` of the returned ``(len(idx_sets), stride)`` array is the
+        local share of block ``j`` for the global sample set
+        ``idx_sets[j]``: ``H_j = (1/m̄) X_p,S diag(c) X_p,Sᵀ`` (``d²`` words,
+        ``d`` the feature count) followed, with ``rhs``, by
+        ``R_j = (1/m̄) X_p,S r_p,S`` (``d`` words; ``response=None``
+        zero-fills it). Summing the rows
+        over ranks gives the global blocks exactly. ``weights`` and
+        ``response`` are this rank's per-sample ``c`` and ``r`` (``None``
+        weights: ``c ≡ 1``, the data-only Gram). The rank's columns of all
+        sets are gathered once (:func:`repro.sparse.ops.sampled_gram_blocks`);
+        ``workspace``/``out`` make the call allocation-free with
+        bit-identical results.
+
+        Returns ``(blocks, local_idx, flops)``, ``local_idx`` being the
+        concatenated local columns of every set.
         """
-        local_idx = self._restrict(global_idx)
-        if local_idx.size == 0:
-            if out is None:
-                return np.zeros((d, d)), local_idx, 0.0
-            out.fill(0.0)
-            return out, local_idx, 0.0
-        H_p = sampled_gram(
-            self.X_local, local_idx, scale=1.0 / mbar, workspace=workspace, out=out,
-            weights=weights,
+        if self.X_local.shape[0] != d:
+            raise ShapeError(f"rank data has {self.X_local.shape[0]} features, not d={d}")
+        # Restrict every set at once: set j's local columns are
+        # local_idx[offsets[j]:offsets[j + 1]].
+        idx = np.concatenate([np.empty(0, dtype=np.int64), *idx_sets])
+        mine = (idx >= self.col_offset) & (idx < self.col_offset + self.m_local)
+        local_idx = idx[mine] - self.col_offset
+        bounds = np.cumsum([0, *map(len, idx_sets)])
+        offsets = np.concatenate(([0], np.cumsum(mine)))[bounds].tolist()
+        blocks = sampled_gram_blocks(
+            self.X_local, local_idx, offsets, scale=1.0 / mbar, weights=weights,
+            response=response, rhs=rhs, workspace=workspace, out=out,
         )
-        flops = float(gram_flops(self.X_local, local_idx, weighted=weights is not None))
-        return H_p, local_idx, flops
+        flops = gram_flops(self.X_local, local_idx, weighted=weights is not None)
+        if rhs and response is not None:
+            flops += rhs_flops(self.X_local, local_idx)
+        return blocks, local_idx, float(flops)
 
     def sampled_rhs_contribution(
         self,
@@ -195,7 +218,9 @@ class RankData:
         """Local contribution ``(1/m̄) X_p,S r_p,S`` plus its flop cost.
 
         ``response`` is this rank's per-sample vector ``r`` (``None``: the
-        labels ``y_p``, the squared loss's working response).
+        labels ``y_p``, the squared loss's working response). The
+        one-block reference for the ``R_j`` rows of
+        :meth:`sampled_hessian_contribution`, which the solvers call.
         """
         if local_idx.size == 0:
             if out is None:
@@ -322,17 +347,20 @@ class RankPlacement:
     """The rank-count-dependent state of one distributed run.
 
     Holds the column-partitioned data (:class:`DistributedData`), the Gram
-    scratch (:class:`RankWorkspaces`) and one stage-C payload buffer of
-    ``payload_words`` per rank, so :meth:`pack` builds each rank's blocks
-    in place with no per-iteration allocation. The solver reads
+    scratch (:class:`RankWorkspaces`, each pool sized once for a round's
+    ``blocks·m̄`` columns) and one stage-C payload buffer of ``blocks``
+    blocks per rank, so :meth:`pack` builds each rank's blocks in place
+    with no per-iteration allocation. A block is ``H_j`` (``d²`` words)
+    followed, with ``rhs``, by ``R_j`` (``d`` words). The solver reads
     ``placement.data`` / ``placement.nranks`` afresh every round, because
     an elastic pool shrink swaps them in :meth:`repartition`.
     """
 
-    def __init__(self, data: DistributedData, loop, *, mbar: int, payload_words: int) -> None:
+    def __init__(self, data: DistributedData, loop, *, mbar: int, blocks: int, rhs: bool) -> None:
         self._loop = loop
         self._mbar = mbar
-        self._payload_words = payload_words
+        self._blocks = blocks
+        self._rhs = rhs
         self._place(data)
 
     @property
@@ -340,14 +368,16 @@ class RankPlacement:
         return self.data.nranks
 
     def _place(self, data: DistributedData) -> None:
+        d = data.problem.d
         self.data = data
         self.workspaces = RankWorkspaces(
             data.nranks,
-            data.problem.d,
-            self._mbar,
+            d,
+            self._blocks * self._mbar,
             parallel=self._loop.backend.parallel_ranks,
         )
-        self.buffers = [np.empty(self._payload_words) for _ in range(data.nranks)]
+        self._stride = d * d + d if self._rhs else d * d
+        self.buffers = [np.empty(self._blocks * self._stride) for _ in range(data.nranks)]
         # The loop reports the workspaces' reuse counter in meta["perf"].
         self._loop.workspace = self.workspaces
 
@@ -358,7 +388,6 @@ class RankPlacement:
         *,
         weights: np.ndarray | None = None,
         response: np.ndarray | None = None,
-        rhs: bool = True,
     ) -> tuple[np.ndarray, float]:
         """Stage B of rank *p*: one block per sample set, in its payload buffer.
 
@@ -369,29 +398,12 @@ class RankPlacement:
         Summing the returned views over ranks gives the global blocks
         exactly. Returns the filled view of the buffer and its flops.
         """
-        rank_data = self.data.ranks[p]
-        ws = self.workspaces[p]
-        d = self.data.problem.d
-        stride = d * d + d if rhs else d * d
-        buf = self.buffers[p][: len(idx_sets) * stride]
-        flops = 0.0
-        for j, idx in enumerate(idx_sets):
-            base = j * stride
-            H_out = buf[base : base + d * d].reshape(d, d)
-            _, local_idx, fl = rank_data.sampled_hessian_contribution(
-                idx, self._mbar, d, workspace=ws, out=H_out, weights=weights
-            )
-            flops += fl
-            if not rhs:
-                continue
-            R_out = buf[base + d * d : base + stride]
-            if response is None:
-                R_out.fill(0.0)
-            else:
-                _, fl_r = rank_data.sampled_rhs_contribution(
-                    local_idx, self._mbar, d, workspace=ws, out=R_out, response=response
-                )
-                flops += fl_r
+        buf = self.buffers[p][: len(idx_sets) * self._stride]
+        _, _, flops = self.data.ranks[p].sampled_hessian_contribution(
+            idx_sets, self._mbar, self.data.problem.d,
+            workspace=self.workspaces[p], out=buf.reshape(len(idx_sets), self._stride),
+            weights=weights, response=response, rhs=self._rhs,
+        )
         return buf, flops
 
     def repartition(self, new_nranks: int, lost_ranks) -> float:

@@ -260,7 +260,7 @@ def proximal_newton_distributed(
     loop = ResilientLoop(backend, config, solver="proximal_newton_distributed")
     loop.step_size = gamma
     max_block = k if inner == "rc_sfista" else 1
-    placement = RankPlacement(data, loop, mbar=mbar, payload_words=max_block * d * d)
+    placement = RankPlacement(data, loop, mbar=mbar, blocks=max_block, rhs=False)
     loop.start(
         {
             **run_params(loop, nranks, resolved),
@@ -331,7 +331,7 @@ def proximal_newton_distributed(
         idx_sets = [sample_indices(rng, problem.m, mbar) for _ in range(count)]
         data = placement.data
         results = backend.map_ranks(
-            lambda p: placement.pack(p, idx_sets, weights=curv[p], rhs=False),
+            lambda p: placement.pack(p, idx_sets, weights=curv[p]),
             data.nranks,
         )
         backend.compute([fl for _buf, fl in results], label="hessian_blocks")

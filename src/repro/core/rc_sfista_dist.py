@@ -133,7 +133,7 @@ def rc_sfista_distributed(
     loop = ResilientLoop(backend, config, solver="rc_sfista_distributed")
     loop.step_size = gamma
     stride = d * d + d
-    placement = RankPlacement(data, loop, mbar=mbar, payload_words=k * stride)
+    placement = RankPlacement(data, loop, mbar=mbar, blocks=k, rhs=True)
     loop.start(
         {
             **run_params(loop, nranks, resolved),

@@ -131,7 +131,7 @@ def rc_sfista_spmd(
     stride = d * d + d
     # Each rank's packed payload must stay intact until the collective
     # completes, so every rank program builds into its own buffer.
-    placement = RankPlacement(data, loop, mbar=mbar, payload_words=k * stride)
+    placement = RankPlacement(data, loop, mbar=mbar, blocks=k, rhs=True)
     guard = loop.guard
     # Objective monitoring is only needed when a feature consumes it; it is
     # out of band (never charged) and replicated, so every rank sees it.

@@ -136,7 +136,7 @@ def sfista_distributed(
     backend = build_host_backend(config, nranks)
     loop = ResilientLoop(backend, config, solver="sfista_distributed")
     loop.step_size = gamma
-    placement = RankPlacement(data, loop, mbar=mbar, payload_words=d * d + d)
+    placement = RankPlacement(data, loop, mbar=mbar, blocks=1, rhs=True)
     loop.start(
         {
             **run_params(loop, nranks, resolved),

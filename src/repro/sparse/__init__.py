@@ -16,6 +16,7 @@ from repro.sparse.csr import CSRMatrix, CSCMatrix
 from repro.sparse.ops import (
     GramWorkspace,
     sampled_gram,
+    sampled_gram_blocks,
     sampled_rhs,
     gram_flops,
     rhs_flops,
@@ -31,6 +32,7 @@ __all__ = [
     "CSCMatrix",
     "GramWorkspace",
     "sampled_gram",
+    "sampled_gram_blocks",
     "sampled_rhs",
     "gram_flops",
     "rhs_flops",

@@ -282,8 +282,17 @@ class CSCMatrix:
         return self.nnz / total if total else 0.0
 
     def col_nnz(self) -> np.ndarray:
-        """Stored entries per column."""
-        return np.diff(self.indptr)
+        """Stored entries per column (read-only, memoized on the instance).
+
+        Flop accounting asks for it on every sampled-Gram call; the matrix
+        is immutable, so the count is taken once.
+        """
+        cached = self.__dict__.get("_col_nnz")
+        if cached is None:
+            cached = np.diff(self.indptr)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_col_nnz", cached)
+        return cached
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.float64)

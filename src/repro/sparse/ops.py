@@ -19,6 +19,8 @@ metadata so the cost model and the numerics cannot drift apart.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.exceptions import ShapeError, ValidationError
@@ -28,6 +30,7 @@ __all__ = [
     "GramWorkspace",
     "sampled_gram",
     "sampled_rhs",
+    "sampled_gram_blocks",
     "gram_flops",
     "rhs_flops",
     "spmv_flops",
@@ -39,15 +42,16 @@ Matrix = np.ndarray | CSRMatrix | CSCMatrix
 
 
 class GramWorkspace:
-    """Reusable scratch buffers for :func:`sampled_gram`/:func:`sampled_rhs`.
+    """Reusable buffers for the sampled-Gram kernels.
 
-    Solvers build the sampled Gram matrix every inner iteration with the
-    same ``d`` and (typically) the same sample count ``m̄``, so the dense
-    column block and the pre-symmetrization Gram scratch can be allocated
-    once and reused. Construct one per solver run and pass it to the
-    kernels; results are bit-identical to the allocating path.
+    Solvers densify (at most) the same number of sampled sparse columns
+    every round, so the dense block they are gathered into can live in
+    one pool: ``max_cols`` (a rank's ``k·m̄`` columns per round) sizes it
+    at its first borrow, and it never regrows after. The ``(d, d)``
+    scratch the Gram product is formed in stays cache-resident across
+    calls. Results are bit-identical to the allocating path.
 
-    ``reuses`` counts borrows served without growing the pool — it feeds
+    ``reuses`` counts borrows served without growing a buffer — it feeds
     the ``gram_workspace_reuses`` runtime counter (see docs/PERFORMANCE.md).
     """
 
@@ -55,33 +59,30 @@ class GramWorkspace:
         d = int(d)
         if d < 1:
             raise ShapeError(f"GramWorkspace needs d >= 1, got {d}")
-        self._pool = np.empty(d * int(max_cols), dtype=np.float64)
+        self._pool_size = d * int(max_cols)
+        self._pool = np.empty(0, dtype=np.float64)
         self._scratch = np.empty((d, d), dtype=np.float64)
         self.reuses = 0
 
-    def dense_block(self, rows: int, ncols: int, order: str = "C") -> np.ndarray:
-        """Borrow a contiguous ``(rows, ncols)`` float64 block.
+    def dense_block(self, rows: int, ncols: int) -> np.ndarray:
+        """Borrow a C-contiguous ``(rows, ncols)`` float64 block.
 
-        The block is a reshaped view of a flat pool (grown on demand), so
-        its memory layout matches a freshly allocated array of the given
-        ``order`` — this matters for bit-identical BLAS results: dense
-        fancy indexing ``X[:, cols]`` yields an F-ordered array, sparse
-        ``to_dense()`` a C-ordered one, and dgemm summation order follows
-        the layout.
+        The block is a reshaped view of a flat pool, laid out like the
+        freshly allocated ``to_dense()`` of a sparse column selection —
+        BLAS summation order follows the layout, so this keeps results
+        bit-identical. The pool is allocated at the first borrow (dense
+        data never borrows it) and grows only past ``max_cols`` columns.
         """
         rows, ncols = int(rows), int(ncols)
         need = rows * ncols
         if need > self._pool.size:
-            self._pool = np.empty(need, dtype=np.float64)
+            self._pool = np.empty(max(need, self._pool_size), dtype=np.float64)
         else:
             self.reuses += 1
-        flat = self._pool[:need]
-        if order == "F":
-            return flat.reshape(ncols, rows).T
-        return flat.reshape(rows, ncols)
+        return self._pool[:need].reshape(rows, ncols)
 
     def gram_scratch(self, d: int) -> np.ndarray:
-        """Borrow the ``(d, d)`` pre-symmetrization scratch."""
+        """Borrow the ``(d, d)`` scratch the Gram product is formed in."""
         if self._scratch.shape != (d, d):
             self._scratch = np.empty((d, d), dtype=np.float64)
         else:
@@ -96,12 +97,10 @@ def _select_columns_dense(
     if isinstance(X, np.ndarray):
         if X.ndim != 2:
             raise ShapeError(f"X must be 2-D, got shape {X.shape}")
-        if workspace is not None:
-            # F-ordered to match the layout (hence BLAS summation order)
-            # of the fancy-indexing path below.
-            block = workspace.dense_block(X.shape[0], len(cols), order="F")
-            np.take(X, cols, axis=1, out=block)
-            return block
+        # Fancy indexing copies only the selected columns, F-ordered; a
+        # pool block cannot take them without a second pass, and
+        # np.take(..., out=) would first copy a strided X (a rank's column
+        # slice) whole.
         return X[:, cols]
     if isinstance(X, CSRMatrix):
         X = X.to_csc()  # memoized on the CSR instance
@@ -109,6 +108,33 @@ def _select_columns_dense(
     if workspace is not None:
         return X.gather_columns_dense(cols, out=workspace.dense_block(X.shape[0], cols.size))
     return X.select_columns(cols).to_dense()
+
+
+def _sqrt_weights(weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``√c_S`` of the sampled columns, rejecting negative curvatures."""
+    c = np.asarray(weights, dtype=np.float64)[cols]
+    if np.any(c < 0):
+        raise ValidationError("sampled_gram weights must be non-negative")
+    return np.sqrt(c)
+
+
+def _gram_into(A: np.ndarray, s: float, out: np.ndarray, scratch: np.ndarray | None) -> None:
+    """``out = s·A Aᵀ``, exactly symmetric without a symmetrizing pass.
+
+    numpy hands ``A @ A.T`` to BLAS syrk, which computes one triangle and
+    mirrors it, so the raw product is exactly symmetric (pinned by
+    ``tests/test_sparse/test_symmetry.py`` for every layout the kernels
+    produce) and the scale is the only pass after the product. With a
+    ``scratch`` the product and its mirroring run in that cache-resident
+    buffer and ``out`` (a cold payload buffer) is written once, by the
+    scale.
+    """
+    if scratch is None:
+        np.matmul(A, A.T, out=out)
+        out *= s
+    else:
+        np.matmul(A, A.T, out=scratch)
+        np.multiply(scratch, s, out=out)
 
 
 def sampled_gram(
@@ -132,8 +158,8 @@ def sampled_gram(
         Override for the ``1/m̄`` normalization (``None`` → ``1/len(cols)``).
     workspace:
         Optional :class:`GramWorkspace`; when given, the dense column
-        block and the pre-symmetrization scratch are borrowed instead of
-        allocated. Results are bit-identical to the allocating path.
+        block and the product scratch are borrowed instead of allocated.
+        Results are bit-identical to the allocating path.
     out:
         Optional ``(d, d)`` float64 output buffer, written in place.
     weights:
@@ -151,33 +177,15 @@ def sampled_gram(
         raise ShapeError("sampled_gram requires at least one sampled column")
     A = _select_columns_dense(X, cols, workspace)
     if weights is not None:
-        c = np.asarray(weights, dtype=np.float64)[cols]
-        if np.any(c < 0):
-            raise ValidationError("sampled_gram weights must be non-negative")
         # The gather is a fresh copy or workspace scratch, never X itself.
-        A *= np.sqrt(c)
+        A *= _sqrt_weights(weights, cols)
     s = (1.0 / cols.size) if scale is None else float(scale)
-    if workspace is None:
-        H = A @ A.T
-        H *= s
-        # Enforce exact symmetry: A @ A.T is symmetric in exact arithmetic
-        # but BLAS may leave last-ulp asymmetry that breaks downstream
-        # invariants.
-        H = 0.5 * (H + H.T)
-        if out is None:
-            return H
-        np.copyto(out, H)
-        return out
     d = A.shape[0]
-    scratch = workspace.gram_scratch(d)
-    np.matmul(A, A.T, out=scratch)
-    scratch *= s
     if out is None:
         out = np.empty((d, d), dtype=np.float64)
     elif out.shape != (d, d) or out.dtype != np.float64:
         raise ShapeError(f"out must be float64 of shape {(d, d)}")
-    np.add(scratch, scratch.T, out=out)
-    out *= 0.5
+    _gram_into(A, s, out, workspace.gram_scratch(d) if workspace is not None else None)
     return out
 
 
@@ -203,8 +211,6 @@ def sampled_rhs(
     if y.ndim != 1 or A.shape[1] != cols.size:
         raise ShapeError("y must be 1-D and consistent with X")
     s = (1.0 / cols.size) if scale is None else float(scale)
-    if workspace is None and out is None:
-        return s * (A @ y[cols])
     d = A.shape[0]
     if out is None:
         out = np.empty(d, dtype=np.float64)
@@ -212,6 +218,76 @@ def sampled_rhs(
         raise ShapeError(f"out must be float64 of shape {(d,)}")
     np.matmul(A, y[cols], out=out)
     out *= s
+    return out
+
+
+def sampled_gram_blocks(
+    X: Matrix,
+    cols: np.ndarray,
+    offsets: Sequence[int],
+    *,
+    scale: float,
+    weights: np.ndarray | None = None,
+    response: np.ndarray | None = None,
+    rhs: bool = False,
+    workspace: GramWorkspace | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The sampled blocks of several column sets from one column gather.
+
+    ``cols`` holds the sets one after another, set ``j`` being
+    ``cols[offsets[j]:offsets[j + 1]]`` (an ``indptr``-style list of
+    ``k + 1`` offsets). Row ``j`` of the ``(k, stride)`` result holds the
+    flattened ``H_j = scale·X_{S_j} diag(c) X_{S_j}ᵀ`` (``stride = d²``)
+    followed, with ``rhs``, by ``R_j = scale·X_{S_j} r_{S_j}``
+    (``stride = d² + d``; ``response=None`` zero-fills it). An empty set's
+    block is zero.
+
+    All of ``cols`` is gathered into one ``(d, len(cols))`` block and each
+    block is computed on a column view of it: the ``R_j`` from the
+    unweighted columns, then, after one in-place ``√c`` scaling of the
+    whole block, the ``H_j``. Every block is bit-identical to
+    :func:`sampled_gram`/:func:`sampled_rhs` on its own set. ``out`` and
+    ``workspace`` work as in :func:`sampled_gram`; size the workspace for
+    ``len(cols)`` columns.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    offsets = [int(o) for o in offsets]
+    if not offsets or offsets[0] != 0 or offsets[-1] != cols.size or any(
+        lo > hi for lo, hi in zip(offsets, offsets[1:])
+    ):
+        raise ShapeError("offsets must rise from 0 to len(cols)")
+    k = len(offsets) - 1
+    d = X.shape[0]
+    stride = d * d + d if rhs else d * d
+    if out is None:
+        out = np.empty((k, stride), dtype=np.float64)
+    elif out.shape != (k, stride) or out.dtype != np.float64:
+        raise ShapeError(f"out must be float64 of shape {(k, stride)}")
+    if cols.size == 0:
+        out.fill(0.0)
+        return out
+    A = _select_columns_dense(X, cols, workspace)
+    spans = []  # (first column, end column, output row) of each non-empty set
+    for lo, hi, row in zip(offsets, offsets[1:], out):
+        if hi > lo:
+            spans.append((lo, hi, row))
+        else:
+            row.fill(0.0)
+    if rhs and response is not None:
+        r = np.asarray(response, dtype=np.float64)[cols]
+        for lo, hi, row in spans:
+            R_j = row[d * d :]
+            np.matmul(A[:, lo:hi], r[lo:hi], out=R_j)
+            R_j *= scale
+    elif rhs:
+        out[:, d * d :] = 0.0
+    if weights is not None:
+        # The gather is a fresh copy or workspace scratch, never X itself.
+        A *= _sqrt_weights(weights, cols)
+    scratch = workspace.gram_scratch(d) if workspace is not None else None
+    for lo, hi, row in spans:
+        _gram_into(A[:, lo:hi], scale, row[: d * d].reshape(d, d), scratch)
     return out
 
 

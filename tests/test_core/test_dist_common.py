@@ -52,8 +52,8 @@ class TestRankContributions:
         mbar = idx.size
         total = np.zeros((p.d, p.d))
         for rd in data.ranks:
-            H_p, _local, _fl = rd.sampled_hessian_contribution(idx, mbar, p.d)
-            total += H_p
+            blocks, _local, _fl = rd.sampled_hessian_contribution([idx], mbar, p.d)
+            total += blocks[0].reshape(p.d, p.d)
         expected = sampled_gram(p.X, np.sort(idx), scale=1.0 / mbar)
         np.testing.assert_allclose(total, expected, atol=1e-10)
 
@@ -64,7 +64,7 @@ class TestRankContributions:
         total = np.zeros(p.d)
         flops = 0.0
         for rd in data.ranks:
-            H_p, local, _ = rd.sampled_hessian_contribution(idx, idx.size, p.d)
+            _, local, _ = rd.sampled_hessian_contribution([idx], idx.size, p.d)
             R_p, fl = rd.sampled_rhs_contribution(local, idx.size, p.d)
             total += R_p
             flops += fl
@@ -95,8 +95,8 @@ class TestRankContributions:
         assert empty
         idx = np.array([0, 1, 2])
         for rd in empty:
-            H_p, local, fl = rd.sampled_hessian_contribution(idx, 3, p.d)
-            np.testing.assert_array_equal(H_p, 0.0)
+            blocks, local, fl = rd.sampled_hessian_contribution([idx], 3, p.d)
+            np.testing.assert_array_equal(blocks, 0.0)
             assert fl == 0.0
 
     def test_sparse_blocks_agree_with_dense(self, small_sparse_problem, rng):
@@ -105,8 +105,8 @@ class TestRankContributions:
         idx = rng.integers(0, p.m, size=25)
         total = np.zeros((p.d, p.d))
         for rd in data.ranks:
-            H_p, _l, _f = rd.sampled_hessian_contribution(idx, idx.size, p.d)
-            total += H_p
+            blocks, _l, _f = rd.sampled_hessian_contribution([idx], idx.size, p.d)
+            total += blocks[0].reshape(p.d, p.d)
         expected = sampled_gram(p.X, np.sort(idx), scale=1.0 / idx.size)
         np.testing.assert_allclose(total, expected, atol=1e-10)
 

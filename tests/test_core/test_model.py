@@ -437,10 +437,10 @@ def test_sampled_model_gradient_is_the_sampled_loss_gradient(seed, loss, sparse)
     full_grad = rng.standard_normal(d)
 
     def blocks(c, r):
-        H, local_idx, _ = rd.sampled_hessian_contribution(idx, mbar, d, weights=c)
-        if r is None:
-            return H, np.zeros(d)
-        return H, rd.sampled_rhs_contribution(local_idx, mbar, d, response=r)[0]
+        out, _, _ = rd.sampled_hessian_contribution(
+            [idx], mbar, d, weights=c, response=r, rhs=True
+        )
+        return out[0, : d * d].reshape(d, d), out[0, d * d :]
 
     def sampled_grad(point):
         z = dense[:, idx].T @ point

@@ -118,15 +118,16 @@ class TestWorkspaceBitIdentity:
         assert got is out
         assert np.array_equal(out, sampled_gram(dense, idx))
 
-    def test_pool_grows_mid_stream(self, dense):
+    def test_pool_grows_mid_stream(self, csc):
+        # Sparse gathers densify into the pool (dense gathers never borrow it).
         rng = np.random.default_rng(2)
-        workspace = GramWorkspace(dense.shape[0], 8)
+        workspace = GramWorkspace(csc.shape[0], 8)
         small = rng.integers(0, 400, size=8)
         large = rng.integers(0, 400, size=64)  # exceeds the initial pool
         for draws in (small, large, small):
             assert np.array_equal(
-                sampled_gram(dense, draws, workspace=workspace),
-                sampled_gram(dense, draws),
+                sampled_gram(csc, draws, workspace=workspace),
+                sampled_gram(csc, draws),
             )
 
     def test_workspace_validates_dimension(self):
