@@ -30,13 +30,9 @@ import numpy as np
 
 from repro.core.fista import fista, ista
 from repro.core.cd import coordinate_descent_lasso
-from repro.core.model import (
-    LOSSES,
-    ERMObjective,
-    canonical_penalty_spec,
-    make_loss,
-)
-from repro.core.objectives import L1LeastSquares
+from repro.core.model import LOSSES, ERMObjective, canonical_penalty_spec
+from repro.core.objectives import build_objective
+from repro.core.path import lambda_max
 from repro.core.proxcocoa import proxcocoa
 from repro.core.rc_sfista import rc_sfista
 from repro.core.rc_sfista_dist import rc_sfista_distributed
@@ -77,39 +73,22 @@ DIST_SOLVERS = ("sfista_dist", "rc_sfista_dist", "rc_sfista_spmd", "proxcocoa")
 #: Solvers that accept a :class:`repro.runtime.RuntimeConfig` — and with it
 #: the fault/resilience/telemetry flags below.
 RUNTIME_SOLVERS = ("sfista_dist", "rc_sfista_dist", "rc_sfista_spmd")
-#: Solvers that accept an arbitrary (loss, penalty) objective; the rest
-#: are l1-least-squares specific (cd, proxcocoa, the serial s-fista pair).
-GENERAL_OBJECTIVE_SOLVERS = ("fista", "ista") + RUNTIME_SOLVERS
 
 
 def _load_problem(args: argparse.Namespace) -> ERMObjective:
-    if args.libsvm:
-        X, y = load_libsvm(args.libsvm)
-        lam = args.lam
-        if lam is None:
-            grad0 = (X.matvec(y) if not isinstance(X, np.ndarray) else X @ y) / X.shape[1]
-            lam = 0.1 * float(np.max(np.abs(grad0)))
-        base = L1LeastSquares(X, y, lam)
-    else:
-        ds = get_dataset(args.dataset, size=args.size)
-        base = ds.problem(lam=args.lam)
     try:
         penalty = canonical_penalty_spec(args.penalty)
     except Exception as exc:
         raise SystemExit(f"--penalty: {exc}")
-    if args.loss == "squared" and penalty == "l1":
-        return base
-    if args.solver not in GENERAL_OBJECTIVE_SOLVERS:
-        raise SystemExit(
-            "--loss/--penalty need an objective-generic solver "
-            f"(--solver {' | '.join(GENERAL_OBJECTIVE_SOLVERS)})"
-        )
-    model_loss = make_loss(args.loss)
-    y = base.y
-    if model_loss.classification:
-        # Regression targets become ±1 labels by sign (ties go to +1).
-        y = np.where(np.asarray(y) >= 0, 1.0, -1.0)
-    return ERMObjective(base.X, y, loss=model_loss, penalty=penalty, lam=base.lam)
+    if args.libsvm:
+        X, y = load_libsvm(args.libsvm)
+        lam = args.lam
+        if lam is None:
+            lam = 0.1 * lambda_max(build_objective(X, y, 1.0))
+    else:
+        base = get_dataset(args.dataset, size=args.size).problem(lam=args.lam)
+        X, y, lam = base.X, base.y, base.lam
+    return build_objective(X, y, lam, loss=args.loss, penalty=penalty)
 
 
 def _build_fault_plan(args: argparse.Namespace) -> FaultPlan | None:

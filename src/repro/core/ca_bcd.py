@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cd import coordinate_descent_quadratic
-from repro.core.objectives import L1LeastSquares
+from repro.core.objectives import L1LeastSquares, require_squared_l1
 from repro.core.results import History, SolveResult
 from repro.core.stopping import StoppingCriterion
 from repro.distsim.collectives import ceil_log2
@@ -73,6 +73,7 @@ def ca_bcd(
     ``meta['latency_per_round']`` fields carry the communication accounting
     used by the bandwidth-growth ablation.
     """
+    require_squared_l1(problem, "ca_bcd")
     if block_size < 1 or s_step < 1 or n_rounds < 1 or inner_epochs < 1:
         raise ValidationError("block_size, s_step, n_rounds, inner_epochs must be >= 1")
     if block_size * s_step > problem.d:
@@ -86,7 +87,7 @@ def ca_bcd(
     d, m, lam = problem.d, problem.m, problem.lam
 
     w = np.zeros(d)
-    r = problem.residual(w)  # Xᵀw − y, maintained incrementally
+    r = problem.predictions(w) - problem.y  # Xᵀw − y, maintained incrementally
     history = History()
     prev_obj: float | None = None
     converged = False

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.objectives import L1LeastSquares
+from repro.core.objectives import L1LeastSquares, require_squared_l1
 from repro.core.proximal import soft_threshold
 from repro.core.results import History, SolveResult
 from repro.core.stopping import StoppingCriterion
@@ -63,6 +63,7 @@ def coordinate_descent_lasso(
     random permutation per epoch when ``shuffle=True``). ``monitor_every``
     is in epochs.
     """
+    require_squared_l1(problem, "coordinate_descent_lasso")
     if max_epochs < 1:
         raise ValidationError(f"max_epochs must be >= 1, got {max_epochs}")
     if monitor_every < 1:
@@ -84,7 +85,7 @@ def coordinate_descent_lasso(
         _, vals = _row(Xrows, j)
         curv[j] = float(vals @ vals) / m
 
-    r = problem.residual(w)  # r = Xᵀw − y, maintained incrementally
+    r = problem.predictions(w) - problem.y  # r = Xᵀw − y, maintained incrementally
     history = History()
     prev_obj: float | None = None
     converged = False

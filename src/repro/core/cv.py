@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.objectives import L1LeastSquares, _matvec_xt
+from repro.core.model import _matvec_xt
+from repro.core.objectives import L1LeastSquares
 from repro.core.path import lambda_max, lasso_path
 from repro.exceptions import ValidationError
 from repro.sparse.csr import CSRMatrix

@@ -17,11 +17,10 @@ This module is the one place that knows what ``ℓ`` and ``g`` can be:
   :class:`~repro.core.proximal.ProximalOperator` hierarchy (``l1``,
   ``elastic_net``, ``group_l1``) so configs, specs, and fingerprints can
   refer to it canonically.
-* :class:`ERMObjective` — the generic data-backed composite objective
-  built from any (loss, penalty) pair. ``L1LeastSquares`` is its
-  specialized subclass (its numerics are unchanged — bit-for-bit) and
-  ``L1Logistic`` a named instance; arbitrary combinations instantiate
-  the base class directly.
+* :class:`ERMObjective` — the data-backed composite objective built
+  from any (loss, penalty) pair. ``L1LeastSquares`` (the paper's
+  problem) and ``L1Logistic`` are its named (squared, l1) and
+  (logistic, l1) instances; every other pair instantiates the base class.
 * :func:`resolve_objective` — the bridge the runtime solvers use: given a
   problem plus the ``RuntimeConfig(loss=..., penalty=...)`` overrides it
   returns the objective to run and the loss/penalty pair.
@@ -160,6 +159,10 @@ class SmoothLoss(ABC):
     def curvature(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-sample second derivatives ``∂²ℓ/∂z²`` (a.e. where kinked)."""
 
+    def total(self, z: np.ndarray, y: np.ndarray) -> float:
+        """``Σ_i ℓ(z_i, y_i)`` — the unnormalized smooth value."""
+        return float(np.sum(self.values(z, y)))
+
     def model(
         self, z: np.ndarray | None, y: np.ndarray
     ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -194,6 +197,11 @@ class SquaredLoss(SmoothLoss):
     def values(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         r = z - y
         return 0.5 * r * r
+
+    def total(self, z: np.ndarray, y: np.ndarray) -> float:
+        # ½‖r‖² as one dot product: the least-squares value's summation order.
+        r = z - y
+        return 0.5 * float(np.dot(r, r))
 
     def grad(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         return z - y
@@ -502,14 +510,14 @@ class ERMObjective:
     """General composite objective ``F(w) = (1/m) Σ ℓ(x_iᵀw, y_i) + g(w)``.
 
     ``X`` is features × samples (paper layout, one column per sample).
-    :class:`~repro.core.objectives.L1LeastSquares` subclasses this with its
-    historical specialized numerics; direct instances (and the named
-    :class:`~repro.core.logistic.L1Logistic`) cover every other
-    (loss, penalty) combination with generic implementations. All solvers
-    consume the same surface: ``value``/``smooth_value``/``reg_value``/
-    ``gradient``/``hessian_at``/``lipschitz``/``default_step`` plus the
-    step-size statistics ``max_sample_lipschitz`` and
-    ``sampled_hessian_deviation``.
+    Every (loss, penalty) pair runs the same code; the per-loss and
+    per-penalty rules live on :class:`SmoothLoss` and the penalty name.
+    :class:`~repro.core.objectives.L1LeastSquares` and
+    :class:`~repro.core.logistic.L1Logistic` only name two pairs. All
+    solvers consume the same surface: ``value``/``smooth_value``/
+    ``reg_value``/``gradient``/``hessian``/``hessian_at``/``rhs``/
+    ``lipschitz``/``default_step`` plus the step-size statistics
+    ``max_sample_lipschitz`` and ``sampled_hessian_deviation``.
     """
 
     loss: SmoothLoss
@@ -546,15 +554,6 @@ class ERMObjective:
         self._gram_lipschitz_cache: float | None = None
         self._gram_deviation_cache: dict[int, float] = {}
 
-    def _adopt_model(self, loss: SmoothLoss, penalty: Regularizer) -> None:
-        """Attach (loss, penalty) identity — used by ``L1LeastSquares``,
-        whose own ``__init__`` performs the historical validation and
-        therefore skips the base one."""
-        self.loss = loss
-        self.penalty = penalty
-        self._gram_lipschitz_cache = None
-        self._gram_deviation_cache = {}
-
     # -- values and derivatives ------------------------------------------ #
     def predictions(self, w: np.ndarray) -> np.ndarray:
         """Per-sample predictions ``z = Xᵀw``."""
@@ -562,7 +561,7 @@ class ERMObjective:
 
     def smooth_value(self, w: np.ndarray) -> float:
         z = self.predictions(w)
-        return float(np.sum(self.loss.values(z, self.y))) / self.m
+        return self.loss.total(z, self.y) / self.m
 
     def reg_value(self, w: np.ndarray) -> float:
         return self.penalty.value(np.asarray(w, dtype=np.float64))
@@ -587,15 +586,31 @@ class ERMObjective:
         """True when ``∇²f`` does not depend on ``w`` (squared loss)."""
         return self.loss.constant_curvature
 
-    @cached_property
-    def hessian(self) -> np.ndarray:
-        """The constant dense Hessian — constant-curvature losses only."""
+    def _require_constant_curvature(self) -> None:
         if not self.constant_curvature:
             raise ValidationError(
                 f"the {self.loss.name} loss has w-dependent curvature; "
                 "use hessian_at(w)"
             )
-        return self.hessian_at(np.zeros(self.d))
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        """The constant dense Hessian ``H = (1/m) X Xᵀ`` (Eq. 4; cached).
+
+        Constant-curvature losses only. ``D @ D.T`` on one buffer runs as a
+        symmetric rank-k update, which ``hessian_at``'s weighted product
+        does not, so the two differ in the last bits.
+        """
+        self._require_constant_curvature()
+        dense = self.X if isinstance(self.X, np.ndarray) else self.X.to_dense()
+        H = dense @ dense.T / self.m
+        return 0.5 * (H + H.T)
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        """``R = (1/m) X y`` so that ``∇f(w) = Hw − R`` (Eq. 5; cached)."""
+        self._require_constant_curvature()
+        return _matvec_x(self.X, self.y) / self.m
 
     # -- curvature constants ---------------------------------------------- #
     def gram_lipschitz(self, **kwargs: Any) -> float:
@@ -611,9 +626,10 @@ class ERMObjective:
         """Gradient Lipschitz bound: ``curvature_bound · λmax((1/m)XXᵀ)``."""
         return self.loss.curvature_bound * self.gram_lipschitz(**kwargs)
 
-    @property
+    @cached_property
     def max_sample_lipschitz(self) -> float:
-        """``curvature_bound · max_i ‖x_i‖²`` — worst sampled-Hessian norm."""
+        """``curvature_bound · max_i ‖x_i‖²`` — worst sampled-Hessian norm
+        (``λmax(H_S)`` of any sample set; the stochastic step-size rule)."""
         if isinstance(self.X, np.ndarray):
             norms = np.einsum("ij,ij->j", self.X, self.X)
         else:
@@ -643,15 +659,26 @@ class ERMObjective:
 
     # -- optimality and reporting ----------------------------------------- #
     def optimality_residual(self, w: np.ndarray) -> float:
-        """∞-norm of the prox-gradient mapping ``(w − prox_γ(w − γ∇f))/γ``.
+        """A residual that is zero iff ``w`` minimizes ``F`` (∞-norm).
 
-        Zero iff ``w`` minimizes ``F``; valid for every penalty (the
-        l1 subclasses override this with the sharper subgradient form).
+        For the l1 penalty it is the distance of ``−∇f(w)`` from ``∂g(w)``:
+        on the support ``∇f_j = −λ·sign(w_j)``, off it ``|∇f_j| ≤ λ``. Every
+        other penalty uses the prox-gradient mapping
+        ``(w − prox_γ(w − γ∇f))/γ`` at ``γ = 1/L``, which is never larger
+        than the subgradient distance, so l1 keeps the stricter form.
         """
         w = np.asarray(w, dtype=np.float64)
-        gamma = self.default_step()
-        step = self.penalty.prox(w - gamma * self.gradient(w), gamma)
-        res = np.abs(w - step) / gamma
+        grad = self.gradient(w)
+        if self.penalty.name == "l1":
+            lam = self.penalty.lam
+            res = np.where(
+                w != 0.0,
+                np.abs(grad + lam * np.sign(w)),
+                np.maximum(np.abs(grad) - lam, 0.0),
+            )
+        else:
+            gamma = self.default_step()
+            res = np.abs(w - self.penalty.prox(w - gamma * grad, gamma)) / gamma
         return float(np.max(res)) if res.size else 0.0
 
     def accuracy(self, w: np.ndarray) -> float:
@@ -698,10 +725,8 @@ def resolve_objective(
     at the same λ) resolves to the problem itself; any other pair to a
     fresh :class:`ERMObjective` over the problem's data.
     """
-    base_loss: SmoothLoss = getattr(problem, "loss", None) or SquaredLoss()
-    base_penalty: Regularizer | None = getattr(problem, "penalty", None)
-    if base_penalty is None:
-        base_penalty = make_penalty("l1", lam=problem.lam, d=problem.d)
+    base_loss: SmoothLoss = problem.loss
+    base_penalty: Regularizer = problem.penalty
     resolved_loss = make_loss(loss) if loss is not None else base_loss
     if resolved_loss.name == base_loss.name:
         resolved_loss = base_loss

@@ -1,7 +1,8 @@
-"""Objective functions for the l1-regularized least squares problem.
+"""The paper's problem and the PN subproblem model.
 
 The paper's problem (Eq. 3), in its data layout (``X`` is features ×
-samples, one *column* per data point):
+samples, one *column* per data point), is the (squared, l1) instance of
+the ERM objective of Eq. 1:
 
 .. math::
 
@@ -11,6 +12,8 @@ samples, one *column* per data point):
     \\nabla f(w) = \\frac{1}{m}(X X^T w - X y) = Hw - R,
 
 with Hessian ``H = (1/m) X Xᵀ`` and ``R = (1/m) X y`` (Eqs. 4–5).
+:class:`L1LeastSquares` names that instance; all of its numerics are
+:class:`~repro.core.model.ERMObjective`'s.
 
 :class:`QuadraticModel` is the PN subproblem smooth part (Eq. 19):
 ``Φ(u) = ½ uᵀHu − Rᵀu (+ const)`` whose gradient has the *same form*
@@ -20,33 +23,16 @@ solver unchanged.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from repro.core.model import (
-    ERMObjective,
-    SquaredLoss,
-    _matvec_x,
-    _matvec_xt,
-    make_penalty,
-)
+from repro.core.model import ERMObjective, Matrix, make_loss, resolve_objective
 from repro.exceptions import ShapeError, ValidationError
-from repro.sparse.csr import CSCMatrix, CSRMatrix
-from repro.utils.rng import RandomState, as_generator
-from repro.utils.validation import check_positive, check_vector
 
-__all__ = ["L1LeastSquares", "QuadraticModel"]
-
-Matrix = np.ndarray | CSRMatrix | CSCMatrix
-
-
-def _shape_of(X: Matrix) -> tuple[int, int]:
-    return X.shape
+__all__ = ["L1LeastSquares", "QuadraticModel", "build_objective", "require_squared_l1"]
 
 
 class L1LeastSquares(ERMObjective):
-    """The l1-regularized least squares problem instance.
+    """The l1-regularized least squares problem: ``ERMObjective(squared, l1)``.
 
     Parameters
     ----------
@@ -60,185 +46,38 @@ class L1LeastSquares(ERMObjective):
     """
 
     def __init__(self, X: Matrix, y: np.ndarray, lam: float) -> None:
-        d, m = _shape_of(X)
-        if m == 0 or d == 0:
-            raise ValidationError(f"X must be non-empty, got shape {(d, m)}")
-        y = check_vector(y, "y")
-        if y.shape != (m,):
-            raise ShapeError(f"y must have shape ({m},) to match X {(d, m)}, got {y.shape}")
-        self.X = X
-        self.y = y
-        self.lam = check_positive(lam, "lambda", strict=False)
-        self.d = d
-        self.m = m
-        self._deviation_cache: dict[int, float] = {}
-        self._lipschitz_cache: float | None = None
-        # The model-layer identity: squared loss + plain l1 at λ. All the
-        # numerics below predate (and override) the generic ERMObjective
-        # implementations — bit-for-bit unchanged.
-        self._adopt_model(SquaredLoss(), make_penalty("l1", lam=self.lam))
+        super().__init__(X, y, loss="squared", penalty="l1", lam=lam)
 
-    # ------------------------------------------------------------------ #
-    # values and derivatives
-    # ------------------------------------------------------------------ #
-    def residual(self, w: np.ndarray) -> np.ndarray:
-        """Per-sample residual ``Xᵀw − y``."""
-        return _matvec_xt(self.X, np.asarray(w, dtype=np.float64)) - self.y
+    # Bound in the class body, not inherited, so per-class tooling (the
+    # out-of-band tracer's ``core.monitor`` span) can find and wrap the
+    # objective evaluation of the paper's problem alone.
+    value = ERMObjective.value
 
-    def smooth_value(self, w: np.ndarray) -> float:
-        """``f(w) = (1/2m)‖Xᵀw − y‖²``."""
-        r = self.residual(w)
-        return 0.5 * float(np.dot(r, r)) / self.m
 
-    def reg_value(self, w: np.ndarray) -> float:
-        """``g(w) = λ‖w‖₁``."""
-        return self.lam * float(np.sum(np.abs(w)))
+def build_objective(
+    X: Matrix, y: np.ndarray, lam: float, *, loss: str = "squared", penalty: str = "l1"
+) -> ERMObjective:
+    """The objective a (loss, penalty) spec names over regression data.
 
-    def value(self, w: np.ndarray) -> float:
-        """``F(w) = f(w) + g(w)``."""
-        return self.smooth_value(w) + self.reg_value(w)
+    The paper's problem at ``lam`` resolved against the spec, so the
+    default pair is the :class:`L1LeastSquares` itself and any other pair
+    an :class:`ERMObjective` view over the same ``X``. Classification
+    losses see the targets relabelled by sign (ties go to +1), so one
+    dataset or synthetic spec serves every loss.
+    """
+    if make_loss(loss).classification:
+        y = np.where(np.asarray(y) >= 0, 1.0, -1.0)
+    return resolve_objective(L1LeastSquares(X, y, lam), loss=loss, penalty=penalty).objective
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        """Full gradient ``∇f(w) = (1/m) X (Xᵀw − y)``."""
-        return _matvec_x(self.X, self.residual(w)) / self.m
 
-    @cached_property
-    def hessian(self) -> np.ndarray:
-        """Dense Hessian ``H = (1/m) X Xᵀ`` (cached; O(d²) storage)."""
-        if isinstance(self.X, np.ndarray):
-            dense = self.X
-        else:
-            dense = self.X.to_dense()
-        H = dense @ dense.T / self.m
-        return 0.5 * (H + H.T)
-
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        """``R = (1/m) X y`` so that ``∇f(w) = Hw − R`` (Eq. 5)."""
-        return _matvec_x(self.X, self.y) / self.m
-
-    # ------------------------------------------------------------------ #
-    # curvature
-    # ------------------------------------------------------------------ #
-    def lipschitz(self, *, n_iter: int = 100, tol: float = 1e-9, rng: RandomState = 0) -> float:
-        """Largest Hessian eigenvalue via power iteration on ``(1/m)XXᵀ``.
-
-        The FISTA step size is ``γ = 1/L`` with this constant. A small
-        safety margin is *not* applied; callers are expected to use
-        ``1/L`` (the classical FISTA requirement γ ≤ 1/L). The
-        default-argument result is memoized.
-        """
-        defaults = n_iter == 100 and tol == 1e-9 and rng == 0
-        if defaults and self._lipschitz_cache is not None:
-            return self._lipschitz_cache
-        gen = as_generator(rng)
-        u = gen.standard_normal(self.d)
-        norm = np.linalg.norm(u)
-        if norm == 0:  # pragma: no cover - probability zero
-            u = np.ones(self.d)
-            norm = np.sqrt(self.d)
-        u /= norm
-        lam_prev = 0.0
-        for _ in range(n_iter):
-            hu = _matvec_x(self.X, _matvec_xt(self.X, u)) / self.m
-            lam = float(np.dot(u, hu))
-            norm = np.linalg.norm(hu)
-            if norm == 0:
-                return 0.0
-            u = hu / norm
-            if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-                lam_prev = lam
-                break
-            lam_prev = lam
-        result = abs(lam_prev)
-        if defaults:
-            self._lipschitz_cache = result
-        return result
-
-    def sampled_hessian_deviation(
-        self,
-        mbar: int,
-        *,
-        trials: int = 3,
-        power_iters: int = 30,
-        rng: RandomState = 0,
-    ) -> float:
-        """Estimate ``max ‖H_S − H‖₂`` over random size-``m̄`` sample sets.
-
-        The sampling noise each SFISTA step injects is
-        ``γ (H_S − H)(v − ŵ)``; with FISTA momentum the per-step deviation
-        gain is ``≈ (1 + μ) γ ‖H_S − H‖``, so the step must be bounded by
-        the *deviation* norm, not just the Hessian norm. Uses power
-        iteration on the (symmetric) difference operator; results are
-        memoized per ``m̄``.
-        """
-        if not (0 < mbar <= self.m):
-            raise ValidationError(f"mbar must lie in (0, {self.m}], got {mbar}")
-        cached = self._deviation_cache.get(mbar)
-        if cached is not None:
-            return cached
-        gen = as_generator(rng)
-        worst = 0.0
-        for _ in range(trials):
-            idx = gen.integers(0, self.m, size=mbar, dtype=np.int64)
-            if isinstance(self.X, np.ndarray):
-                A = self.X[:, idx]
-            else:
-                csc = self.X.to_csc() if isinstance(self.X, CSRMatrix) else self.X
-                A = csc.select_columns(idx).to_dense()
-            u = gen.standard_normal(self.d)
-            u /= np.linalg.norm(u)
-            lam = 0.0
-            for _it in range(power_iters):
-                du = A @ (A.T @ u) / mbar - _matvec_x(self.X, _matvec_xt(self.X, u)) / self.m
-                norm = np.linalg.norm(du)
-                if norm == 0:
-                    lam = 0.0
-                    break
-                lam = norm  # |rayleigh| of the symmetric difference operator
-                u = du / norm
-            worst = max(worst, lam)
-        self._deviation_cache[mbar] = worst
-        return worst
-
-    @cached_property
-    def max_sample_lipschitz(self) -> float:
-        """``L_max = max_i ‖x_i‖²`` — the largest per-sample gradient Lipschitz
-        constant. Controls the worst-case operator norm of a sampled Hessian
-        (``λmax(H_S) ≤ L_max``); used by the stochastic step-size rule.
-        """
-        if isinstance(self.X, np.ndarray):
-            norms = np.einsum("ij,ij->j", self.X, self.X)
-        else:
-            csc = self.X.to_csc() if isinstance(self.X, CSRMatrix) else self.X
-            norms = csc.col_norms_sq()
-        return float(norms.max()) if norms.size else 0.0
-
-    def default_step(self, **kwargs: object) -> float:
-        """Convenience ``γ = 1/L`` (``inf``-guarded for the zero matrix)."""
-        L = self.lipschitz(**kwargs)  # type: ignore[arg-type]
-        if L <= 0:
-            raise ValidationError("cannot derive a step size: the data matrix is zero")
-        return 1.0 / L
-
-    # ------------------------------------------------------------------ #
-    # optimality
-    # ------------------------------------------------------------------ #
-    def optimality_residual(self, w: np.ndarray) -> float:
-        """Distance of ``−∇f(w)`` from ``∂g(w)`` in the ∞-norm.
-
-        Zero iff ``w`` is optimal: on the support ``∇f_j = −λ·sign(w_j)``,
-        off the support ``|∇f_j| ≤ λ``. Used to certify the reference
-        solution.
-        """
-        w = np.asarray(w, dtype=np.float64)
-        grad = self.gradient(w)
-        res = np.where(
-            w != 0.0,
-            np.abs(grad + self.lam * np.sign(w)),
-            np.maximum(np.abs(grad) - self.lam, 0.0),
+def require_squared_l1(problem: ERMObjective, solver: str) -> None:
+    """Entry check of the solvers written for the paper's problem only."""
+    pair = (problem.loss.name, problem.penalty.spec)
+    if pair != ("squared", "l1"):
+        raise ValidationError(
+            f"{solver} solves only the (squared, l1) objective, got "
+            f"({pair[0]}, {pair[1]}); use an objective-generic solver"
         )
-        return float(np.max(res)) if res.size else 0.0
 
 
 class QuadraticModel:

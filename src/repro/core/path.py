@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from repro.core.fista import fista
-from repro.core.objectives import L1LeastSquares, _matvec_x
+from repro.core.model import _matvec_x
+from repro.core.objectives import L1LeastSquares
 from repro.core.results import SolveResult
 from repro.core.warmstart import WarmStartLadder
 from repro.exceptions import ValidationError

@@ -96,7 +96,7 @@ def proximal_newton(
     stopping = stopping or StoppingCriterion()
     # Inherit the problem's own (loss, penalty). The exact-CD inner solver
     # minimizes the l1 model in closed form and supports no other penalty.
-    penalty = resolve_objective(problem).penalty
+    penalty = problem.penalty
     if inner == "cd" and penalty.name != "l1":
         raise ValidationError(
             "inner='cd' supports only the plain l1 penalty; use "
@@ -117,15 +117,12 @@ def proximal_newton(
     prev_obj: float | None = None
     converged = False
     outer_done = 0
-    # Constant-curvature problems (squared loss) keep the historical
-    # cached-Hessian / data-only sampled branches; only w-dependent
-    # curvature (e.g. logistic) routes through hessian_at.
-    has_pointwise_hessian = hasattr(problem, "hessian_at") and not getattr(
-        problem, "constant_curvature", False
-    )
+    # Constant-curvature problems (squared loss) use the cached Hessian or
+    # the data-only sampled Gram; w-dependent curvature (e.g. logistic)
+    # routes through hessian_at.
     for n in range(1, n_outer + 1):
         grad = problem.gradient(w)
-        if has_pointwise_hessian:
+        if not problem.constant_curvature:
             # General ERM objectives (e.g. logistic) expose curvature at the
             # current iterate — Alg. 1 line 3 in its general form.
             H = problem.hessian_at(w)

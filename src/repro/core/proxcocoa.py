@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cd import _feature_rows, _row
-from repro.core.objectives import L1LeastSquares
+from repro.core.objectives import L1LeastSquares, require_squared_l1
 from repro.core.proximal import soft_threshold
 from repro.core.results import History, SolveResult
 from repro.core.stopping import StoppingCriterion
@@ -76,6 +76,7 @@ def proxcocoa(
     aggregation:
         γ of the CoCoA update ``v ← v + γ Σ_p A_p Δ_p``; 1.0 for adding.
     """
+    require_squared_l1(problem, "proxcocoa")
     if nranks < 1:
         raise ValidationError(f"nranks must be >= 1, got {nranks}")
     if n_rounds < 1 or local_epochs < 1:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fista import momentum_mu, t_next
-from repro.core.objectives import L1LeastSquares
+from repro.core.objectives import L1LeastSquares, require_squared_l1
 from repro.core.proximal import L1Prox, ProximalOperator
 from repro.core.results import History, SolveResult
 from repro.core.sfista import (
@@ -92,6 +92,7 @@ def rc_sfista(
     norm-weighted samples and reweights the Hessian blocks (see
     :func:`repro.core.sfista.importance_probabilities`).
     """
+    require_squared_l1(problem, "rc_sfista")
     estimator = GradientEstimator(estimator)
     if k < 1 or S < 1:
         raise ValidationError(f"k and S must be >= 1, got k={k}, S={S}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fista import momentum_mu, t_next
-from repro.core.objectives import L1LeastSquares
+from repro.core.objectives import L1LeastSquares, require_squared_l1
 from repro.core.proximal import L1Prox, ProximalOperator
 from repro.core.results import History, SolveResult
 from repro.core.stopping import StoppingCriterion
@@ -242,6 +242,7 @@ def sfista(
         estimator unbiased while cutting its variance on data with
         heterogeneous sample norms. An extension beyond the paper.
     """
+    require_squared_l1(problem, "sfista")
     estimator = GradientEstimator(estimator)
     if epochs < 1 or iters_per_epoch < 1:
         raise ValidationError("epochs and iters_per_epoch must be >= 1")

@@ -214,11 +214,6 @@ class ResilientLoop:
         self._ck_comm = self._comm_snapshot()
         self.stats.checkpoints += 1
 
-    def seed_checkpoint(self, ck: Checkpoint) -> None:
-        """Install the free initial checkpoint (no traffic charged)."""
-        self._ck = ck
-        self._ck_comm = self._comm_snapshot()
-
     def run(
         self,
         body: Callable[[], Any],

@@ -33,8 +33,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.model import ERMObjective, make_loss
-from repro.core.objectives import L1LeastSquares
+from repro.core.model import ERMObjective
+from repro.core.objectives import build_objective
 from repro.core.path import lambda_max
 from repro.core.warmstart import WarmStartLadder
 from repro.data.datasets import get_dataset
@@ -82,8 +82,6 @@ class CacheEntry:
             base = self.problem
             if lam == base.lam:
                 prob = base
-            elif type(base) is L1LeastSquares:
-                prob = L1LeastSquares(base.X, base.y, lam)
             else:
                 prob = ERMObjective(
                     base.X,
@@ -97,14 +95,8 @@ class CacheEntry:
 
 
 def _build_problem(spec: Mapping[str, Any]) -> ERMObjective:
-    loss = spec.get("loss", "squared")
-    penalty = spec.get("penalty", "l1")
-    legacy = loss == "squared" and penalty == "l1"
     if "dataset" in spec:
-        ds = get_dataset(spec["dataset"], size=spec["size"])
-        base = ds.problem()
-        if legacy:
-            return base
+        base = get_dataset(spec["dataset"], size=spec["size"]).problem()
         X, y, lam = base.X, base.y, base.lam
     else:
         params = spec["synthetic"]
@@ -116,17 +108,12 @@ def _build_problem(spec: Mapping[str, Any]) -> ERMObjective:
             noise=params["noise"],
             rng=params["seed"],
         )
-        lam = 0.1 * lambda_max(L1LeastSquares(X, y, 1.0))
+        lam = 0.1 * lambda_max(build_objective(X, y, 1.0))
         if lam <= 0:
             raise ValidationError("synthetic problem has zero lambda_max")
-        if legacy:
-            return L1LeastSquares(X, y, lam)
-    model_loss = make_loss(loss)
-    if model_loss.classification:
-        # Regression targets become ±1 labels by sign (ties go to +1) so
-        # the same dataset/synthetic specs serve classification losses.
-        y = np.where(np.asarray(y) >= 0, 1.0, -1.0)
-    return ERMObjective(X, y, loss=model_loss, penalty=penalty, lam=lam)
+    return build_objective(
+        X, y, lam, loss=spec.get("loss", "squared"), penalty=spec.get("penalty", "l1")
+    )
 
 
 class SolveCache:

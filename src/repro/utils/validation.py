@@ -6,7 +6,7 @@ solver loops call them once at entry, never per iteration.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -110,9 +110,3 @@ def check_in_range(
 def check_probability(value: float, name: str = "probability") -> float:
     """Validate a sampling rate in ``(0, 1]`` (the paper's ``b``)."""
     return check_in_range(value, name, 0.0, 1.0, low_inclusive=False)
-
-
-def check_same_length(name_a: str, a: Sequence, name_b: str, b: Sequence) -> None:
-    """Raise unless two sequences have equal length."""
-    if len(a) != len(b):
-        raise ShapeError(f"{name_a} (len {len(a)}) and {name_b} (len {len(b)}) must have equal length")

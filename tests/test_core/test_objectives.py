@@ -88,7 +88,7 @@ class TestCurvature:
 
     def test_lipschitz_cached(self, small):
         assert small.lipschitz() is not None
-        assert small._lipschitz_cache is not None
+        assert small._gram_lipschitz_cache is not None
 
     def test_default_step(self, small):
         assert small.default_step() == pytest.approx(1.0 / small.lipschitz())
@@ -150,3 +150,145 @@ class TestQuadraticModel:
             QuadraticModel(np.ones((2, 3)), np.ones(2))
         with pytest.raises(ShapeError):
             QuadraticModel(np.eye(2), np.ones(3))
+
+
+# --------------------------------------------------------------------- #
+# squared+l1 pin: the paper's problem keeps its original arithmetic
+# --------------------------------------------------------------------- #
+def _xt(X, w):
+    return X.T @ w if isinstance(X, np.ndarray) else X.rmatvec(w)
+
+
+def _x(X, r):
+    return X @ r if isinstance(X, np.ndarray) else X.matvec(r)
+
+
+def _csc(X):
+    return X.to_csc() if isinstance(X, CSRMatrix) else X
+
+
+def _seed_lipschitz(X, m):
+    gen = np.random.default_rng(0)
+    u = gen.standard_normal(X.shape[0])
+    u /= np.linalg.norm(u)
+    lam_prev = 0.0
+    for _ in range(100):
+        hu = _x(X, _xt(X, u)) / m
+        lam = float(np.dot(u, hu))
+        u = hu / np.linalg.norm(hu)
+        if abs(lam - lam_prev) <= 1e-9 * max(1.0, abs(lam)):
+            lam_prev = lam
+            break
+        lam_prev = lam
+    return abs(lam_prev)
+
+
+def _seed_deviation(X, m, mbar):
+    gen = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(3):
+        idx = gen.integers(0, m, size=mbar, dtype=np.int64)
+        if isinstance(X, np.ndarray):
+            A = X[:, idx]
+        else:
+            A = _csc(X).select_columns(idx).to_dense()
+        u = gen.standard_normal(X.shape[0])
+        u /= np.linalg.norm(u)
+        lam = 0.0
+        for _it in range(30):
+            du = A @ (A.T @ u) / mbar - _x(X, _xt(X, u)) / m
+            lam = np.linalg.norm(du)
+            u = du / lam
+        worst = max(worst, lam)
+    return worst
+
+
+def _seed_subgradient_residual(grad, w, lam):
+    res = np.where(
+        w != 0.0,
+        np.abs(grad + lam * np.sign(w)),
+        np.maximum(np.abs(grad) - lam, 0.0),
+    )
+    return float(np.max(res))
+
+
+class TestSquaredL1Pin:
+    """``L1LeastSquares`` is ``ERMObjective(squared, l1)``, and every number
+    it produces equals, bit for bit, the least-squares formulas the
+    reproduction's golden traces were recorded with."""
+
+    @pytest.fixture(params=["dense", "csr", "csc"])
+    def problem(self, request):
+        gen = np.random.default_rng(7)
+        D = gen.standard_normal((9, 101)) * (gen.random((9, 101)) < 0.4)
+        y = gen.standard_normal(101)
+        X = {"dense": D, "csr": CSRMatrix.from_dense(D), "csc": CSCMatrix.from_dense(D)}
+        return L1LeastSquares(X[request.param], y, 0.05)
+
+    def test_numerics_match_seed_formulas(self, problem):
+        X, y, m, lam = problem.X, problem.y, problem.m, problem.lam
+        # Several points: a summation-order change shows on only some.
+        for w in np.random.default_rng(1).standard_normal((8, problem.d)):
+            w[::3] = 0.0
+            r = _xt(X, w) - y
+            smooth = 0.5 * float(np.dot(r, r)) / m
+            assert problem.smooth_value(w) == smooth
+            assert problem.value(w) == smooth + lam * float(np.sum(np.abs(w)))
+            grad = _x(X, r) / m
+            assert np.array_equal(problem.gradient(w), grad)
+            assert problem.optimality_residual(w) == _seed_subgradient_residual(grad, w, lam)
+        D = X if isinstance(X, np.ndarray) else X.to_dense()
+        H = D @ D.T / m
+        assert np.array_equal(problem.hessian, 0.5 * (H + H.T))
+        assert np.array_equal(problem.rhs, _x(X, y) / m)
+        assert problem.lipschitz() == _seed_lipschitz(X, m)
+        norms = np.einsum("ij,ij->j", D, D) if isinstance(X, np.ndarray) else _csc(X).col_norms_sq()
+        assert problem.max_sample_lipschitz == float(norms.max())
+        assert problem.sampled_hessian_deviation(12) == _seed_deviation(X, m, 12)
+
+    def test_residual_is_the_subgradient_form(self):
+        # f(w) = ¼‖w‖², so ∇f = w/2 and γ = 1/L ≈ 2. At w = (0.01, 0.01)
+        # the subgradient distance is 0.005 + λ while the prox-gradient
+        # step lands on 0 and reads only w/γ ≈ 0.005.
+        problem = L1LeastSquares(np.eye(2), np.zeros(2), 0.1)
+        w = np.array([0.01, 0.01])
+        grad = problem.gradient(w)
+        gamma = problem.default_step()
+        prox_form = float(np.max(np.abs(w - problem.penalty.prox(w - gamma * grad, gamma)) / gamma))
+        subgradient = _seed_subgradient_residual(grad, w, 0.1)
+        assert subgradient == pytest.approx(0.105)
+        assert prox_form == pytest.approx(0.005)
+        assert problem.optimality_residual(w) == subgradient
+
+
+def _squared_l1_only_solvers():
+    from repro.core.ca_bcd import ca_bcd
+    from repro.core.cd import coordinate_descent_lasso
+    from repro.core.proxcocoa import proxcocoa
+    from repro.core.rc_sfista import rc_sfista
+    from repro.core.sfista import sfista
+
+    return {
+        "sfista": lambda p: sfista(p, epochs=1, iters_per_epoch=2),
+        "rc_sfista": lambda p: rc_sfista(p, epochs=1, iters_per_epoch=2),
+        "proxcocoa": lambda p: proxcocoa(p, 2, n_rounds=1),
+        "coordinate_descent_lasso": lambda p: coordinate_descent_lasso(p, max_epochs=1),
+        "ca_bcd": lambda p: ca_bcd(p, block_size=2, n_rounds=1),
+    }
+
+
+@pytest.mark.parametrize("objective", ["logistic+l1", "squared+elastic_net"])
+@pytest.mark.parametrize("solver", list(_squared_l1_only_solvers()))
+def test_squared_l1_solvers_reject_other_objectives(solver, objective):
+    from repro.core.logistic import L1Logistic
+    from repro.core.model import ERMObjective
+
+    gen = np.random.default_rng(3)
+    X = gen.standard_normal((6, 30))
+    labels = np.where(gen.standard_normal(30) >= 0, 1.0, -1.0)
+    if objective == "logistic+l1":
+        problem = L1Logistic(X, labels, 0.05)
+    else:
+        problem = ERMObjective(X, labels, loss="squared", penalty="elastic_net", lam=0.05)
+    with pytest.raises(ValidationError, match=rf"{solver} solves only the \(squared, l1\)"):
+        _squared_l1_only_solvers()[solver](problem)

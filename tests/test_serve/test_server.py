@@ -6,6 +6,7 @@ import asyncio
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -46,6 +47,13 @@ class _LiveApp:
 
     def client(self) -> ServeClient:
         return ServeClient(self.url, timeout=30.0)
+
+
+def _wait_for_state(client, job_id, state, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while client.status(job_id)["state"] != state:
+        assert time.monotonic() < deadline, f"job {job_id} never reached {state!r}"
+        time.sleep(0.005)
 
 
 @pytest.fixture(scope="module")
@@ -146,10 +154,15 @@ class TestHttpErrors:
     def test_queue_full_is_429_with_retry_after(self):
         with _LiveApp(max_workers=1, queue_limit=1) as small:
             client = small.client()
-            # Fill the single queue slot behind a slow job.
-            client.submit({"problem": _SPEC, "lam": 0.001, "max_iter": 60000,
-                           "rel_change_tol": None})
-            client.submit({"problem": _SPEC, "lam": 0.05, "tenant": "snd"})
+            slow = client.submit({"problem": _SPEC, "lam": 0.001, "max_iter": 60000,
+                                  "rel_change_tol": None})
+            # The worker dequeues asynchronously: until the slow job is
+            # running it still holds the single queue slot.
+            _wait_for_state(client, slow, "running")
+            # Fill the single queue slot behind the slow job.
+            queued = client.submit({"problem": _SPEC, "lam": 0.05, "tenant": "snd"})
+            assert client.status(queued)["state"] == "queued"
+            assert client.status(slow)["state"] == "running"
             with pytest.raises(ServeHTTPError) as excinfo:
                 client.submit({"problem": _SPEC, "lam": 0.06, "tenant": "trd"})
             assert excinfo.value.status == 429
