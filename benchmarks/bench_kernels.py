@@ -5,7 +5,7 @@ time the hot kernels the solvers are built on — the numbers that determine
 how large a simulated experiment the repo can run per second of host time.
 
 ``test_kernel_speedups`` additionally measures the wall-clock *ratios* of
-the fast-path kernels (dedup, zero-copy fan-out, Gram workspaces — see
+the fast-path kernels (zero-copy fan-out, Gram workspaces, CSC memo — see
 docs/PERFORMANCE.md) against their slow-path equivalents and writes them
 to ``benchmarks/output/kernels_run.json``; the CI perf gate diffs that
 report against ``benchmarks/baselines/kernels.json``. Ratios of two runs
@@ -19,11 +19,8 @@ import numpy as np
 import pytest
 
 from benchmarks._common import emit, emit_json
-from repro.core.objectives import L1LeastSquares
-from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.distsim.collectives import allreduce_values
 from repro.distsim.engine import SPMDEngine
-from repro.runtime.config import RuntimeConfig
 from repro.sparse.csr import CSCMatrix, CSRMatrix
 from repro.sparse.ops import GramWorkspace, sampled_gram
 from repro.sparse.random import random_csr
@@ -200,36 +197,6 @@ def _allreduce_fanout_speedup(nranks=16, words=50_000, rounds=4):
     return _best_of(lambda: run(False)) / _best_of(lambda: run(True))
 
 
-def _spmd_smoke_speedup(nranks=16):
-    """The tentpole gate: monitored rc_sfista_spmd, P=16, dedup on vs off.
-
-    The replicated stage-D update and the out-of-band objective are the
-    P-fold duplicated host work; with dedup each is computed once per
-    collective epoch, so wall-clock approaches O(1) in P.
-    """
-    rng = np.random.default_rng(11)
-    d, m = 80, 24000
-    X = rng.standard_normal((d, m))
-    problem = L1LeastSquares(X=X, y=rng.standard_normal(m), lam=0.01)
-
-    results = {}
-
-    def run(dedup):
-        cfg = RuntimeConfig(dedup=dedup, adaptive_restart=True)
-        res = rc_sfista_spmd(
-            problem, nranks, k=2, b=0.01, n_iterations=16, seed=9, runtime=cfg
-        )
-        results[dedup] = res.w.copy()
-        return res
-
-    run(True)  # warm-up
-    speedup = _best_of(lambda: run(False), repeats=2) / _best_of(
-        lambda: run(True), repeats=2
-    )
-    assert np.array_equal(results[True], results[False])
-    return speedup
-
-
 def test_kernel_speedups(csr, csc):
     """Measure fast-path/slow-path wall-clock ratios and emit the report."""
     speedups = {
@@ -237,7 +204,6 @@ def test_kernel_speedups(csr, csc):
         "gram_workspace_csc": _gram_speedup_csc(csc),
         "csc_memoization": _csc_memo_speedup(csr),
         "allreduce_fanout_p16": _allreduce_fanout_speedup(),
-        "spmd_smoke_dedup_p16": _spmd_smoke_speedup(),
     }
     lines = [f"{name:>24s}: {ratio:8.2f}x" for name, ratio in speedups.items()]
     emit("kernels_speedups", "\n".join(lines))

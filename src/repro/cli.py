@@ -36,7 +36,6 @@ from repro.core.path import lambda_max
 from repro.core.proxcocoa import proxcocoa
 from repro.core.rc_sfista import rc_sfista
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.reference import solve_reference
 from repro.core.sfista import sfista
 from repro.core.sfista_dist import sfista_distributed
@@ -63,16 +62,17 @@ from repro.runtime import (
     RuntimeConfig,
     parse_backend_spec,
 )
+from repro.serve.protocol import SERVE_SOLVERS
 from repro.sparse.io import load_libsvm
 from repro.utils.serialization import save_result
 
 __all__ = ["main"]
 
 SERIAL_SOLVERS = ("fista", "ista", "cd", "sfista", "rc_sfista")
-DIST_SOLVERS = ("sfista_dist", "rc_sfista_dist", "rc_sfista_spmd", "proxcocoa")
+DIST_SOLVERS = ("sfista_dist", "rc_sfista_dist", "proxcocoa")
 #: Solvers that accept a :class:`repro.runtime.RuntimeConfig` — and with it
 #: the fault/resilience/telemetry flags below.
-RUNTIME_SOLVERS = ("sfista_dist", "rc_sfista_dist", "rc_sfista_spmd")
+RUNTIME_SOLVERS = ("sfista_dist", "rc_sfista_dist")
 
 
 def _load_problem(args: argparse.Namespace) -> ERMObjective:
@@ -196,13 +196,6 @@ def _solve(args: argparse.Namespace) -> int:
             problem, args.nranks, k=args.k, S=args.S, b=args.b, seed=args.seed,
             runtime=_build_runtime(args, recorder, registry),
             **budget, **common,
-        )
-    elif name == "rc_sfista_spmd":
-        # Fixed-budget rank-program solver: no StoppingCriterion support.
-        result = rc_sfista_spmd(
-            problem, args.nranks, k=args.k, b=args.b, seed=args.seed,
-            n_iterations=args.epochs * args.iters_per_epoch,
-            runtime=_build_runtime(args, recorder, registry),
         )
     elif name == "proxcocoa":
         result = proxcocoa(
@@ -394,7 +387,7 @@ def _submit(args: argparse.Namespace) -> int:
         "warm_start": not args.no_warm_start,
         "include_report": args.include_report,
     }
-    if args.solver in ("sfista_dist", "rc_sfista_dist", "rc_sfista_spmd"):
+    if args.solver in RUNTIME_SOLVERS:
         request["runtime"] = {"nranks": args.nranks, "backend": args.backend}
         if args.comm_topology != "flat":
             request["runtime"]["comm_topology"] = args.comm_topology
@@ -483,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(JSON; telemetry-capable solvers only)")
     solve.add_argument("--trace-export", help="write the simulated timeline as "
                        "Chrome trace-event JSON (open in Perfetto)")
-    # resilient runtime (sfista_dist / rc_sfista_dist / rc_sfista_spmd) --- #
+    # resilient runtime (sfista_dist / rc_sfista_dist) ------------------- #
     solve.add_argument("--checkpoint-every", type=int, default=0,
                        help="checkpoint every N stage-C rounds (0 disables)")
     solve.add_argument("--on-nan", choices=ON_NAN_POLICIES, default=None,
@@ -557,9 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--penalty", default="l1", metavar="SPEC",
                         help="penalty spec: l1 | elastic_net[:l2=R] | "
                         "group_l1[:size=N]")
-    submit.add_argument("--solver", choices=("fista", "ista", "sfista_dist",
-                                             "rc_sfista_dist", "rc_sfista_spmd"),
-                        default="fista")
+    submit.add_argument("--solver", choices=SERVE_SOLVERS, default="fista")
     submit.add_argument("--max-iter", type=int, default=500)
     submit.add_argument("--nranks", type=int, default=4,
                         help="ranks for the distributed solvers")

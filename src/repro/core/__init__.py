@@ -61,7 +61,6 @@ from repro.core.reference import solve_reference
 from repro.core.logistic import L1Logistic
 from repro.core.path import lasso_path, lambda_max, PathResult
 from repro.core.warmstart import WarmStartLadder
-from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.ca_bcd import ca_bcd, ca_bcd_communication
 from repro.core.cv import cross_validate_lambda, kfold_indices, CVResult
 
@@ -109,7 +108,6 @@ __all__ = [
     "lambda_max",
     "PathResult",
     "WarmStartLadder",
-    "rc_sfista_spmd",
     "ca_bcd",
     "ca_bcd_communication",
     "cross_validate_lambda",

@@ -98,7 +98,7 @@ def hessian_reuse_update(
     """``S`` Hessian-reuse prox steps on the sampled model (Eqs. 20–23).
 
     The replicated stage-D arithmetic shared by every execution substrate
-    (serial, BSP host view, SPMD rank programs): starting from the
+    (serial, BSP, mp and threads): starting from the
     momentum point ``v``, iterate ``u ← prox(u − γ(Hu − R + ε(u − v)), γ)``
     with the penalty's ``prox(w, gamma)`` (for ``λ‖·‖₁`` the
     soft-threshold at ``λγ``). ``S=1, eps_reg=0`` is the plain SFISTA

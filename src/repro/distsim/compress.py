@@ -141,12 +141,13 @@ def quant_payload_words(n: float, bits: int) -> float:
 class CompressorBank:
     """Per-backend compression state: error-feedback residuals + RNG streams.
 
-    One bank lives on each execution substrate (BSP cluster, SPMD engine,
-    mp backend…). Streams are identified by ``(label, stream)`` where
-    *stream* is the contribution index (rank on the flat topology, node
-    index for hierarchical leader partials); the residual key additionally
-    carries the payload length so a label reused with different payload
-    sizes keeps independent accumulators.
+    One bank lives on each execution substrate (the BSP cluster, which
+    the mp backend shares, and the serial backend). Streams are
+    identified by ``(label, stream)`` where *stream* is the contribution
+    index (rank on the flat topology, node index for hierarchical leader
+    partials); the residual key additionally carries the payload length
+    so a label reused with different payload sizes keeps independent
+    accumulators.
     """
 
     def __init__(self, spec: CompressionSpec, *, seed: int = 0) -> None:

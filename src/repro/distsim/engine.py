@@ -46,10 +46,9 @@ from repro.exceptions import (
 )
 from repro.distsim import collectives as coll
 from repro.distsim import sparse_collectives as sc
-from repro.distsim.compress import CompressionSpec, CompressorBank, parse_compression_spec
 from repro.distsim.cost import ClusterCost, CostCounter, PhaseKind
 from repro.distsim.faults import FaultInjector, RetryPolicy
-from repro.distsim.machine import HierarchicalMachine, MachineSpec, get_machine
+from repro.distsim.machine import MachineSpec, get_machine
 from repro.distsim.trace import Trace, TraceEvent
 from repro.distsim.zerocopy import dedup_enabled, freeze
 
@@ -236,11 +235,7 @@ class SPMDEngine:
         injector: FaultInjector | None = None,
         recv_timeout: float | None = None,
         retry: RetryPolicy | None = None,
-        metrics=None,
         dedup: bool | None = None,
-        comm_topology: str = "flat",
-        comm_compress: "str | CompressionSpec" = "none",
-        compress_seed: int = 0,
     ) -> None:
         if nranks < 1:
             raise ValidationError(f"nranks must be >= 1, got {nranks}")
@@ -251,35 +246,6 @@ class SPMDEngine:
         self.nranks = nranks
         self.machine = get_machine(machine)
         self.allreduce_algorithm = allreduce_algorithm
-        # Collectives v2 knobs (docs/COLLECTIVES.md) — same validation and
-        # semantics as BSPCluster; defaults leave everything byte-identical.
-        if comm_topology not in coll.COMM_TOPOLOGIES:
-            raise ValidationError(
-                f"unknown comm topology {comm_topology!r}; "
-                f"choose from {coll.COMM_TOPOLOGIES}"
-            )
-        self.comm_topology = comm_topology
-        self.compress = parse_compression_spec(comm_compress)
-        if comm_topology == "hier":
-            if not (
-                isinstance(self.machine, HierarchicalMachine) and self.machine.node_size > 1
-            ):
-                raise ValidationError(
-                    f"comm_topology='hier' needs a hierarchical machine "
-                    f"(node_size > 1); {self.machine.name!r} is single-level — "
-                    f"pick e.g. 'comet_4ppn' or 'fat_tree'"
-                )
-            s = self.machine.node_size
-            if s & (s - 1):
-                raise ValidationError(
-                    f"comm_topology='hier' needs a power-of-two node_size for "
-                    f"bit-identity with the flat tournament; "
-                    f"{self.machine.name!r} has node_size={s}"
-                )
-        self._compressor = (
-            CompressorBank(self.compress, seed=compress_seed) if self.compress.enabled else None
-        )
-        self._v2_active = self.compress.enabled or comm_topology == "hier"
         self.trace = trace if trace is not None else Trace(enabled=False)
         self.counters = [CostCounter(rank=r) for r in range(nranks)]
         self.max_steps = max_steps
@@ -295,102 +261,8 @@ class SPMDEngine:
         self._fault_ops = [0] * nranks
         self._coll_index = 0
         # Zero-copy fan-out: replicated collective results are handed to
-        # ranks as read-only views instead of P deep copies. coll_epoch
-        # increments once per completed collective (unconditionally,
-        # unlike _coll_index which only advances when an injector is
-        # attached) and keys the ReplicatedCache in the runtime layer.
+        # ranks as read-only views instead of P deep copies.
         self.dedup = dedup_enabled(dedup)
-        self.coll_epoch = 0
-        # Encoding the most recent allreduce actually used ("dense"/"sparse");
-        # solver telemetry reads it per collective round.
-        self.last_comm_decision: str | None = None
-        # Optional MetricsRegistry (see repro.obs.metrics). Instrument names
-        # are shared with BSPCluster so a registry spanning both substrates
-        # aggregates naturally. Publishing never affects costs or results.
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_phases = metrics.counter(
-                "distsim_phases_total", help="simulated phases by kind and label"
-            )
-            self._m_words = metrics.counter(
-                "distsim_words_total", help="words moved across all ranks"
-            )
-            self._m_messages = metrics.counter(
-                "distsim_messages_total", help="messages sent across all ranks"
-            )
-            self._m_sparse_words = metrics.counter(
-                "distsim_sparse_words_total", help="words moved in index+value encoding"
-            )
-            self._m_saved_words = metrics.counter(
-                "distsim_saved_words_total", help="dense-equivalent words avoided"
-            )
-            self._m_retry_words = metrics.counter(
-                "distsim_retry_words_total", help="fault-tolerance words (retries, recovery)"
-            )
-            self._m_retry_messages = metrics.counter(
-                "distsim_retry_messages_total", help="fault-tolerance messages"
-            )
-            self._m_faults = metrics.counter(
-                "distsim_faults_total", help="injected fault effects by type"
-            )
-            self._m_decisions = metrics.counter(
-                "distsim_comm_decisions_total",
-                help="allreduce encoding decisions (dense vs sparse)",
-            )
-            self._m_clock = metrics.gauge(
-                "distsim_sim_time_seconds", help="current simulated wall-clock"
-            )
-        # Collectives-v2 instruments exist only when the v2 knobs are active,
-        # so default-config metric snapshots stay byte-identical.
-        if metrics is not None and self._v2_active:
-            self._m_rounds_local = metrics.counter(
-                "distsim_comm_rounds_local_total",
-                help="node-local rounds of the two-level allreduce schedule",
-            )
-            self._m_rounds_remote = metrics.counter(
-                "distsim_comm_rounds_remote_total",
-                help="inter-node rounds of the allreduce schedule",
-            )
-            self._m_compress_saved = metrics.counter(
-                "distsim_comm_words_saved_compress_total",
-                help="dense-equivalent words avoided by lossy compression",
-            )
-            self._m_ef_residual = metrics.gauge(
-                "distsim_comm_error_feedback_residual",
-                help="l2 norm of the top-k error-feedback residuals",
-            )
-
-    def _publish_v2(self, charge: "coll.AllreduceCharge") -> None:
-        """Publish the v2 round/compression instruments for one allreduce."""
-        if self._metrics is None or not self._v2_active:
-            return
-        if charge.rounds_local:
-            self._m_rounds_local.inc(float(charge.rounds_local))
-        if charge.rounds_remote:
-            self._m_rounds_remote.inc(float(charge.rounds_remote))
-        if self.compress.enabled and charge.saved_words > 0:
-            self._m_compress_saved.inc(charge.saved_words * self.nranks)
-        if self._compressor is not None and self.compress.kind == "topk":
-            self._m_ef_residual.set(self._compressor.residual_norm())
-
-    def _publish_hier_rounds(self) -> None:
-        """Round counters for ``comm_topology='hier'`` without compression."""
-        if not self._v2_active or self.compress.enabled or self._metrics is None:
-            return
-        local, remote = coll._round_counts(self.machine, self.nranks, self.allreduce_algorithm)
-        if local:
-            self._m_rounds_local.inc(float(local))
-        if remote:
-            self._m_rounds_remote.inc(float(remote))
-
-    # -- compression / rollback state ----------------------------------- #
-    def comm_state_snapshot(self):
-        """Compressor state for bit-exact rollback replay (None when off)."""
-        return None if self._compressor is None else self._compressor.snapshot()
-
-    def comm_state_restore(self, snap) -> None:
-        if self._compressor is not None and snap is not None:
-            self._compressor.restore(snap)
 
     def _fanout(self, reduced: np.ndarray) -> list[np.ndarray]:
         """Replicate a collective result to every rank.
@@ -402,11 +274,6 @@ class SPMDEngine:
         if self.dedup:
             return [freeze(reduced) for _ in range(self.nranks)]
         return [reduced.copy() for _ in range(self.nranks)]
-
-    def _note_decision(self, decision: str) -> None:
-        self.last_comm_decision = decision
-        if self._metrics is not None:
-            self._m_decisions.inc(decision=decision)
 
     @property
     def cost(self) -> ClusterCost:
@@ -464,8 +331,6 @@ class SPMDEngine:
         if self.injector.crash_due(rank, time=clock, op_index=self._fault_ops[rank]):
             state.crashed = True
             state.blocked_on = None
-            if self._metrics is not None:
-                self._m_faults.inc(type="crash")
             self.trace.record(
                 TraceEvent(
                     kind=PhaseKind.FAULT,
@@ -555,8 +420,6 @@ class SPMDEngine:
                 self.trace.record(
                     TraceEvent(PhaseKind.FAULT, f"stall:rank{rank}", t0, sender.clock)
                 )
-                if self._metrics is not None:
-                    self._m_faults.inc(type="stall")
             start = sender.clock
             retrying = attempt > 0
             sender.charge_comm(
@@ -566,12 +429,6 @@ class SPMDEngine:
                 retry_messages=1.0 if retrying else 0.0,
                 retry_words=words if retrying else 0.0,
             )
-            if self._metrics is not None:
-                self._m_words.inc(words)
-                self._m_messages.inc(1.0)
-                if retrying:
-                    self._m_retry_words.inc(words)
-                    self._m_retry_messages.inc(1.0)
             if fault is not None and fault.drop:
                 self.trace.record(
                     TraceEvent(
@@ -584,8 +441,6 @@ class SPMDEngine:
                         detail=f"attempt {attempt + 1}",
                     )
                 )
-                if self._metrics is not None:
-                    self._m_faults.inc(type="drop")
                 if self.retry is None:
                     return  # silently lost; the receiver-side deadline catches it
                 if attempt >= self.retry.max_retries:
@@ -610,8 +465,6 @@ class SPMDEngine:
                         detail=fault.corrupt,
                     )
                 )
-                if self._metrics is not None:
-                    self._m_faults.inc(type="corrupt")
             if retrying and self.retry is not None and self.retry.ack_words > 0:
                 # Delivery after a resend is confirmed by an ack round-trip,
                 # charged to the sender as fault-tolerance traffic.
@@ -622,11 +475,6 @@ class SPMDEngine:
                     retry_messages=1.0,
                     retry_words=self.retry.ack_words,
                 )
-                if self._metrics is not None:
-                    self._m_words.inc(self.retry.ack_words)
-                    self._m_messages.inc(1.0)
-                    self._m_retry_words.inc(self.retry.ack_words)
-                    self._m_retry_messages.inc(1.0)
             available = sender.clock
             if fault is not None and fault.delay > 0:
                 available += fault.delay
@@ -654,9 +502,6 @@ class SPMDEngine:
                     messages=1.0,
                 )
             )
-            if self._metrics is not None:
-                self._m_phases.inc(kind=PhaseKind.P2P.value, label=f"send:{rank}->{op.dest}")
-                self._m_clock.set(self.elapsed)
             return
 
     def _match_mail(self, rank: int, op: _Recv) -> tuple[tuple[int, int, int], _Mail] | None:
@@ -757,8 +602,6 @@ class SPMDEngine:
                         PhaseKind.FAULT, f"stall:rank{r}", t0, self.counters[r].clock, detail=kind
                     )
                 )
-                if self._metrics is not None:
-                    self._m_faults.inc(type="stall")
         if self.recv_timeout is not None:
             arrivals = [c.clock for c in self.counters]
             skew = max(arrivals) - min(arrivals)
@@ -787,8 +630,6 @@ class SPMDEngine:
                         PhaseKind.FAULT, f"corrupt:rank{r}", start, start, detail=f"{kind}:{mode}"
                     )
                 )
-                if self._metrics is not None:
-                    self._m_faults.inc(type="corrupt")
         results: list[Any]
         detail = ""
         sparse_words = 0.0
@@ -800,66 +641,7 @@ class SPMDEngine:
                     f"allreduce comm-mode mismatch across ranks: {sorted(comms)}"
                 )
             comm = ops[0].comm
-            if self.compress.enabled:
-                if ops[0].op != "sum":
-                    raise ValidationError(
-                        f"comm_compress={self.compress.spec!r} supports op='sum' "
-                        f"only, got {ops[0].op!r}"
-                    )
-                arrays = [
-                    v.to_dense() if isinstance(v, sc.SparseVector)
-                    else np.asarray(v, dtype=np.float64)
-                    for v in values
-                ]
-                n = int(arrays[0].size)
-                bank = self._compressor
-                # Same transform as BSPCluster._reduce_compressed: flat
-                # compresses per rank (stream=rank); hier reduces node
-                # blocks dense first and compresses the leader partials
-                # (stream=node index).
-                if self.comm_topology == "hier":
-                    node_size = self.machine.node_size
-                    payload = [
-                        bank.compress(
-                            coll.allreduce_values(arrays[i : i + node_size], "sum"),
-                            label="allreduce",
-                            stream=node,
-                        )
-                        for node, i in enumerate(range(0, len(arrays), node_size))
-                    ]
-                else:
-                    payload = [
-                        bank.compress(a, label="allreduce", stream=r)
-                        for r, a in enumerate(arrays)
-                    ]
-                reduced = coll.allreduce_values(payload, "sum")
-                wire_nnz = 0.0
-                if self.compress.kind == "topk":
-                    mask = np.zeros(arrays[0].shape, dtype=bool)
-                    for c in payload:
-                        mask |= c != 0.0
-                    wire_nnz = float(np.count_nonzero(mask))
-                charge = coll.allreduce_charge(
-                    self.machine,
-                    self.nranks,
-                    float(n),
-                    algorithm=self.allreduce_algorithm,
-                    topology=self.comm_topology,
-                    compress=self.compress,
-                    compressed_nnz=wire_nnz,
-                )
-                cost = charge.cost
-                sparse_words = charge.sparse_words
-                saved_words = charge.saved_words
-                detail = (
-                    f"topk nnz={int(wire_nnz)}/{n}"
-                    if self.compress.kind == "topk"
-                    else f"quant bits={self.compress.bits}"
-                )
-                results = self._fanout(reduced)
-                self._note_decision(self.compress.kind)
-                self._publish_v2(charge)
-            elif comm == "dense":
+            if comm == "dense":
                 reduced = coll.allreduce_values(
                     [np.asarray(v, dtype=np.float64) for v in values], ops[0].op
                 )
@@ -867,8 +649,6 @@ class SPMDEngine:
                     self.machine, self.nranks, _words_of(values[0]), self.allreduce_algorithm
                 )
                 results = self._fanout(reduced)
-                self._note_decision("dense")
-                self._publish_hier_rounds()
             else:
                 vectors = [sc.as_sparse_vector(v) for v in values]
                 n = vectors[0].n
@@ -895,8 +675,6 @@ class SPMDEngine:
                 else:
                     cost = dense_cost
                     detail = f"auto->dense nnz={nnz}/{n}"
-                self._note_decision(resolved)
-                self._publish_hier_rounds()
                 reduced = reduced_sv.to_dense()
                 results = self._fanout(reduced)
         elif kind == "reduce":
@@ -976,12 +754,6 @@ class SPMDEngine:
                     detail=f"{failures} failed attempt(s)",
                 )
             )
-            if self._metrics is not None:
-                self._m_faults.inc(failures, type="torn_collective")
-                self._m_words.inc(cost.words * failures * self.nranks)
-                self._m_messages.inc(cost.messages * failures * self.nranks)
-                self._m_retry_words.inc(cost.words * failures * self.nranks)
-                self._m_retry_messages.inc(cost.messages * failures * self.nranks)
             start = self.elapsed
 
         for c in self.counters:
@@ -1003,17 +775,6 @@ class SPMDEngine:
                 detail=detail,
             )
         )
-        if self._metrics is not None:
-            phase_kind = PhaseKind.COLLECTIVE if kind != "barrier" else PhaseKind.BARRIER
-            self._m_phases.inc(kind=phase_kind.value, label=kind)
-            self._m_words.inc(cost.words * self.nranks)
-            self._m_messages.inc(cost.messages * self.nranks)
-            if sparse_words:
-                self._m_sparse_words.inc(sparse_words * self.nranks)
-            if saved_words:
-                self._m_saved_words.inc(saved_words * self.nranks)
-            self._m_clock.set(self.elapsed)
-        self.coll_epoch += 1
         for rank, state in enumerate(states):
             state.blocked_on = None
             state.to_inject, state.has_injection = results[rank], True

@@ -4,9 +4,9 @@
 asserted (ROADMAP: every perf PR gets gated telemetry):
 
 * :mod:`repro.obs.metrics` — a labelled metrics registry (counters,
-  gauges, histograms) that :class:`~repro.distsim.bsp.BSPCluster`,
-  :class:`~repro.distsim.engine.SPMDEngine` and the fault/retry machinery
-  publish into; snapshot/diff semantics, zero overhead when disabled.
+  gauges, histograms) that :class:`~repro.distsim.bsp.BSPCluster` and
+  the fault/retry machinery publish into; snapshot/diff semantics, zero
+  overhead when disabled.
 * :mod:`repro.obs.trace_export` — Chrome trace-event (Perfetto) export of
   :class:`~repro.distsim.trace.Trace` timelines.
 * :mod:`repro.obs.analysis` — per-phase-kind / per-label breakdown tables

@@ -2,7 +2,7 @@
 
 Prometheus-flavoured instruments — counters, gauges, histograms, each with
 optional string labels — backed by plain dicts so snapshots are JSON-safe.
-The registry is *pull*-style: publishers (``BSPCluster``, ``SPMDEngine``,
+The registry is *pull*-style: publishers (``BSPCluster``, the mp backend,
 the solver loops) increment instruments as they go; consumers call
 :meth:`MetricsRegistry.snapshot` and :func:`diff_snapshots` to attribute
 deltas to a region of a run.

@@ -7,9 +7,8 @@ cross-cutting machinery from:
   machine/comm/fault/checkpoint/telemetry knobs, the only runtime
   surface of every distributed solver (``runtime=``).
 * :class:`~repro.runtime.backend.ExecutionBackend` — the collective
-  protocol with :class:`~repro.runtime.backend.SerialBackend`,
-  :class:`~repro.runtime.backend.BSPBackend` and
-  :class:`~repro.runtime.backend.SPMDBackend` implementations, plus the
+  protocol with :class:`~repro.runtime.backend.SerialBackend` and
+  :class:`~repro.runtime.backend.BSPBackend` implementations, plus the
   real-parallelism substrates
   :class:`~repro.runtime.mpbackend.MultiprocessingBackend` (shared-memory
   worker processes) and
@@ -27,7 +26,6 @@ from repro.runtime.backend import (
     BSPBackend,
     ExecutionBackend,
     SerialBackend,
-    SPMDBackend,
     build_host_backend,
 )
 from repro.runtime.config import (
@@ -36,7 +34,6 @@ from repro.runtime.config import (
     RuntimeConfig,
     parse_backend_spec,
 )
-from repro.runtime.dedup import ReplicatedCache
 from repro.runtime.driver import ResilientLoop
 from repro.runtime.mpbackend import MultiprocessingBackend, ThreadPoolBackend
 from repro.runtime.supervisor import WorkerStatus, WorkerSupervisor
@@ -58,11 +55,9 @@ __all__ = [
     "NumericalGuard",
     "ON_NAN_POLICIES",
     "RecoveryStats",
-    "ReplicatedCache",
     "ResilientLoop",
     "RollbackRequested",
     "RuntimeConfig",
-    "SPMDBackend",
     "SerialBackend",
     "ThreadPoolBackend",
     "WorkerStatus",

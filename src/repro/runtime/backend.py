@@ -1,4 +1,4 @@
-"""ExecutionBackend: one collective surface over serial/BSP/SPMD substrates.
+"""ExecutionBackend: one collective surface over serial/BSP substrates.
 
 The solver bodies (RC-SFISTA stages A–D, the SFISTA epoch loop, the PN
 outer loop) are written once against this protocol; which substrate
@@ -10,11 +10,6 @@ executes them — and what it costs — is the backend's business:
 * :class:`BSPBackend` — wraps :class:`~repro.distsim.bsp.BSPCluster`:
   lock-step collectives under the α-β-γ machine model with fault
   injection, sparse encodings and checkpoint/recovery charging.
-* :class:`SPMDBackend` — wraps :class:`~repro.distsim.engine.SPMDEngine`
-  for solvers expressed as per-rank generator programs. Host-side
-  collectives run as one-shot rank programs on the persistent engine
-  (counters and clocks accumulate across runs); rank-program solvers use
-  :meth:`SPMDBackend.run_program` directly.
 
 Cost accounting invariant: for a fixed backend and config, running a body
 through this layer charges exactly what the hand-wired solver charged —
@@ -30,19 +25,15 @@ import numpy as np
 from repro.distsim import sparse_collectives as sc
 from repro.distsim.bsp import BSPCluster
 from repro.distsim.compress import CompressorBank, parse_compression_spec
-from repro.distsim.engine import SPMDEngine
 from repro.distsim.faults import FaultInjector, as_injector
 from repro.distsim.trace import Trace
-from repro.distsim.zerocopy import writable
 from repro.exceptions import ValidationError
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.dedup import ReplicatedCache
 
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "BSPBackend",
-    "SPMDBackend",
     "build_host_backend",
 ]
 
@@ -59,11 +50,6 @@ class ExecutionBackend(Protocol):
     """
 
     nranks: int
-    # Epoch-keyed cache for post-collective work that is bit-identical
-    # across ranks (see repro.runtime.dedup). Host-view backends disable
-    # it (they compute shared work once by construction); the SPMD
-    # backend enables it per the engine's dedup setting.
-    replicated: ReplicatedCache
     # Whether map_ranks may run its closures concurrently. Solver bodies
     # consult this to give each rank private scratch (e.g. one
     # GramWorkspace per rank) instead of sharing mutable buffers.
@@ -137,7 +123,6 @@ class SerialBackend:
         self.comm = comm
         self._allreduce_algorithm = allreduce_algorithm
         self._last_decision: str | None = None
-        self.replicated = ReplicatedCache(enabled=False)
         # One rank still compresses its own contribution (stream 0): the
         # serial backend stays bit-identical to a 1-rank BSP run in every
         # comm_compress mode, not just the lossless ones.
@@ -243,9 +228,6 @@ class BSPBackend:
         self.cluster = cluster
         self.comm = comm
         self.nranks = cluster.nranks
-        # Host-view bodies compute shared post-collective work once by
-        # construction, so there is nothing to deduplicate.
-        self.replicated = ReplicatedCache(enabled=False)
 
     @classmethod
     def from_config(cls, config: RuntimeConfig, nranks: int) -> "BSPBackend":
@@ -335,143 +317,6 @@ class BSPBackend:
 
     def cost_summary(self) -> dict | None:
         return self.cluster.cost.summary()
-
-
-class SPMDBackend:
-    """Execution on the generator-based :class:`SPMDEngine` mini-MPI.
-
-    Rank-program solvers hand their program to :meth:`run_program`; the
-    engine persists across runs, so a rerun after a heal keeps paying into
-    the same counters and clocks (the failed attempt's cost stays on the
-    books). The protocol's host-side collectives run as one-shot rank
-    programs on that same engine.
-
-    ``compute`` is deliberately a no-op: the SPMD solvers model
-    communication only (their rank programs charge no host-side flops),
-    and charging here would shift the simulated clocks every ``at_time``
-    fault schedule is calibrated against.
-
-    ``checkpoint``/``recover`` are no-ops too: in the SPMD model the
-    checkpoint traffic is a *real* reduce the rank programs ship
-    themselves, and recovery is a rerun whose collectives are genuinely
-    re-charged — there is no out-of-band state transfer to bill.
-    """
-
-    parallel_ranks = False
-
-    def __init__(self, engine: SPMDEngine, comm: str = "dense") -> None:
-        if comm not in sc.COMM_MODES:
-            raise ValidationError(f"comm must be one of {sc.COMM_MODES}, got {comm!r}")
-        self.engine = engine
-        self.comm = comm
-        self.nranks = engine.nranks
-        self.replicated = ReplicatedCache(enabled=engine.dedup)
-
-    @classmethod
-    def from_config(cls, config: RuntimeConfig, nranks: int) -> "SPMDBackend":
-        if config.cluster is not None:
-            raise ValidationError(
-                "the SPMD backend builds its own engine; a prebuilt BSP cluster "
-                "cannot be supplied"
-            )
-        engine = SPMDEngine(
-            nranks,
-            config.machine,
-            allreduce_algorithm=config.allreduce_algorithm,
-            injector=as_injector(config.faults),
-            retry=config.retry,
-            recv_timeout=config.recv_timeout,
-            # The engine's trace is off by default; telemetry wants a timeline.
-            trace=Trace() if config.telemetry is not None else None,
-            metrics=config.metrics,
-            dedup=config.dedup,
-            comm_topology=config.comm_topology,
-            comm_compress=config.comm_compress,
-        )
-        return cls(engine, comm=config.comm)
-
-    def run_program(self, program: Callable, *args: Any, **kwargs: Any) -> list[Any]:
-        """Run a rank program on the persistent engine (one attempt)."""
-        return self.engine.run(program, *args, **kwargs)
-
-    def allreduce(self, contribs: Sequence[np.ndarray], label: str = "allreduce") -> np.ndarray:
-        comm = self.comm
-
-        def prog(ctx):
-            out = yield ctx.allreduce(contribs[ctx.rank], comm=comm)
-            return out
-
-        # With dedup on the engine fans out frozen views; the protocol
-        # contract is a mutable host-side result, so take one copy here.
-        return writable(self.engine.run(prog)[0])
-
-    def reduce(self, contribs: Sequence[np.ndarray], root: int = 0, label: str = "reduce") -> np.ndarray:
-        def prog(ctx):
-            out = yield ctx.reduce(contribs[ctx.rank], root=root)
-            return out
-
-        return self.engine.run(prog)[root]
-
-    def broadcast(self, value: np.ndarray, root: int = 0, label: str = "bcast") -> np.ndarray:
-        def prog(ctx):
-            out = yield ctx.bcast(value if ctx.rank == root else None, root=root)
-            return out
-
-        return self.engine.run(prog)[0]
-
-    def barrier(self, label: str = "barrier") -> None:
-        def prog(ctx):
-            yield ctx.barrier()
-
-        self.engine.run(prog)
-
-    def compute(self, flops: float | Sequence[float] | np.ndarray, label: str = "compute") -> None:
-        pass
-
-    def checkpoint(self, words: float) -> None:
-        pass
-
-    def recover(self, words: float) -> None:
-        pass
-
-    def comm_state_snapshot(self) -> object:
-        return self.engine.comm_state_snapshot()
-
-    def comm_state_restore(self, snap: object) -> None:
-        self.engine.comm_state_restore(snap)
-
-    def map_ranks(self, fn: Callable[[int], Any], count: int) -> list:
-        return [fn(p) for p in range(count)]
-
-    def close(self) -> None:
-        pass
-
-    @property
-    def elapsed(self) -> float:
-        return self.engine.elapsed
-
-    @property
-    def last_comm_decision(self) -> str | None:
-        return self.engine.last_comm_decision
-
-    @property
-    def trace(self) -> Trace | None:
-        return self.engine.trace
-
-    @property
-    def injector(self) -> FaultInjector | None:
-        return self.engine.injector
-
-    @property
-    def machine_name(self) -> str:
-        return self.engine.machine.name
-
-    @property
-    def allreduce_algorithm(self) -> str:
-        return self.engine.allreduce_algorithm
-
-    def cost_summary(self) -> dict | None:
-        return self.engine.cost.summary()
 
 
 def build_host_backend(config: RuntimeConfig, nranks: int) -> ExecutionBackend:

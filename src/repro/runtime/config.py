@@ -41,9 +41,7 @@ __all__ = [
     "parse_backend_spec",
 ]
 
-# Host-driven execution substrates build_host_backend can produce. The SPMD
-# engine is not selected through this knob: rank-program solvers construct
-# an SPMDBackend directly (the program structure is part of the algorithm).
+# Host-driven execution substrates build_host_backend can produce.
 # "mp" and "threads" are the real-parallelism substrates of
 # repro.runtime.mpbackend: worker processes over shared memory, and a BSP
 # cluster whose per-rank compute closures run on a thread pool.
@@ -153,11 +151,11 @@ class RuntimeConfig:
     Host performance (simulation-invisible)
     ---------------------------------------
     dedup:
-        Zero-copy collective fan-out and replicated-work deduplication
-        (see docs/PERFORMANCE.md). ``None`` (default) defers to the
-        ``REPRO_NO_DEDUP`` environment escape hatch; ``True``/``False``
-        force it. Iterates, golden traces and charged α-β-γ costs are
-        bit-identical either way — only host wall-clock changes.
+        Zero-copy collective fan-out (see docs/PERFORMANCE.md). ``None``
+        (default) defers to the ``REPRO_NO_DEDUP`` environment escape
+        hatch; ``True``/``False`` force it. Iterates, golden traces and
+        charged α-β-γ costs are bit-identical either way — only host
+        wall-clock changes.
         Mutually exclusive with a prebuilt ``cluster`` (configure
         ``dedup=`` on the cluster instead).
     """

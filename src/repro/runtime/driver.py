@@ -74,7 +74,7 @@ class ResilientLoop:
         # replay must re-issue bit-identical compressed collectives.
         self._ck_comm: object = None
         # Optional GramWorkspace the solver installs; finish() reports its
-        # reuse counter alongside the backend's dedup hit/miss counts.
+        # reuse counter.
         self.workspace = None
         # The run summary handed to start(); finish() returns it as meta.
         self.params: dict[str, Any] = {}
@@ -158,9 +158,8 @@ class ResilientLoop:
         """Close out telemetry; returns the run's ``SolveResult.meta``.
 
         That is the solver name, the :meth:`start` params, *outcome*, the
-        resilience stats, and the host-performance counters
-        (``runtime_dedup_*``, ``gram_workspace_reuses``) under ``perf`` —
-        how much replicated work the run elided, also published into the
+        resilience stats, and the host-performance counter
+        ``gram_workspace_reuses`` under ``perf``, also published into the
         configured metrics registry. Observational only: values never
         feed back into costs.
         """
@@ -178,10 +177,7 @@ class ResilientLoop:
         return meta
 
     def _perf_meta(self) -> dict[str, int]:
-        cache = getattr(self.backend, "replicated", None)
         perf = {
-            "runtime_dedup_hits": int(cache.hits) if cache is not None else 0,
-            "runtime_dedup_misses": int(cache.misses) if cache is not None else 0,
             "gram_workspace_reuses": (
                 int(self.workspace.reuses) if self.workspace is not None else 0
             ),
@@ -191,7 +187,7 @@ class ResilientLoop:
             for name, value in perf.items():
                 if value:
                     registry.counter(
-                        name, help="host-side replicated work elided (see docs/PERFORMANCE.md)"
+                        name, help="host-side work elided (see docs/PERFORMANCE.md)"
                     ).inc(value)
         return perf
 
@@ -226,9 +222,8 @@ class ResilientLoop:
 
         ``capture`` (called once, before the first attempt) provides the
         free initial checkpoint; ``restore`` rewinds the solver's closure
-        state to a checkpoint before a replay. Solvers without host-side
-        state to rewind (the SPMD rank programs re-derive everything from
-        their own checkpoint dict) pass neither, getting a pure re-run.
+        state to a checkpoint before a replay. A body with no host-side
+        state to rewind passes neither, getting a pure re-run.
         ``repartition(new_nranks, lost_ranks)`` rebuilds the solver's
         rank-count-dependent structures (column partition, workspaces,
         per-rank buffers) after an elastic pool shrink and returns the

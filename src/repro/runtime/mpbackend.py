@@ -100,7 +100,6 @@ from repro.exceptions import (
 )
 from repro.runtime.backend import BSPBackend
 from repro.runtime.config import FAILURE_POLICIES, RuntimeConfig
-from repro.runtime.dedup import ReplicatedCache
 from repro.runtime.supervisor import WorkerSupervisor
 
 __all__ = [
@@ -356,7 +355,6 @@ class MultiprocessingBackend:
         self.nranks = int(nranks)
         self.timeout = float(timeout)
         self.failure_policy = failure_policy
-        self.replicated = ReplicatedCache(enabled=False)
         self._injector = as_injector(faults)
         self._retry = retry
         self._machine = machine

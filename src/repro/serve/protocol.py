@@ -69,7 +69,7 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: Solvers a job may request. The serial solvers accept warm starts
 #: (``w0``); the runtime solvers execute on any RuntimeConfig backend and
 #: still benefit from the cached problem + workspaces.
-SERVE_SOLVERS = ("fista", "ista", "sfista_dist", "rc_sfista_dist", "rc_sfista_spmd")
+SERVE_SOLVERS = ("fista", "ista", "sfista_dist", "rc_sfista_dist")
 
 _SYNTHETIC_KEYS = {"d", "m", "density", "support_fraction", "noise", "seed"}
 _SYNTHETIC_DEFAULTS = {

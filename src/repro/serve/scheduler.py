@@ -35,7 +35,6 @@ from typing import Any, Mapping
 
 from repro.core.fista import fista, ista
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.sfista_dist import sfista_distributed
 from repro.core.stopping import StoppingCriterion
 from repro.distsim.compress import parse_compression_spec
@@ -378,15 +377,9 @@ class Scheduler:
                 problem, nranks, b=b, seed=seed, epochs=epochs,
                 iters_per_epoch=iters, stopping=stopping, runtime=cfg,
             )
-        if req.solver == "rc_sfista_dist":
-            return rc_sfista_distributed(
-                problem, nranks,
-                k=int(solver_kw.get("k", 1)), S=int(solver_kw.get("S", 1)),
-                b=b, seed=seed, epochs=epochs, iters_per_epoch=iters,
-                stopping=stopping, runtime=cfg,
-            )
-        # rc_sfista_spmd: fixed-budget rank program, no stopping criterion.
-        return rc_sfista_spmd(
-            problem, nranks, k=int(solver_kw.get("k", 1)), b=b, seed=seed,
-            n_iterations=epochs * iters, runtime=cfg,
+        return rc_sfista_distributed(
+            problem, nranks,
+            k=int(solver_kw.get("k", 1)), S=int(solver_kw.get("S", 1)),
+            b=b, seed=seed, epochs=epochs, iters_per_epoch=iters,
+            stopping=stopping, runtime=cfg,
         )

@@ -204,31 +204,6 @@ class CSRMatrix:
             new_indptr, self.indices[positions], self.data[positions], (rows.size, self.shape[1])
         )
 
-    def gather_rows_dense(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Densify ``A[rows, :]`` directly, skipping the CSR intermediate.
-
-        Bit-identical to ``select_rows(rows).to_dense()`` (same scatter
-        order, so duplicate rows resolve identically) without building the
-        intermediate compressed matrix. ``out``, when given, must be a
-        ``(len(rows), m)`` float64 array and is overwritten in place.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1:
-            raise ShapeError("row selection must be one-dimensional")
-        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise ValidationError("row selection out of range")
-        shape = (rows.size, self.shape[1])
-        if out is None:
-            out = np.zeros(shape, dtype=np.float64)
-        else:
-            if out.shape != shape or out.dtype != np.float64:
-                raise ShapeError(f"out must be float64 of shape {shape}")
-            out.fill(0.0)
-        positions, new_indptr = _gather_segments(self.indptr, rows)
-        if positions.size:
-            out[_row_ids(new_indptr), self.indices[positions]] = self.data[positions]
-        return out
-
     def row_norms_sq(self) -> np.ndarray:
         """Squared euclidean norm of every row."""
         out = np.zeros(self.shape[0], dtype=np.float64)

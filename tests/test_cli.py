@@ -122,9 +122,12 @@ class TestSolve:
             main(["solve", "--dataset", "covtype", "--size", "tiny",
                   "--solver", "cd", "--loss", "logistic"])
 
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["solve", "--solver", "adam"])
+    def test_unknown_solver_rejected(self, capsys):
+        # rc_sfista_spmd was retired; rc_sfista_dist runs the same schedule.
+        for solver in ("adam", "rc_sfista_spmd"):
+            with pytest.raises(SystemExit):
+                main(["solve", "--solver", solver])
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -172,9 +175,8 @@ class TestCollectivesV2Flags:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--solver", "rc_sfista_spmd", "--backend", "serial"],
-         ["--solver", "rc_sfista_dist", "--k", "0"]],
-        ids=["spmd-on-serial", "k-zero"],
+        [["--solver", "rc_sfista_dist", "--k", "0"]],
+        ids=["k-zero"],
     )
     def test_solver_validation_is_usage_error(self, flags):
         with pytest.raises(SystemExit, match="invalid solve configuration"):

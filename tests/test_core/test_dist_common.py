@@ -6,7 +6,6 @@ import pytest
 from repro.core._dist_common import UPDATE_FLOPS, distribute_problem
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.sfista_dist import sfista_distributed
 from repro.exceptions import ValidationError
 from repro.perf.model import update_flops_per_step
@@ -135,7 +134,6 @@ SOLVER_RUNS = {
     "proximal_newton_distributed": lambda prob: proximal_newton_distributed(
         prob, 4, n_outer=1, inner_iters=4, k=2, b=0.2, seed=0
     ),
-    "rc_sfista_spmd": lambda prob: rc_sfista_spmd(prob, 4, k=2, b=0.2, n_iterations=4),
 }
 
 

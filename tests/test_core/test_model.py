@@ -40,7 +40,6 @@ from repro.core.objectives import L1LeastSquares, QuadraticModel
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.proximal import ElasticNetProx, GroupL1Prox, L1Prox
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.sfista_dist import sfista_distributed
 from repro.data.synthetic import make_regression
 from repro.distsim.bsp import BSPCluster
@@ -299,9 +298,6 @@ class TestResolveObjective:
 # the byte-identity pin: defaults == explicit squared+l1, bit for bit
 # --------------------------------------------------------------------- #
 def _run(solver, problem, runtime):
-    if solver is rc_sfista_spmd:
-        return solver(problem, 3, k=2, b=0.25, n_iterations=8, seed=11,
-                      runtime=runtime)
     if solver is proximal_newton_distributed:
         return solver(problem, 3, n_outer=2, inner_iters=6, b=0.25, seed=11,
                       runtime=runtime)
@@ -311,8 +307,7 @@ def _run(solver, problem, runtime):
 
 @pytest.mark.parametrize(
     "solver",
-    [rc_sfista_distributed, sfista_distributed, rc_sfista_spmd,
-     proximal_newton_distributed],
+    [rc_sfista_distributed, sfista_distributed, proximal_newton_distributed],
     ids=lambda s: s.__name__,
 )
 def test_defaults_are_byte_identical_to_explicit_legacy(
@@ -350,12 +345,11 @@ def test_byte_identity_pin_holds_across_backends(backend, tiny_covtype_problem):
 
 
 # --------------------------------------------------------------------- #
-# general objectives descend through all four runtime solvers
+# general objectives descend through all three runtime solvers
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "solver",
-    [rc_sfista_distributed, sfista_distributed, rc_sfista_spmd,
-     proximal_newton_distributed],
+    [rc_sfista_distributed, sfista_distributed, proximal_newton_distributed],
     ids=lambda s: s.__name__,
 )
 @pytest.mark.parametrize("penalty", ["elastic_net:l2=1", "group_l1:size=4"])
@@ -373,8 +367,7 @@ def test_logistic_general_penalties_descend(solver, penalty, tiny_covtype_proble
 
 @pytest.mark.parametrize(
     "solver",
-    [rc_sfista_distributed, sfista_distributed, rc_sfista_spmd,
-     proximal_newton_distributed],
+    [rc_sfista_distributed, sfista_distributed, proximal_newton_distributed],
     ids=lambda s: s.__name__,
 )
 def test_runtime_override_matches_prebuilt_objective(solver, tiny_covtype_problem):

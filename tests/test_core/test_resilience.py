@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.reference import solve_reference
 from repro.core.results import History, SolveResult
 from repro.distsim.faults import FaultPlan, PayloadCorruption, RankCrash
@@ -281,32 +280,6 @@ class TestProxNewtonRecovery:
         )
         wired = proximal_newton_distributed(
             small_dense_problem, 4, runtime=_paper(faults=FaultPlan()), **PN_KW
-        )
-        assert np.array_equal(base.w, wired.w)
-        assert base.cost == wired.cost
-
-
-SPMD_KW = dict(k=2, b=0.2, n_iterations=8, seed=0)
-
-
-class TestSPMDRecovery:
-    def test_crash_recovery_matches_fault_free(self, small_dense_problem):
-        base = rc_sfista_spmd(small_dense_problem, 4, runtime=_paper(), **SPMD_KW)
-        plan = FaultPlan(crashes=(RankCrash(rank=2, at_time=0.5 * base.sim_time),))
-        rec = rc_sfista_spmd(
-            small_dense_problem, 4, runtime=_paper(faults=plan, checkpoint_every=1),
-            **SPMD_KW,
-        )
-        assert rec.meta["resilience"]["rank_failures_recovered"] == 1
-        assert rec.meta["resilience"]["healed_ranks"] == [2]
-        assert np.array_equal(base.w, rec.w)
-        # the failed attempt's communication stays on the books
-        assert rec.cost["words_total"] > base.cost["words_total"]
-
-    def test_zero_fault_identity(self, small_dense_problem):
-        base = rc_sfista_spmd(small_dense_problem, 4, runtime=_paper(), **SPMD_KW)
-        wired = rc_sfista_spmd(
-            small_dense_problem, 4, runtime=_paper(faults=FaultPlan()), **SPMD_KW
         )
         assert np.array_equal(base.w, wired.w)
         assert base.cost == wired.cost

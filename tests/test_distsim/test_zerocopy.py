@@ -113,18 +113,6 @@ class TestSPMDImmutability:
         for r, sibling in enumerate(results):
             np.testing.assert_array_equal(sibling, np.full(6, 10.0)), r
 
-    def test_coll_epoch_counts_completed_collectives(self):
-        engine = SPMDEngine(3, dedup=True)
-
-        def program(ctx):
-            yield ctx.allreduce(np.ones(2))
-            yield ctx.allreduce(np.ones(2))
-            return None
-
-        assert engine.coll_epoch == 0
-        engine.run(program)
-        assert engine.coll_epoch == 2
-
 
 class TestCostInvariance:
     """Charged simulated costs never depend on the host fast path."""

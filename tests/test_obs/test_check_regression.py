@@ -156,8 +156,8 @@ class TestGateScript:
     def test_committed_kernels_baseline_is_wellformed(self):
         payload = load_baseline("benchmarks/baselines/kernels.json")
         assert payload["tolerance"] == 0.25
-        spec = payload["metrics"]["speedups.spmd_smoke_dedup_p16"]
-        assert spec == {"min": 3.0}
+        spec = payload["metrics"]["speedups.allreduce_fanout_p16"]
+        assert spec == {"min": 1.0}
 
 
 class TestOneSidedSpecs:

@@ -6,7 +6,6 @@ import pytest
 from repro.core.objectives import L1LeastSquares
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.distsim.bsp import BSPCluster
 from repro.exceptions import FormatError, ValidationError
 from repro.obs import (
@@ -81,6 +80,9 @@ class TestRcSfistaDistTelemetry:
         decisions = snap["distsim_comm_decisions_total"]["values"]
         assert decisions and set(decisions) <= {"decision=dense", "decision=sparse"}
         assert sum(decisions.values()) == res.n_comm_rounds
+        reuses = res.meta["perf"]["gram_workspace_reuses"]
+        assert reuses > 0
+        assert snap["gram_workspace_reuses"]["values"][""] == reuses
 
     def test_metrics_with_prebuilt_cluster_rejected(self, problem):
         cluster = BSPCluster(4, "comet_effective")
@@ -121,26 +123,6 @@ class TestProxNewtonTelemetry:
         assert all(r.objective is None for r in inner)
         assert len(outer) == res.n_iterations
         assert all(r.objective is not None for r in outer)
-
-
-class TestSpmdTelemetry:
-    def test_records_and_harvested_trace(self, problem):
-        bare = rc_sfista_spmd(
-            problem, 4, k=2, n_iterations=8, seed=1, runtime=RuntimeConfig(comm="auto")
-        )
-        rec = TelemetryRecorder()
-        reg = MetricsRegistry()
-        observed = rc_sfista_spmd(
-            problem, 4, k=2, n_iterations=8, seed=1,
-            runtime=RuntimeConfig(comm="auto", telemetry=rec, metrics=reg),
-        )
-        assert np.array_equal(bare.w, observed.w)
-        assert bare.cost == observed.cost
-        assert len(rec.records) == 8
-        assert all(r.comm_decision in ("dense", "sparse") for r in rec.records)
-        # attaching telemetry enables the engine trace for the report
-        report = rec.report(metrics=reg.snapshot())
-        assert report.phases["by_kind"]
 
 
 class TestIterationRecord:

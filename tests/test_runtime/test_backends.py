@@ -12,7 +12,6 @@ from repro.runtime import (
     RollbackRequested,
     RuntimeConfig,
     SerialBackend,
-    SPMDBackend,
     build_host_backend,
 )
 
@@ -80,38 +79,6 @@ class TestBSPBackend:
         cluster = BSPCluster(3, "comet_effective")
         with pytest.raises(ValidationError, match="3 ranks"):
             BSPBackend.from_config(RuntimeConfig(cluster=cluster), nranks=4)
-
-
-class TestSPMDBackend:
-    def test_satisfies_protocol(self):
-        be = SPMDBackend.from_config(RuntimeConfig(), nranks=2)
-        assert isinstance(be, ExecutionBackend)
-
-    def test_host_collectives(self):
-        be = SPMDBackend.from_config(RuntimeConfig(), nranks=4)
-        contribs = [np.full(3, float(p)) for p in range(4)]
-        np.testing.assert_array_equal(be.allreduce(contribs), np.full(3, 6.0))
-        np.testing.assert_array_equal(be.reduce(contribs), np.full(3, 6.0))
-        np.testing.assert_array_equal(be.broadcast(np.arange(2.0)), np.arange(2.0))
-        be.barrier()
-        assert be.elapsed > 0.0
-
-    def test_rejects_prebuilt_cluster(self):
-        cluster = BSPCluster(2, "comet_effective")
-        with pytest.raises(ValidationError, match="prebuilt"):
-            SPMDBackend.from_config(RuntimeConfig(cluster=cluster), nranks=2)
-
-    def test_telemetry_enables_trace(self):
-        bare = SPMDBackend.from_config(RuntimeConfig(), nranks=2)
-        assert not bare.trace.enabled
-
-        class Recorder:
-            def on_run_start(self, solver, params): ...
-            def on_iteration(self, record): ...
-            def on_run_end(self, *, cost, trace, meta): ...
-
-        be = SPMDBackend.from_config(RuntimeConfig(telemetry=Recorder()), nranks=2)
-        assert be.trace.enabled
 
 
 class TestBuildHostBackend:

@@ -1,7 +1,7 @@
 """Cross-backend conformance matrix: iterates are backend-independent.
 
 The contract for the runtime layer: for a fixed algorithm config,
-{serial, BSP, SPMD, mp, threads} × {dense, sparse, auto} all produce the
+{serial, BSP, mp, threads} × {dense, sparse, auto} all produce the
 same iterates — bit-identical where the reduction order matches (same
 rank count), allclose across different partitionings — and every
 cost-charging backend produces the *identical* charged α-β-γ summary.
@@ -9,9 +9,9 @@ cost-charging backend produces the *identical* charged α-β-γ summary.
 The BSP reference is itself pinned bit-for-bit to checked-in golden
 traces (``tests/test_distsim/test_golden_trace.py``), so equality with
 BSP here transitively pins every backend in the matrix to the golden
-accounting. ``rc_sfista_spmd`` participates through its own row: it is
-bit-identical to BSP (``TestBspVsSpmd``) and rejects the serial and
-real-parallelism substrates, which run host-view solvers only.
+accounting. The SPMD engine's row is
+``tests/test_distsim/test_spmd_rc_sfista.py``: a rank program on the
+engine reproduces the BSP run bit for bit.
 """
 
 import numpy as np
@@ -19,9 +19,7 @@ import pytest
 
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.sfista_dist import sfista_distributed
-from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
 
 SERIAL = RuntimeConfig(backend="serial")
@@ -53,31 +51,6 @@ def _bsp_reference(problem, solver, comm):
     if key not in _BSP_REFERENCE:
         _BSP_REFERENCE[key] = SOLVER_RUNS[solver](problem, RuntimeConfig(comm=comm))
     return _BSP_REFERENCE[key]
-
-
-class TestBspVsSpmd:
-    @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "no-dedup"])
-    @pytest.mark.parametrize("estimator", ["plain", "svrg"])
-    @pytest.mark.parametrize("comm", ["dense", "sparse", "auto"])
-    def test_rc_sfista_bit_identical(
-        self, tiny_covtype_problem, estimator, comm, dedup
-    ):
-        """Same rank count → same reduction order → bit-identical iterates.
-
-        The dedup fast path (zero-copy fan-out + replicated-work cache,
-        docs/PERFORMANCE.md) must never move a bit of the iterates in
-        either backend.
-        """
-        kwargs = dict(k=2, b=0.2, seed=7, estimator=estimator)
-        bsp = rc_sfista_distributed(
-            tiny_covtype_problem, 4, epochs=1, iters_per_epoch=6,
-            monitor_every=6, runtime=RuntimeConfig(comm=comm, dedup=dedup), **kwargs,
-        )
-        spmd = rc_sfista_spmd(
-            tiny_covtype_problem, 4, n_iterations=6,
-            runtime=RuntimeConfig(comm=comm, dedup=dedup), **kwargs,
-        )
-        assert np.array_equal(bsp.w, spmd.w)
 
 
 class TestSerialVsBsp:
@@ -152,16 +125,6 @@ class TestRealParallelismConformance:
         )
         assert np.array_equal(ref.w, res.w)
         assert res.cost == ref.cost
-
-    @pytest.mark.parametrize("backend", ["serial", "mp", "threads"])
-    def test_spmd_solver_rejects_host_view_substrates(
-        self, tiny_covtype_problem, backend
-    ):
-        with pytest.raises(ValidationError, match="SPMD engine"):
-            rc_sfista_spmd(
-                tiny_covtype_problem, 4, k=2, b=0.2, seed=7, n_iterations=6,
-                runtime=RuntimeConfig(backend=backend),
-            )
 
     @pytest.mark.mp
     def test_single_rank_matches_serial(self, tiny_covtype_problem):

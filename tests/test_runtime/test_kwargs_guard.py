@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.rc_sfista_spmd import rc_sfista_spmd
 from repro.core.sfista_dist import sfista_distributed
 from repro.distsim.faults import FaultPlan
 from repro.runtime import RuntimeConfig
@@ -22,7 +21,6 @@ RUNTIME_SOLVERS = [
     rc_sfista_distributed,
     sfista_distributed,
     proximal_newton_distributed,
-    rc_sfista_spmd,
 ]
 
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(RuntimeConfig)}

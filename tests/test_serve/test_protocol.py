@@ -13,6 +13,7 @@ from repro.exceptions import (
     WorkerFailureError,
 )
 from repro.serve.protocol import (
+    SERVE_SOLVERS,
     QueueFullError,
     SubmitRequest,
     canonical_problem_spec,
@@ -143,10 +144,14 @@ class TestSubmitRequest:
         {"problem": {"synthetic": {"d": 5, "m": 20}}, "surprise": 1},
         {"no_problem": True},
         [],
+        # Retired: rc_sfista_dist runs the same RC-SFISTA schedule.
+        {"problem": {"synthetic": {"d": 5, "m": 20}}, "solver": "rc_sfista_spmd"},
     ])
     def test_bad_requests_rejected(self, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             SubmitRequest.from_json(bad)
+        if isinstance(bad, dict) and "solver" in bad:
+            assert f"solver must be one of {SERVE_SOLVERS}" in str(exc.value)
 
 
 def _result(w, converged=True):

@@ -190,7 +190,7 @@ class TestFailures:
                 # RuntimeConfig rejects checkpoint_every < 0: per-job failure.
                 bad = SubmitRequest.from_json({
                     "problem": {"synthetic": {"d": 4, "m": 20}},
-                    "solver": "rc_sfista_spmd",
+                    "solver": "rc_sfista_dist",
                     "runtime": {"nranks": 2, "checkpoint_every": -1},
                 })
                 job = s.submit(bad)
@@ -276,7 +276,6 @@ class TestGeneralObjectives:
         ("fista", {}),
         ("sfista_dist", {"nranks": 2, "epochs": 1, "iters_per_epoch": 15}),
         ("rc_sfista_dist", {"nranks": 2, "epochs": 1, "iters_per_epoch": 15}),
-        ("rc_sfista_spmd", {"nranks": 2, "epochs": 1, "iters_per_epoch": 15}),
     ])
     def test_logistic_elastic_net_solves_end_to_end(self, solver, runtime):
         async def main():
@@ -293,10 +292,7 @@ class TestGeneralObjectives:
                 await s.stop()
             assert job.state == "done", job.error
             assert np.all(np.isfinite(np.asarray(job.result["w"])))
-            # rc_sfista_spmd monitors objectives only when a feature
-            # consumes them, so the payload key is optional there.
-            if "final_objective" in job.result:
-                assert np.isfinite(job.result["final_objective"])
+            assert np.isfinite(job.result["final_objective"])
         _run(main())
 
     def test_group_lasso_warm_start_stays_within_its_objective(self):

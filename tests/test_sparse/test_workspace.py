@@ -60,12 +60,6 @@ class TestGatherDense:
         assert got is out
         assert np.array_equal(out, csc.select_columns(idx).to_dense())
 
-    def test_gather_rows_matches_select(self, csr):
-        rows = np.array([3, 3, 0, 29, 7], dtype=np.int64)
-        expected = csr.select_rows(rows).to_dense()
-        got = csr.gather_rows_dense(rows)
-        assert np.array_equal(got, expected)
-
     def test_gather_rejects_bad_out_shape(self, csc, idx):
         with pytest.raises(ShapeError):
             csc.gather_columns_dense(idx, out=np.empty((1, 1)))
