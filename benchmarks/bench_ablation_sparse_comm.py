@@ -43,7 +43,7 @@ def _sweep_density():
         sparse = sparse_allreduce_cost(machine, P, float(N), float(nnz))
         # A real simulated collective must charge exactly what the formula says.
         cluster = BSPCluster(P, "comet_effective")
-        cluster.charge_sparse_allreduce(N, nnz)
+        cluster.charge_allreduce_comm(N, nnz, mode="sparse")
         assert cluster.counters[0].words == sparse.words
         rows.append([f, nnz, dense.words, sparse.words, sparse.words / dense.words])
     return rows

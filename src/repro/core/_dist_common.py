@@ -352,8 +352,8 @@ class RankPlacement:
     blocks per rank, so :meth:`pack` builds each rank's blocks in place
     with no per-iteration allocation. A block is ``H_j`` (``d²`` words)
     followed, with ``rhs``, by ``R_j`` (``d`` words). The solver reads
-    ``placement.data`` / ``placement.nranks`` afresh every round, because
-    an elastic pool shrink swaps them in :meth:`repartition`.
+    ``placement.data`` afresh every round, because an elastic pool
+    shrink swaps it in :meth:`repartition`.
     """
 
     def __init__(self, data: DistributedData, loop, *, mbar: int, blocks: int, rhs: bool) -> None:
@@ -362,10 +362,6 @@ class RankPlacement:
         self._blocks = blocks
         self._rhs = rhs
         self._place(data)
-
-    @property
-    def nranks(self) -> int:
-        return self.data.nranks
 
     def _place(self, data: DistributedData) -> None:
         d = data.problem.d

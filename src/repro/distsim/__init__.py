@@ -44,7 +44,6 @@ from repro.distsim.collectives import (
     barrier_cost,
     alltoall_cost,
     sparse_allreduce_cost,
-    sparse_allgather_cost,
     sparse_payload_words,
     SPARSE_SWITCH_DENSITY,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "barrier_cost",
     "alltoall_cost",
     "sparse_allreduce_cost",
-    "sparse_allgather_cost",
     "sparse_payload_words",
     "SPARSE_SWITCH_DENSITY",
     "COMM_MODES",

@@ -569,38 +569,20 @@ class BSPCluster:
         op: Callable[[np.ndarray, np.ndarray], np.ndarray] | str = "sum",
         label: str = "allreduce",
     ) -> np.ndarray:
-        """Reduce per-rank arrays; the (replicated) result is returned once.
-
-        This is the simulator's ``MPI_Allreduce`` — the single collective
-        the RC-SFISTA implementation uses (Fig. 1, stage C).
+        """``MPI_Allreduce`` — the single collective the RC-SFISTA
+        implementation uses (Fig. 1, stage C): :meth:`allreduce_comm` with
+        the dense encoding. The (replicated) result is returned once.
         """
-        arrays = self._check_buffers(values, "allreduce")
-        self._note_decision("dense")
-        start = self._sync_start(label)
-        arrays = self._apply_corruption(arrays, label)
-        result = coll.allreduce_values(arrays, op)
-        cost = coll.allreduce_cost(
-            self.machine, self.nranks, _words_of(arrays[0]), self.allreduce_algorithm
-        )
-        self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
-        return result
+        return self.allreduce_comm(values, mode="dense", op=op, label=label)
 
     def charge_allreduce(self, words: float, label: str = "allreduce") -> None:
-        """Charge an allreduce of *words* words without moving data.
+        """Charge a dense allreduce of *words* words without moving data.
 
         Used by the dry-run cost replays (:mod:`repro.experiments.runner`):
-        identical clock/counter effects to :meth:`allreduce`, zero
-        allocation. Callers that need the *result* must use
-        :meth:`allreduce`.
+        :meth:`charge_allreduce_comm` with the dense encoding.
         """
-        if words < 0:
-            raise ValidationError(f"words must be >= 0, got {words}")
-        self._note_decision("dense")
-        start = self._sync_start(label)
-        cost = coll.allreduce_cost(self.machine, self.nranks, float(words), self.allreduce_algorithm)
-        self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
+        self.charge_allreduce_comm(words, 0.0, mode="dense", label=label)
 
-    # -------------------------- sparse collectives -------------------- #
     def _check_sparse_buffers(
         self, values: Sequence[sc.SparseVector | np.ndarray], what: str
     ) -> list[sc.SparseVector]:
@@ -617,59 +599,38 @@ class BSPCluster:
                 )
         return vectors
 
-    def sparse_allreduce(
-        self,
-        values: Sequence[sc.SparseVector | np.ndarray],
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray] | str = "sum",
-        label: str = "sparse_allreduce",
-    ) -> np.ndarray:
-        """Allreduce of per-rank sparse (index+value) buffers.
+    def _decide(self, mode: str, n: float, nnz_union: float) -> str:
+        """Encoding of one allreduce: the compressor's when compression is
+        on, else *mode* resolved on the union density (validates *mode*)."""
+        decision = coll.resolve_comm_mode(mode, union_density=nnz_union / n if n else 0.0)
+        return self.compress.kind if self.compress.enabled else decision
 
-        Numerically bit-identical to :meth:`allreduce` on the densified
-        inputs; charges :func:`~repro.distsim.collectives.sparse_allreduce_cost`
-        — O(nnz_union) words with stream-and-switch densification — and
-        logs the measured union density into the trace.
-        """
-        vectors = self._check_sparse_buffers(values, "sparse_allreduce")
-        self._note_decision("sparse")
-        start = self._sync_start(label)
-        vectors = self._apply_corruption(vectors, label)
-        reduced = sc.sparse_allreduce_values(vectors, op)
-        n, nnz = vectors[0].n, reduced.nnz
-        cost = coll.sparse_allreduce_cost(
-            self.machine, self.nranks, n, nnz, self.allreduce_algorithm
-        )
-        dense = coll.allreduce_cost(self.machine, self.nranks, float(n), self.allreduce_algorithm)
-        self._finish_collective(
-            label,
-            start,
-            cost,
-            PhaseKind.COLLECTIVE,
-            sparse_words=cost.words,
-            saved_words=dense.words - cost.words,
-            detail=f"sparse nnz={nnz}/{n}",
-        )
-        return reduced.to_dense()
-
-    def charge_sparse_allreduce(
-        self, n: float, nnz_union: float, label: str = "sparse_allreduce"
+    def _finish_allreduce(
+        self, label: str, start: float, mode: str, n: float, nnz: float
     ) -> None:
-        """Charge a sparse allreduce without moving data (dry-run replays)."""
-        self._note_decision("sparse")
-        start = self._sync_start(label)
-        cost = coll.sparse_allreduce_cost(
-            self.machine, self.nranks, float(n), float(nnz_union), self.allreduce_algorithm
+        """Price one allreduce through :func:`coll.allreduce_charge`, then
+        charge, trace and publish it — the end of both allreduce entries."""
+        charge = coll.allreduce_charge(
+            self.machine,
+            self.nranks,
+            n,
+            algorithm=self.allreduce_algorithm,
+            mode=mode,
+            nnz_union=nnz,
+            topology=self.comm_topology,
+            compress=self.compress,
+            compressed_nnz=nnz,
         )
-        dense = coll.allreduce_cost(self.machine, self.nranks, float(n), self.allreduce_algorithm)
         self._finish_collective(
             label,
             start,
-            cost,
+            charge.cost,
             PhaseKind.COLLECTIVE,
-            sparse_words=cost.words,
-            saved_words=dense.words - cost.words,
-            detail=f"sparse nnz={nnz_union:g}/{n:g}",
+            sparse_words=charge.sparse_words,
+            saved_words=charge.saved_words,
+            detail=charge.detail,
         )
+        self._publish_v2(charge)
 
     def allreduce_comm(
         self,
@@ -681,65 +642,68 @@ class BSPCluster:
     ) -> np.ndarray:
         """Allreduce dispatching on the ``comm`` knob.
 
-        ``"dense"`` and ``"sparse"`` force the respective path; ``"auto"``
-        measures the union density of the contributions and picks the
-        cheaper encoding per phase (the decision is recorded in the trace
-        event's ``detail``). Results are bit-identical across modes.
+        ``"dense"`` and ``"sparse"`` force the respective encoding;
+        ``"auto"`` measures the union density of the contributions and
+        picks the cheaper one per phase (the decision is recorded in the
+        trace event's ``detail``). Results are bit-identical across modes.
+        On a cluster with ``comm_compress`` the compressor decides instead
+        (``op="sum"`` only): contributions are compressed, reduced dense,
+        and charged for the compressed wire payload.
         """
-        if mode not in sc.COMM_MODES:
-            raise ValidationError(f"unknown comm mode {mode!r}; choose from {sc.COMM_MODES}")
-        if self.compress.enabled:
-            return self._allreduce_compressed(values, op=op, label=label)
-        if mode == "dense":
-            result = self.allreduce(
-                [sc.as_sparse_vector(v).to_dense() if isinstance(v, sc.SparseVector) else v
-                 for v in values],
-                op,
-                label=label,
+        if self.compress.enabled and op != "sum":
+            raise ValidationError(
+                f"comm_compress={self.compress.spec!r} supports op='sum' only, got {op!r}"
             )
-            self._publish_hier_rounds()
-            return result
-        vectors = self._check_sparse_buffers(values, "allreduce_comm")
-        n = vectors[0].n
-        union = sc.support_union_size(vectors)
-        density = union / n if n else 0.0
-        resolved = sc.resolve_comm_mode(mode, union_density=density)
-        if resolved == "sparse":
-            result = self.sparse_allreduce(vectors, op, label=label)
-            self._publish_hier_rounds()
-            return result
-        # auto decided to densify: dense cost, decision still logged.
-        arrays = [v.to_dense() for v in vectors]
-        self._note_decision("dense")
+        sparse_in = mode != "dense" and not self.compress.enabled
+        if sparse_in:
+            vectors = self._check_sparse_buffers(values, "allreduce_comm")
+            n, nnz = float(vectors[0].n), float(sc.support_union_size(vectors))
+        else:
+            arrays = self._check_buffers(
+                [v.to_dense() if isinstance(v, sc.SparseVector) else v for v in values],
+                "allreduce",
+            )
+            n, nnz = float(arrays[0].size), 0.0
+        decision = self._decide(mode, n, nnz)
+        self._note_decision(decision)
         start = self._sync_start(label)
-        arrays = self._apply_corruption(arrays, label)
-        result = coll.allreduce_values(arrays, op)
-        cost = coll.allreduce_cost(self.machine, self.nranks, float(n), self.allreduce_algorithm)
-        self._finish_collective(
-            label,
-            start,
-            cost,
-            PhaseKind.COLLECTIVE,
-            detail=f"auto->dense nnz={union}/{n}",
-        )
-        self._publish_hier_rounds()
+        if decision == "sparse":
+            vectors = self._apply_corruption(vectors, label)
+            result = sc.sparse_allreduce_values(vectors, op).to_dense()
+        else:
+            if sparse_in:  # auto densified
+                arrays = [v.to_dense() for v in vectors]
+            arrays = self._apply_corruption(arrays, label)
+            if self.compress.enabled:
+                result, nnz = self._reduce_compressed(arrays, label)
+            else:
+                result = coll.allreduce_values(arrays, op)
+        self._finish_allreduce(label, start, mode, n, nnz)
         return result
 
-    def _publish_hier_rounds(self) -> None:
-        """Round counters for ``comm_topology='hier'`` without compression.
+    def charge_allreduce_comm(
+        self,
+        n: float,
+        nnz: float,
+        *,
+        mode: str = "dense",
+        label: str = "allreduce",
+    ) -> None:
+        """Charge :meth:`allreduce_comm` without moving data.
 
-        The uncompressed hierarchical schedule charges exactly the legacy
-        two-level cost a hierarchical machine already pays (and its combine
-        tree is bit-identical to the flat tournament for power-of-two node
-        sizes), so only the new round counters need publishing here.
+        Same decision, clock effects, trace details and counters as the
+        data-moving entry for contributions of length *n*. *nnz* is the
+        support union of the contributions (read by sparse/auto) or, on a
+        compressing cluster, the union nnz of the compressed top-k
+        contributions. Used by backends that reduce the payload elsewhere
+        (real processes, dry-run replays) but must charge exactly what a
+        BSP run of the schedule charges.
         """
-        if not self._v2_active or self.compress.enabled or self._metrics is None:
-            return
-        local, remote = coll._round_counts(self.machine, self.nranks, self.allreduce_algorithm)
-        if local:
-            self._m_rounds_local.inc(float(local))
-        if remote:
-            self._m_rounds_remote.inc(float(remote))
+        if n < 0:
+            raise ValidationError(f"words must be >= 0, got {n}")
+        self._note_decision(self._decide(mode, n, nnz))
+        start = self._sync_start(label)
+        self._finish_allreduce(label, start, mode, float(n), float(nnz))
 
     def _reduce_compressed(self, arrays: list[np.ndarray], label: str) -> tuple[np.ndarray, float]:
         """Compress contributions, reduce dense, measure the wire support.
@@ -777,129 +741,6 @@ class BSPCluster:
             wire_nnz = float(np.count_nonzero(mask))
         return result, wire_nnz
 
-    def _allreduce_compressed(
-        self,
-        values: Sequence[np.ndarray | sc.SparseVector],
-        *,
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray] | str = "sum",
-        label: str = "allreduce",
-    ) -> np.ndarray:
-        """Lossy-compressed allreduce (collectives v2)."""
-        if op != "sum":
-            raise ValidationError(
-                f"comm_compress={self.compress.spec!r} supports op='sum' only, got {op!r}"
-            )
-        arrays = self._check_buffers(
-            [v.to_dense() if isinstance(v, sc.SparseVector) else v for v in values],
-            "allreduce",
-        )
-        n = int(arrays[0].size)
-        self._note_decision(self.compress.kind)
-        start = self._sync_start(label)
-        arrays = self._apply_corruption(arrays, label)
-        result, wire_nnz = self._reduce_compressed(arrays, label)
-        charge = coll.allreduce_charge(
-            self.machine,
-            self.nranks,
-            float(n),
-            algorithm=self.allreduce_algorithm,
-            topology=self.comm_topology,
-            compress=self.compress,
-            compressed_nnz=wire_nnz,
-        )
-        detail = (
-            f"topk nnz={int(wire_nnz)}/{n}"
-            if self.compress.kind == "topk"
-            else f"quant bits={self.compress.bits}"
-        )
-        self._finish_collective(
-            label,
-            start,
-            charge.cost,
-            PhaseKind.COLLECTIVE,
-            sparse_words=charge.sparse_words,
-            saved_words=charge.saved_words,
-            detail=detail,
-        )
-        self._publish_v2(charge)
-        return result
-
-    def charge_allreduce_compressed(
-        self, n: float, compressed_nnz: float, label: str = "allreduce"
-    ) -> None:
-        """Charge a compressed allreduce without moving data.
-
-        Counterpart of :meth:`_allreduce_compressed` for backends that
-        reduce the (compressed) payload elsewhere — *compressed_nnz* is the
-        union nnz of the compressed contributions they measured.
-        """
-        self._note_decision(self.compress.kind)
-        start = self._sync_start(label)
-        charge = coll.allreduce_charge(
-            self.machine,
-            self.nranks,
-            float(n),
-            algorithm=self.allreduce_algorithm,
-            topology=self.comm_topology,
-            compress=self.compress,
-            compressed_nnz=compressed_nnz,
-        )
-        detail = (
-            f"topk nnz={int(compressed_nnz)}/{int(n)}"
-            if self.compress.kind == "topk"
-            else f"quant bits={self.compress.bits}"
-        )
-        self._finish_collective(
-            label,
-            start,
-            charge.cost,
-            PhaseKind.COLLECTIVE,
-            sparse_words=charge.sparse_words,
-            saved_words=charge.saved_words,
-            detail=detail,
-        )
-        self._publish_v2(charge)
-
-    def charge_allreduce_comm(
-        self,
-        n: float,
-        nnz_union: float,
-        *,
-        mode: str = "dense",
-        label: str = "allreduce",
-    ) -> None:
-        """Charge :meth:`allreduce_comm` without moving data.
-
-        Same decision procedure, clock effects, trace details and counters
-        as the data-moving dispatch for contributions of length *n* whose
-        support union has *nnz_union* nonzeros. Used by backends that
-        reduce the payload elsewhere (real processes, dry-run replays) but
-        must charge exactly what a BSP run of the schedule charges.
-        """
-        if mode not in sc.COMM_MODES:
-            raise ValidationError(f"unknown comm mode {mode!r}; choose from {sc.COMM_MODES}")
-        if mode == "dense":
-            self.charge_allreduce(float(n), label=label)
-            self._publish_hier_rounds()
-            return
-        density = nnz_union / n if n else 0.0
-        resolved = sc.resolve_comm_mode(mode, union_density=density)
-        if resolved == "sparse":
-            self.charge_sparse_allreduce(n, nnz_union, label=label)
-            self._publish_hier_rounds()
-            return
-        self._note_decision("dense")
-        start = self._sync_start(label)
-        cost = coll.allreduce_cost(self.machine, self.nranks, float(n), self.allreduce_algorithm)
-        self._finish_collective(
-            label,
-            start,
-            cost,
-            PhaseKind.COLLECTIVE,
-            detail=f"auto->dense nnz={int(nnz_union)}/{int(n)}",
-        )
-        self._publish_hier_rounds()
-
     def allgather(
         self, values: Sequence[np.ndarray], label: str = "allgather"
     ) -> list[np.ndarray]:
@@ -911,36 +752,6 @@ class BSPCluster:
         self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
         return self._fanout(arrays)
 
-    def sparse_allgather(
-        self,
-        values: Sequence[sc.SparseVector | np.ndarray],
-        label: str = "sparse_allgather",
-    ) -> list[np.ndarray]:
-        """Allgather of per-rank sparse buffers (recursive doubling).
-
-        Numerically identical to :meth:`allgather` on the densified inputs;
-        charges :func:`~repro.distsim.collectives.sparse_allgather_cost`
-        with the largest per-rank payload (the uniform-block formula's
-        critical path), tagging the saving against the dense allgather.
-        """
-        vectors = self._check_sparse_buffers(values, "sparse_allgather")
-        start = self._sync_start(label)
-        gathered = sc.sparse_allgather_values(vectors)
-        n = vectors[0].n
-        nnz_max = max(v.nnz for v in vectors)
-        cost = coll.sparse_allgather_cost(self.machine, self.nranks, float(n), float(nnz_max))
-        dense = coll.allgather_cost(self.machine, self.nranks, float(n))
-        self._finish_collective(
-            label,
-            start,
-            cost,
-            PhaseKind.COLLECTIVE,
-            sparse_words=cost.words,
-            saved_words=dense.words - cost.words,
-            detail=f"sparse nnz={nnz_max}/{n}",
-        )
-        return self._fanout([v.to_dense() for v in gathered])
-
     def bcast(self, value: np.ndarray, root: int = 0, label: str = "bcast") -> np.ndarray:
         """Broadcast *value* from *root* to all ranks."""
         self._check_root(root)
@@ -949,14 +760,6 @@ class BSPCluster:
         cost = coll.bcast_cost(self.machine, self.nranks, _words_of(arr))
         self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
         return freeze(arr) if self.dedup else arr.copy()
-
-    def charge_bcast(self, words: float, label: str = "bcast") -> None:
-        """Charge a broadcast of *words* words without moving data."""
-        if words < 0:
-            raise ValidationError(f"words must be >= 0, got {words}")
-        start = self._sync_start(label)
-        cost = coll.bcast_cost(self.machine, self.nranks, float(words))
-        self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
 
     def reduce(
         self,
@@ -974,14 +777,6 @@ class BSPCluster:
         cost = coll.reduce_cost(self.machine, self.nranks, _words_of(arrays[0]))
         self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
         return result
-
-    def charge_reduce(self, words: float, label: str = "reduce") -> None:
-        """Charge a rooted reduction of *words* words without moving data."""
-        if words < 0:
-            raise ValidationError(f"words must be >= 0, got {words}")
-        start = self._sync_start(label)
-        cost = coll.reduce_cost(self.machine, self.nranks, float(words))
-        self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
 
     def gather(self, values: Sequence[np.ndarray], root: int = 0, label: str = "gather") -> list[np.ndarray]:
         """Gather per-rank buffers to *root*."""

@@ -65,8 +65,9 @@ __all__ = [
     "SPARSE_SWITCH_DENSITY",
     "sparse_payload_words",
     "sparse_allreduce_cost",
-    "sparse_allgather_cost",
     "compressed_payload_words",
+    "COMM_MODES",
+    "resolve_comm_mode",
 ]
 
 ALLREDUCE_ALGORITHMS = ("recursive_doubling", "binomial_tree", "ring")
@@ -85,6 +86,9 @@ SPARSE_INDEX_WORDS = 1.0
 # Density above which the index+value encoding stops paying and the
 # stream-and-switch schedule densifies: (1 + SPARSE_INDEX_WORDS)·nnz ≥ n.
 SPARSE_SWITCH_DENSITY = 1.0 / (1.0 + SPARSE_INDEX_WORDS)
+
+# Values accepted by the solvers' / collectives' ``comm`` knob.
+COMM_MODES = ("dense", "sparse", "auto")
 
 
 def ceil_log2(p: int) -> int:
@@ -418,29 +422,32 @@ def sparse_allreduce_cost(
     return allreduce_cost(machine, p, sparse_payload_words(n, nnz_union), algorithm)
 
 
-def sparse_allgather_cost(
-    machine: MachineSpec, p: int, n_local: float, nnz_local: float
-) -> CollectiveCost:
-    """Recursive-doubling allgather of per-rank sparse buffers.
-
-    Each rank contributes a length-*n_local* buffer with *nnz_local* stored
-    entries, shipped in index+value encoding (dense-capped).
-    """
-    _check(p, n_local)
-    return allgather_cost(machine, p, sparse_payload_words(n_local, nnz_local))
-
-
 # ---------------------------------------------------------------------- #
 # unified allreduce charging — collectives v2
 # ---------------------------------------------------------------------- #
+def resolve_comm_mode(mode: str, *, union_density: float) -> str:
+    """Resolve a ``comm`` knob value to the concrete path for one phase.
+
+    ``"auto"`` picks the sparse path while the measured union density is
+    below the stream-and-switch threshold :data:`SPARSE_SWITCH_DENSITY`,
+    densifying above it — the per-phase decision the solvers log into the
+    trace. This is the only place that threshold is compared.
+    """
+    if mode not in COMM_MODES:
+        raise ValidationError(f"unknown comm mode {mode!r}; choose from {COMM_MODES}")
+    if mode == "auto":
+        return "sparse" if union_density < SPARSE_SWITCH_DENSITY else "dense"
+    return mode
+
+
 @dataclass(frozen=True)
 class AllreduceCharge:
     """Everything one allreduce charges, from one helper for every path.
 
-    PR 1 computed ``saved_words`` inline at each stream-and-switch call
-    site; dense and compressed paths bypassed it entirely.
-    :func:`allreduce_charge` is now the single source of those numbers, so
-    dense/sparse/top-k/quantized report through the same counters.
+    :func:`allreduce_charge` is the single source of these numbers, so
+    dense/sparse/top-k/quantized payloads on every substrate (BSP cluster,
+    mp ledger, SPMD engine) report through the same counters and the same
+    trace detail.
     """
 
     cost: CollectiveCost
@@ -455,6 +462,9 @@ class AllreduceCharge:
     rounds_remote: int
     #: Encoding actually used: dense | sparse | topk | quant.
     decision: str
+    #: Trace-event detail: the measured support for sparse/top-k (and for
+    #: an ``auto`` phase that densified), the bit width for quant, else "".
+    detail: str = ""
 
 
 def _flat_round_count(p: int, algorithm: str) -> int:
@@ -510,11 +520,11 @@ def allreduce_charge(
     """Charge one allreduce of a length-*n* vector: the one charging path.
 
     * ``compress`` **off** — the legacy schedules, bit-for-bit: ``mode``
-      resolves exactly like
-      :func:`~repro.distsim.sparse_collectives.resolve_comm_mode` and the
-      cost is :func:`allreduce_cost` / :func:`sparse_allreduce_cost` on
-      *machine* (the ``"hier"`` topology changes the combine tree, not the
-      two-level cost formula a hierarchical machine already charges).
+      resolves through :func:`resolve_comm_mode` on the union density
+      *nnz_union*/*n* and the cost is :func:`allreduce_cost` /
+      :func:`sparse_allreduce_cost` on *machine* (the ``"hier"`` topology
+      changes the combine tree, not the two-level cost formula a
+      hierarchical machine already charges).
     * ``compress`` **on** — the encoding decision is the compressor's.
       On ``"flat"`` every round ships the compressed payload
       (*compressed_nnz* = union nnz of the compressed contributions for
@@ -535,7 +545,8 @@ def allreduce_charge(
     rounds_local, rounds_remote = _round_counts(machine, p, algorithm)
 
     if not compress.enabled:
-        if mode == "sparse" or (mode == "auto" and (n == 0 or nnz_union / n < SPARSE_SWITCH_DENSITY)):
+        decision = resolve_comm_mode(mode, union_density=nnz_union / n if n else 0.0)
+        if decision == "sparse":
             cost = sparse_allreduce_cost(machine, p, n, nnz_union, algorithm)
             return AllreduceCharge(
                 cost=cost,
@@ -544,6 +555,7 @@ def allreduce_charge(
                 rounds_local=rounds_local,
                 rounds_remote=rounds_remote,
                 decision="sparse",
+                detail=f"sparse nnz={int(nnz_union)}/{int(n)}",
             )
         return AllreduceCharge(
             cost=dense_cost,
@@ -552,6 +564,7 @@ def allreduce_charge(
             rounds_local=rounds_local,
             rounds_remote=rounds_remote,
             decision="dense",
+            detail=f"auto->dense nnz={int(nnz_union)}/{int(n)}" if mode == "auto" else "",
         )
 
     payload = compressed_payload_words(n, compress, compressed_nnz)
@@ -581,4 +594,9 @@ def allreduce_charge(
         rounds_local=rounds_local,
         rounds_remote=rounds_remote,
         decision=compress.kind,
+        detail=(
+            f"topk nnz={int(compressed_nnz)}/{int(n)}"
+            if compress.kind == "topk"
+            else f"quant bits={compress.bits}"
+        ),
     )

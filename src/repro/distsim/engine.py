@@ -645,10 +645,7 @@ class SPMDEngine:
                 reduced = coll.allreduce_values(
                     [np.asarray(v, dtype=np.float64) for v in values], ops[0].op
                 )
-                cost = coll.allreduce_cost(
-                    self.machine, self.nranks, _words_of(values[0]), self.allreduce_algorithm
-                )
-                results = self._fanout(reduced)
+                n, nnz = _words_of(values[0]), 0.0
             else:
                 vectors = [sc.as_sparse_vector(v) for v in values]
                 n = vectors[0].n
@@ -660,23 +657,18 @@ class SPMDEngine:
                         )
                 reduced_sv = sc.sparse_allreduce_values(vectors, ops[0].op)
                 nnz = reduced_sv.nnz
-                density = nnz / n if n else 0.0
-                resolved = sc.resolve_comm_mode(comm, union_density=density)
-                dense_cost = coll.allreduce_cost(
-                    self.machine, self.nranks, float(n), self.allreduce_algorithm
-                )
-                if resolved == "sparse":
-                    cost = coll.sparse_allreduce_cost(
-                        self.machine, self.nranks, n, nnz, self.allreduce_algorithm
-                    )
-                    sparse_words = cost.words
-                    saved_words = dense_cost.words - cost.words
-                    detail = f"sparse nnz={nnz}/{n}"
-                else:
-                    cost = dense_cost
-                    detail = f"auto->dense nnz={nnz}/{n}"
                 reduced = reduced_sv.to_dense()
-                results = self._fanout(reduced)
+            charge = coll.allreduce_charge(
+                self.machine,
+                self.nranks,
+                float(n),
+                algorithm=self.allreduce_algorithm,
+                mode=comm,
+                nnz_union=float(nnz),
+            )
+            cost, detail = charge.cost, charge.detail
+            sparse_words, saved_words = charge.sparse_words, charge.saved_words
+            results = self._fanout(reduced)
         elif kind == "reduce":
             reduced = coll.allreduce_values([np.asarray(v, dtype=np.float64) for v in values], ops[0].op)
             cost = coll.reduce_cost(self.machine, self.nranks, _words_of(values[0]))

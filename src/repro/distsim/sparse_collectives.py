@@ -18,8 +18,8 @@ This module provides the *numerics* of that subsystem:
   **bit-identical** on the same inputs, for every allreduce algorithm and
   rank count.
 
-The matching α-β-γ cost formulas live in
-:mod:`repro.distsim.collectives` (:func:`sparse_allreduce_cost` et al.);
+The matching α-β-γ cost formulas, and the dense/sparse/auto decision,
+live in :mod:`repro.distsim.collectives` (:func:`allreduce_charge`);
 :class:`~repro.distsim.bsp.BSPCluster` and the SPMD engine glue the two
 together and log densification decisions into the trace.
 """
@@ -32,20 +32,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import CommunicatorError, ValidationError
-from repro.distsim.collectives import SPARSE_SWITCH_DENSITY, resolve_reduce_op
+# COMM_MODES and resolve_comm_mode live beside the one charging path
+# (collectives.allreduce_charge); re-exported here for the comm knob's users.
+from repro.distsim.collectives import COMM_MODES, resolve_comm_mode, resolve_reduce_op
 
 __all__ = [
     "SparseVector",
     "as_sparse_vector",
     "sparse_allreduce_values",
-    "sparse_allgather_values",
     "support_union_size",
     "COMM_MODES",
     "resolve_comm_mode",
 ]
-
-# Values accepted by the solvers' / collectives' ``comm`` knob.
-COMM_MODES = ("dense", "sparse", "auto")
 
 
 @dataclass(frozen=True)
@@ -171,48 +169,6 @@ def sparse_allreduce_values(
     return level[0]
 
 
-def sparse_allgather_values(
-    vectors: Sequence["SparseVector | np.ndarray"],
-) -> list[SparseVector]:
-    """Recursive-doubling allgather of per-rank sparse vectors.
-
-    Complements PR 1's stream-and-switch all*reduce* path: no reduction
-    happens — every rank ends up holding all ``P`` contributions, in rank
-    order, still in index+value form. The exchange is the dissemination
-    (Bruck) schedule: in round ``r`` rank ``i`` receives rank
-    ``(i + 2^r) mod P``'s current holdings, so holdings double each round
-    and ⌈log₂P⌉ rounds suffice for any ``P`` — the round structure
-    :func:`~repro.distsim.collectives.sparse_allgather_cost` charges.
-
-    The gathered vectors are the inputs themselves (gather moves data,
-    it never rewrites it), so ``sparse_allgather_values(vs)[i].to_dense()``
-    equals the dense allgather of ``[v.to_dense() for v in vs]`` exactly.
-    """
-    p = len(vectors)
-    if p == 0:
-        raise CommunicatorError("sparse allgather over zero ranks")
-    svs = [as_sparse_vector(v) for v in vectors]
-    n = svs[0].n
-    for i, sv in enumerate(svs):
-        if sv.n != n:
-            raise CommunicatorError(
-                f"sparse allgather length mismatch: rank 0 has n={n}, rank {i} has n={sv.n}"
-            )
-    # holdings[i] maps source rank -> contribution; doubles every round.
-    holdings: list[dict[int, SparseVector]] = [{i: svs[i]} for i in range(p)]
-    stride = 1
-    while stride < p:
-        holdings = [
-            {**holdings[i], **holdings[(i + stride) % p]} for i in range(p)
-        ]
-        stride *= 2
-    result = [holdings[0][src] for src in range(p)]
-    for i in range(p):
-        if len(holdings[i]) != p:  # pragma: no cover - schedule invariant
-            raise CommunicatorError(f"allgather incomplete on rank {i}")
-    return result
-
-
 def support_union_size(vectors: Sequence["SparseVector | np.ndarray"]) -> int:
     """Number of entries in the union of the per-rank supports."""
     if len(vectors) == 0:
@@ -222,18 +178,3 @@ def support_union_size(vectors: Sequence["SparseVector | np.ndarray"]) -> int:
         idx = as_sparse_vector(v).indices
         union = idx if union is None else np.union1d(union, idx)
     return int(union.size)
-
-
-def resolve_comm_mode(mode: str, *, union_density: float) -> str:
-    """Resolve a ``comm`` knob value to the concrete path for one phase.
-
-    ``"auto"`` picks the sparse path while the measured union density is
-    below the stream-and-switch threshold
-    :data:`~repro.distsim.collectives.SPARSE_SWITCH_DENSITY`, densifying
-    above it — the per-phase decision the solvers log into the trace.
-    """
-    if mode not in COMM_MODES:
-        raise ValidationError(f"unknown comm mode {mode!r}; choose from {COMM_MODES}")
-    if mode == "auto":
-        return "sparse" if union_density < SPARSE_SWITCH_DENSITY else "dense"
-    return mode

@@ -58,10 +58,6 @@ class _Instrument:
         self.name = name
         self.help = help
 
-    @property
-    def enabled(self) -> bool:
-        return self._registry.enabled
-
 
 class Counter(_Instrument):
     """Monotonically increasing value, one series per label combination."""
@@ -198,9 +194,6 @@ class MetricsRegistry:
     # -- introspection --------------------------------------------------- #
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
-
-    def names(self) -> list[str]:
-        return sorted(self._instruments)
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-safe point-in-time view: ``{name: {type, values}}``.

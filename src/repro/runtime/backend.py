@@ -42,11 +42,11 @@ __all__ = [
 class ExecutionBackend(Protocol):
     """What a solver body may ask of its execution substrate.
 
-    Collectives take one contribution per rank (host view) and return the
-    replicated result; ``compute`` charges per-rank flops; ``checkpoint``/
-    ``recover`` charge resilience traffic; the accessors expose the
-    simulated clock, accumulated cost and trace for monitoring, telemetry
-    and ``SolveResult`` assembly.
+    The one collective, ``allreduce``, takes one contribution per rank
+    (host view) and returns the replicated result; ``compute`` charges
+    per-rank flops; ``checkpoint``/``recover`` charge resilience traffic;
+    the accessors expose the simulated clock, accumulated cost and trace
+    for monitoring, telemetry and ``SolveResult`` assembly.
     """
 
     nranks: int
@@ -55,14 +55,8 @@ class ExecutionBackend(Protocol):
     # GramWorkspace per rank) instead of sharing mutable buffers.
     parallel_ranks: bool
 
-    # -- collectives --------------------------------------------------- #
+    # -- the collective ------------------------------------------------ #
     def allreduce(self, contribs: Sequence[np.ndarray], label: str = "allreduce") -> np.ndarray: ...
-
-    def reduce(self, contribs: Sequence[np.ndarray], root: int = 0, label: str = "reduce") -> np.ndarray: ...
-
-    def broadcast(self, value: np.ndarray, root: int = 0, label: str = "bcast") -> np.ndarray: ...
-
-    def barrier(self, label: str = "barrier") -> None: ...
 
     # -- compute + resilience charging --------------------------------- #
     def compute(self, flops: float | Sequence[float] | np.ndarray, label: str = "compute") -> None: ...
@@ -101,7 +95,7 @@ class ExecutionBackend(Protocol):
 class SerialBackend:
     """P=1, zero-cost: the serial degenerate case of the protocol.
 
-    Collectives return the lone contribution unchanged (bit-identical to
+    ``allreduce`` returns the lone contribution unchanged (bit-identical to
     a 1-rank BSP reduction in every ``comm`` mode), nothing is charged and
     no trace exists. ``last_comm_decision`` still resolves the configured
     encoding against the contribution's density so telemetry records stay
@@ -159,15 +153,6 @@ class SerialBackend:
     def comm_state_restore(self, snap: object) -> None:
         if self._compressor is not None:
             self._compressor.restore(snap)
-
-    def reduce(self, contribs: Sequence[np.ndarray], root: int = 0, label: str = "reduce") -> np.ndarray:
-        return self._single(contribs, "reduce")
-
-    def broadcast(self, value: np.ndarray, root: int = 0, label: str = "bcast") -> np.ndarray:
-        return np.array(value, dtype=np.float64, copy=True)
-
-    def barrier(self, label: str = "barrier") -> None:
-        pass
 
     def compute(self, flops: float | Sequence[float] | np.ndarray, label: str = "compute") -> None:
         pass
@@ -260,15 +245,6 @@ class BSPBackend:
 
     def allreduce(self, contribs: Sequence[np.ndarray], label: str = "allreduce") -> np.ndarray:
         return self.cluster.allreduce_comm(contribs, mode=self.comm, label=label)
-
-    def reduce(self, contribs: Sequence[np.ndarray], root: int = 0, label: str = "reduce") -> np.ndarray:
-        return self.cluster.reduce(contribs, root=root, label=label)
-
-    def broadcast(self, value: np.ndarray, root: int = 0, label: str = "bcast") -> np.ndarray:
-        return self.cluster.bcast(value, root=root, label=label)
-
-    def barrier(self, label: str = "barrier") -> None:
-        self.cluster.barrier(label=label)
 
     def compute(self, flops: float | Sequence[float] | np.ndarray, label: str = "compute") -> None:
         self.cluster.compute(flops, label=label)

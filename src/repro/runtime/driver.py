@@ -194,11 +194,6 @@ class ResilientLoop:
     # ------------------------------------------------------------------ #
     # checkpointing + the recovery loop
     # ------------------------------------------------------------------ #
-    @property
-    def checkpoint(self) -> Checkpoint | None:
-        """The checkpoint a rollback would restore (None → restart from scratch)."""
-        return self._ck
-
     def _comm_snapshot(self) -> object:
         snap = getattr(self.backend, "comm_state_snapshot", None)
         return snap() if snap is not None else None

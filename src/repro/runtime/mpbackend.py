@@ -89,7 +89,6 @@ import numpy as np
 
 from repro.distsim import sparse_collectives as sc
 from repro.distsim.bsp import BSPCluster
-from repro.distsim.machine import HierarchicalMachine
 from repro.distsim.faults import FaultInjector, RetryPolicy, as_injector
 from repro.distsim.trace import Trace
 from repro.exceptions import (
@@ -260,15 +259,6 @@ def _worker_main(rank: int, nranks: int, conn, unregister_shm: bool, generation:
                         )
                         touched = count
                     conn.send((seq, "ok", touched))
-                elif op == "bcast":
-                    root, count = args
-                    touched = 0
-                    if rank != root:
-                        np.copyto(views[rank][:count], views[root][:count])
-                        touched = count
-                    conn.send((seq, "ok", touched))
-                elif op == "barrier":
-                    conn.send((seq, "ok", 0))
                 elif op == "ping":  # supervisor heartbeat / tests
                     conn.send(
                         (
@@ -851,85 +841,52 @@ class MultiprocessingBackend:
             np.copyto(self._views[rank][:n], a.reshape(-1))
         return n, shape
 
-    def _run_tournament(self, n: int) -> None:
-        """Execute the pairwise reduction levels on the workers."""
-        for stride, pairs in self._levels:
+    def _run_tournament(self, n: int, levels=None) -> None:
+        """Execute the pairwise reduction *levels* (default: all) on the workers."""
+        for stride, pairs in self._levels if levels is None else levels:
             self._roundtrip(
                 [dst for dst, _src in pairs],
                 lambda r: ("reduce_level", stride, n),
                 "allreduce",
             )
 
-    def _result(self, n: int, shape: tuple, root: int = 0) -> np.ndarray:
-        return np.array(self._views[root][:n], copy=True).reshape(shape)
+    def _result(self, n: int, shape: tuple) -> np.ndarray:
+        return np.array(self._views[0][:n], copy=True).reshape(shape)
 
     # ------------------------------------------------------------------ #
     # ExecutionBackend protocol
     # ------------------------------------------------------------------ #
-    def _allreduce_compressed(self, n: int, shape: tuple, label: str) -> np.ndarray:
-        """Compress the loaded contributions in place, then run the tournament.
+    def _compress_contributions(self, n: int, label: str) -> tuple[float, list]:
+        """Compress the loaded contributions in place.
 
         Mirrors :meth:`BSPCluster._reduce_compressed` exactly: flat
         topology compresses every rank's shared-memory contribution
         (stream = rank); hierarchical first runs the intra-node tournament
         levels (stride < node_size — for power-of-two node sizes those
         pair only within node blocks, leaving each block's dense partial
-        on its leader), compresses the leader partials (stream = node
-        index), then runs the remaining inter-node levels. Same compress
-        inputs, same streams, same reduction order — bit-identical results
-        to the BSP/threads backends.
+        on its leader) and compresses the leader partials (stream = node
+        index). Returns the top-k wire support (union nnz of the
+        compressed payloads, 0 for quant) and the tournament levels still
+        to run. Same compress inputs, same streams, same reduction order —
+        bit-identical results to the BSP/threads backends.
         """
-        bank = self._compressor
-        node_size = (
-            self._ledger.machine.node_size
-            if self.comm_topology == "hier"
-            and isinstance(self._ledger.machine, HierarchicalMachine)
-            else 1
-        )
+        levels = self._levels
         if self.comm_topology == "hier":
-            intra = [(s, p) for s, p in self._levels if s < node_size]
-            inter = [(s, p) for s, p in self._levels if s >= node_size]
-            for stride, pairs in intra:
-                self._roundtrip(
-                    [dst for dst, _src in pairs],
-                    lambda r: ("reduce_level", stride, n),
-                    "allreduce",
-                )
-            leaders = list(range(0, self.nranks, node_size))
-            compressed = []
-            for node, leader in enumerate(leaders):
-                c = bank.compress(
-                    np.array(self._views[leader][:n], copy=True),
-                    label=label,
-                    stream=node,
-                )
-                np.copyto(self._views[leader][:n], c)
-                compressed.append(c)
-            for stride, pairs in inter:
-                self._roundtrip(
-                    [dst for dst, _src in pairs],
-                    lambda r: ("reduce_level", stride, n),
-                    "allreduce",
-                )
+            node_size = self._ledger.machine.node_size
+            self._run_tournament(n, [(s, p) for s, p in levels if s < node_size])
+            levels = [(s, p) for s, p in levels if s >= node_size]
+            holders = range(0, self.nranks, node_size)
         else:
-            compressed = []
-            for rank in range(self.nranks):
-                c = bank.compress(
-                    np.array(self._views[rank][:n], copy=True),
-                    label=label,
-                    stream=rank,
-                )
-                np.copyto(self._views[rank][:n], c)
-                compressed.append(c)
-            self._run_tournament(n)
-        wire_nnz = 0.0
-        if self.compress.kind == "topk":
-            mask = np.zeros(n, dtype=bool)
-            for c in compressed:
-                mask |= c != 0.0
-            wire_nnz = float(np.count_nonzero(mask))
-        self._ledger.charge_allreduce_compressed(float(n), wire_nnz, label=label)
-        return self._result(n, shape)
+            holders = range(self.nranks)
+        mask = np.zeros(n, dtype=bool)
+        for stream, rank in enumerate(holders):
+            c = self._compressor.compress(
+                np.array(self._views[rank][:n], copy=True), label=label, stream=stream
+            )
+            np.copyto(self._views[rank][:n], c)
+            mask |= c != 0.0
+        wire_nnz = float(np.count_nonzero(mask)) if self.compress.kind == "topk" else 0.0
+        return wire_nnz, levels
 
     def comm_state_snapshot(self):
         return self._ledger.comm_state_snapshot()
@@ -941,11 +898,10 @@ class MultiprocessingBackend:
         n, shape = self._load(contribs, "allreduce")
         index, fault = self._precollective(label)
         self._apply_chaos(index, fault, n, range(self.nranks))
+        nnz, levels = 0.0, None
         if self.compress.enabled:
-            return self._allreduce_compressed(n, shape, label)
-        if self.comm == "dense":
-            self._ledger.charge_allreduce(float(n), label=label)
-        else:
+            nnz, levels = self._compress_contributions(n, label)
+        elif self.comm != "dense":
             # The sparse/auto charge needs the union support size — the
             # same quantity BSP reads off its SparseVector union. Counted
             # on the 1-D host views before the workers densify anything.
@@ -956,44 +912,10 @@ class MultiprocessingBackend:
             union = np.zeros(n, dtype=bool)
             for rank in range(self.nranks):
                 union |= self._views[rank][:n] != 0.0
-            self._ledger.charge_allreduce_comm(
-                n, int(np.count_nonzero(union)), mode=self.comm, label=label
-            )
-        self._run_tournament(n)
+            nnz = float(np.count_nonzero(union))
+        self._ledger.charge_allreduce_comm(n, nnz, mode=self.comm, label=label)
+        self._run_tournament(n, levels)
         return self._result(n, shape)
-
-    def reduce(self, contribs: Sequence[np.ndarray], root: int = 0, label: str = "reduce") -> np.ndarray:
-        if not (0 <= root < self.nranks):
-            raise CommunicatorError(f"root {root} out of range [0, {self.nranks})")
-        n, shape = self._load(contribs, "reduce")
-        index, fault = self._precollective(label)
-        self._apply_chaos(index, fault, n, range(self.nranks))
-        self._ledger.charge_reduce(float(n), label=label)
-        self._run_tournament(n)
-        # The tournament champion lives at rank 0; the host-view protocol
-        # hands the root's result back to the caller either way.
-        return self._result(n, shape)
-
-    def broadcast(self, value: np.ndarray, root: int = 0, label: str = "bcast") -> np.ndarray:
-        if not (0 <= root < self.nranks):
-            raise CommunicatorError(f"root {root} out of range [0, {self.nranks})")
-        self._check_open()
-        arr = np.asarray(value, dtype=np.float64)
-        n = int(arr.size)
-        self._ensure_capacity(n)
-        np.copyto(self._views[root][:n], arr.reshape(-1))
-        index, fault = self._precollective(label)
-        self._apply_chaos(index, fault, n, (root,))
-        self._ledger.charge_bcast(float(n), label=label)
-        self._roundtrip(range(self.nranks), lambda r: ("bcast", root, n), "bcast")
-        return self._result(n, arr.shape, root=root)
-
-    def barrier(self, label: str = "barrier") -> None:
-        self._check_open()
-        index, fault = self._precollective(label)
-        self._apply_chaos(index, fault, 0, ())
-        self._ledger.barrier(label=label)  # charge-only: no payload exists
-        self._roundtrip(range(self.nranks), lambda r: ("barrier",), "barrier")
 
     def compute(self, flops, label: str = "compute") -> None:
         self._ledger.compute(flops, label=label)

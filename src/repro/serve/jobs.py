@@ -22,7 +22,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.exceptions import ValidationError
 from repro.serve.protocol import JOB_STATES, QueueFullError, SubmitRequest
@@ -209,7 +209,3 @@ class FairQueue:
                         del self._pending[tenant]
                     return job
         return None
-
-    def __iter__(self) -> Iterator[Job]:
-        for tenant in self.tenants():
-            yield from self._pending[tenant]

@@ -8,8 +8,6 @@ same random generator seed"). Everything here is deterministic given a seed.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.exceptions import ValidationError
@@ -139,11 +137,6 @@ class SeedSequenceStream:
         (child,) = self._seq.spawn(1)
         self._count += 1
         return np.random.default_rng(child)
-
-    def generators(self) -> Iterator[np.random.Generator]:
-        """Yield generators forever."""
-        while True:
-            yield self.next_generator()
 
     @property
     def count(self) -> int:

@@ -134,6 +134,32 @@ class TestSolve:
             main(["frobnicate"])
 
 
+class TestTraceReport:
+    def test_renders_a_solve_report(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        rc = main([
+            "solve", "--dataset", "covtype", "--size", "tiny",
+            "--solver", "rc_sfista_dist", "--nranks", "4", "--k", "2",
+            "--b", "0.2", "--epochs", "1", "--iters-per-epoch", "10",
+            "--comm", "auto", "--report", str(report),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        assert main(["trace-report", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert "=== rc_sfista_distributed ===" in out
+        assert "iterations recorded: 10  (comm decisions seen: dense)" in out
+        assert "by phase kind" in out and "by label" in out
+        assert "allreduce_G" in out
+        assert "comm " in out and "compute " in out
+
+    def test_non_json_file_is_a_clean_exit(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("not json\n")
+        with pytest.raises(SystemExit, match="bad.txt is not valid JSON"):
+            main(["trace-report", str(bad)])
+
+
 @pytest.mark.collectives
 class TestCollectivesV2Flags:
     def test_compressed_solve_runs(self, capsys):

@@ -15,6 +15,7 @@ from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.reference import solve_reference
 from repro.core.results import History, SolveResult
+from repro.core.sfista_dist import sfista_distributed
 from repro.distsim.faults import FaultPlan, PayloadCorruption, RankCrash
 from repro.exceptions import (
     ConvergenceError,
@@ -283,6 +284,58 @@ class TestProxNewtonRecovery:
         )
         assert np.array_equal(base.w, wired.w)
         assert base.cost == wired.cost
+
+
+# ---------------------------------------------------------------------- #
+# replay under lossy compression: the compressor state rolls back too
+# ---------------------------------------------------------------------- #
+REPLAY_SOLVERS = {
+    "rc_sfista_k2": lambda problem, runtime: rc_sfista_distributed(
+        problem, 4, k=2, iters_per_epoch=24, seed=0, runtime=runtime
+    ),
+    "sfista": lambda problem, runtime: sfista_distributed(
+        problem, 4, iters_per_epoch=24, seed=0, runtime=runtime
+    ),
+}
+
+
+@pytest.mark.collectives
+class TestCompressedReplay:
+    """A crash-and-replay under top-k/quant ends at the fault-free bytes.
+
+    The rollback must also rewind the compressor (top-k error-feedback
+    residuals, quantizer RNG draws) through ``comm_state_restore``. The
+    crash at collective 12 lands after compressed rounds have moved that
+    state past the last checkpoint, so a backend that skipped the restore
+    would replay from a stale compressor and drift (each case fails with
+    the restore stubbed out).
+    """
+
+    @pytest.mark.parametrize("solver", sorted(REPLAY_SOLVERS))
+    @pytest.mark.parametrize("compress", ["topk:frac=0.25", "quant:bits=4"])
+    @pytest.mark.parametrize(
+        "backend", ["bsp", "threads", pytest.param("mp", marks=pytest.mark.mp)]
+    )
+    def test_crash_replay_is_byte_identical(
+        self, small_dense_problem, solver, compress, backend
+    ):
+        def solve(faults):
+            return REPLAY_SOLVERS[solver](
+                small_dense_problem,
+                RuntimeConfig(
+                    backend=backend,
+                    comm_compress=compress,
+                    checkpoint_every=3,
+                    faults=faults,
+                    mp_failure_policy="respawn",
+                    mp_timeout=60.0,
+                ),
+            )
+
+        base = solve(None)
+        rec = solve(FaultPlan(crashes=(RankCrash(rank=1, at_op=12),)))
+        assert rec.meta["resilience"]["rollbacks"] == 1
+        assert rec.w.tobytes() == base.w.tobytes()
 
 
 # ---------------------------------------------------------------------- #

@@ -10,15 +10,13 @@ Property tests (hypothesis) for the new kernels:
   final residual equals the sum of what was produced;
 * stochastic-rounding quantization stays within one grid step
   (``2^-bits · range``) of the input and replays bit-exactly from a
-  snapshot;
-* the sparse allgather returns every rank's contribution unchanged, in
-  rank order — exactly the dense allgather on the union support.
+  snapshot.
 
 Charging regression: :func:`repro.distsim.collectives.allreduce_charge`
 is the *single* charging path for dense/sparse/top-k/quantized payloads;
 the totals pinned here are what every backend reports through the same
-``saved_words``/round counters (the PR-1 drift where only the
-stream-and-switch path incremented ``saved_words`` is gone).
+``saved_words``/round counters, and a cluster's data-moving and
+charge-only allreduce entries charge, trace and publish identically.
 """
 
 import numpy as np
@@ -28,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.distsim import collectives as coll
 from repro.distsim import sparse_collectives as sc
+from repro.distsim.bsp import BSPCluster
 from repro.distsim.compress import (
     CompressorBank,
     parse_compression_spec,
@@ -35,6 +34,7 @@ from repro.distsim.compress import (
 )
 from repro.distsim.machine import HierarchicalMachine, MachineSpec, get_machine
 from repro.exceptions import ValidationError
+from repro.obs.metrics import MetricsRegistry
 
 pytestmark = pytest.mark.collectives
 
@@ -141,27 +141,6 @@ class TestQuantization:
         assert np.array_equal(first, replay)
 
 
-class TestSparseAllgather:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        nranks=st.integers(1, 17),
-        n=st.integers(1, 24),
-        density=st.floats(0.0, 1.0),
-        seed=st.integers(0, 1000),
-    )
-    def test_matches_dense_allgather(self, nranks, n, density, seed):
-        gen = np.random.default_rng(seed)
-        dense = []
-        for _ in range(nranks):
-            v = gen.standard_normal(n)
-            v[gen.random(n) >= density] = 0.0
-            dense.append(v)
-        gathered = sc.sparse_allgather_values(dense)
-        assert len(gathered) == nranks
-        for got, want in zip(gathered, dense):
-            assert np.array_equal(got.to_dense(), want)
-
-
 class TestUnifiedCharging:
     """Pin the one charging helper's totals for every encoding."""
 
@@ -241,3 +220,54 @@ class TestUnifiedCharging:
     def test_rejects_unknown_topology(self):
         with pytest.raises(ValidationError, match="topology"):
             coll.allreduce_charge(self.MACHINE, 4, 10.0, topology="torus")
+
+
+class TestDataChargeParity:
+    """``allreduce_comm`` and ``charge_allreduce_comm`` are one path.
+
+    A fresh cluster that only *charges* a collective (the mp ledger, the
+    dry-run replays) must end in exactly the state of one that moved the
+    data: costs, trace events (detail strings included, also for
+    million-entry vectors), the comm decision and every metric.
+    """
+
+    @staticmethod
+    def _contributions(nranks: int, n: int, density: float) -> list:
+        gen = np.random.default_rng(n + nranks)
+        out = []
+        for _ in range(nranks):
+            idx = np.unique(gen.integers(0, n, size=max(1, int(density * n))))
+            out.append(sc.SparseVector(n, idx, gen.standard_normal(idx.size)))
+        return out
+
+    @staticmethod
+    def _state(cluster: BSPCluster, metrics: MetricsRegistry):
+        events = [
+            (e.kind, e.label, e.start, e.end, e.words, e.messages, e.detail)
+            for e in cluster.trace.events
+        ]
+        return cluster.cost.summary(), events, cluster.last_comm_decision, metrics.snapshot()
+
+    @pytest.mark.parametrize("mode", sc.COMM_MODES)
+    @pytest.mark.parametrize(
+        "machine,nranks,topology",
+        [("comet_effective", 4, "flat"), ("comet_4ppn", 8, "hier")],
+    )
+    @pytest.mark.parametrize("n,density", [(64, 0.1), (64, 0.8), (2_000_003, 0.01)])
+    def test_data_and_charge_paths_agree(self, mode, machine, nranks, topology, n, density):
+        def cluster():
+            metrics = MetricsRegistry()
+            return (
+                BSPCluster(nranks, machine, comm_topology=topology, metrics=metrics),
+                metrics,
+            )
+
+        values = self._contributions(nranks, n, density)
+        union = sc.support_union_size(values)
+        data, data_metrics = cluster()
+        data.allreduce_comm(values, mode=mode, label="stage_c")
+        charged, charged_metrics = cluster()
+        charged.charge_allreduce_comm(n, union, mode=mode, label="stage_c")
+        assert self._state(charged, charged_metrics) == self._state(data, data_metrics)
+        if mode == "sparse":
+            assert data.trace.events[-1].detail == f"sparse nnz={union}/{n}"

@@ -177,21 +177,6 @@ def test_sparse_allreduce_hierarchical_machines(p, n, density_millis, machine):
     assert sparse.time <= dense.time
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    p=st.integers(1, 64),
-    n_local=st.integers(0, 10_000),
-    density_millis=st.integers(0, 1000),
-    machine=machines,
-)
-def test_sparse_allgather_bounded_by_dense(p, n_local, density_millis, machine):
-    nnz = int(n_local * density_millis / 1000)
-    sparse = coll.sparse_allgather_cost(machine, p, float(n_local), float(nnz))
-    dense = coll.allgather_cost(machine, p, float(n_local))
-    assert sparse.words <= dense.words
-    assert sparse.time <= dense.time
-
-
 def test_sparse_payload_words_switchover():
     """Index+value encoding pays below 50% density, densifies above."""
     assert coll.sparse_payload_words(1000.0, 0.0) == 0.0

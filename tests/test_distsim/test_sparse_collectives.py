@@ -79,8 +79,8 @@ class TestAlgorithmInvariance:
         assert dense.tobytes() == reference.tobytes()
 
         sparse_cluster = BSPCluster(nranks, "comet_paper", allreduce_algorithm=algorithm)
-        sparse = sparse_cluster.sparse_allreduce(
-            [SparseVector.from_dense(v) for v in vals]
+        sparse = sparse_cluster.allreduce_comm(
+            [SparseVector.from_dense(v) for v in vals], mode="sparse"
         )
         assert sparse.tobytes() == reference.tobytes()
 
@@ -96,7 +96,7 @@ class TestAlgorithmInvariance:
     def test_all_empty_supports(self, nranks):
         vals = [np.zeros(32) for _ in range(nranks)]
         cluster = BSPCluster(nranks, "comet_paper")
-        out = cluster.sparse_allreduce(vals)
+        out = cluster.allreduce_comm(vals, mode="sparse")
         np.testing.assert_array_equal(out, np.zeros(32))
         if nranks > 1:
             # An all-zero payload costs only the latency rounds.
@@ -148,7 +148,7 @@ class TestBSPAccounting:
         n, nranks = 200, 4
         vals = [_random_sparse(rng, n, 5) for _ in range(nranks)]
         cluster = BSPCluster(nranks, "comet_effective", trace=Trace())
-        cluster.sparse_allreduce(vals)
+        cluster.allreduce_comm(vals, mode="sparse")
         c = cluster.counters[0]
         dense = coll.allreduce_cost(cluster.machine, nranks, float(n))
         assert c.sparse_words == c.words
@@ -161,10 +161,10 @@ class TestBSPAccounting:
         n, nranks = 300, 4
         vals = [_random_sparse(rng, n, 8) for _ in range(nranks)]
         real = BSPCluster(nranks, "comet_effective")
-        reduced = real.sparse_allreduce(vals)
+        reduced = real.allreduce_comm(vals, mode="sparse")
         nnz_union = int(np.count_nonzero(np.sum([v != 0 for v in vals], axis=0)))
         dry = BSPCluster(nranks, "comet_effective")
-        dry.charge_sparse_allreduce(n, nnz_union)
+        dry.charge_allreduce_comm(n, nnz_union, mode="sparse")
         assert dry.counters[0].words == real.counters[0].words
         assert dry.counters[0].clock == real.counters[0].clock
         assert reduced.shape == (n,)
@@ -197,7 +197,7 @@ class TestBSPAccounting:
     def test_sparse_allreduce_shape_mismatch(self):
         cluster = BSPCluster(2, "comet_paper")
         with pytest.raises(CommunicatorError, match="length mismatch"):
-            cluster.sparse_allreduce([np.ones(3), np.ones(4)])
+            cluster.allreduce_comm([np.ones(3), np.ones(4)], mode="sparse")
 
 
 class TestResolveCommMode:
@@ -223,7 +223,7 @@ class TestSPMDParity:
         vals = [_random_sparse(rng, n, 6) for _ in range(nranks)]
 
         bsp = BSPCluster(nranks, "comet_effective")
-        expected = bsp.sparse_allreduce([v.copy() for v in vals])
+        expected = bsp.allreduce_comm([v.copy() for v in vals], mode="sparse")
 
         def program(ctx):
             out = yield ctx.allreduce(vals[ctx.rank], comm="sparse")

@@ -37,7 +37,6 @@ class TestSerialBackend:
         be.compute(1e9)
         be.checkpoint(100.0)
         be.recover(100.0)
-        be.barrier()
         assert be.elapsed == 0.0
         assert be.cost_summary() is None
         assert be.trace is None
