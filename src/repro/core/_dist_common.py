@@ -34,9 +34,11 @@ from repro.sparse.csr import CSCMatrix, CSRMatrix
 from repro.sparse.ops import (
     GramWorkspace,
     gram_flops,
+    packed_size,
     rhs_flops,
     sampled_gram_blocks,
     sampled_rhs,
+    unpack_symmetric,
 )
 from repro.sparse.partition import ColumnPartition, partition_columns
 
@@ -173,8 +175,10 @@ class RankData:
 
         Row ``j`` of the returned ``(len(idx_sets), stride)`` array is the
         local share of block ``j`` for the global sample set
-        ``idx_sets[j]``: ``H_j = (1/m̄) X_p,S diag(c) X_p,Sᵀ`` (``d²`` words,
-        ``d`` the feature count) followed, with ``rhs``, by
+        ``idx_sets[j]``: the packed upper triangle of the symmetric
+        ``H_j = (1/m̄) X_p,S diag(c) X_p,Sᵀ`` (``d(d + 1)/2`` words, ``d``
+        the feature count; :func:`~repro.sparse.ops.unpack_symmetric`
+        restores it) followed, with ``rhs``, by
         ``R_j = (1/m̄) X_p,S r_p,S`` (``d`` words; ``response=None``
         zero-fills it). Summing the rows
         over ranks gives the global blocks exactly. ``weights`` and
@@ -350,8 +354,10 @@ class RankPlacement:
     scratch (:class:`RankWorkspaces`, each pool sized once for a round's
     ``blocks·m̄`` columns) and one stage-C payload buffer of ``blocks``
     blocks per rank, so :meth:`pack` builds each rank's blocks in place
-    with no per-iteration allocation. A block is ``H_j`` (``d²`` words)
-    followed, with ``rhs``, by ``R_j`` (``d`` words). The solver reads
+    with no per-iteration allocation. A block is the packed upper triangle
+    of the symmetric ``H_j`` (``d(d + 1)/2`` words) followed, with ``rhs``,
+    by ``R_j`` (``d`` words); :meth:`unpack` restores a reduced block. The
+    solver reads
     ``placement.data`` afresh every round, because an elastic pool
     shrink swaps it in :meth:`repartition`.
     """
@@ -361,7 +367,11 @@ class RankPlacement:
         self._mbar = mbar
         self._blocks = blocks
         self._rhs = rhs
+        d = data.problem.d
+        self._packed = packed_size(d)
+        self._stride = self._packed + d if rhs else self._packed
         self._place(data)
+        self._H = np.empty((d, d))  # every unpacked H_j of the solve lands here
 
     def _place(self, data: DistributedData) -> None:
         d = data.problem.d
@@ -372,7 +382,6 @@ class RankPlacement:
             self._blocks * self._mbar,
             parallel=self._loop.backend.parallel_ranks,
         )
-        self._stride = d * d + d if self._rhs else d * d
         self.buffers = [np.empty(self._blocks * self._stride) for _ in range(data.nranks)]
         # The loop reports the workspaces' reuse counter in meta["perf"].
         self._loop.workspace = self.workspaces
@@ -387,8 +396,8 @@ class RankPlacement:
     ) -> tuple[np.ndarray, float]:
         """Stage B of rank *p*: one block per sample set, in its payload buffer.
 
-        Block ``j`` is ``H_j = (1/m̄) X_{p,S_j} diag(c) X_{p,S_j}ᵀ`` followed,
-        with ``rhs``, by ``R_j = (1/m̄) X_{p,S_j} r``: ``weights`` and
+        Block ``j`` is the packed ``H_j = (1/m̄) X_{p,S_j} diag(c) X_{p,S_j}ᵀ``
+        followed, with ``rhs``, by ``R_j = (1/m̄) X_{p,S_j} r``: ``weights`` and
         ``response`` are the rank's per-sample ``c`` and ``r`` from
         :meth:`RankData.local_model` (``response=None`` zero-fills ``R_j``).
         Summing the returned views over ranks gives the global blocks
@@ -401,6 +410,18 @@ class RankPlacement:
             weights=weights, response=response, rhs=self._rhs,
         )
         return buf, flops
+
+    def unpack(self, combined: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block *j* of a reduced stage-C payload as ``(H_j, R_j)``.
+
+        ``H_j`` is unpacked (:func:`~repro.sparse.ops.unpack_symmetric`)
+        into one ``(d, d)`` buffer that every call reuses, so it is valid
+        until the next call; ``R_j`` is a view of *combined* (empty without
+        ``rhs``).
+        """
+        row = combined[j * self._stride : (j + 1) * self._stride]
+        d = self._H.shape[0]
+        return unpack_symmetric(row[: self._packed], d, self._H), row[self._packed :]
 
     def repartition(self, new_nranks: int, lost_ranks) -> float:
         """Shrink to *new_nranks*: re-scatter columns, rebuild rank-sized state.

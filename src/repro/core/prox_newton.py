@@ -24,10 +24,10 @@ changes the communication pattern:
   the exact Hessian through the distributed data (one d-word allreduce per
   inner iteration).
 * ``inner="sfista"`` — stochastic inner solver; every inner iteration
-  builds a fresh sampled Hessian (one (d²+d)-word allreduce per inner
-  iteration).
+  builds a fresh sampled Hessian (one d(d+1)/2-word allreduce of its
+  upper triangle per inner iteration).
 * ``inner="rc_sfista"`` — the paper's method; ``k`` sampled blocks per
-  allreduce (k(d²+d) words every k inner iterations) and Hessian-reuse
+  allreduce (k·d(d+1)/2 words every k inner iterations) and Hessian-reuse
   ``S``.
 """
 
@@ -393,7 +393,7 @@ def proximal_newton_distributed(
                     block = min(block_k, inner_iters - done)
                     G = sampled_blocks(block)
                     for j in range(block):
-                        H_j = G[j * d * d : (j + 1) * d * d].reshape(d, d)
+                        H_j, _ = placement.unpack(G, j)
                         # R of the linearized model with sampled H: Hw − ∇f(w).
                         R_j = H_j @ w - grad
                         backend.compute(2.0 * d * d, label="model_rhs")

@@ -22,7 +22,7 @@ features), ``f(u) = (1/2m)‖u − y‖²`` and ``g_i = λ|·|``:
 
 The communication structure is the point of the comparison: ProxCoCoA
 moves ``O(m)`` words per round (the sample dimension — millions for the
-paper's datasets) where RC-SFISTA moves ``k·d²`` words per round (the
+paper's datasets) where RC-SFISTA moves ``k·d(d+1)/2`` words per round (the
 feature dimension, with latency amortized by ``k``).
 """
 

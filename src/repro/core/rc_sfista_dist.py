@@ -6,10 +6,12 @@ Implements the four stages of Fig. 1 per outer round:
   shared seed and keeps the columns it owns.
 * **Stage B** — each rank builds its ``k`` local blocks
   ``H_p = (1/m̄) X_{p,S} X_{p,S}ᵀ`` and (plain estimator) ``R_p``.
-* **Stage C** — ONE ``MPI_Allreduce`` of the concatenated
-  ``G = [H₁|…|H_k | R₁|…|R_k]`` — ``k(d² + d)`` words — instead of the
-  ``k`` separate allreduces SFISTA pays. Latency ÷ k, bandwidth unchanged
-  (Table 1).
+* **Stage C** — ONE ``MPI_Allreduce`` of the concatenated blocks
+  ``G = [triu(H₁) | R₁ | … | triu(H_k) | R_k]`` — ``k(d(d + 1)/2 + d)``
+  words — instead of the ``k`` separate allreduces SFISTA pays. Latency
+  ÷ k, bandwidth unchanged (Table 1). Each symmetric ``H_j`` ships only
+  its upper triangle (Table 1 counts ``k(d² + d)``) and is unpacked after
+  the reduction.
 * **Stage D** — ``k`` unrolled iterations, each running ``S`` Hessian-reuse
   inner steps, fully local and replicated.
 
@@ -132,7 +134,6 @@ def rc_sfista_distributed(
     backend = build_host_backend(config, nranks)
     loop = ResilientLoop(backend, config, solver="rc_sfista_distributed")
     loop.step_size = gamma
-    stride = d * d + d
     placement = RankPlacement(data, loop, mbar=mbar, blocks=k, rhs=True)
     loop.start(
         {
@@ -249,15 +250,13 @@ def rc_sfista_distributed(
                 results = backend.map_ranks(build_rank, data.nranks)
                 backend.compute([fl for _buf, fl in results], label="hessian_blocks")
 
-                # ---- stage C: ONE allreduce of k(d² + d) words --------- #
+                # ---- stage C: ONE allreduce of k(d(d+1)/2 + d) words -- #
                 combined = loop.allreduce([buf for buf, _fl in results], label="allreduce_G")
 
                 # ---- stage D: k × S replicated local updates ----------- #
                 stop_now = False
                 for j in range(block):
-                    base = j * stride
-                    H = combined[base : base + d * d].reshape(d, d)
-                    R = combined[base + d * d : base + stride]
+                    H, R = placement.unpack(combined, j)
                     if estimator is GradientEstimator.SVRG:
                         R = svrg_rhs(H, R, anchor, full_grad, loss)
                         backend.compute(2.0 * d * d, label="svrg_rhs")

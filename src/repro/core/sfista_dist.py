@@ -6,9 +6,10 @@ so latency is paid ``N`` times (Table 1, SFISTA row).
 
 Two communication modes:
 
-* ``"hessian"`` (paper-faithful) — allreduce the ``d² + d`` words of
-  ``[H_n | R_n]`` each iteration, matching Table 1's ``O(N d² log P)``
-  bandwidth. Required by the PN framing where every rank needs ``H_n``.
+* ``"hessian"`` (paper-faithful) — allreduce ``[triu(H_n) | R_n]``,
+  ``d(d + 1)/2 + d`` words, each iteration, matching Table 1's
+  ``O(N d² log P)`` bandwidth. Required by the PN framing where every
+  rank needs ``H_n``.
 * ``"gradient"`` (ablation, DESIGN.md choice #3) — each rank computes its
   local *gradient* contribution and only ``d`` words are allreduced. Not
   compatible with Hessian-reuse, but shows the design space.
@@ -252,10 +253,9 @@ def sfista_distributed(
                     results = backend.map_ranks(build_rank, data.nranks)
                     packed = [buf for buf, _fl in results]
                     backend.compute([fl for _buf, fl in results], label="hessian_blocks")
-                    # Stage C: one allreduce of d² + d words.
+                    # Stage C: one allreduce of d(d+1)/2 + d words.
                     combined = loop.allreduce(packed, label="allreduce_HR")
-                    H = combined[: d * d].reshape(d, d)
-                    R = combined[d * d :]
+                    H, R = placement.unpack(combined, 0)
                     if estimator is GradientEstimator.SVRG:
                         R = svrg_rhs(H, R, anchor, full_grad, loss)
                         backend.compute(2.0 * d * d, label="svrg_rhs")

@@ -439,7 +439,9 @@ def table1_costs(
 
     Latency (messages) and bandwidth (words) must match the closed forms
     *exactly*; flops match in expectation (the model charges expected
-    sampled-column fill).
+    sampled-column fill). ``W_paper`` is the paper's word count, which
+    ships all ``d²`` entries of each symmetric ``H`` block where the
+    solvers ship its ``d(d+1)/2``-word upper triangle.
     """
     problem = _problem(dataset, quick)
     mbar = max(1, int(b * problem.m))
@@ -459,8 +461,12 @@ def table1_costs(
     )
     model_sf = sfista_costs(n_iters, d, mbar, f, nranks)
     model_rc = rc_sfista_costs(n_iters, d, mbar, f, nranks, k, S)
+    paper_sf = sfista_costs(n_iters, d, mbar, f, nranks, exact_words=False)
+    paper_rc = rc_sfista_costs(n_iters, d, mbar, f, nranks, k, S, exact_words=False)
     rows = []
-    for label, run, model in (("SFISTA", sf, model_sf), ("RC-SFISTA", rc, model_rc)):
+    for label, run, model, paper in (
+        ("SFISTA", sf, model_sf, paper_sf), ("RC-SFISTA", rc, model_rc, paper_rc)
+    ):
         rows.append(
             {
                 "algorithm": label,
@@ -468,6 +474,7 @@ def table1_costs(
                 "L_model": model.latency,
                 "W_measured": run.cost["words_per_rank_max"],
                 "W_model": model.bandwidth,
+                "W_paper": paper.bandwidth,
                 "F_measured": run.cost["flops_per_rank_max"],
                 "F_model": model.flops,
             }

@@ -32,6 +32,7 @@ from repro.core.stopping import StoppingCriterion
 from repro.distsim.bsp import BSPCluster
 from repro.distsim.machine import MachineSpec
 from repro.exceptions import ValidationError
+from repro.sparse.ops import packed_size
 from repro.sparse.csr import CSCMatrix, CSRMatrix
 from repro.utils.rng import RandomState
 
@@ -136,7 +137,7 @@ def dry_run_sfista(
             _charge_anchor_gradient(cluster, stats)
         for _n in range(iters):
             _charge_hessian_phase(cluster, stats, mbar, 1, with_rhs=(estimator == "plain"))
-            cluster.charge_allreduce(d * d + d, label="allreduce_HR")
+            cluster.charge_allreduce(packed_size(d) + d, label="allreduce_HR")
             if estimator == "svrg":
                 cluster.compute(2.0 * d * d, label="svrg_rhs")
             cluster.compute(_update_flops(d), label="update")
@@ -184,7 +185,7 @@ def dry_run_rc_sfista(
             block = min(k, iters - done)
             done += block
             _charge_hessian_phase(cluster, stats, mbar, block, with_rhs=(estimator == "plain"))
-            cluster.charge_allreduce(block * (d * d + d), label="allreduce_G")
+            cluster.charge_allreduce(block * (packed_size(d) + d), label="allreduce_G")
             for _j in range(block):
                 if estimator == "svrg":
                     cluster.compute(2.0 * d * d, label="svrg_rhs")
@@ -211,9 +212,9 @@ def dry_run_pn_inner(
     Mirrors :func:`repro.core.prox_newton.proximal_newton_distributed`
     phase-for-phase: ``inner="fista"`` pays one exact Hessian-apply plus a
     d-word allreduce per inner iteration; ``inner="sfista"`` one sampled
-    block plus a (d²+d)-word allreduce per inner iteration;
-    ``inner="rc_sfista"`` one k-block k(d²+d)-word allreduce per k inner
-    iterations with S-fold Hessian reuse.
+    block plus a d(d+1)/2-word allreduce (its packed upper triangle) per
+    inner iteration; ``inner="rc_sfista"`` one k-block k·d(d+1)/2-word
+    allreduce per k inner iterations with S-fold Hessian reuse.
     """
     if inner not in ("fista", "sfista", "rc_sfista"):
         raise ValidationError(f"inner must be fista|sfista|rc_sfista, got {inner!r}")
@@ -237,7 +238,7 @@ def dry_run_pn_inner(
             while done < inner_iters:
                 block = min(block_k, inner_iters - done)
                 _charge_hessian_phase(cluster, stats, mbar, block, with_rhs=False)
-                cluster.charge_allreduce(block * d * d, label="allreduce_G")
+                cluster.charge_allreduce(block * packed_size(d), label="allreduce_G")
                 for _j in range(block):
                     cluster.compute(2.0 * d * d, label="model_rhs")
                     for _s in range(reuse_S):

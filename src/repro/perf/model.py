@@ -7,7 +7,9 @@ Two levels of fidelity are provided:
 * The **detailed** per-iteration accounting that matches the simulator's
   exact charging (constants included), used by the Table 1 benchmark to
   verify that model and simulator agree *exactly* on message and word
-  counts along the critical path.
+  counts along the critical path. Its word counts are the shipped ones:
+  each symmetric ``H`` block travels as its ``d(d + 1)/2``-word upper
+  triangle, where Table 1 counts ``d²`` (``exact_words=False``).
 
 Notation (paper): ``N`` total inner iterations, ``d`` features, ``m̄``
 sampled columns per iteration, ``f`` fill fraction, ``P`` processors, ``k``
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from repro.distsim.collectives import ceil_log2, sparse_payload_words
 from repro.distsim.machine import MachineSpec, get_machine
 from repro.exceptions import ValidationError
+from repro.sparse.ops import packed_size
 
 __all__ = [
     "AlgorithmCosts",
@@ -115,16 +118,17 @@ def sfista_costs(
 ) -> AlgorithmCosts:
     """Per-processor costs of N iterations of distributed SFISTA.
 
-    SFISTA allreduces the (d² + d)-word [H | R] block every iteration
-    (recursive doubling ⇒ ⌈log₂P⌉ messages and (d²+d)·⌈log₂P⌉ words per
-    iteration per rank) and performs one inner update per iteration.
-    *payload_density* models the sparse-communication mode (see
-    :func:`sparse_comm_words`).
+    SFISTA allreduces the packed ``[triu(H) | R]`` block of
+    ``w = d(d+1)/2 + d`` words every iteration (recursive doubling ⇒
+    ⌈log₂P⌉ messages and ``w·⌈log₂P⌉`` words per iteration per rank) and
+    performs one inner update per iteration. ``exact_words=False`` charges
+    the paper's ``d²`` words instead. *payload_density* models the
+    sparse-communication mode (see :func:`sparse_comm_words`).
     """
     _validate(N, d, P)
     log_p = ceil_log2(P)
     words_per_iter = sparse_comm_words(
-        (d * d + d) if exact_words else d * d, payload_density
+        (packed_size(d) + d) if exact_words else d * d, payload_density
     )
     return AlgorithmCosts(
         latency=float(N * log_p),
@@ -147,8 +151,9 @@ def rc_sfista_costs(
 ) -> AlgorithmCosts:
     """Per-processor costs of N inner iterations of RC-SFISTA.
 
-    One allreduce of k·(d² + d) words every k iterations: latency shrinks by
-    k, bandwidth is unchanged (Table 1, RC-SFISTA row). The Hessian-reuse
+    One allreduce of ``k·(d(d+1)/2 + d)`` words every k iterations (the
+    paper's ``k·d²`` with ``exact_words=False``): latency shrinks by k,
+    bandwidth is unchanged (Table 1, RC-SFISTA row). The Hessian-reuse
     loop multiplies the update flops by S. *payload_density* models the
     sparse-communication mode (see :func:`sparse_comm_words`).
     """
@@ -156,7 +161,7 @@ def rc_sfista_costs(
     log_p = ceil_log2(P)
     rounds = N // k
     words_per_round = sparse_comm_words(
-        k * ((d * d + d) if exact_words else d * d), payload_density
+        k * ((packed_size(d) + d) if exact_words else d * d), payload_density
     )
     return AlgorithmCosts(
         latency=float(rounds * log_p),

@@ -18,6 +18,8 @@ from repro.sparse.ops import (
     sampled_gram,
     sampled_gram_blocks,
     sampled_rhs,
+    packed_size,
+    unpack_symmetric,
     gram_flops,
     rhs_flops,
     spmv_flops,
@@ -34,6 +36,8 @@ __all__ = [
     "sampled_gram",
     "sampled_gram_blocks",
     "sampled_rhs",
+    "packed_size",
+    "unpack_symmetric",
     "gram_flops",
     "rhs_flops",
     "spmv_flops",

@@ -20,6 +20,7 @@ metadata so the cost model and the numerics cannot drift apart.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,8 @@ __all__ = [
     "sampled_gram",
     "sampled_rhs",
     "sampled_gram_blocks",
+    "packed_size",
+    "unpack_symmetric",
     "gram_flops",
     "rhs_flops",
     "spmv_flops",
@@ -49,7 +52,10 @@ class GramWorkspace:
     one pool: ``max_cols`` (a rank's ``k·m̄`` columns per round) sizes it
     at its first borrow, and it never regrows after. The ``(d, d)``
     scratch the Gram product is formed in stays cache-resident across
-    calls. Results are bit-identical to the allocating path.
+    calls, next to ``upper``, the flat index of its upper triangle that
+    packs each block into the stage-C payload. Both live and die with the
+    workspace, so a solve leaves no index behind. Results are
+    bit-identical to the allocating path.
 
     ``reuses`` counts borrows served without growing a buffer — it feeds
     the ``gram_workspace_reuses`` runtime counter (see docs/PERFORMANCE.md).
@@ -62,6 +68,7 @@ class GramWorkspace:
         self._pool_size = d * int(max_cols)
         self._pool = np.empty(0, dtype=np.float64)
         self._scratch = np.empty((d, d), dtype=np.float64)
+        self.upper = _triu_index(d)
         self.reuses = 0
 
     def dense_block(self, rows: int, ncols: int) -> np.ndarray:
@@ -85,6 +92,7 @@ class GramWorkspace:
         """Borrow the ``(d, d)`` scratch the Gram product is formed in."""
         if self._scratch.shape != (d, d):
             self._scratch = np.empty((d, d), dtype=np.float64)
+            self.upper = _triu_index(d)
         else:
             self.reuses += 1
         return self._scratch
@@ -116,25 +124,6 @@ def _sqrt_weights(weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if np.any(c < 0):
         raise ValidationError("sampled_gram weights must be non-negative")
     return np.sqrt(c)
-
-
-def _gram_into(A: np.ndarray, s: float, out: np.ndarray, scratch: np.ndarray | None) -> None:
-    """``out = s·A Aᵀ``, exactly symmetric without a symmetrizing pass.
-
-    numpy hands ``A @ A.T`` to BLAS syrk, which computes one triangle and
-    mirrors it, so the raw product is exactly symmetric (pinned by
-    ``tests/test_sparse/test_symmetry.py`` for every layout the kernels
-    produce) and the scale is the only pass after the product. With a
-    ``scratch`` the product and its mirroring run in that cache-resident
-    buffer and ``out`` (a cold payload buffer) is written once, by the
-    scale.
-    """
-    if scratch is None:
-        np.matmul(A, A.T, out=out)
-        out *= s
-    else:
-        np.matmul(A, A.T, out=scratch)
-        np.multiply(scratch, s, out=out)
 
 
 def sampled_gram(
@@ -185,7 +174,18 @@ def sampled_gram(
         out = np.empty((d, d), dtype=np.float64)
     elif out.shape != (d, d) or out.dtype != np.float64:
         raise ShapeError(f"out must be float64 of shape {(d, d)}")
-    _gram_into(A, s, out, workspace.gram_scratch(d) if workspace is not None else None)
+    # numpy hands A @ A.T to BLAS syrk, which computes one triangle and
+    # mirrors it, so the product is exactly symmetric (pinned by
+    # tests/test_sparse/test_symmetry.py) and the scale is the only pass
+    # after it. With a workspace the product runs in its cache-resident
+    # scratch and out is written once, by the scale.
+    if workspace is None:
+        np.matmul(A, A.T, out=out)
+        out *= s
+    else:
+        scratch = workspace.gram_scratch(d)
+        np.matmul(A, A.T, out=scratch)
+        np.multiply(scratch, s, out=out)
     return out
 
 
@@ -221,6 +221,59 @@ def sampled_rhs(
     return out
 
 
+def packed_size(d: int) -> int:
+    """Words of one packed symmetric ``(d, d)`` block: its upper triangle."""
+    return d * (d + 1) // 2
+
+
+def _triu_index(d: int) -> np.ndarray:
+    """Flat indices of the upper triangle of a ``(d, d)`` array, row by row.
+
+    Kept writeable: ``np.take`` copies a read-only index on every gather.
+    """
+    r = np.arange(d)
+    return np.flatnonzero(r[:, None] <= r)
+
+
+@lru_cache(maxsize=8)
+def _upper_mask(d: int) -> np.ndarray:
+    """The ``(d, d)`` boolean mask of the upper triangle (diagonal included)."""
+    r = np.arange(d)
+    return r[:, None] <= r
+
+
+#: Tile edge of the mirror in :func:`unpack_symmetric`, and the strictly
+#: lower triangle of one diagonal tile.
+_TILE = 64
+_TILE_LOWER = np.tri(_TILE, k=-1, dtype=bool)
+
+
+def unpack_symmetric(packed: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """Write the symmetric ``(d, d)`` matrix whose packed upper triangle is *packed*.
+
+    The inverse of the stage-C layout of :func:`sampled_gram_blocks`: one
+    masked scatter writes the upper triangle, then ``64``-row tiles copy
+    their transposed column block into the lower triangle, so each
+    off-diagonal value lands in both of its mirrored places and the result
+    is exactly symmetric. Only the boolean mask (a byte per entry) is
+    cached: an 8-byte position index of every entry, kept for the
+    process, pinned the allocator's heap after the first solve and raised
+    the peak RSS of later allocations. ``out`` is a C-contiguous float64
+    ``(d, d)`` buffer, written in place and returned.
+    """
+    if packed.shape != (packed_size(d),):
+        raise ShapeError(f"packed block must have {packed_size(d)} entries, got {packed.shape}")
+    if out.shape != (d, d) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be C-contiguous float64 of shape {(d, d)}")
+    out[_upper_mask(d)] = packed
+    for lo in range(0, d, _TILE):
+        hi = min(lo + _TILE, d)
+        out[lo:hi, :lo] = out[:lo, lo:hi].T
+        tile = out[lo:hi, lo:hi]
+        np.copyto(tile, tile.T, where=_TILE_LOWER[: hi - lo, : hi - lo])
+    return out
+
+
 def sampled_gram_blocks(
     X: Matrix,
     cols: np.ndarray,
@@ -233,23 +286,29 @@ def sampled_gram_blocks(
     workspace: GramWorkspace | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The sampled blocks of several column sets from one column gather.
+    """The packed sampled blocks of several column sets from one column gather.
 
     ``cols`` holds the sets one after another, set ``j`` being
     ``cols[offsets[j]:offsets[j + 1]]`` (an ``indptr``-style list of
     ``k + 1`` offsets). Row ``j`` of the ``(k, stride)`` result holds the
-    flattened ``H_j = scale·X_{S_j} diag(c) X_{S_j}ᵀ`` (``stride = d²``)
-    followed, with ``rhs``, by ``R_j = scale·X_{S_j} r_{S_j}``
-    (``stride = d² + d``; ``response=None`` zero-fills it). An empty set's
-    block is zero.
+    upper triangle of the symmetric ``H_j = scale·X_{S_j} diag(c)
+    X_{S_j}ᵀ``, row by row (``stride = d(d + 1)/2``, see
+    :func:`packed_size`), followed, with ``rhs``, by
+    ``R_j = scale·X_{S_j} r_{S_j}`` (``stride = d(d + 1)/2 + d``;
+    ``response=None`` zero-fills it). An empty set's block is zero.
+    :func:`unpack_symmetric` restores the full ``H_j``.
 
     All of ``cols`` is gathered into one ``(d, len(cols))`` block and each
     block is computed on a column view of it: the ``R_j`` from the
     unweighted columns, then, after one in-place ``√c`` scaling of the
-    whole block, the ``H_j``. Every block is bit-identical to
-    :func:`sampled_gram`/:func:`sampled_rhs` on its own set. ``out`` and
-    ``workspace`` work as in :func:`sampled_gram`; size the workspace for
-    ``len(cols)`` columns.
+    whole block, the ``H_j``. Each product runs in the workspace's
+    ``(d, d)`` scratch; BLAS syrk mirrors it exactly (pinned by
+    ``tests/test_sparse/test_symmetry.py``), so its upper triangle is
+    gathered into the payload and scaled there, the only pass over the
+    cold payload. Every unpacked block is bit-identical to
+    :func:`sampled_gram`/:func:`sampled_rhs` on its own set, as the scale
+    commutes with the selection. ``out`` and ``workspace`` work as in
+    :func:`sampled_gram`; size the workspace for ``len(cols)`` columns.
     """
     cols = np.asarray(cols, dtype=np.int64)
     offsets = [int(o) for o in offsets]
@@ -259,7 +318,8 @@ def sampled_gram_blocks(
         raise ShapeError("offsets must rise from 0 to len(cols)")
     k = len(offsets) - 1
     d = X.shape[0]
-    stride = d * d + d if rhs else d * d
+    t = packed_size(d)
+    stride = t + d if rhs else t
     if out is None:
         out = np.empty((k, stride), dtype=np.float64)
     elif out.shape != (k, stride) or out.dtype != np.float64:
@@ -277,17 +337,24 @@ def sampled_gram_blocks(
     if rhs and response is not None:
         r = np.asarray(response, dtype=np.float64)[cols]
         for lo, hi, row in spans:
-            R_j = row[d * d :]
+            R_j = row[t:]
             np.matmul(A[:, lo:hi], r[lo:hi], out=R_j)
             R_j *= scale
     elif rhs:
-        out[:, d * d :] = 0.0
+        out[:, t:] = 0.0
     if weights is not None:
         # The gather is a fresh copy or workspace scratch, never X itself.
         A *= _sqrt_weights(weights, cols)
-    scratch = workspace.gram_scratch(d) if workspace is not None else None
+    if workspace is not None:
+        scratch, upper = workspace.gram_scratch(d), workspace.upper
+    else:
+        scratch, upper = np.empty((d, d)), _triu_index(d)
     for lo, hi, row in spans:
-        _gram_into(A[:, lo:hi], scale, row[: d * d].reshape(d, d), scratch)
+        H_j = row[:t]
+        np.matmul(A[:, lo:hi], A[:, lo:hi].T, out=scratch)
+        # mode="clip" writes straight into H_j; the default buffers a copy.
+        np.take(scratch.reshape(-1), upper, out=H_j, mode="clip")
+        H_j *= scale
     return out
 
 

@@ -9,7 +9,7 @@ from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.sfista_dist import sfista_distributed
 from repro.exceptions import ValidationError
 from repro.perf.model import update_flops_per_step
-from repro.sparse.ops import sampled_gram
+from repro.sparse.ops import sampled_gram, unpack_symmetric
 
 
 class TestDistributeProblem:
@@ -52,7 +52,7 @@ class TestRankContributions:
         total = np.zeros((p.d, p.d))
         for rd in data.ranks:
             blocks, _local, _fl = rd.sampled_hessian_contribution([idx], mbar, p.d)
-            total += blocks[0].reshape(p.d, p.d)
+            total += unpack_symmetric(blocks[0], p.d, np.empty((p.d, p.d)))
         expected = sampled_gram(p.X, np.sort(idx), scale=1.0 / mbar)
         np.testing.assert_allclose(total, expected, atol=1e-10)
 
@@ -105,7 +105,7 @@ class TestRankContributions:
         total = np.zeros((p.d, p.d))
         for rd in data.ranks:
             blocks, _l, _f = rd.sampled_hessian_contribution([idx], idx.size, p.d)
-            total += blocks[0].reshape(p.d, p.d)
+            total += unpack_symmetric(blocks[0], p.d, np.empty((p.d, p.d)))
         expected = sampled_gram(p.X, np.sort(idx), scale=1.0 / idx.size)
         np.testing.assert_allclose(total, expected, atol=1e-10)
 

@@ -15,6 +15,7 @@ from repro.core.sfista_dist import sfista_distributed
 from repro.distsim.collectives import ceil_log2
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
+from repro.sparse.ops import packed_size
 
 
 class TestSfistaDistEquivalence:
@@ -44,13 +45,24 @@ class TestSfistaDistEquivalence:
         np.testing.assert_allclose(h.w, g.w, atol=1e-8)
 
     def test_gradient_mode_moves_fewer_words(self, tiny_covtype_problem):
+        d, P, N = tiny_covtype_problem.d, 4, 10
         h = sfista_distributed(
-            tiny_covtype_problem, 4, b=0.3, iters_per_epoch=10, seed=2, comm_mode="hessian"
+            tiny_covtype_problem, P, b=0.3, iters_per_epoch=N, seed=2, comm_mode="hessian"
         )
         g = sfista_distributed(
-            tiny_covtype_problem, 4, b=0.3, iters_per_epoch=10, seed=2, comm_mode="gradient"
+            tiny_covtype_problem, P, b=0.3, iters_per_epoch=N, seed=2, comm_mode="gradient"
         )
-        assert g.cost["words_per_rank_max"] < h.cost["words_per_rank_max"] / 10
+        # Per iteration the Hessian mode ships the packed [triu(H) | R]
+        # (d(d+1)/2 + d words), the gradient mode d words; both pay the
+        # d-word SVRG anchor allreduce of the one epoch.
+        h_words = (N * (packed_size(d) + d) + d) * ceil_log2(P)
+        g_words = (N * d + d) * ceil_log2(P)
+        assert h.cost["words_per_rank_max"] == pytest.approx(h_words)
+        assert g.cost["words_per_rank_max"] == pytest.approx(g_words)
+        # The closed forms bound the ratio by the per-iteration payloads:
+        # g/h < (N + 1)/N · d/(d(d+1)/2 + d).
+        ratio = (N + 1) / N * d / (packed_size(d) + d)
+        assert g.cost["words_per_rank_max"] < h.cost["words_per_rank_max"] * ratio
 
     def test_exact_estimator_rejected(self, tiny_covtype_problem):
         with pytest.raises(ValidationError):
@@ -114,7 +126,8 @@ class TestCommunicationAccounting:
         res = sfista_distributed(
             tiny_covtype_problem, P, b=0.2, iters_per_epoch=N, seed=0, estimator="plain"
         )
-        expected = N * (d * d + d) * ceil_log2(P)
+        # The packed [triu(H) | R] block: d(d+1)/2 + d words per iteration.
+        expected = N * (packed_size(d) + d) * ceil_log2(P)
         assert res.cost["words_per_rank_max"] == pytest.approx(expected)
 
     def test_simulated_time_decreases_with_k(self, tiny_covtype_problem):

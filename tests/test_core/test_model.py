@@ -47,6 +47,7 @@ from repro.distsim.trace import Trace
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
 from repro.sparse.csr import CSCMatrix
+from repro.sparse.ops import packed_size, unpack_symmetric
 
 pytestmark = pytest.mark.losses
 
@@ -433,7 +434,8 @@ def test_sampled_model_gradient_is_the_sampled_loss_gradient(seed, loss, sparse)
         out, _, _ = rd.sampled_hessian_contribution(
             [idx], mbar, d, weights=c, response=r, rhs=True
         )
-        return out[0, : d * d].reshape(d, d), out[0, d * d :]
+        t = packed_size(d)
+        return unpack_symmetric(out[0, :t], d, np.empty((d, d))), out[0, t:]
 
     def sampled_grad(point):
         z = dense[:, idx].T @ point

@@ -24,6 +24,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.runtime import RuntimeConfig
+from repro.runtime.backend import SerialBackend
 from repro.runtime.resilience import (
     ON_NAN_POLICIES,
     Checkpoint,
@@ -290,11 +291,11 @@ class TestProxNewtonRecovery:
 # replay under lossy compression: the compressor state rolls back too
 # ---------------------------------------------------------------------- #
 REPLAY_SOLVERS = {
-    "rc_sfista_k2": lambda problem, runtime: rc_sfista_distributed(
-        problem, 4, k=2, iters_per_epoch=24, seed=0, runtime=runtime
+    "rc_sfista_k2": lambda problem, runtime, nranks=4: rc_sfista_distributed(
+        problem, nranks, k=2, iters_per_epoch=24, seed=0, runtime=runtime
     ),
-    "sfista": lambda problem, runtime: sfista_distributed(
-        problem, 4, iters_per_epoch=24, seed=0, runtime=runtime
+    "sfista": lambda problem, runtime, nranks=4: sfista_distributed(
+        problem, nranks, iters_per_epoch=24, seed=0, runtime=runtime
     ),
 }
 
@@ -334,6 +335,39 @@ class TestCompressedReplay:
 
         base = solve(None)
         rec = solve(FaultPlan(crashes=(RankCrash(rank=1, at_op=12),)))
+        assert rec.meta["resilience"]["rollbacks"] == 1
+        assert rec.w.tobytes() == base.w.tobytes()
+
+    @pytest.mark.parametrize("solver", sorted(REPLAY_SOLVERS))
+    @pytest.mark.parametrize("compress", ["topk:frac=0.25", "quant:bits=4"])
+    def test_serial_nan_rollback_is_byte_identical(
+        self, small_dense_problem, solver, compress, monkeypatch
+    ):
+        """A serial run has no rank to crash: a one-shot NaN in the result of
+        collective 12 drives the same rollback under ``on_nan="rollback"``,
+        through ``SerialBackend.comm_state_restore``."""
+
+        def solve():
+            config = RuntimeConfig(
+                backend="serial", comm_compress=compress, checkpoint_every=3, on_nan="rollback"
+            )
+            return REPLAY_SOLVERS[solver](small_dense_problem, config, nranks=1)
+
+        base = solve()
+        clean = SerialBackend.allreduce
+        calls = 0
+
+        def nan_once(self, contribs, label="allreduce"):
+            nonlocal calls
+            out = clean(self, contribs, label=label)
+            calls += 1
+            if calls == 12:
+                out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(SerialBackend, "allreduce", nan_once)
+        rec = solve()
+        assert calls > 12
         assert rec.meta["resilience"]["rollbacks"] == 1
         assert rec.w.tobytes() == base.w.tobytes()
 

@@ -2,7 +2,8 @@
 
 Each virtual rank owns its column block, draws the shared-seed samples
 itself (paper §5.5), builds its local ``(H_p, R_p)`` blocks and joins one
-stage-C allreduce of k(d² + d) words per round; stage D is replicated.
+stage-C allreduce of k(d(d+1)/2 + d) words per round (each symmetric
+``H_j`` packed as its upper triangle); stage D is replicated.
 Same rank count means same reduction order, so the engine's iterate must
 equal :func:`~repro.core.rc_sfista_dist.rc_sfista_distributed` on the BSP
 cluster bit for bit, with the same per-rank messages and words.
@@ -17,6 +18,7 @@ from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.distsim.bsp import BSPCluster
 from repro.distsim.engine import SPMDEngine
 from repro.runtime import RuntimeConfig
+from repro.sparse.ops import packed_size, unpack_symmetric
 from repro.utils.rng import as_generator, minibatch_size, sample_indices
 
 NRANKS, K, B, SEED, ITERS = 4, 2, 0.2, 7, 6
@@ -25,7 +27,8 @@ NRANKS, K, B, SEED, ITERS = 4, 2, 0.2, 7, 6
 def _rank_program(problem, data, *, gamma, comm):
     """Plain-estimator RC-SFISTA (S=1, one epoch) as a per-rank generator."""
     d = problem.d
-    stride = d * d + d
+    t = packed_size(d)
+    stride = t + d
     mbar = minibatch_size(problem.m, B)
 
     def program(ctx):
@@ -33,6 +36,7 @@ def _rank_program(problem, data, *, gamma, comm):
         rng = as_generator(SEED)  # the shared seed: every rank draws the same I_n
         w = np.zeros(d)
         w_prev = w.copy()
+        H = np.empty((d, d))
         t_prev = 1.0
         for start in range(0, ITERS, K):
             block = min(K, ITERS - start)
@@ -43,8 +47,8 @@ def _rank_program(problem, data, *, gamma, comm):
             )
             combined = yield ctx.allreduce(blocks.ravel(), comm=comm)
             for j in range(block):
-                H = combined[j * stride : j * stride + d * d].reshape(d, d)
-                R = combined[j * stride + d * d : (j + 1) * stride]
+                unpack_symmetric(combined[j * stride : j * stride + t], d, H)
+                R = combined[j * stride + t : (j + 1) * stride]
                 t_cur = t_next(t_prev)
                 v = w + momentum_mu(t_prev, t_cur) * (w - w_prev)
                 w_prev, w = w, hessian_reuse_update(

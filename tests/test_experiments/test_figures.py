@@ -16,6 +16,7 @@ from repro.experiments.figures import (
     table2_datasets,
     table3_proxcocoa_speedup,
 )
+from repro.sparse.ops import packed_size
 
 
 @pytest.fixture(scope="module")
@@ -117,10 +118,16 @@ class TestFig7:
 class TestTable1:
     def test_model_matches_measured_exactly_on_l_w(self):
         out = table1_costs(quick=True, n_iters=12, k=4, S=2, nranks=8)
+        p = out["params"]
+        d, log_p = p["d"], p["logP"]
         for row in out["rows"]:
             assert row["L_measured"] == row["L_model"]
             assert row["W_measured"] == pytest.approx(row["W_model"])
             assert row["F_measured"] == pytest.approx(row["F_model"], rel=0.35)
+            # Each H block ships its packed upper triangle; the paper
+            # counts all d² entries.
+            assert row["W_model"] == p["N"] * (packed_size(d) + d) * log_p
+            assert row["W_paper"] == p["N"] * d * d * log_p
 
     def test_rc_latency_is_sfista_over_k(self):
         out = table1_costs(quick=True, n_iters=12, k=4, S=1, nranks=8)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.sfista_dist import sfista_distributed
 from repro.experiments.runner import (
@@ -13,7 +14,10 @@ from repro.experiments.runner import (
     reference_value,
     speedup_cell,
 )
+from repro.distsim.collectives import ceil_log2
 from repro.exceptions import ValidationError
+from repro.sparse.ops import packed_size
+from repro.utils.rng import minibatch_size
 
 
 class TestProblemStats:
@@ -45,6 +49,11 @@ class TestDryRunFidelity:
         )
         assert dry.cost.max_messages == real.cost["messages_per_rank_max"]
         assert dry.cost.max_words == pytest.approx(real.cost["words_per_rank_max"])
+        # The packed [triu(H) | R] block per iteration, plus the d-word
+        # anchor gradient of the one SVRG epoch.
+        d = stats.d
+        anchor = d if estimator == "svrg" else 0
+        assert dry.cost.max_words == (N * (packed_size(d) + d) + anchor) * ceil_log2(P)
         assert dry.cost.max_flops == pytest.approx(
             real.cost["flops_per_rank_max"], rel=0.35
         )
@@ -64,6 +73,9 @@ class TestDryRunFidelity:
         )
         assert dry.cost.max_messages == real.cost["messages_per_rank_max"]
         assert dry.cost.max_words == pytest.approx(real.cost["words_per_rank_max"])
+        # k packed [triu(H_j) | R_j] blocks per round, N/k rounds.
+        d = stats.d
+        assert dry.cost.max_words == N * (packed_size(d) + d) * ceil_log2(P)
         assert dry.elapsed == pytest.approx(real.cost["elapsed"], rel=0.05)
 
     def test_dry_run_validation(self):
@@ -100,6 +112,31 @@ class TestDryRunPn:
         )
         assert rc.cost.max_messages < base.cost.max_messages
         assert rc.elapsed < base.elapsed
+
+    @pytest.mark.parametrize("inner, k", [("sfista", 1), ("rc_sfista", 4)])
+    def test_sampled_inner_ships_packed_hessians(self, inner, k):
+        """Per outer step: the d-word gradient, then every inner iteration's
+        packed upper triangle of H (no R block in the PN model)."""
+        d, P, n_outer, inner_iters = 10, 4, 2, 8
+        dry = dry_run_pn_inner(
+            ProblemStats(d=d, m=100, nnz=1000), P, "comet_effective", inner=inner,
+            n_outer=n_outer, inner_iters=inner_iters, mbar=10, k=k,
+        )
+        words = n_outer * (d + inner_iters * packed_size(d)) * ceil_log2(P)
+        assert dry.cost.max_words == words
+
+    @pytest.mark.parametrize("inner, k", [("sfista", 1), ("rc_sfista", 4)])
+    def test_counters_match_the_real_solver(self, tiny_covtype_problem, inner, k):
+        P = 4
+        real = proximal_newton_distributed(
+            tiny_covtype_problem, P, inner=inner, k=k, n_outer=2, inner_iters=8, b=0.2, seed=0
+        )
+        dry = dry_run_pn_inner(
+            ProblemStats.of(tiny_covtype_problem), P, "comet_effective", inner=inner,
+            n_outer=2, inner_iters=8, mbar=minibatch_size(tiny_covtype_problem.m, 0.2), k=k,
+        )
+        assert dry.cost.max_messages == real.cost["messages_per_rank_max"]
+        assert dry.cost.max_words == real.cost["words_per_rank_max"]
 
 
 class TestTrajectoryHelpers:

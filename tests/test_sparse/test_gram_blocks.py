@@ -1,10 +1,11 @@
 """The batched stage-B kernel: one column gather per rank per round.
 
 ``RankPlacement.pack`` builds a rank's k blocks from a single gather of
-its local columns (``sampled_gram_blocks``). Every block must equal the
-per-block allocating reference — ``sampled_gram``/``sampled_rhs`` on that
-block's own columns, no workspace — byte for byte, whatever the layout of
-the shared gather. The dense gather itself must touch only the selected
+its local columns (``sampled_gram_blocks``). Every block, its ``H_j``
+unpacked from the shipped upper triangle, must equal the per-block
+allocating reference — ``sampled_gram``/``sampled_rhs`` on that block's
+own columns, no workspace — byte for byte, whatever the layout of the
+shared gather. The dense gather itself must touch only the selected
 columns of a rank's strided column slice.
 """
 
@@ -22,13 +23,16 @@ from repro.sparse.ops import (
     GramWorkspace,
     _select_columns_dense,
     gram_flops,
+    packed_size,
     rhs_flops,
     sampled_gram,
     sampled_gram_blocks,
     sampled_rhs,
+    unpack_symmetric,
 )
 
 D, M, NRANKS, MBAR = 12, 160, 4, 30
+T = packed_size(D)
 
 
 def _problem(kind: str) -> L1LeastSquares:
@@ -52,7 +56,7 @@ def _sample_sets(k: int, rng) -> list[np.ndarray]:
 
 
 def _reference(rank_data, idx_sets, *, weights, response, rhs) -> bytes:
-    """Per-block allocating kernels, one block at a time."""
+    """Per-block allocating kernels, one block at a time: ``H_j`` then ``R_j``."""
     d = rank_data.X_local.shape[0]
     parts = []
     for idx in idx_sets:
@@ -66,6 +70,17 @@ def _reference(rank_data, idx_sets, *, weights, response, rhs) -> bytes:
         parts.append(H.ravel())
         if rhs:
             parts.append(R)
+    return np.concatenate(parts).tobytes()
+
+
+def _unpacked(buf: np.ndarray, k: int, rhs: bool) -> bytes:
+    """The shipped blocks with each ``H_j`` unpacked: the reference layout."""
+    H = np.empty((D, D))
+    parts = []
+    for row in buf.reshape(k, -1):
+        parts.append(unpack_symmetric(row[:T], D, H).ravel().copy())
+        if rhs:
+            parts.append(row[T:])
     return np.concatenate(parts).tobytes()
 
 
@@ -101,7 +116,7 @@ def test_pack_is_bit_identical_to_per_block_reference(kind, weighted, rhs, with_
             response = rng.standard_normal(rank_data.m_local) if with_response else None
             buf, flops = placement.pack(p, idx_sets, weights=weights, response=response)
             want = _reference(rank_data, idx_sets, weights=weights, response=response, rhs=rhs)
-            assert buf.tobytes() == want
+            assert _unpacked(buf, len(idx_sets), rhs) == want
             assert flops == _reference_flops(
                 rank_data, idx_sets, weighted=weighted, rhs_charged=with_response
             )
@@ -142,7 +157,7 @@ class TestChecks:
         X = _problem("dense").X
         with pytest.raises(ShapeError, match="out"):
             sampled_gram_blocks(X, np.arange(4), [0, 4], scale=1.0, rhs=True,
-                                out=np.empty((1, D * D)))
+                                out=np.empty((1, T)))
 
     def test_column_range(self):
         X = _problem("csc").X
@@ -166,7 +181,7 @@ def test_dense_gather_from_a_strided_rank_slice_copies_only_the_selection():
     assert not X_local.flags.c_contiguous and not X_local.flags.f_contiguous
     cols = rng.integers(0, m_local, size=nbar)
     workspace = GramWorkspace(d, nbar)
-    out = np.empty((1, d * d))
+    out = np.empty((1, packed_size(d)))
     H = np.empty((d, d))
     selection = d * nbar * 8
     tracemalloc.start()
