@@ -7,10 +7,11 @@ descending.
 """
 
 from benchmarks._common import QUICK, emit, run_once
-from repro.core.sfista import sfista
+from repro.core.sfista_dist import sfista_distributed
 from repro.data.datasets import get_dataset
 from repro.experiments.runner import reference_value
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 
 def _compute():
@@ -19,8 +20,9 @@ def _compute():
     rows = []
     for estimator in ("svrg", "plain"):
         for b in (0.2, 0.05):
-            res = sfista(
-                problem, b=b, estimator=estimator, epochs=10, iters_per_epoch=60, seed=0
+            res = sfista_distributed(
+                problem, 1, b=b, estimator=estimator, epochs=10, iters_per_epoch=60,
+                seed=0, runtime=RuntimeConfig(backend="serial"),
             )
             best = min(res.history.objectives)
             rows.append([estimator, b, abs(best - fstar) / abs(fstar)])

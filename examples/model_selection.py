@@ -13,12 +13,13 @@ Run:  python examples/model_selection.py
 
 import numpy as np
 
-from repro.core import cross_validate_lambda, lasso_path, rc_sfista, solve_reference
+from repro.core import cross_validate_lambda, lasso_path, rc_sfista_distributed, solve_reference
 from repro.core.objectives import L1LeastSquares
 from repro.core.stopping import StoppingCriterion
 from repro.data import make_regression
 from repro.experiments.ascii_plot import ascii_chart
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 
 def main() -> None:
@@ -54,9 +55,10 @@ def main() -> None:
     # 3. Solve at the selected λ with the paper's algorithm.
     chosen = L1LeastSquares(X, y, cv.best_lambda_1se)
     fstar = solve_reference(chosen, tol=1e-9).meta["fstar"]
-    res = rc_sfista(
-        chosen, k=4, S=2, b=0.05, epochs=30, iters_per_epoch=80,
+    res = rc_sfista_distributed(
+        chosen, 1, k=4, S=2, b=0.05, epochs=30, iters_per_epoch=80,
         stopping=StoppingCriterion(tol=1e-3, fstar=fstar), seed=0,
+        runtime=RuntimeConfig(backend="serial"),
     )
     found = np.flatnonzero(np.abs(res.w) > 1e-4)
     print(f"\nrc-sfista at the 1-SE lambda: {res.summary()}")

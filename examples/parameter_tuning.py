@@ -9,7 +9,7 @@ validates the recommendation empirically on one dataset.
 Run:  python examples/parameter_tuning.py
 """
 
-from repro.core import rc_sfista, solve_reference
+from repro.core import rc_sfista_distributed, solve_reference
 from repro.core.stopping import StoppingCriterion
 from repro.data import DATASETS, get_dataset
 from repro.experiments.runner import ProblemStats, dry_run_rc_sfista
@@ -20,6 +20,7 @@ from repro.perf.bounds import (
     recommend_s,
 )
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 
 def main() -> None:
@@ -46,9 +47,10 @@ def main() -> None:
     dataset = get_dataset("covtype", size="tiny")
     problem = dataset.problem()
     fstar = solve_reference(problem, tol=1e-9).meta["fstar"]
-    run = rc_sfista(
-        problem, k=1, b=0.05, epochs=20, iters_per_epoch=50,
+    run = rc_sfista_distributed(
+        problem, 1, k=1, b=0.05, epochs=20, iters_per_epoch=50,
         stopping=StoppingCriterion(tol=0.01, fstar=fstar), seed=0,
+        runtime=RuntimeConfig(backend="serial"),
     )
     stats = ProblemStats.of(problem)
     print(f"\nEmpirical sweep on {dataset.name} (iterations to 1%: {run.n_iterations}):")

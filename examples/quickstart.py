@@ -13,11 +13,12 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import fista, rc_sfista, sfista, solve_reference
+from repro.core import fista, rc_sfista_distributed, sfista_distributed, solve_reference
 from repro.core.stopping import StoppingCriterion
 from repro.data import get_dataset
 from repro.experiments.ascii_plot import ascii_chart
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 
 def main() -> None:
@@ -35,16 +36,20 @@ def main() -> None:
     print(f"reference: F* = {fstar:.8f} "
           f"(optimality residual {ref.meta['optimality_residual']:.1e})")
 
-    # 3. Solve with the three solvers to 1% relative objective error.
+    # 3. Solve with the three solvers to 1% relative objective error. The
+    #    stochastic solvers run on one rank of the serial backend; pass
+    #    nranks > 1 (and drop the runtime) to simulate a cluster instead.
     stop = StoppingCriterion(tol=0.01, fstar=fstar)
+    serial = RuntimeConfig(backend="serial")
     runs = {
         "fista": fista(problem, max_iter=2000, stopping=stop),
-        "sfista (b=1%)": sfista(
-            problem, b=0.01, epochs=40, iters_per_epoch=100, stopping=stop, seed=0
+        "sfista (b=1%)": sfista_distributed(
+            problem, 1, b=0.01, epochs=40, iters_per_epoch=100, stopping=stop, seed=0,
+            runtime=serial,
         ),
-        "rc-sfista (k=4, S=2, b=1%)": rc_sfista(
-            problem, k=4, S=2, b=0.01, epochs=40, iters_per_epoch=100,
-            stopping=stop, seed=0,
+        "rc-sfista (k=4, S=2, b=1%)": rc_sfista_distributed(
+            problem, 1, k=4, S=2, b=0.01, epochs=40, iters_per_epoch=100,
+            stopping=stop, seed=0, runtime=serial,
         ),
     }
 

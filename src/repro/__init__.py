@@ -11,15 +11,17 @@ and EXPERIMENTS.md for paper-vs-measured results.
 Quickstart::
 
     from repro.data import get_dataset
-    from repro.core import rc_sfista, solve_reference
+    from repro.core import rc_sfista_distributed, solve_reference
     from repro.core.stopping import StoppingCriterion
+    from repro.runtime import RuntimeConfig
 
     ds = get_dataset("covtype")
     problem = ds.problem()
     ref = solve_reference(problem, tol=1e-8)
-    result = rc_sfista(
-        problem, k=4, S=2, b=0.01, iters_per_epoch=200,
+    result = rc_sfista_distributed(          # P=1 on the serial backend
+        problem, 1, k=4, S=2, b=0.01, iters_per_epoch=200,
         stopping=StoppingCriterion(tol=0.01, fstar=ref.meta["fstar"]),
+        runtime=RuntimeConfig(backend="serial"),
     )
     print(result.summary())
 """

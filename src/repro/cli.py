@@ -34,10 +34,8 @@ from repro.core.model import LOSSES, ERMObjective, canonical_penalty_spec
 from repro.core.objectives import build_objective
 from repro.core.path import lambda_max
 from repro.core.proxcocoa import proxcocoa
-from repro.core.rc_sfista import rc_sfista
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.reference import solve_reference
-from repro.core.sfista import sfista
 from repro.core.sfista_dist import sfista_distributed
 from repro.core.stopping import StoppingCriterion
 from repro.data.datasets import DATASETS, get_dataset
@@ -45,6 +43,7 @@ from repro.distsim.faults import CORRUPTION_MODES, FaultPlan, RankCrash, RetryPo
 from repro.distsim.machine import MACHINES
 from repro.distsim.collectives import COMM_TOPOLOGIES
 from repro.distsim.sparse_collectives import COMM_MODES
+from repro.distsim.trace import Trace
 from repro.exceptions import FormatError, ValidationError
 from repro.obs import (
     MetricsRegistry,
@@ -71,8 +70,9 @@ __all__ = ["main"]
 SERIAL_SOLVERS = ("fista", "ista", "cd", "sfista", "rc_sfista")
 DIST_SOLVERS = ("sfista_dist", "rc_sfista_dist", "proxcocoa")
 #: Solvers that accept a :class:`repro.runtime.RuntimeConfig` — and with it
-#: the fault/resilience/telemetry flags below.
-RUNTIME_SOLVERS = ("sfista_dist", "rc_sfista_dist")
+#: the fault/resilience/telemetry flags below. ``sfista``/``rc_sfista`` are
+#: the ``*_dist`` bodies at P=1 on the serial backend.
+RUNTIME_SOLVERS = ("sfista", "rc_sfista", "sfista_dist", "rc_sfista_dist")
 
 
 def _load_problem(args: argparse.Namespace) -> ERMObjective:
@@ -156,6 +156,8 @@ def _solve(args: argparse.Namespace) -> int:
     args.backend, backend_ranks = parse_backend_spec(args.backend)
     if backend_ranks is not None:
         args.nranks = backend_ranks
+    if args.solver in ("sfista", "rc_sfista"):
+        args.backend, args.nranks = "serial", 1
     problem = _load_problem(args)
     wants_obs = bool(args.report or args.trace_export)
     if wants_obs and args.solver not in RUNTIME_SOLVERS:
@@ -179,19 +181,13 @@ def _solve(args: argparse.Namespace) -> int:
         result = ista(problem, max_iter=args.epochs * args.iters_per_epoch, **common)
     elif name == "cd":
         result = coordinate_descent_lasso(problem, max_epochs=args.epochs, **common)
-    elif name == "sfista":
-        result = sfista(problem, b=args.b, seed=args.seed, **budget, **common)
-    elif name == "rc_sfista":
-        result = rc_sfista(
-            problem, k=args.k, S=args.S, b=args.b, seed=args.seed, **budget, **common
-        )
-    elif name == "sfista_dist":
+    elif name in ("sfista", "sfista_dist"):
         result = sfista_distributed(
             problem, args.nranks, b=args.b, seed=args.seed,
             runtime=_build_runtime(args, recorder, registry),
             **budget, **common,
         )
-    elif name == "rc_sfista_dist":
+    elif name in ("rc_sfista", "rc_sfista_dist"):
         result = rc_sfista_distributed(
             problem, args.nranks, k=args.k, S=args.S, b=args.b, seed=args.seed,
             runtime=_build_runtime(args, recorder, registry),
@@ -245,9 +241,9 @@ def _solve(args: argparse.Namespace) -> int:
             report.save(args.report)
             print(f"run report written to {args.report}")
         if args.trace_export:
-            if recorder.trace is None:
-                raise SystemExit("solver produced no trace to export")
-            write_chrome_trace(recorder.trace, args.trace_export)
+            # The serial backend simulates no cluster: its timeline is empty.
+            trace = recorder.trace if recorder.trace is not None else Trace()
+            write_chrome_trace(trace, args.trace_export)
             print(f"Perfetto trace written to {args.trace_export}")
     return 0
 
@@ -476,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(JSON; telemetry-capable solvers only)")
     solve.add_argument("--trace-export", help="write the simulated timeline as "
                        "Chrome trace-event JSON (open in Perfetto)")
-    # resilient runtime (sfista_dist / rc_sfista_dist) ------------------- #
+    # resilient runtime (RUNTIME_SOLVERS) -------------------------------- #
     solve.add_argument("--checkpoint-every", type=int, default=0,
                        help="checkpoint every N stage-C rounds (0 disables)")
     solve.add_argument("--on-nan", choices=ON_NAN_POLICIES, default=None,

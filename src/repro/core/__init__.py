@@ -4,14 +4,14 @@ Solvers
 -------
 * :func:`repro.core.fista.fista` / :func:`repro.core.fista.ista` —
   deterministic baselines (paper Alg. 2).
-* :func:`repro.core.sfista.sfista` — stochastic variance-reduced FISTA
-  (paper Algs. 3–4).
-* :func:`repro.core.rc_sfista.rc_sfista` — serial reference of
-  RC-SFISTA with iteration overlapping ``k`` and Hessian-reuse ``S``
-  (paper Alg. 5).
-* :func:`repro.core.sfista_dist.sfista_distributed` /
-  :func:`repro.core.rc_sfista_dist.rc_sfista_distributed` — the
-  distributed implementations on the simulated cluster (paper Fig. 1).
+* :func:`repro.core.sfista_dist.sfista_distributed` — stochastic
+  variance-reduced FISTA (paper Algs. 3–4), one allreduce per iteration.
+* :func:`repro.core.rc_sfista_dist.rc_sfista_distributed` — RC-SFISTA
+  with iteration overlapping ``k`` and Hessian-reuse ``S`` (paper Alg. 5,
+  Fig. 1).
+
+  Each is one body for every rank count: ``nranks=1`` with
+  ``runtime=RuntimeConfig(backend="serial")`` is the serial solver.
 * :func:`repro.core.prox_newton.proximal_newton` — the outer PN method
   (paper Alg. 1) with pluggable inner solvers.
 * :func:`repro.core.cd.coordinate_descent_lasso` — coordinate-descent
@@ -50,8 +50,7 @@ from repro.core.objectives import L1LeastSquares, QuadraticModel
 from repro.core.results import SolveResult, History
 from repro.core.stopping import StoppingCriterion, relative_objective_error
 from repro.core.fista import fista, ista
-from repro.core.sfista import sfista, GradientEstimator, stochastic_step_size
-from repro.core.rc_sfista import rc_sfista
+from repro.core.sfista import GradientEstimator, stochastic_step_size
 from repro.core.sfista_dist import sfista_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.prox_newton import proximal_newton
@@ -93,10 +92,8 @@ __all__ = [
     "relative_objective_error",
     "fista",
     "ista",
-    "sfista",
     "GradientEstimator",
     "stochastic_step_size",
-    "rc_sfista",
     "sfista_distributed",
     "rc_sfista_distributed",
     "proximal_newton",

@@ -245,7 +245,7 @@ def proximal_newton_distributed(
         check_positive(step_size, "step_size") if step_size is not None else view.default_step()
     )
     mbar = minibatch_size(problem.m, b)
-    # Proximal-point damping of the Hessian-reuse subproblem (see rc_sfista).
+    # Proximal-point damping of the Hessian-reuse subproblem (see rc_sfista_dist).
     eps_reg = (
         0.25 * view.sampled_hessian_deviation(mbar)
         if (inner == "rc_sfista" and S > 1)

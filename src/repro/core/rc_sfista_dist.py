@@ -15,9 +15,19 @@ Implements the four stages of Fig. 1 per outer round:
 * **Stage D** — ``k`` unrolled iterations, each running ``S`` Hessian-reuse
   inner steps, fully local and replicated.
 
-The iterate sequence matches the serial :func:`repro.core.rc_sfista.rc_sfista`
-with the same seed (the overlap changes only *where* communication
-happens), which the integration tests assert.
+The overlap changes only *where* communication happens, not the iterates
+(paper Eqs. 16–17): for a fixed seed every ``k`` and every rank count give
+the same sequence. ``nranks=1`` with ``runtime=RuntimeConfig(backend="serial")``
+is therefore the serial RC-SFISTA; the tests compare it with ``P > 1`` and
+with an independent numpy oracle (``tests/test_core/oracle.py``).
+
+Hessian reuse (Eqs. 20–23, DESIGN.md choice #2): the global FISTA momentum
+advances once per sampled iteration, producing the extrapolated point
+``v``; the subproblem ``min_u ½uᵀH_ju − R_jᵀu + λ‖u‖₁`` is then solved by
+``S`` un-accelerated proximal steps warm-started at ``v`` — exactly one
+SFISTA update when ``S = 1``, better per-round progress for small ``S``,
+and over-solving toward the *sampled* model's biased minimizer for large
+``S`` (the degradation the paper reports at S = 10).
 
 Unified runtime
 ---------------
@@ -75,11 +85,15 @@ def rc_sfista_distributed(
 ) -> SolveResult:
     """Distributed RC-SFISTA (Alg. 5 on the cluster of Fig. 1).
 
-    See :func:`repro.core.rc_sfista.rc_sfista` for the algorithmic
-    parameters ``k``, ``S``, ``b``; see
-    :func:`repro.core.sfista_dist.sfista_distributed` for the cluster
-    parameters. ``history`` carries simulated times; ``cost`` the cluster
-    counters.
+    ``k`` is the iteration-overlapping factor: ``k`` sample sets are drawn
+    and their ``(H, R)`` blocks reduced per outer round (bounds: Eqs.
+    25–26, :mod:`repro.perf.bounds`). ``S`` is the number of
+    Hessian-reuse inner steps per unrolled iteration (Eqs. 27–28). ``b``
+    and the remaining parameters are those of
+    :func:`repro.core.sfista_dist.sfista_distributed`. ``history`` carries
+    simulated times; ``cost`` the cluster counters; ``n_comm_rounds``
+    counts the stage-C rounds plus one anchor-gradient round per SVRG
+    epoch.
 
     Runtime
     -------
@@ -127,7 +141,11 @@ def rc_sfista_distributed(
         )
     )
     d = problem.d
-    # See rc_sfista: proximal-point damping of the reuse subproblem.
+    # Proximal-point damping of the reuse subproblem (S > 1 only; the first
+    # step from u = v has a vanishing damping term, so S = 1 is exactly
+    # SFISTA). ε is the sampled-curvature uncertainty: without it, repeated
+    # steps overshoot in the sampled Hessian's null space (rank(H_j) ≤ m̄ < d)
+    # and large S diverges instead of merely over-solving.
     eps_reg = 0.25 * view.sampled_hessian_deviation(mbar) if S > 1 else 0.0
 
     data = distribute_problem(problem, nranks)

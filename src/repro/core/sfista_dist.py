@@ -1,8 +1,10 @@
-"""Distributed SFISTA baseline — one allreduce per iteration.
+"""SFISTA — one allreduce per iteration (paper Algs. 3–4, Fig. 1).
 
 This is the algorithm RC-SFISTA is compared against in Figs. 4–5: identical
 arithmetic, but the ``(H_n, R_n)`` blocks are allreduced every iteration,
-so latency is paid ``N`` times (Table 1, SFISTA row).
+so latency is paid ``N`` times (Table 1, SFISTA row). It is also the serial
+SFISTA: ``nranks=1`` with ``runtime=RuntimeConfig(backend="serial")`` runs
+the same body on the zero-cost single-rank backend.
 
 Two communication modes:
 
@@ -42,11 +44,39 @@ from repro.core.stopping import StoppingCriterion
 from repro.exceptions import ValidationError
 from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend
 from repro.runtime.backend import ExecutionBackend
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import _select_columns_dense
-from repro.utils.rng import RandomState, as_generator, minibatch_size, sample_indices
+from repro.utils.rng import (
+    RandomState,
+    as_generator,
+    minibatch_size,
+    sample_indices,
+    sample_indices_weighted,
+)
 from repro.utils.validation import check_positive
 
-__all__ = ["sfista_distributed"]
+__all__ = ["sfista_distributed", "importance_probabilities"]
+
+
+def importance_probabilities(problem: ERMObjective, *, mix: float = 0.5) -> np.ndarray:
+    """Norm-proportional sampling distribution with a uniform safety mixture.
+
+    ``p_i = mix/m + (1 − mix)·‖x_i‖²/Σ_j‖x_j‖²``. The mixture bounds the
+    importance weights ``1/(m p_i) ≤ 1/mix``, preventing the unbounded
+    variance a pure norm-proportional scheme has on near-zero columns.
+    """
+    if not (0.0 < mix <= 1.0):
+        raise ValidationError(f"mix must lie in (0, 1], got {mix}")
+    X = problem.X
+    if isinstance(X, np.ndarray):
+        norms = np.einsum("ij,ij->j", X, X)
+    else:
+        csc = X.to_csc() if isinstance(X, CSRMatrix) else X
+        norms = csc.col_norms_sq()
+    total = float(norms.sum())
+    if total <= 0:
+        return np.full(problem.m, 1.0 / problem.m)
+    return mix / problem.m + (1.0 - mix) * norms / total
 
 
 def _epoch_anchor_gradient(
@@ -81,9 +111,28 @@ def sfista_distributed(
     stopping: StoppingCriterion | None = None,
     monitor_every: int = 1,
     restart_momentum: bool = True,
+    sampling: str = "uniform",
     runtime: RuntimeConfig | None = None,
 ) -> SolveResult:
-    """Distributed SFISTA on the simulated cluster.
+    """SFISTA on *nranks* ranks (the simulated cluster by default).
+
+    Parameters
+    ----------
+    b:
+        Sampling rate in (0, 1]; the mini-batch is ``m̄ = ⌊b·m⌋``, drawn
+        with replacement from the seed every rank shares.
+    epochs / iters_per_epoch:
+        Outer loop ``s`` (anchor refreshes) and inner iteration count ``N``
+        of Alg. 3. Total inner iterations = ``epochs × iters_per_epoch``.
+    estimator:
+        ``"svrg"`` (default, Eq. 9, the paper's variance-reduced method) or
+        ``"plain"`` (Eq. 8, for the variance ablation).
+    step_size:
+        ``None`` applies the Theorem 1 rule
+        (:func:`repro.core.sfista.stochastic_step_size`).
+    restart_momentum:
+        Reset the t-sequence at each epoch (standard for SVRG-style
+        restarts; see DESIGN.md choice #4).
 
     Returns a :class:`SolveResult` whose ``history`` carries simulated
     times per checkpoint and whose ``cost`` holds the cluster counters
@@ -93,6 +142,13 @@ def sfista_distributed(
     ``comm_mode`` picks the *algorithm* (what is reduced: Hessian blocks
     or gradients); the collective payload *encoding* (dense/sparse/auto)
     comes from ``runtime=RuntimeConfig(comm=...)`` and defaults to dense.
+
+    ``sampling`` is ``"uniform"`` (the paper's scheme) or ``"importance"``
+    (``comm_mode="hessian"`` only, an extension beyond the paper): samples
+    are drawn with :func:`importance_probabilities` and the weight
+    ``ω_i = 1/(m p_i)`` is folded into stage B's curvature and response,
+    which keeps the estimator unbiased and cuts its variance on data with
+    heterogeneous sample norms.
 
     Runtime
     -------
@@ -106,6 +162,10 @@ def sfista_distributed(
     config = runtime if runtime is not None else RuntimeConfig()
     if comm_mode not in ("hessian", "gradient"):
         raise ValidationError(f"comm_mode must be 'hessian' or 'gradient', got {comm_mode!r}")
+    if sampling not in ("uniform", "importance"):
+        raise ValidationError(f"sampling must be uniform|importance, got {sampling!r}")
+    if sampling == "importance" and comm_mode != "hessian":
+        raise ValidationError("importance sampling needs comm_mode='hessian'")
     if estimator is GradientEstimator.EXACT:
         raise ValidationError("distributed SFISTA requires a sampled estimator (plain or svrg)")
     if epochs < 1 or iters_per_epoch < 1:
@@ -132,6 +192,9 @@ def sfista_distributed(
         )
     )
     d = problem.d
+    probs = importance_probabilities(problem) if sampling == "importance" else None
+    # Per-sample importance weight ω_i = 1/(m p_i), folded into stage B.
+    omega = None if probs is None else 1.0 / (problem.m * probs)
 
     data = distribute_problem(problem, nranks)
     backend = build_host_backend(config, nranks)
@@ -147,6 +210,7 @@ def sfista_distributed(
             "iters_per_epoch": iters_per_epoch,
             "estimator": estimator.value,
             "comm_mode": comm_mode,
+            "sampling": sampling,
             "step_size": gamma,
         }
     )
@@ -229,7 +293,10 @@ def sfista_distributed(
 
             for _n in range(start_n, iters_per_epoch):
                 total_iter += 1
-                idx = sample_indices(rng, problem.m, mbar)
+                if probs is None:
+                    idx = sample_indices(rng, problem.m, mbar)
+                else:
+                    idx = sample_indices_weighted(rng, probs, mbar)
                 data = placement.data
 
                 t_cur = t_next(t_prev)
@@ -246,7 +313,13 @@ def sfista_distributed(
                     svrg_anchor = anchor if estimator is GradientEstimator.SVRG else None
 
                     def build_rank(p: int) -> tuple[np.ndarray, float]:
-                        c, r, flops = data.ranks[p].local_model(v, loss, anchor=svrg_anchor)
+                        rank_data = data.ranks[p]
+                        c, r, flops = rank_data.local_model(v, loss, anchor=svrg_anchor)
+                        if omega is not None:
+                            lo = rank_data.col_offset
+                            om = omega[lo : lo + rank_data.m_local]
+                            c = om if c is None else c * om
+                            r = None if r is None else r * om
                         buf, fl = placement.pack(p, [idx], weights=c, response=r)
                         return buf, flops + fl
 

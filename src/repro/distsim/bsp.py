@@ -29,16 +29,10 @@ from repro.distsim.cost import ClusterCost, CostCounter, PhaseKind
 from repro.distsim.faults import FaultInjector, FaultPlan, RetryPolicy, as_injector
 from repro.distsim.machine import HierarchicalMachine, MachineSpec, get_machine
 from repro.distsim.trace import Trace, TraceEvent
-from repro.distsim.zerocopy import dedup_enabled, freeze
+from repro.distsim.zerocopy import dedup_enabled
 from repro.utils.rng import RandomState, as_generator
 
 __all__ = ["BSPCluster"]
-
-
-def _words_of(value: np.ndarray | float) -> float:
-    """Message size in 8-byte words of a numeric payload."""
-    arr = np.asarray(value)
-    return float(arr.size)
 
 
 class BSPCluster:
@@ -159,9 +153,9 @@ class BSPCluster:
         # (survives reset()) so one-shot scheduled faults never refire when
         # a resilient solver rolls back and replays.
         self._coll_index = 0
-        # Zero-copy fan-out: with dedup on, replicated collective outputs
-        # (allgather/bcast/gather/scatter) are read-only views instead of
-        # per-rank deep copies. Charged costs are unchanged either way.
+        # Resolved for parity with SPMDEngine(dedup=); no BSP collective
+        # fans out per-rank copies (allreduce returns one host view), so
+        # nothing here reads it.
         self.dedup = dedup_enabled(dedup)
         self._pending_fault = None
         # Encoding the most recent allreduce-family collective actually used
@@ -553,16 +547,6 @@ class BSPCluster:
             )
         return [np.asarray(v, dtype=np.float64) for v in values]
 
-    def _fanout(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Return the per-rank result list for a replicating collective.
-
-        With dedup on this is a list of read-only views (no host copies);
-        otherwise the historical per-rank deep copies.
-        """
-        if self.dedup:
-            return [freeze(a) for a in arrays]
-        return [a.copy() for a in arrays]
-
     def allreduce(
         self,
         values: Sequence[np.ndarray],
@@ -741,69 +725,6 @@ class BSPCluster:
             wire_nnz = float(np.count_nonzero(mask))
         return result, wire_nnz
 
-    def allgather(
-        self, values: Sequence[np.ndarray], label: str = "allgather"
-    ) -> list[np.ndarray]:
-        """Gather every rank's buffer onto all ranks."""
-        arrays = self._check_buffers(values, "allgather")
-        start = self._sync_start(label)
-        words_local = max(_words_of(a) for a in arrays)
-        cost = coll.allgather_cost(self.machine, self.nranks, words_local)
-        self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
-        return self._fanout(arrays)
-
-    def bcast(self, value: np.ndarray, root: int = 0, label: str = "bcast") -> np.ndarray:
-        """Broadcast *value* from *root* to all ranks."""
-        self._check_root(root)
-        arr = np.asarray(value, dtype=np.float64)
-        start = self._sync_start(label)
-        cost = coll.bcast_cost(self.machine, self.nranks, _words_of(arr))
-        self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
-        return freeze(arr) if self.dedup else arr.copy()
-
-    def reduce(
-        self,
-        values: Sequence[np.ndarray],
-        root: int = 0,
-        op: Callable[[np.ndarray, np.ndarray], np.ndarray] | str = "sum",
-        label: str = "reduce",
-    ) -> np.ndarray:
-        """Reduce per-rank arrays onto *root* (returned to the caller)."""
-        self._check_root(root)
-        arrays = self._check_buffers(values, "reduce")
-        start = self._sync_start(label)
-        arrays = self._apply_corruption(arrays, label)
-        result = coll.allreduce_values(arrays, op)
-        cost = coll.reduce_cost(self.machine, self.nranks, _words_of(arrays[0]))
-        self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
-        return result
-
-    def gather(self, values: Sequence[np.ndarray], root: int = 0, label: str = "gather") -> list[np.ndarray]:
-        """Gather per-rank buffers to *root*."""
-        self._check_root(root)
-        arrays = self._check_buffers(values, "gather")
-        start = self._sync_start(label)
-        words_local = max(_words_of(a) for a in arrays)
-        cost = coll.gather_cost(self.machine, self.nranks, words_local)
-        self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
-        return self._fanout(arrays)
-
-    def scatter(self, chunks: Sequence[np.ndarray], root: int = 0, label: str = "scatter") -> list[np.ndarray]:
-        """Scatter *chunks* (one per rank) from *root*; returns the rank views."""
-        self._check_root(root)
-        arrays = self._check_buffers(chunks, "scatter")
-        start = self._sync_start(label)
-        words_local = max(_words_of(a) for a in arrays)
-        cost = coll.scatter_cost(self.machine, self.nranks, words_local)
-        self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
-        return self._fanout(arrays)
-
-    def barrier(self, label: str = "barrier") -> None:
-        """Synchronize all ranks."""
-        start = self._sync_start(label)
-        cost = coll.barrier_cost(self.machine, self.nranks)
-        self._finish_collective(label, start, cost, PhaseKind.BARRIER)
-
     # ------------------------------------------------------------------ #
     # resilience traffic
     # ------------------------------------------------------------------ #
@@ -840,10 +761,6 @@ class BSPCluster:
             retry_messages=cost.messages,
             retry_words=cost.words,
         )
-
-    def _check_root(self, root: int) -> None:
-        if not (0 <= root < self.nranks):
-            raise CommunicatorError(f"root {root} out of range [0, {self.nranks})")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,13 +1,11 @@
 """Zero-copy fan-out helpers for simulated collectives.
 
 When every rank of a simulated collective receives the *same* value
-(allreduce results, broadcast payloads, gathered lists), handing each
-rank its own deep copy costs O(P * words) of real host time for data
-that is bit-identical by construction.  Instead we fan out read-only
-views of a single buffer: mutating one raises ``ValueError`` (numpy's
-write-protection), and any rank that genuinely needs a private mutable
-buffer asks for one explicitly via :func:`writable` — copy-on-write at
-the granularity of a whole array.
+(the SPMD engine's collective results), handing each rank its own deep
+copy costs O(P * words) of real host time for data that is bit-identical
+by construction.  Instead we fan out read-only views of a single buffer:
+mutating one raises ``ValueError`` (numpy's write-protection), and a rank
+that genuinely needs a private mutable buffer copies it.
 
 The escape hatch ``REPRO_NO_DEDUP=1`` restores the historical deep-copy
 behaviour everywhere (useful when bisecting a suspected aliasing bug).
@@ -21,7 +19,7 @@ import os
 
 import numpy as np
 
-__all__ = ["NO_DEDUP_ENV", "dedup_enabled", "freeze", "writable"]
+__all__ = ["NO_DEDUP_ENV", "dedup_enabled", "freeze"]
 
 NO_DEDUP_ENV = "REPRO_NO_DEDUP"
 
@@ -50,10 +48,3 @@ def freeze(arr):
     view = arr.view()
     view.setflags(write=False)
     return view
-
-
-def writable(arr):
-    """Copy-on-write: return ``arr`` if already mutable, else a fresh copy."""
-    if isinstance(arr, np.ndarray) and not arr.flags.writeable:
-        return arr.copy()
-    return arr

@@ -19,8 +19,6 @@ import numpy as np
 
 from repro.core.objectives import L1LeastSquares
 from repro.core.proxcocoa import proxcocoa
-from repro.core.rc_sfista import rc_sfista
-from repro.core.sfista import sfista
 from repro.core.fista import fista
 from repro.core.stopping import StoppingCriterion
 from repro.core.sfista_dist import sfista_distributed
@@ -55,6 +53,9 @@ __all__ = [
 # The four datasets the paper's §5.3–5.5 figures sweep.
 FIGURE_DATASETS = ("susy", "covtype", "mnist", "epsilon")
 MACHINE = "comet_effective"
+# Convergence figures (2a, 2b, 3) run the solver bodies at P=1 on the
+# serial backend: iterates do not depend on P, only simulated costs do.
+SERIAL = RuntimeConfig(backend="serial")
 
 
 def _problem(name: str, quick: bool) -> L1LeastSquares:
@@ -89,10 +90,10 @@ def fig2a_sampling_rate(
     iters_per_epoch = min(50, n_iters)
     epochs = -(-n_iters // iters_per_epoch)
     for b in bs:
-        run = sfista(
-            problem, b=b, estimator="svrg", epochs=epochs,
+        run = sfista_distributed(
+            problem, 1, b=b, estimator="svrg", epochs=epochs,
             iters_per_epoch=iters_per_epoch, seed=seed, stopping=stop,
-            restart_momentum=False,
+            restart_momentum=False, runtime=SERIAL,
         )
         series[f"b={b:g}"] = (list(run.history.iterations), list(run.history.rel_errors))
     return {"figure": "2a", "dataset": dataset, "fstar": fstar, "series": series}
@@ -126,9 +127,9 @@ def fig2b_overlap_convergence(
     iters_per_epoch = min(64, n_iters)
     epochs = -(-n_iters // iters_per_epoch)
     for k in ks:
-        run = rc_sfista(
-            problem, k=k, S=1, b=b, epochs=epochs, iters_per_epoch=iters_per_epoch,
-            seed=seed, stopping=stop, restart_momentum=False,
+        run = rc_sfista_distributed(
+            problem, 1, k=k, S=1, b=b, epochs=epochs, iters_per_epoch=iters_per_epoch,
+            seed=seed, stopping=stop, restart_momentum=False, runtime=SERIAL,
         )
         series[f"k={k}"] = (list(run.history.iterations), list(run.history.rel_errors))
         finals.append(run.w)
@@ -174,9 +175,9 @@ def fig3_hessian_reuse(
         iters_per_epoch = min(50, n_rounds * k)
         epochs = -(-(n_rounds * k) // iters_per_epoch)
         for S in Ss:
-            run = rc_sfista(
-                problem, k=k, S=S, b=b, epochs=epochs, iters_per_epoch=iters_per_epoch,
-                seed=seed, stopping=stop, restart_momentum=False,
+            run = rc_sfista_distributed(
+                problem, 1, k=k, S=S, b=b, epochs=epochs, iters_per_epoch=iters_per_epoch,
+                seed=seed, stopping=stop, restart_momentum=False, runtime=SERIAL,
             )
             rounds = [
                 -(-it // k) for it in run.history.iterations
@@ -289,7 +290,7 @@ def fig6_proxcocoa_convergence(
         stats = ProblemStats.of(problem)
         stop = StoppingCriterion(tol=tol, fstar=fstar)
 
-        # --- RC-SFISTA: serial trajectory + dry-run clock --------------- #
+        # --- RC-SFISTA: P=1 trajectory + dry-run clock ----------------- #
         k = max(1, min(8, int(k_bound_latency_bandwidth(machine, problem.d))))
         S = 2
         budget = max_rounds * k

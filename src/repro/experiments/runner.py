@@ -1,13 +1,14 @@
 """Experiment orchestration.
 
 Key observation exploited throughout: on the simulator, a solver's *iterate
-trajectory* is independent of the processor count ``P`` (the distributed
-runs reproduce the serial arithmetic exactly — asserted by the integration
-tests). Only the simulated clock depends on ``(P, machine, k, S)``. Large
-parameter sweeps therefore:
+trajectory* is independent of the processor count ``P`` (every ``P`` runs
+the same arithmetic — asserted by the equivalence tests). Only the
+simulated clock depends on ``(P, machine, k, S)``. Large parameter sweeps
+therefore:
 
-1. run the **serial** solver once per algorithmic configuration to find the
-   iteration count needed to reach the target tolerance, then
+1. run the solver once per algorithmic configuration at P=1 on the serial
+   backend to find the iteration count needed to reach the target
+   tolerance, then
 2. **dry-run** the distributed cost schedule for each ``P`` — a
    :class:`~repro.distsim.bsp.BSPCluster` is driven through exactly the
    phases the real distributed solver executes (same labels, same collective
@@ -25,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.objectives import L1LeastSquares
-from repro.core.rc_sfista import rc_sfista
+from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.reference import solve_reference
 from repro.core.results import SolveResult
 from repro.core.stopping import StoppingCriterion
 from repro.distsim.bsp import BSPCluster
 from repro.distsim.machine import MachineSpec
 from repro.exceptions import ValidationError
+from repro.runtime import RuntimeConfig
 from repro.sparse.ops import packed_size
 from repro.sparse.csr import CSCMatrix, CSRMatrix
 from repro.utils.rng import RandomState
@@ -278,15 +280,17 @@ def iterations_to_tolerance(
     step_size: float | None = None,
     monitor_every: int = 1,
 ) -> SolveResult:
-    """Serial RC-SFISTA run to the paper's stopping rule.
+    """RC-SFISTA at P=1 on the serial backend, run to the paper's stopping rule.
 
     Because trajectories are P-independent, the returned ``n_iterations``
-    and ``n_comm_rounds`` are exactly what the distributed runs need; feed
-    them to the dry-run schedulers to get simulated times for any P.
+    and ``n_comm_rounds`` (stage-C rounds plus one anchor round per SVRG
+    epoch) are exactly what the distributed runs need; feed them to the
+    dry-run schedulers to get simulated times for any P.
     """
     fstar = reference_value(problem) if fstar is None else fstar
-    return rc_sfista(
+    return rc_sfista_distributed(
         problem,
+        1,
         k=k,
         S=S,
         b=b,
@@ -297,6 +301,7 @@ def iterations_to_tolerance(
         step_size=step_size,
         stopping=StoppingCriterion(tol=tol, fstar=fstar),
         monitor_every=monitor_every,
+        runtime=RuntimeConfig(backend="serial"),
     )
 
 

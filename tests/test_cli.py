@@ -1,5 +1,7 @@
 """Unit tests for the top-level `python -m repro` CLI."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,26 @@ class TestTraceReport:
         assert "by phase kind" in out and "by label" in out
         assert "allreduce_G" in out
         assert "comm " in out and "compute " in out
+
+    def test_serial_rc_sfista_writes_report_and_trace(self, tmp_path, capsys):
+        """``rc_sfista`` is the one body at P=1 on the serial backend."""
+        report, trace = tmp_path / "R.json", tmp_path / "T.json"
+        rc = main([
+            "solve", "--dataset", "covtype", "--size", "tiny",
+            "--solver", "rc_sfista", "--k", "2", "--b", "0.2",
+            "--epochs", "1", "--iters-per-epoch", "10",
+            "--report", str(report), "--trace-export", str(trace),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        payload = json.loads(report.read_text())
+        assert payload["solver"] == "rc_sfista_distributed"
+        assert payload["params"]["nranks"] == 1
+        assert payload["params"]["machine"] == "serial"
+        assert len(payload["iterations"]) == 10
+        assert json.loads(trace.read_text())["traceEvents"] is not None
+        assert main(["trace-report", str(report)]) == 0
+        assert "iterations recorded: 10" in capsys.readouterr().out
 
     def test_non_json_file_is_a_clean_exit(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,21 +1,58 @@
-"""Integration tests: distributed solvers reproduce the serial arithmetic.
+"""Equivalence tests: one solver body, the same iterates at every P.
 
 This is the linchpin of the reproduction methodology (DESIGN.md §4): on the
 simulator, processor count changes *costs*, never *iterates*. Every cell of
-the speedup sweeps relies on these equivalences.
+the speedup sweeps relies on these equivalences. The serial solvers are the
+bodies at P=1 on the serial backend (``SERIAL``), so each test compares P=1
+with P>1; :class:`TestOracle` checks both against the independent numpy
+oracle of ``oracle.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.rc_sfista import rc_sfista
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista import sfista
 from repro.core.sfista_dist import sfista_distributed
 from repro.distsim.collectives import ceil_log2
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
 from repro.sparse.ops import packed_size
+from tests.test_core.oracle import rc_sfista_oracle
+
+SERIAL = RuntimeConfig(backend="serial")
+
+
+def sfista(problem, **kw):
+    """Serial SFISTA: the one body at P=1 on the serial backend."""
+    return sfista_distributed(problem, 1, runtime=SERIAL, **kw)
+
+
+def rc_sfista(problem, **kw):
+    """Serial RC-SFISTA: the one body at P=1 on the serial backend."""
+    return rc_sfista_distributed(problem, 1, runtime=SERIAL, **kw)
+
+
+class TestOracle:
+    """The one body against the independent numpy oracle (Eq. 9, Eqs. 20–23)."""
+
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("k,S", [(1, 1), (4, 1), (3, 2)])
+    def test_rc_sfista_matches_oracle(self, tiny_covtype_problem, nranks, k, S):
+        kw = dict(b=0.2, epochs=2, iters_per_epoch=10, seed=8)
+        runtime = SERIAL if nranks == 1 else None
+        res = rc_sfista_distributed(
+            tiny_covtype_problem, nranks, k=k, S=S, runtime=runtime, **kw
+        )
+        ref = rc_sfista_oracle(tiny_covtype_problem, S=S, **kw)
+        np.testing.assert_allclose(res.w, ref, atol=1e-9)
+
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 5, 8])
+    def test_sfista_matches_oracle(self, small_dense_problem, nranks):
+        kw = dict(b=0.15, epochs=2, iters_per_epoch=12, seed=5)
+        runtime = SERIAL if nranks == 1 else None
+        res = sfista_distributed(small_dense_problem, nranks, runtime=runtime, **kw)
+        ref = rc_sfista_oracle(small_dense_problem, **kw)
+        np.testing.assert_allclose(res.w, ref, atol=1e-9)
 
 
 class TestSfistaDistEquivalence:

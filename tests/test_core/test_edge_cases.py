@@ -6,13 +6,14 @@ import pytest
 from repro.core.objectives import L1LeastSquares
 from repro.core.fista import fista
 from repro.core.prox_newton import proximal_newton
-from repro.core.rc_sfista import rc_sfista
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista import sfista
 from repro.core.sfista_dist import sfista_distributed
 from repro.data.datasets import dataset_from_libsvm
 from repro.exceptions import DatasetError
+from repro.runtime import RuntimeConfig
 from repro.sparse.io import save_libsvm
+
+SERIAL = RuntimeConfig(backend="serial")
 
 
 class TestDegenerateProblems:
@@ -40,8 +41,9 @@ class TestDegenerateProblems:
 
     def test_mbar_one(self, tiny_covtype_problem):
         """b small enough that the mini-batch is a single sample."""
-        res = sfista(
-            tiny_covtype_problem, b=1e-6, epochs=2, iters_per_epoch=10, seed=0
+        res = sfista_distributed(
+            tiny_covtype_problem, 1, b=1e-6, epochs=2, iters_per_epoch=10, seed=0,
+            runtime=SERIAL,
         )
         assert res.meta["mbar"] == 1
         assert np.all(np.isfinite(res.w))
@@ -62,20 +64,25 @@ class TestDistributedEdges:
         X = gen.standard_normal((3, 4))
         p = L1LeastSquares(X, gen.standard_normal(4), 0.05)
         res = rc_sfista_distributed(p, 8, k=2, b=0.5, iters_per_epoch=6, seed=0)
-        ser = rc_sfista(p, k=2, S=1, b=0.5, iters_per_epoch=6, seed=0)
+        ser = rc_sfista_distributed(
+            p, 1, k=2, S=1, b=0.5, iters_per_epoch=6, seed=0, runtime=SERIAL
+        )
         np.testing.assert_allclose(res.w, ser.w, atol=1e-9)
 
     def test_single_rank_cluster(self, tiny_covtype_problem):
         res = sfista_distributed(
             tiny_covtype_problem, 1, b=0.2, iters_per_epoch=8, seed=0
         )
-        ser = sfista(tiny_covtype_problem, b=0.2, iters_per_epoch=8, seed=0)
-        np.testing.assert_allclose(res.w, ser.w, atol=1e-10)
+        ser = sfista_distributed(
+            tiny_covtype_problem, 1, b=0.2, iters_per_epoch=8, seed=0, runtime=SERIAL
+        )
+        np.testing.assert_array_equal(res.w, ser.w)  # the same body on both backends
         assert res.cost["messages_per_rank_max"] == 0.0  # P=1: no communication
 
     def test_monitor_stride_exceeding_budget(self, tiny_covtype_problem):
-        res = rc_sfista(
-            tiny_covtype_problem, k=2, b=0.2, iters_per_epoch=5, monitor_every=100, seed=0
+        res = rc_sfista_distributed(
+            tiny_covtype_problem, 1, k=2, b=0.2, iters_per_epoch=5, monitor_every=100,
+            seed=0, runtime=SERIAL,
         )
         assert len(res.history) == 1  # only the forced final checkpoint
 

@@ -1,14 +1,39 @@
-"""Unit tests for importance sampling (extension beyond the paper)."""
+"""Unit tests for importance sampling in ``sfista_distributed`` (extension
+beyond the paper)."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core._dist_common import RankPlacement, distribute_problem
+from repro.core.model import ERMObjective
 from repro.core.objectives import L1LeastSquares
 from repro.core.reference import solve_reference
-from repro.core.rc_sfista import rc_sfista
-from repro.core.sfista import SampledGradient, importance_probabilities, sfista
+from repro.core.sfista_dist import importance_probabilities, sfista_distributed
 from repro.exceptions import ValidationError
+from repro.runtime import RuntimeConfig
 from repro.utils.rng import sample_indices_weighted
+
+
+def sfista(problem, **kw):
+    """Serial SFISTA: the one body at P=1 on the serial backend."""
+    return sfista_distributed(problem, 1, runtime=RuntimeConfig(backend="serial"), **kw)
+
+
+def weighted_stage_b(problem, mbar):
+    """Stage B at P=1 with importance weights folded in, as the solver does:
+    ``build(idx, omega)`` → the unpacked ``(H, R)`` with ``c = ω``, ``r = y·ω``."""
+    data = distribute_problem(problem, 1)
+    loop = SimpleNamespace(backend=SimpleNamespace(parallel_ranks=False), workspace=None)
+    placement = RankPlacement(data, loop, mbar=mbar, blocks=1, rhs=True)
+
+    def build(idx, omega):
+        buf, _flops = placement.pack(0, [idx], weights=omega, response=problem.y * omega)
+        H, R = placement.unpack(buf, 0)
+        return H.copy(), R.copy()
+
+    return build
 
 
 @pytest.fixture(scope="module")
@@ -70,32 +95,32 @@ class TestWeightedSampler:
         np.testing.assert_allclose(freq, probs, atol=0.02)
 
     def test_weighted_estimator_unbiased(self, heterogeneous_problem):
-        """Monte-Carlo: E[weighted plain estimate] = exact gradient."""
+        """Monte-Carlo: E[weighted plain estimate H v − R] = exact gradient."""
         p = heterogeneous_problem
         probs = importance_probabilities(p)
+        omega = 1.0 / (p.m * probs)
+        build = weighted_stage_b(p, 10)
         gen = np.random.default_rng(1)
         v = gen.standard_normal(p.d)
         acc = np.zeros(p.d)
         trials = 4000
         for _ in range(trials):
-            idx = sample_indices_weighted(gen, probs, 10)
-            weights = 1.0 / (p.m * probs[idx])
-            sg = SampledGradient.gather(p.X, p.y, idx, weights)
-            acc += sg.plain(v)
+            H, R = build(sample_indices_weighted(gen, probs, 10), omega)
+            acc += H @ v - R
         exact = p.gradient(v)
         np.testing.assert_allclose(acc / trials, exact, rtol=0.1, atol=0.3)
 
     def test_weighted_hessian_unbiased(self, heterogeneous_problem):
         p = heterogeneous_problem
         probs = importance_probabilities(p)
+        omega = 1.0 / (p.m * probs)
+        build = weighted_stage_b(p, 10)
         gen = np.random.default_rng(2)
         acc = np.zeros((p.d, p.d))
         trials = 2000
         for _ in range(trials):
-            idx = sample_indices_weighted(gen, probs, 10)
-            weights = 1.0 / (p.m * probs[idx])
-            sg = SampledGradient.gather(p.X, p.y, idx, weights)
-            acc += sg.hessian()
+            H, _R = build(sample_indices_weighted(gen, probs, 10), omega)
+            acc += H
         np.testing.assert_allclose(
             acc / trials, p.hessian, atol=0.15 * np.abs(p.hessian).max()
         )
@@ -112,19 +137,45 @@ class TestSolverBenefit:
         e_imp = abs(min(imp.history.objectives) - fstar) / fstar
         assert e_imp < e_uni / 10
 
-    def test_rc_sfista_importance_equivalence(self, heterogeneous_problem):
-        a = rc_sfista(
-            heterogeneous_problem, k=4, S=1, b=0.1, iters_per_epoch=16, seed=3,
-            sampling="importance",
-        )
-        b = sfista(
-            heterogeneous_problem, b=0.1, iters_per_epoch=16, seed=3,
-            sampling="importance",
-        )
-        np.testing.assert_allclose(a.w, b.w, atol=1e-8)
+    @pytest.mark.parametrize("nranks", [2, 3, 8])
+    def test_importance_iterates_independent_of_p(self, heterogeneous_problem, nranks):
+        """Each rank folds the weights of its own columns: P moves no iterate."""
+        kw = dict(b=0.1, epochs=2, iters_per_epoch=16, seed=3, sampling="importance")
+        a = sfista_distributed(heterogeneous_problem, nranks, **kw)
+        b = sfista(heterogeneous_problem, **kw)
+        np.testing.assert_allclose(a.w, b.w, atol=1e-9)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("nranks", [1, 3])
+    def test_plain_iterates_match_weighted_reference(self, heterogeneous_problem, loss, nranks):
+        """Three plain-estimator steps against the reweighted Eq. (8) from the
+        same draws: ``H = (1/m̄) Σ ω c x xᵀ``, ``R = (1/m̄) Σ ω r x``."""
+        X = heterogeneous_problem.X
+        y = heterogeneous_problem.y if loss == "squared" else np.sign(heterogeneous_problem.y)
+        p = ERMObjective(X, y, loss=loss, penalty="l1", lam=heterogeneous_problem.lam)
+        runtime = RuntimeConfig(backend="serial") if nranks == 1 else None
+        res = sfista_distributed(p, nranks, b=0.05, iters_per_epoch=3, seed=4,
+                                 estimator="plain", sampling="importance", runtime=runtime)
+        probs = importance_probabilities(p)
+        omega = 1.0 / (p.m * probs)
+        gamma, mbar = res.meta["step_size"], res.meta["mbar"]
+        rng = np.random.default_rng(4)
+        w = w_prev = np.zeros(p.d)
+        t = 1.0
+        for _ in range(3):
+            idx = sample_indices_weighted(rng, probs, mbar)
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            v = w + (t - 1.0) / t_next * (w - w_prev)
+            A = X[:, idx]
+            c, r = p.loss.model(A.T @ v, y[idx])
+            wc = omega[idx] if c is None else omega[idx] * c
+            H = (A * wc) @ A.T / mbar
+            R = A @ (omega[idx] * r) / mbar
+            w_prev, w, t = w, p.penalty.prox(v - gamma * (H @ v - R), gamma), t_next
+        np.testing.assert_allclose(res.w, w, atol=1e-10)
 
     def test_invalid_sampling_name(self, heterogeneous_problem):
         with pytest.raises(ValidationError):
             sfista(heterogeneous_problem, sampling="leverage")
-        with pytest.raises(ValidationError):
-            rc_sfista(heterogeneous_problem, sampling="leverage")
+        with pytest.raises(ValidationError, match="comm_mode='hessian'"):
+            sfista(heterogeneous_problem, sampling="importance", comm_mode="gradient")

@@ -265,12 +265,7 @@ def _squared_l1_only_solvers():
     from repro.core.ca_bcd import ca_bcd
     from repro.core.cd import coordinate_descent_lasso
     from repro.core.proxcocoa import proxcocoa
-    from repro.core.rc_sfista import rc_sfista
-    from repro.core.sfista import sfista
-
     return {
-        "sfista": lambda p: sfista(p, epochs=1, iters_per_epoch=2),
-        "rc_sfista": lambda p: rc_sfista(p, epochs=1, iters_per_epoch=2),
         "proxcocoa": lambda p: proxcocoa(p, 2, n_rounds=1),
         "coordinate_descent_lasso": lambda p: coordinate_descent_lasso(p, max_epochs=1),
         "ca_bcd": lambda p: ca_bcd(p, block_size=2, n_rounds=1),

@@ -1,12 +1,35 @@
-"""Unit tests for SFISTA and the stochastic step-size rule."""
+"""Unit tests for SFISTA (the one body at P=1) and the stochastic step-size rule."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.fista import fista
-from repro.core.sfista import SampledGradient, sfista, stochastic_step_size
+from repro.core._dist_common import RankPlacement, distribute_problem, svrg_rhs
+from repro.core.sfista import stochastic_step_size
+from repro.core.sfista_dist import sfista_distributed
 from repro.core.stopping import StoppingCriterion
 from repro.exceptions import ValidationError
+from repro.runtime import RuntimeConfig
+
+
+def sfista(problem, **kw):
+    """Serial SFISTA: the one body at P=1 on the serial backend."""
+    return sfista_distributed(problem, 1, runtime=RuntimeConfig(backend="serial"), **kw)
+
+
+def stage_b(problem, mbar):
+    """Stage B at P=1: ``build(idx, response)`` → the unpacked ``(H, R)`` of one set."""
+    data = distribute_problem(problem, 1)
+    loop = SimpleNamespace(backend=SimpleNamespace(parallel_ranks=False), workspace=None)
+    placement = RankPlacement(data, loop, mbar=mbar, blocks=1, rhs=True)
+
+    def build(idx, response=None):
+        buf, _flops = placement.pack(0, [idx], response=response)
+        H, R = placement.unpack(buf, 0)
+        return H.copy(), R.copy()
+
+    return build
 
 
 class TestStochasticStepSize:
@@ -47,46 +70,43 @@ class TestStochasticStepSize:
 
 
 class TestSampledGradient:
+    """Eqs. (8)–(9) as stage B packs them and stage D applies them: ĝ(v) = Hv − R."""
+
     def test_plain_matches_formula(self, small_dense_problem, rng):
         p = small_dense_problem
         idx = rng.integers(0, p.m, size=8)
-        sg = SampledGradient.gather(p.X, p.y, idx)
+        H, R = stage_b(p, 8)(idx, response=p.y)
         v = rng.standard_normal(p.d)
         A = p.X[:, idx]
-        np.testing.assert_allclose(sg.plain(v), A @ (A.T @ v - p.y[idx]) / 8, atol=1e-12)
+        np.testing.assert_allclose(H @ v - R, A @ (A.T @ v - p.y[idx]) / 8, atol=1e-12)
 
     def test_svrg_unbiased_at_anchor(self, small_dense_problem, rng):
         """At v = anchor the SVRG estimate equals the exact full gradient."""
         p = small_dense_problem
         anchor = rng.standard_normal(p.d)
         fg = p.gradient(anchor)
-        idx = rng.integers(0, p.m, size=4)
-        sg = SampledGradient.gather(p.X, p.y, idx)
-        np.testing.assert_allclose(sg.svrg(anchor, anchor, fg), fg, atol=1e-12)
+        H, corr = stage_b(p, 4)(rng.integers(0, p.m, size=4))
+        R = svrg_rhs(H, corr, anchor, fg, p.loss)
+        np.testing.assert_allclose(H @ anchor - R, fg, atol=1e-12)
 
     def test_svrg_estimator_is_unbiased(self, small_dense_problem):
-        """Monte-Carlo check of E[ĝ(v)] = ∇f(v)."""
+        """Monte-Carlo check of E[H v − R] = ∇f(v)."""
         p = small_dense_problem
         gen = np.random.default_rng(0)
         anchor = gen.standard_normal(p.d)
         v = gen.standard_normal(p.d)
         fg = p.gradient(anchor)
+        build = stage_b(p, 10)
         acc = np.zeros(p.d)
         trials = 3000
         for _ in range(trials):
-            idx = gen.integers(0, p.m, size=10)
-            sg = SampledGradient.gather(p.X, p.y, idx)
-            acc += sg.svrg(v, anchor, fg)
+            H, corr = build(gen.integers(0, p.m, size=10))
+            acc += H @ v - svrg_rhs(H, corr, anchor, fg, p.loss)
         mc = acc / trials
         np.testing.assert_allclose(mc, p.gradient(v), atol=0.05)
 
 
 class TestSfista:
-    def test_exact_estimator_equals_fista(self, small_dense_problem):
-        a = sfista(small_dense_problem, b=1.0, estimator="exact", iters_per_epoch=80)
-        b = fista(small_dense_problem, max_iter=80)
-        np.testing.assert_allclose(a.w, b.w, atol=1e-12)
-
     def test_converges_with_svrg(self, small_dense_problem, small_reference):
         fstar = small_reference.meta["fstar"]
         res = sfista(
@@ -120,7 +140,7 @@ class TestSfista:
 
     def test_meta_fields(self, small_dense_problem):
         res = sfista(small_dense_problem, b=0.25, iters_per_epoch=10)
-        assert res.meta["solver"] == "sfista"
+        assert res.meta["solver"] == "sfista_distributed"
         assert res.meta["mbar"] == int(0.25 * small_dense_problem.m)
         assert res.meta["estimator"] == "svrg"
         assert not res.meta["diverged"]
@@ -128,15 +148,6 @@ class TestSfista:
     def test_invalid_epochs(self, small_dense_problem):
         with pytest.raises(ValidationError):
             sfista(small_dense_problem, epochs=0)
-
-    def test_invalid_w0(self, small_dense_problem):
-        with pytest.raises(ValidationError):
-            sfista(small_dense_problem, w0=np.ones(1), iters_per_epoch=5)
-
-    def test_repeat_samples_changes_draws(self, small_dense_problem):
-        a = sfista(small_dense_problem, b=0.2, iters_per_epoch=20, seed=3, repeat_samples=1)
-        b = sfista(small_dense_problem, b=0.2, iters_per_epoch=20, seed=3, repeat_samples=5)
-        assert not np.allclose(a.w, b.w)
 
     def test_flop_reduction_argument(self, small_dense_problem):
         """m̄ = ⌊bm⌋: the per-iteration sampled workload shrinks by 1/b."""

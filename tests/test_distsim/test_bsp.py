@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distsim.bsp import BSPCluster
-from repro.distsim.collectives import allreduce_cost, barrier_cost, bcast_cost
+from repro.distsim.collectives import allreduce_cost
 from repro.distsim.cost import PhaseKind
 from repro.exceptions import CommunicatorError, ValidationError
 
@@ -87,40 +87,6 @@ class TestAllreduce:
         assert out[0] == 3.0
 
 
-class TestOtherCollectives:
-    def test_allgather(self, cluster):
-        out = cluster.allgather([np.full(2, r) for r in range(4)])
-        assert len(out) == 4
-        np.testing.assert_array_equal(out[2], [2, 2])
-
-    def test_bcast(self, cluster):
-        out = cluster.bcast(np.arange(3.0), root=1)
-        np.testing.assert_array_equal(out, [0, 1, 2])
-        expected = bcast_cost(cluster.machine, 4, 3)
-        assert cluster.counters[0].messages == expected.messages
-
-    def test_bcast_invalid_root(self, cluster):
-        with pytest.raises(CommunicatorError):
-            cluster.bcast(np.ones(1), root=7)
-
-    def test_reduce(self, cluster):
-        out = cluster.reduce([np.ones(2)] * 4)
-        np.testing.assert_array_equal(out, [4, 4])
-
-    def test_gather(self, cluster):
-        out = cluster.gather([np.array([float(r)]) for r in range(4)])
-        assert [v[0] for v in out] == [0, 1, 2, 3]
-
-    def test_scatter(self, cluster):
-        out = cluster.scatter([np.array([float(r)]) for r in range(4)])
-        assert out[2][0] == 2.0
-
-    def test_barrier(self, cluster):
-        cluster.barrier()
-        expected = barrier_cost(cluster.machine, 4)
-        assert cluster.elapsed == pytest.approx(expected.time)
-
-
 class TestChargeAllreduce:
     def test_identical_cost_to_real_allreduce(self):
         real = BSPCluster(8, "comet_paper")
@@ -143,7 +109,7 @@ class TestChargeAllreduce:
 class TestBookkeeping:
     def test_reset(self, cluster):
         cluster.compute(100.0)
-        cluster.barrier()
+        cluster.charge_allreduce(8)
         cluster.reset()
         assert cluster.elapsed == 0.0
         assert len(cluster.trace) == 0

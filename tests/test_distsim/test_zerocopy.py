@@ -3,10 +3,10 @@
 The dedup fast path (docs/PERFORMANCE.md) replaces the per-rank deep
 copies of replicated collective results with read-only views of one
 shared array. These tests pin the contract: results are immutable (a
-write raises), :func:`repro.distsim.zerocopy.writable` gives a private
-copy that leaves siblings untouched, the ``REPRO_NO_DEDUP`` escape hatch
-restores the copying behaviour, and — the tentpole invariant — charged
-α-β-γ costs and reduced values are byte-identical either way.
+write raises), a rank's private copy leaves siblings untouched, the
+``REPRO_NO_DEDUP`` escape hatch restores the copying behaviour, and — the
+tentpole invariant — charged α-β-γ costs and reduced values are
+byte-identical either way.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from repro.distsim.bsp import BSPCluster
 from repro.distsim.collectives import allreduce_values
 from repro.distsim.engine import SPMDEngine
-from repro.distsim.zerocopy import NO_DEDUP_ENV, dedup_enabled, freeze, writable
+from repro.distsim.zerocopy import NO_DEDUP_ENV, dedup_enabled, freeze
 
 
 class TestPrimitives:
@@ -32,14 +32,6 @@ class TestPrimitives:
         assert freeze(3.5) == 3.5
         assert freeze(None) is None
 
-    def test_writable_copies_only_frozen_arrays(self):
-        arr = np.arange(3.0)
-        assert writable(arr) is arr
-        frozen = freeze(arr)
-        thawed = writable(frozen)
-        assert thawed.flags.writeable
-        assert not np.shares_memory(thawed, frozen)
-
     def test_dedup_enabled_env_escape_hatch(self, monkeypatch):
         monkeypatch.delenv(NO_DEDUP_ENV, raising=False)
         assert dedup_enabled(None) is True
@@ -54,33 +46,6 @@ class TestPrimitives:
 
 
 class TestBSPImmutability:
-    def test_bcast_result_is_readonly(self):
-        cluster = BSPCluster(4, dedup=True)
-        out = cluster.bcast(np.arange(5.0))
-        with pytest.raises(ValueError):
-            out[0] = 1.0
-
-    def test_allgather_results_are_readonly(self):
-        cluster = BSPCluster(3, dedup=True)
-        outs = cluster.allgather([np.full(2, float(r)) for r in range(3)])
-        for out in outs:
-            with pytest.raises(ValueError):
-                out[0] = -1.0
-
-    def test_writable_gives_private_copy_cow(self):
-        """Mutating one rank's thawed copy leaves the siblings untouched."""
-        cluster = BSPCluster(4, dedup=True)
-        outs = cluster.allgather([np.full(3, float(r)) for r in range(4)])
-        mine = writable(outs[1])
-        mine[:] = 99.0
-        for sibling in outs:
-            assert not np.any(sibling == 99.0)
-
-    def test_no_dedup_results_stay_writable(self):
-        cluster = BSPCluster(4, dedup=False)
-        out = cluster.bcast(np.arange(5.0))
-        out[0] = 42.0  # must not raise
-
     def test_allreduce_host_view_stays_writable(self):
         """The BSP allreduce returns ONE host-view array — still mutable."""
         cluster = BSPCluster(4, dedup=True)
@@ -108,7 +73,7 @@ class TestSPMDImmutability:
 
     def test_cow_private_copy(self):
         _, results = self._run_allreduce(True)
-        mine = writable(results[2])
+        mine = results[2].copy()
         mine += 1.0
         for r, sibling in enumerate(results):
             np.testing.assert_array_equal(sibling, np.full(6, 10.0)), r
@@ -123,8 +88,7 @@ class TestCostInvariance:
             rng = np.random.default_rng(0)
             for _ in range(3):
                 cluster.allreduce([rng.standard_normal(64) for _ in range(4)])
-                cluster.bcast(rng.standard_normal(32))
-                cluster.allgather([rng.standard_normal(8) for _ in range(4)])
+                cluster.charge_allreduce(32)
             return cluster.cost.summary()
 
         assert drive(True) == drive(False)

@@ -11,7 +11,6 @@ from repro.core import (
     lasso_path,
     proximal_newton,
     proxcocoa,
-    rc_sfista,
     rc_sfista_distributed,
     solve_reference,
 )
@@ -36,9 +35,10 @@ class TestReadmeQuickstart:
     def test_flow(self):
         problem = get_dataset("covtype", size="tiny").problem()
         fstar = solve_reference(problem, tol=1e-9).meta["fstar"]
-        result = rc_sfista(
-            problem, k=4, S=2, b=0.05, epochs=20, iters_per_epoch=50,
+        result = rc_sfista_distributed(
+            problem, 1, k=4, S=2, b=0.05, epochs=20, iters_per_epoch=50,
             stopping=StoppingCriterion(tol=0.01, fstar=fstar),
+            runtime=RuntimeConfig(backend="serial"),
         )
         assert result.converged
         assert "iters" in result.summary()
