@@ -5,9 +5,10 @@ time the hot kernels the solvers are built on — the numbers that determine
 how large a simulated experiment the repo can run per second of host time.
 
 ``test_kernel_speedups`` additionally measures the wall-clock *ratios* of
-the fast-path kernels (zero-copy fan-out, Gram workspaces, CSC memo — see
-docs/PERFORMANCE.md) against their slow-path equivalents and writes them
-to ``benchmarks/output/kernels_run.json``; the CI perf gate diffs that
+the fast-path kernels (zero-copy fan-out, Gram workspaces, CSC memo, the
+Gram-form objective value — see docs/PERFORMANCE.md) against their
+slow-path equivalents and writes them to
+``benchmarks/output/kernels_run.json``; the CI perf gate diffs that
 report against ``benchmarks/baselines/kernels.json``. Ratios of two runs
 on the same host are machine-independent, so the committed floors hold on
 any runner.
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from benchmarks._common import emit, emit_json
+from repro.core.objectives import L1LeastSquares
 from repro.distsim.collectives import allreduce_values
 from repro.distsim.engine import SPMDEngine
 from repro.sparse.csr import CSCMatrix, CSRMatrix
@@ -197,6 +199,25 @@ def _allreduce_fanout_speedup(nranks=16, words=50_000, rounds=4):
     return _best_of(lambda: run(False)) / _best_of(lambda: run(True))
 
 
+def _value_gram_speedup(d=400, m=4000, evals=50):
+    """Gram-form ``value`` (``½wᵀHw − Rᵀw + ½‖y‖²/m``) vs the residual
+    formula ``½‖Xᵀw − y‖²/m`` on dense data of the epsilon shape."""
+    gen = np.random.default_rng(5)
+    problem = L1LeastSquares(gen.standard_normal((d, m)), gen.standard_normal(m), 0.01)
+    ws = gen.standard_normal((evals, d))
+    problem.value(ws[0])  # builds the cached Gram once, as the first monitor call does
+
+    def direct(w):
+        smooth = problem.loss.total(problem.predictions(w), problem.y) / problem.m
+        return smooth + problem.reg_value(w)
+
+    for w in ws[:5]:
+        assert abs(problem.value(w) - direct(w)) <= 1e-12 * direct(w)
+    return _best_of(lambda: [direct(w) for w in ws]) / _best_of(
+        lambda: [problem.value(w) for w in ws]
+    )
+
+
 def test_kernel_speedups(csr, csc):
     """Measure fast-path/slow-path wall-clock ratios and emit the report."""
     speedups = {
@@ -204,6 +225,7 @@ def test_kernel_speedups(csr, csc):
         "gram_workspace_csc": _gram_speedup_csc(csc),
         "csc_memoization": _csc_memo_speedup(csr),
         "allreduce_fanout_p16": _allreduce_fanout_speedup(),
+        "value_gram_dense": _value_gram_speedup(),
     }
     lines = [f"{name:>24s}: {ratio:8.2f}x" for name, ratio in speedups.items()]
     emit("kernels_speedups", "\n".join(lines))

@@ -46,10 +46,10 @@ their loss list.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -518,6 +518,7 @@ class ERMObjective:
     ``reg_value``/``gradient``/``hessian``/``hessian_at``/``rhs``/
     ``lipschitz``/``default_step`` plus the step-size statistics
     ``max_sample_lipschitz`` and ``sampled_hessian_deviation``.
+    ``at_lam`` gives the same objective at another λ over the same caches.
     """
 
     loss: SmoothLoss
@@ -551,15 +552,57 @@ class ERMObjective:
         self.lam = check_positive(lam, "lambda", strict=False)
         self.loss = loss
         self.penalty = make_penalty(penalty, lam=self.lam, d=d)
-        self._gram_lipschitz_cache: float | None = None
-        self._gram_deviation_cache: dict[int, float] = {}
+        # λ-independent statistics of (X, y, loss), built on first use and
+        # shared with every ``at_lam`` view.
+        self._memo: dict[Any, Any] = {}
+
+    def at_lam(self, lam: float) -> "ERMObjective":
+        """The same objective at penalty strength *lam*.
+
+        The view keeps the data, the loss and the class, and shares every
+        λ-independent cache with this objective: the Gram ``hessian``,
+        ``rhs``, ``½‖y‖²/m``, ``gram_lipschitz``, ``max_sample_lipschitz``
+        and the deviation memo. Whichever builds one first builds it for
+        all, so a λ sweep pays for each once.
+        """
+        view = copy.copy(self)
+        view.lam = check_positive(lam, "lambda", strict=False)
+        view.penalty = self.penalty.at_lam(view.lam, self.d)
+        return view
+
+    def _cached(self, key: Any, build: Callable[[], Any]) -> Any:
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- values and derivatives ------------------------------------------ #
     def predictions(self, w: np.ndarray) -> np.ndarray:
         """Per-sample predictions ``z = Xᵀw``."""
         return _matvec_xt(self.X, np.asarray(w, dtype=np.float64))
 
+    @property
+    def gram_form(self) -> bool:
+        """Whether ``smooth_value`` reads the Gram instead of ``X``.
+
+        It does when the loss has constant curvature and ``X`` is stored
+        dense with ``d ≤ m``: then ``H`` is no bigger than ``X`` and one
+        evaluation costs d² rather than d·m. Sparse or wide ``X`` keeps the
+        residual formula.
+        """
+        return self.constant_curvature and isinstance(self.X, np.ndarray) and self.d <= self.m
+
     def smooth_value(self, w: np.ndarray) -> float:
+        """``f(w)``; in Gram form ``½wᵀHw − Rᵀw + ½‖y‖²/m`` (Eqs. 4–5).
+
+        The Gram form agrees with ``½‖Xᵀw − y‖²/m`` to rounding in each
+        term, so its absolute error is a few ulps of the largest term
+        (``½‖y‖²/m`` near a fit), and it is exact at ``w = 0``.
+        """
+        if self.gram_form:
+            w = np.asarray(w, dtype=np.float64)
+            return 0.5 * float(w @ (self.hessian @ w)) - float(self.rhs @ w) + self.half_mean_y2
         z = self.predictions(w)
         return self.loss.total(z, self.y) / self.m
 
@@ -593,63 +636,77 @@ class ERMObjective:
                 "use hessian_at(w)"
             )
 
-    @cached_property
+    @property
     def hessian(self) -> np.ndarray:
         """The constant dense Hessian ``H = (1/m) X Xᵀ`` (Eq. 4; cached).
 
         Constant-curvature losses only. ``D @ D.T`` on one buffer runs as a
-        symmetric rank-k update, which ``hessian_at``'s weighted product
-        does not, so the two differ in the last bits.
+        symmetric rank-k update, which is exactly symmetric and which
+        ``hessian_at``'s weighted product is not, so the two differ in the
+        last bits. The product is scaled in place: one d² buffer.
         """
         self._require_constant_curvature()
-        dense = self.X if isinstance(self.X, np.ndarray) else self.X.to_dense()
-        H = dense @ dense.T / self.m
-        return 0.5 * (H + H.T)
 
-    @cached_property
+        def build() -> np.ndarray:
+            dense = self.X if isinstance(self.X, np.ndarray) else self.X.to_dense()
+            H = dense @ dense.T
+            H /= self.m
+            if not np.array_equal(H, H.T):
+                # A view strided along both axes does not run as syrk,
+                # and the product is not exactly symmetric.
+                H += H.T
+                H *= 0.5
+            return H
+
+        return self._cached("hessian", build)
+
+    @property
     def rhs(self) -> np.ndarray:
         """``R = (1/m) X y`` so that ``∇f(w) = Hw − R`` (Eq. 5; cached)."""
         self._require_constant_curvature()
-        return _matvec_x(self.X, self.y) / self.m
+        return self._cached("rhs", lambda: _matvec_x(self.X, self.y) / self.m)
+
+    @property
+    def half_mean_y2(self) -> float:
+        """``½‖y‖²/m``, the squared loss at ``w = 0`` (cached)."""
+        return self._cached("half_mean_y2", lambda: 0.5 * float(np.dot(self.y, self.y)) / self.m)
 
     # -- curvature constants ---------------------------------------------- #
     def gram_lipschitz(self, **kwargs: Any) -> float:
         """Memoized ``λmax((1/m) X Xᵀ)`` (default arguments only)."""
-        if not kwargs and self._gram_lipschitz_cache is not None:
-            return self._gram_lipschitz_cache
-        result = gram_lipschitz(self.X, self.m, **kwargs)
-        if not kwargs:
-            self._gram_lipschitz_cache = result
-        return result
+        if kwargs:
+            return gram_lipschitz(self.X, self.m, **kwargs)
+        return self._cached("gram_lipschitz", lambda: gram_lipschitz(self.X, self.m))
 
     def lipschitz(self, **kwargs: Any) -> float:
         """Gradient Lipschitz bound: ``curvature_bound · λmax((1/m)XXᵀ)``."""
         return self.loss.curvature_bound * self.gram_lipschitz(**kwargs)
 
-    @cached_property
+    @property
     def max_sample_lipschitz(self) -> float:
         """``curvature_bound · max_i ‖x_i‖²`` — worst sampled-Hessian norm
         (``λmax(H_S)`` of any sample set; the stochastic step-size rule)."""
-        if isinstance(self.X, np.ndarray):
-            norms = np.einsum("ij,ij->j", self.X, self.X)
-        else:
-            csc = self.X.to_csc() if isinstance(self.X, CSRMatrix) else self.X
-            norms = csc.col_norms_sq()
-        peak = float(norms.max()) if norms.size else 0.0
-        return self.loss.curvature_bound * peak
+
+        def build() -> float:
+            if isinstance(self.X, np.ndarray):
+                norms = np.einsum("ij,ij->j", self.X, self.X)
+            else:
+                csc = self.X.to_csc() if isinstance(self.X, CSRMatrix) else self.X
+                norms = csc.col_norms_sq()
+            peak = float(norms.max()) if norms.size else 0.0
+            return self.loss.curvature_bound * peak
+
+        return self._cached("max_sample_lipschitz", build)
 
     def sampled_hessian_deviation(self, mbar: int, **kwargs: Any) -> float:
         """``curvature_bound``-scaled Gram deviation (memoized per ``m̄``)."""
-        if not kwargs:
-            cached = self._gram_deviation_cache.get(mbar)
-            if cached is not None:
-                return cached
-        result = self.loss.curvature_bound * gram_deviation(
-            self.X, self.m, mbar, **kwargs
-        )
-        if not kwargs:
-            self._gram_deviation_cache[mbar] = result
-        return result
+
+        def build() -> float:
+            return self.loss.curvature_bound * gram_deviation(self.X, self.m, mbar, **kwargs)
+
+        if kwargs:
+            return build()
+        return self._cached(("deviation", mbar), build)
 
     def default_step(self, **kwargs: Any) -> float:
         L = self.lipschitz(**kwargs)
@@ -723,7 +780,9 @@ def resolve_objective(
 
     An override that names the problem's own loss and penalty (same spec
     at the same λ) resolves to the problem itself; any other pair to a
-    fresh :class:`ERMObjective` over the problem's data.
+    fresh :class:`ERMObjective` over the problem's data. A penalty-only
+    override keeps the problem's loss, so it shares the problem's caches
+    (Gram, Lipschitz estimates) as an ``at_lam`` view does.
     """
     base_loss: SmoothLoss = problem.loss
     base_penalty: Regularizer = problem.penalty
@@ -750,6 +809,8 @@ def resolve_objective(
             penalty=resolved_penalty,
             lam=problem.lam,
         )
+        if resolved_loss is base_loss and isinstance(problem, ERMObjective):
+            objective._memo = problem._memo
     return ResolvedObjective(
         objective=objective, loss=resolved_loss, penalty=resolved_penalty
     )

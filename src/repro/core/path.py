@@ -64,7 +64,9 @@ def lasso_path(
     Parameters
     ----------
     problem:
-        The base problem — its ``lam`` is ignored; the grid governs.
+        The base problem — its ``lam`` is ignored; the grid governs. Each
+        grid point solves ``problem.at_lam(λ)``, which shares the base's
+        Gram and Lipschitz caches.
     n_lambdas / lambda_min_ratio:
         Geometric grid from ``λ_max`` down to ``λ_max·ratio`` (ignored when
         an explicit *lambdas* array is given; that array must be positive
@@ -100,7 +102,7 @@ def lasso_path(
     results: list[SolveResult] = []
     for i, lam in enumerate(grid):
         check_positive(float(lam), "lambda")
-        sub = L1LeastSquares(problem.X, problem.y, float(lam))
+        sub = problem.at_lam(float(lam))
         # On a strictly-decreasing grid this is exactly "previous grid
         # point's solution" (all-zero for the first λ).
         w0, _ = ladder.suggest(float(lam))

@@ -29,7 +29,6 @@ from repro.distsim.cost import ClusterCost, CostCounter, PhaseKind
 from repro.distsim.faults import FaultInjector, FaultPlan, RetryPolicy, as_injector
 from repro.distsim.machine import HierarchicalMachine, MachineSpec, get_machine
 from repro.distsim.trace import Trace, TraceEvent
-from repro.distsim.zerocopy import dedup_enabled
 from repro.utils.rng import RandomState, as_generator
 
 __all__ = ["BSPCluster"]
@@ -91,7 +90,6 @@ class BSPCluster:
         retry: RetryPolicy | None = None,
         collective_deadline: float | None = None,
         metrics=None,
-        dedup: bool | None = None,
         comm_topology: str = "flat",
         comm_compress: "str | CompressionSpec" = "none",
         compress_seed: int = 0,
@@ -153,10 +151,6 @@ class BSPCluster:
         # (survives reset()) so one-shot scheduled faults never refire when
         # a resilient solver rolls back and replays.
         self._coll_index = 0
-        # Resolved for parity with SPMDEngine(dedup=); no BSP collective
-        # fans out per-rank copies (allreduce returns one host view), so
-        # nothing here reads it.
-        self.dedup = dedup_enabled(dedup)
         self._pending_fault = None
         # Encoding the most recent allreduce-family collective actually used
         # ("dense"/"sparse"); solver telemetry reads it per stage-C round.

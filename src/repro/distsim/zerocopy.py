@@ -27,8 +27,8 @@ NO_DEDUP_ENV = "REPRO_NO_DEDUP"
 def dedup_enabled(override: bool | None = None) -> bool:
     """Resolve whether zero-copy/dedup fast paths are active.
 
-    An explicit ``override`` (from ``RuntimeConfig.dedup`` or an engine
-    constructor) wins; otherwise the ``REPRO_NO_DEDUP`` environment
+    An explicit ``override`` (from the ``SPMDEngine(dedup=)`` constructor)
+    wins; otherwise the ``REPRO_NO_DEDUP`` environment
     variable disables the fast path when set to anything but ``""``/``"0"``.
     """
     if override is not None:

@@ -237,7 +237,6 @@ class BSPBackend:
             retry=config.retry,
             collective_deadline=config.recv_timeout,
             metrics=config.metrics,
-            dedup=config.dedup,
             comm_topology=config.comm_topology,
             comm_compress=config.comm_compress,
         )

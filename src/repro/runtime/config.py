@@ -147,17 +147,6 @@ class RuntimeConfig:
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` the substrate
         publishes into (mutually exclusive with a prebuilt ``cluster``).
-
-    Host performance (simulation-invisible)
-    ---------------------------------------
-    dedup:
-        Zero-copy collective fan-out (see docs/PERFORMANCE.md). ``None``
-        (default) defers to the ``REPRO_NO_DEDUP`` environment escape
-        hatch; ``True``/``False`` force it. Iterates, golden traces and
-        charged α-β-γ costs are bit-identical either way — only host
-        wall-clock changes.
-        Mutually exclusive with a prebuilt ``cluster`` (configure
-        ``dedup=`` on the cluster instead).
     """
 
     backend: str = "bsp"
@@ -181,7 +170,6 @@ class RuntimeConfig:
     adaptive_restart: bool = False
     telemetry: TelemetryCallback | None = None
     metrics: MetricsRegistry | None = None
-    dedup: bool | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -293,10 +281,6 @@ class RuntimeConfig:
                 raise ValidationError(
                     "attach the metrics registry to the supplied cluster, "
                     "not through the solver"
-                )
-            if self.dedup is not None:
-                raise ValidationError(
-                    "configure dedup= on the supplied cluster, not through the solver"
                 )
             if self.comm_topology != "flat" or self.comm_compress != "none":
                 raise ValidationError(

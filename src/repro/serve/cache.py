@@ -57,8 +57,8 @@ class CacheEntry:
     default_lam: float
     ladder: WarmStartLadder
     workspace: GramWorkspace
-    #: Cached problem views at previously requested λs (same X/y objects,
-    #: so the CSC memo and any Lipschitz estimate stay shared).
+    #: Cached problem views at previously requested λs (``at_lam`` views:
+    #: the CSC memo, the Gram and the Lipschitz estimates stay shared).
     _at_lam: dict[float, ERMObjective] = field(default_factory=dict)
     #: Warm-start ladders for lossy comm-compression variants. Compressed
     #: solves converge to *different* iterates than uncompressed ones, so
@@ -80,16 +80,7 @@ class CacheEntry:
         prob = self._at_lam.get(lam)
         if prob is None:
             base = self.problem
-            if lam == base.lam:
-                prob = base
-            else:
-                prob = ERMObjective(
-                    base.X,
-                    base.y,
-                    loss=base.loss,
-                    penalty=base.penalty.at_lam(lam, base.d),
-                    lam=lam,
-                )
+            prob = base if lam == base.lam else base.at_lam(lam)
             self._at_lam[lam] = prob
         return prob
 

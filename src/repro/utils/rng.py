@@ -58,21 +58,16 @@ def minibatch_size(m: int, b: float) -> int:
     return max(1, min(m, int(np.floor(b * m))))
 
 
-def sample_indices(rng: np.random.Generator, m: int, mbar: int, *, replace: bool = True) -> np.ndarray:
+def sample_indices(rng: np.random.Generator, m: int, mbar: int) -> np.ndarray:
     """Draw the index set ``I_n`` of ``mbar`` sample indices from ``[0, m)``.
 
-    The paper samples uniformly at random (Alg. 5 line 4); with-replacement
-    is the variant matching the variance analysis of Eq. (9) and is the
-    default. ``replace=False`` gives subsampling without replacement.
+    The paper samples uniformly at random (Alg. 5 line 4), with
+    replacement: the variant matching the variance analysis of Eq. (9).
+    Any ``mbar >= 1`` is valid (a bootstrap sample).
     """
     if mbar <= 0 or m <= 0:
         raise ValidationError(f"need positive sizes, got m={m}, mbar={mbar}")
-    if replace:
-        # With replacement any mbar >= 1 is valid (a bootstrap sample).
-        return rng.integers(0, m, size=mbar, dtype=np.int64)
-    if mbar > m:
-        raise ValidationError(f"mini-batch size must lie in (0, {m}] without replacement")
-    return rng.choice(m, size=mbar, replace=False).astype(np.int64)
+    return rng.integers(0, m, size=mbar, dtype=np.int64)
 
 
 def sample_indices_weighted(

@@ -294,6 +294,24 @@ class TestResolveObjective:
         other = resolve_objective(erm, penalty="elastic_net:l2=2")
         assert other.objective is not erm and other.penalty.spec == "elastic_net:l2=2"
 
+    def test_penalty_override_shares_the_problem_caches(self, tiny_covtype_problem, monkeypatch):
+        # A per-solve penalty override must not re-run the power iteration
+        # or rebuild the Gram of the problem it views.
+        base = tiny_covtype_problem
+        step = base.default_step()
+        monkeypatch.setattr(
+            "repro.core.model.gram_lipschitz",
+            lambda *a, **k: pytest.fail("a penalty override re-ran the power iteration"),
+        )
+        view = resolve_objective(base, penalty="elastic_net:l2=1").objective
+        assert type(view) is ERMObjective and view.penalty.spec == "elastic_net:l2=1"
+        assert view.default_step() == step
+        assert view.hessian is base.hessian
+        # Another loss has other curvature statistics: nothing is shared.
+        classified = L1LeastSquares(base.X, np.where(base.y >= 0, 1.0, -1.0), base.lam)
+        logistic = resolve_objective(classified, loss="logistic").objective
+        assert logistic._memo is not classified._memo
+
 
 # --------------------------------------------------------------------- #
 # the byte-identity pin: defaults == explicit squared+l1, bit for bit

@@ -86,9 +86,13 @@ class TestCurvature:
         exact = np.linalg.eigvalsh(small.hessian)[-1]
         assert small.lipschitz() == pytest.approx(exact, rel=1e-6)
 
-    def test_lipschitz_cached(self, small):
-        assert small.lipschitz() is not None
-        assert small._gram_lipschitz_cache is not None
+    def test_lipschitz_cached(self, small, monkeypatch):
+        first = small.lipschitz()
+        monkeypatch.setattr(
+            "repro.core.model.gram_lipschitz",
+            lambda *a, **k: pytest.fail("the memoized estimate was recomputed"),
+        )
+        assert small.lipschitz() == first
 
     def test_default_step(self, small):
         assert small.default_step() == pytest.approx(1.0 / small.lipschitz())
@@ -215,7 +219,10 @@ def _seed_subgradient_residual(grad, w, lam):
 class TestSquaredL1Pin:
     """``L1LeastSquares`` is ``ERMObjective(squared, l1)``, and every number
     it produces equals, bit for bit, the least-squares formulas the
-    reproduction's golden traces were recorded with."""
+    reproduction's golden traces were recorded with. The one exception is
+    the smooth value on dense ``X`` with ``d ≤ m``, which is pinned to the
+    Gram form ``½wᵀHw − Rᵀw + ½‖y‖²/m`` (the residual form's bound is
+    ``TestGramFormValue``)."""
 
     @pytest.fixture(params=["dense", "csr", "csc"])
     def problem(self, request):
@@ -231,7 +238,11 @@ class TestSquaredL1Pin:
         for w in np.random.default_rng(1).standard_normal((8, problem.d)):
             w[::3] = 0.0
             r = _xt(X, w) - y
-            smooth = 0.5 * float(np.dot(r, r)) / m
+            if isinstance(X, np.ndarray):
+                H, R = problem.hessian, problem.rhs
+                smooth = 0.5 * float(w @ (H @ w)) - float(R @ w) + 0.5 * float(np.dot(y, y)) / m
+            else:
+                smooth = 0.5 * float(np.dot(r, r)) / m
             assert problem.smooth_value(w) == smooth
             assert problem.value(w) == smooth + lam * float(np.sum(np.abs(w)))
             grad = _x(X, r) / m
@@ -287,3 +298,136 @@ def test_squared_l1_solvers_reject_other_objectives(solver, objective):
         problem = ERMObjective(X, labels, loss="squared", penalty="elastic_net", lam=0.05)
     with pytest.raises(ValidationError, match=rf"{solver} solves only the \(squared, l1\)"):
         _squared_l1_only_solvers()[solver](problem)
+
+
+def _direct_smooth_value(problem, w):
+    """The residual formula ``½‖Xᵀw − y‖²/m`` the Gram form replaces."""
+    r = _xt(problem.X, w) - problem.y
+    return 0.5 * float(np.dot(r, r)) / problem.m
+
+
+class TestGramFormValue:
+    """On dense ``X`` with ``d ≤ m`` the squared loss is evaluated as
+    ``½wᵀHw − Rᵀw + ½‖y‖²/m`` from the cached Gram; every other layout
+    keeps the residual formula bit for bit."""
+
+    SHAPES = [(5, 5), (8, 60), (40, 300), (120, 400)]
+
+    @pytest.mark.parametrize("d,m", SHAPES)
+    def test_random_points_relative_error(self, d, m):
+        gen = np.random.default_rng(d * 1000 + m)
+        problem = L1LeastSquares(gen.standard_normal((d, m)), gen.standard_normal(m), 0.1)
+        assert problem.gram_form
+        for scale in (1e-3, 1.0, 1e3):
+            for w in scale * gen.standard_normal((5, d)):
+                direct = _direct_smooth_value(problem, w)
+                assert abs(problem.smooth_value(w) - direct) <= 1e-12 * direct
+
+    @pytest.mark.parametrize("d,m", SHAPES)
+    def test_noise_free_optimum_absolute_error(self, d, m):
+        # At w_true the residual is zero, so the Gram form's three terms
+        # cancel; its error is bounded by the scale ½‖y‖²/m, not by f = 0.
+        gen = np.random.default_rng(d + 7 * m)
+        X = gen.standard_normal((d, m))
+        w_true = gen.standard_normal(d)
+        problem = L1LeastSquares(X, X.T @ w_true, 0.1)
+        scale = problem.half_mean_y2
+        assert abs(problem.smooth_value(w_true) - _direct_smooth_value(problem, w_true)) <= (
+            1e-12 * scale
+        )
+
+    @pytest.mark.parametrize("d,m", SHAPES)
+    def test_zero_is_exact(self, d, m):
+        # λ ≥ λ_max puts the solution at w = 0, where F must read ½‖y‖²/m.
+        gen = np.random.default_rng(3 * d + m)
+        problem = L1LeastSquares(gen.standard_normal((d, m)), gen.standard_normal(m), 1.0)
+        w = np.zeros(d)
+        y = problem.y
+        assert problem.smooth_value(w) == 0.5 * float(np.dot(y, y)) / m
+        assert problem.value(w) == _direct_smooth_value(problem, w)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "wide"])
+    def test_other_layouts_keep_the_residual_formula(self, fmt):
+        gen = np.random.default_rng(11)
+        shape = (30, 20) if fmt == "wide" else (8, 60)
+        D = gen.standard_normal(shape) * (gen.random(shape) < 0.5)
+        X = {"csr": CSRMatrix.from_dense, "csc": CSCMatrix.from_dense}.get(fmt, np.asarray)(D)
+        problem = L1LeastSquares(X, gen.standard_normal(shape[1]), 0.1)
+        assert not problem.gram_form
+        for w in gen.standard_normal((5, shape[0])):
+            assert problem.smooth_value(w) == _direct_smooth_value(problem, w)
+        assert "hessian" not in problem._memo
+
+    def test_non_constant_curvature_keeps_its_loss(self):
+        from repro.core.logistic import L1Logistic
+
+        gen = np.random.default_rng(12)
+        X = gen.standard_normal((6, 50))
+        problem = L1Logistic(X, np.where(gen.standard_normal(50) >= 0, 1.0, -1.0), 0.1)
+        assert not problem.gram_form
+        w = gen.standard_normal(6)
+        z = X.T @ w
+        assert problem.smooth_value(w) == problem.loss.total(z, problem.y) / problem.m
+
+    @pytest.mark.parametrize("layout", ["C", "F", "column-slice", "both-strided"])
+    def test_hessian_is_one_exactly_symmetric_buffer(self, layout):
+        gen = np.random.default_rng(13)
+        D = {
+            "C": lambda: gen.standard_normal((70, 300)),
+            "F": lambda: np.asfortranarray(gen.standard_normal((70, 300))),
+            "column-slice": lambda: gen.standard_normal((70, 303))[:, 3:],
+            "both-strided": lambda: gen.standard_normal((140, 600))[::2, ::2],
+        }[layout]()
+        problem = L1LeastSquares(D, gen.standard_normal(D.shape[1]), 0.1)
+        H = problem.hessian
+        assert H.flags.owndata and np.array_equal(H, H.T)
+        # Bit for bit the allocating, symmetrizing formula.
+        G = D @ D.T / problem.m
+        assert np.array_equal(H, 0.5 * (G + G.T))
+
+
+class TestAtLam:
+    @pytest.fixture
+    def base(self):
+        gen = np.random.default_rng(21)
+        return L1LeastSquares(gen.standard_normal((7, 50)), gen.standard_normal(50), 0.2)
+
+    def test_view_changes_only_the_penalty(self, base):
+        view = base.at_lam(0.05)
+        assert type(view) is L1LeastSquares
+        assert view.lam == 0.05 and view.penalty.lam == 0.05
+        assert base.lam == 0.2 and base.penalty.lam == 0.2
+        assert view.X is base.X and view.y is base.y and view.loss is base.loss
+        w = np.random.default_rng(0).standard_normal(base.d)
+        assert view.value(w) == view.smooth_value(w) + 0.05 * float(np.sum(np.abs(w)))
+
+    def test_view_reuses_the_base_caches(self, base):
+        view = base.at_lam(0.05)
+        # Built through the view, seen by the base, and the other way round.
+        assert base.hessian is view.hessian
+        assert view.rhs is base.rhs
+        assert view.lipschitz() == base.lipschitz()
+        assert view.max_sample_lipschitz == base.max_sample_lipschitz
+        assert view.sampled_hessian_deviation(9) == base.sampled_hessian_deviation(9)
+        assert base.at_lam(0.01)._memo is base._memo
+
+    def test_view_skips_the_power_iteration(self, base, monkeypatch):
+        step = base.default_step()
+        monkeypatch.setattr(
+            "repro.core.model.gram_lipschitz",
+            lambda *a, **k: pytest.fail("a λ view re-ran the power iteration"),
+        )
+        assert base.at_lam(0.01).default_step() == step
+
+    def test_view_is_bit_identical_to_a_fresh_objective(self, base):
+        fresh = L1LeastSquares(base.X, base.y, 0.05)
+        view = base.at_lam(0.05)
+        w = np.random.default_rng(1).standard_normal(base.d)
+        assert view.value(w) == fresh.value(w)
+        assert np.array_equal(view.hessian, fresh.hessian)
+        assert view.lipschitz() == fresh.lipschitz()
+        assert view.sampled_hessian_deviation(9) == fresh.sampled_hessian_deviation(9)
+
+    def test_negative_lambda_rejected(self, base):
+        with pytest.raises(ValidationError):
+            base.at_lam(-1.0)

@@ -63,9 +63,9 @@ def _rank_program(problem, data, *, gamma, comm):
 @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "no-dedup"])
 @pytest.mark.parametrize("comm", ["dense", "sparse", "auto"])
 def test_engine_program_matches_bsp(tiny_covtype_problem, comm, dedup):
-    """The zero-copy fan-out (``dedup``) must not move a bit on either side."""
+    """The engine's zero-copy fan-out (``dedup``) must not move a bit."""
     problem = tiny_covtype_problem
-    cluster = BSPCluster(NRANKS, "comet_effective", dedup=dedup)
+    cluster = BSPCluster(NRANKS, "comet_effective")
     bsp = rc_sfista_distributed(
         problem, NRANKS, k=K, b=B, seed=SEED, estimator="plain", epochs=1,
         iters_per_epoch=ITERS, monitor_every=ITERS,

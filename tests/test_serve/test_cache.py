@@ -105,13 +105,22 @@ class TestSolveCache:
         assert a.problem is b.problem
         assert a.workspace is b.workspace
 
-    def test_problem_at_shares_data_across_lambdas(self):
+    def test_problem_at_shares_data_across_lambdas(self, monkeypatch):
         cache = SolveCache()
         entry = cache.entry_for(_SPEC)
         p1 = entry.problem_at(0.1)
         p2 = entry.problem_at(0.2)
         assert p1.X is p2.X and p1.y is p2.y
         assert entry.problem_at(0.1) is p1  # memoized view
+        # A fresh λ reuses the entry's Lipschitz estimate and Gram rather
+        # than re-running the power iteration in default_step().
+        step = entry.problem.default_step()
+        monkeypatch.setattr(
+            "repro.core.model.gram_lipschitz",
+            lambda *a, **k: pytest.fail("a λ view re-ran the power iteration"),
+        )
+        assert entry.problem_at(0.3).default_step() == step
+        assert p2.hessian is entry.problem.hessian
 
     def test_hit_miss_accounting(self):
         registry = MetricsRegistry()
