@@ -5,14 +5,19 @@ scaling (DESIGN.md); this bench adds the second, orthogonal axis: seconds
 of host time actually elapsed when the same solve runs on real hardware
 parallelism (docs/PERFORMANCE.md has the methodology and its caveats).
 
-Two ratios are measured, emitted to ``benchmarks/output/wallclock_run.json``
-and gated by CI against ``benchmarks/baselines/wallclock.json``:
+Three ratios are measured and emitted to
+``benchmarks/output/wallclock_run.json``; CI gates those with a floor in
+``benchmarks/baselines/wallclock.json``:
 
 * ``threads_gram_p4`` — the headline gate: a Gram-dominated smoke solve
   on ``backend="threads"`` vs ``backend="bsp"`` at P=4. The per-rank
   sampled-Gram stages run BLAS ``dgemm``, which releases the GIL, so on a
   ≥4-core runner the ratio must clear the committed 2× floor. Iterates
-  are asserted bit-identical before any timing is trusted.
+  are asserted bit-identical before anything is timed.
+* ``mp_gram_p2`` — the same solve on ``backend="mp"`` vs ``backend="bsp"``
+  at P=2: rank closures on host threads, collectives in two worker
+  processes; each mp solve also pays its worker start-up. Reported
+  without a floor until it has been measured on the CI runner.
 * ``mp_shm_allreduce_p4`` — the shared-memory data plane: tournament
   allreduce through ``multiprocessing.shared_memory`` vs the in-process
   simulator reduction. Worker round-trips cost pipe latency, so this is
@@ -62,25 +67,27 @@ def _gram_dominated_problem():
     return L1LeastSquares(X=X, y=rng.standard_normal(m), lam=0.01)
 
 
-def _threads_gram_speedup(problem):
-    """backend="threads" vs backend="bsp": same bits, fewer seconds."""
+def _gram_speedup(problem, backend, nranks):
+    """*backend* vs backend="bsp" at *nranks*: same bits, fewer seconds."""
     iterates = {}
     timings = {}
 
-    def run(backend):
+    def run(name):
         res = rc_sfista_distributed(
-            problem, NRANKS, k=2, b=0.25, seed=9, epochs=1,
+            problem, nranks, k=2, b=0.25, seed=9, epochs=1,
             iters_per_epoch=4, monitor_every=4,
-            runtime=RuntimeConfig(backend=backend),
+            runtime=RuntimeConfig(backend=name),
         )
-        iterates[backend] = res.w.copy()
+        iterates[name] = res.w.copy()
 
-    run("threads")  # warm-up: BLAS threads, allocator, imports
-    for backend in ("bsp", "threads"):
-        timings[backend] = _best_of(lambda: run(backend), repeats=2)
-    # Wall-clock means nothing if the backends computed different things.
-    assert np.array_equal(iterates["bsp"], iterates["threads"])
-    return timings["bsp"] / timings["threads"], timings
+    # Warm-up (BLAS threads, allocator, imports), and no timing at all if
+    # the backends computed different things.
+    run(backend)
+    run("bsp")
+    assert np.array_equal(iterates["bsp"], iterates[backend])
+    for name in ("bsp", backend):
+        timings[name] = _best_of(lambda: run(name), repeats=2)
+    return timings["bsp"] / timings[backend], timings
 
 
 def _mp_shm_allreduce_ratio(nranks=NRANKS, words=100_000, rounds=6):
@@ -102,21 +109,29 @@ def _mp_shm_allreduce_ratio(nranks=NRANKS, words=100_000, rounds=6):
 def test_wallclock_speedups():
     """Measure the real-parallelism ratios and emit the gated report."""
     problem = _gram_dominated_problem()
-    threads_ratio, threads_times = _threads_gram_speedup(problem)
+    threads_ratio, threads_times = _gram_speedup(problem, "threads", NRANKS)
+    mp_gram_ratio, mp_gram_times = _gram_speedup(problem, "mp", 2)
     mp_ratio, mp_times = _mp_shm_allreduce_ratio()
     speedups = {
         "threads_gram_p4": threads_ratio,
+        "mp_gram_p2": mp_gram_ratio,
         "mp_shm_allreduce_p4": mp_ratio,
     }
     lines = [f"{name:>24s}: {ratio:8.2f}x" for name, ratio in speedups.items()]
     lines.append(f"{'bsp solve':>24s}: {threads_times['bsp']:8.3f}s")
     lines.append(f"{'threads solve':>24s}: {threads_times['threads']:8.3f}s")
+    lines.append(f"{'bsp solve (P=2)':>24s}: {mp_gram_times['bsp']:8.3f}s")
+    lines.append(f"{'mp solve (P=2)':>24s}: {mp_gram_times['mp']:8.3f}s")
     emit("wallclock_speedups", "\n".join(lines))
     emit_json(
         "wallclock_run",
         {
             "speedups": speedups,
-            "seconds": {"threads_gram_p4": threads_times, "mp_shm_allreduce_p4": mp_times},
+            "seconds": {
+                "threads_gram_p4": threads_times,
+                "mp_gram_p2": mp_gram_times,
+                "mp_shm_allreduce_p4": mp_times,
+            },
         },
     )
     # The 2× floor is enforced by the CI gate (check_regression.py against

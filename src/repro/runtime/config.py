@@ -43,8 +43,8 @@ __all__ = [
 
 # Host-driven execution substrates build_host_backend can produce.
 # "mp" and "threads" are the real-parallelism substrates of
-# repro.runtime.mpbackend: worker processes over shared memory, and a BSP
-# cluster whose per-rank compute closures run on a thread pool.
+# repro.runtime.mpbackend: both run the per-rank compute closures on host
+# threads; mp's collectives run in worker processes over shared memory.
 BACKENDS = ("bsp", "serial", "mp", "threads")
 
 # What the mp backend does when a real worker process dies or hangs:
@@ -64,8 +64,8 @@ class RuntimeConfig:
     backend:
         ``"bsp"`` (simulated cluster, the default), ``"serial"`` (the
         degenerate single-rank backend: no cluster, zero cost, bit-
-        identical iterates to a 1-rank BSP run), ``"mp"`` (persistent
-        worker processes over ``multiprocessing.shared_memory``) or
+        identical iterates to a 1-rank BSP run), ``"mp"`` (rank threads plus
+        persistent collective worker processes over shared memory) or
         ``"threads"`` (BSP collectives plus a thread pool for the
         GIL-releasing per-rank Gram stages). The real-parallelism
         backends keep iterates and charged costs bit-identical to BSP;

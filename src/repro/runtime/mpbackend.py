@@ -18,18 +18,15 @@ real while keeping the simulated cost model as the source of truth:
   its charge-only methods — byte-identical cost summaries to a BSP run of
   the same schedule.
 * :class:`ThreadPoolBackend` (``backend="threads"``) — a
-  :class:`~repro.runtime.backend.BSPBackend` whose :meth:`map_ranks` runs
-  the per-rank compute closures on a thread pool. The Gram-dominated
-  stages (A+B of Fig. 1) spend their time inside BLAS ``dgemm``/``dsyrk``
-  which release the GIL, so on a multi-core host the dominant compute
-  phase genuinely runs ``P``-way parallel. Collectives stay on the
-  cluster: same numerics, same charges, same fault injection as BSP.
+  :class:`~repro.runtime.backend.BSPBackend` whose collectives stay on
+  the cluster: same numerics, charges and fault injection as BSP.
 
-Division of labour (why two backends): Python closures cannot cross a
-process boundary, so the mp backend parallelizes the *collectives* (its
-``map_ranks`` is the serial fallback), while the threads backend
-parallelizes the *per-rank compute* — together they cover both halves of
-the paper's compute/communicate loop with real hardware.
+Division of labour: both backends run the per-rank compute closures
+(stages A+B of Fig. 1, the anchor-gradient and PN maps) on host
+threads through :class:`RankPool`. They spend their time in BLAS
+``dgemm``/``dsyrk`` and NumPy gathers, which release the GIL, so on a
+multi-core host they run ``P``-way parallel. The mp backend parallelizes
+the other half too: its collectives run in the worker processes.
 
 Determinism contract
 --------------------
@@ -79,7 +76,7 @@ import atexit
 import os
 import secrets
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing import resource_tracker as _resource_tracker
 from multiprocessing import shared_memory
@@ -103,6 +100,7 @@ from repro.runtime.supervisor import WorkerSupervisor
 
 __all__ = [
     "MultiprocessingBackend",
+    "RankPool",
     "ThreadPoolBackend",
     "tournament_levels",
     "live_segment_names",
@@ -193,6 +191,33 @@ def tournament_levels(nranks: int) -> list[tuple[int, list[tuple[int, int]]]]:
         levels.append((stride, pairs))
         stride *= 2
     return levels
+
+
+class RankPool:
+    """Per-rank closures on host threads: rank 0 on the caller, ranks
+    1..P-1 on lazily built ``repro-rank`` threads. Every closure finishes
+    before :meth:`map` returns; the lowest failing rank's exception
+    propagates. :meth:`close` joins the threads until the next map."""
+
+    def __init__(self) -> None:
+        self._executor: ThreadPoolExecutor | None = None
+
+    def map(self, fn: Callable[[int], Any], count: int) -> list:
+        if count <= 1:
+            return [fn(p) for p in range(count)]
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(count - 1, "repro-rank")
+        futures = [self._executor.submit(fn, p) for p in range(1, count)]
+        try:
+            head = fn(0)
+        finally:
+            wait(futures)
+        return [head] + [f.result() for f in futures]
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
 
 
 def _attach(name: str, unregister: bool) -> shared_memory.SharedMemory:
@@ -308,7 +333,7 @@ class MultiprocessingBackend:
     redistribution (see the module docstring's robustness contract).
     """
 
-    parallel_ranks = False  # map_ranks is serial: closures don't cross exec
+    parallel_ranks = True  # closures run on host threads, never in workers
 
     def __init__(
         self,
@@ -390,6 +415,7 @@ class MultiprocessingBackend:
         self._coll_index = 0
         self._segments: list[shared_memory.SharedMemory] = []
         self._views: list[np.ndarray] = []
+        self._ranks = RankPool()
         methods = get_all_start_methods()
         start_method = "fork" if "fork" in methods else "spawn"
         ctx = get_context(start_method)
@@ -545,6 +571,8 @@ class MultiprocessingBackend:
         if self.failure_policy == "fail_fast" or self._recovering:
             raise self._fail(self._describe(label, sorted(set(suspects))))
         self._recovering = True
+        # Respawn forks, and a child forked beside live threads can deadlock.
+        self._ranks.close()
         try:
             statuses = self._sup.heartbeat(min(self.timeout, 2.0))
             failed = sorted(
@@ -697,6 +725,7 @@ class MultiprocessingBackend:
         _LIVE_SEGMENTS.discard(seg.name)
 
     def _teardown(self, graceful: bool) -> None:
+        self._ranks.close()
         self._sup.shutdown(graceful=graceful)
         # Views must die before the segments: SharedMemory.close refuses
         # to tear down a buffer that still has exported numpy views.
@@ -801,21 +830,8 @@ class MultiprocessingBackend:
                     op_index=index,
                 )
                 np.copyto(self._views[r][:n], corrupted)
-        pending: list[tuple[int, int]] = []
-        failed: list[int] = []
-        for r, duration in sorted(fault.stalls.items()):
-            if r >= self.nranks or not self._sup.is_alive(r):
-                continue
-            seq = self._sup.next_seq()
-            if self._sup.send(r, seq, "sleep", float(duration)):
-                pending.append((r, seq))
-            else:
-                failed.append(r)
-        for r, seq in pending:
-            if not failed and self._await(r, seq, "injected stall") is None:
-                failed.append(r)
-        if failed:
-            self._handle_failure("injected stall", failed)
+        stalled = [r for r in sorted(fault.stalls) if r < self.nranks and self._sup.is_alive(r)]
+        self._roundtrip(stalled, lambda r: ("sleep", float(fault.stalls[r])), "injected stall")
 
     # ------------------------------------------------------------------ #
     # shared-memory numerics
@@ -927,8 +943,7 @@ class MultiprocessingBackend:
         self._ledger.recover(words)
 
     def map_ranks(self, fn: Callable[[int], Any], count: int) -> list:
-        """Serial fallback: solver closures cannot cross a process boundary."""
-        return [fn(p) for p in range(count)]
+        return self._ranks.map(fn, count)
 
     @property
     def elapsed(self) -> float:
@@ -975,33 +990,20 @@ class MultiprocessingBackend:
 
 
 class ThreadPoolBackend(BSPBackend):
-    """BSP semantics with genuinely parallel per-rank compute closures.
+    """:class:`BSPBackend` whose per-rank closures run on a :class:`RankPool`.
 
-    Inherits every collective, charge and fault behaviour from
-    :class:`BSPBackend` (numerics on the cluster, bit-identical); only
-    :meth:`map_ranks` changes — per-rank closures run on a pool of
-    ``nranks`` threads. The solvers' Gram stages call into BLAS, which
-    releases the GIL, so the dominant compute phase scales with cores
-    (docs/PERFORMANCE.md has the measured-wall-clock methodology and the
-    single-core caveats).
+    Collectives, charges and faults are BSP's, bit for bit
+    (docs/PERFORMANCE.md has the measured-wall-clock caveats).
     """
 
     parallel_ranks = True
 
     def __init__(self, cluster: BSPCluster, comm: str = "dense") -> None:
         super().__init__(cluster, comm=comm)
-        self._pool: ThreadPoolExecutor | None = None
+        self._ranks = RankPool()
 
     def map_ranks(self, fn: Callable[[int], Any], count: int) -> list:
-        if count <= 1:
-            return [fn(p) for p in range(count)]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.nranks, thread_name_prefix="repro-rank"
-            )
-        return list(self._pool.map(fn, range(count)))
+        return self._ranks.map(fn, count)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self._ranks.close()

@@ -159,6 +159,20 @@ class TestGateScript:
         spec = payload["metrics"]["speedups.allreduce_fanout_p16"]
         assert spec == {"min": 1.0}
 
+    def test_report_key_without_baseline_is_ignored(self):
+        """``mp_gram_p2`` is reported with no floor: the wallclock gate
+        checks only the keys its baseline pins."""
+        payload = load_baseline("benchmarks/baselines/wallclock.json")
+        assert "speedups.mp_gram_p2" not in payload["metrics"]
+        report = {
+            "speedups": {
+                "threads_gram_p4": 2.5,
+                "mp_shm_allreduce_p4": 0.4,
+                "mp_gram_p2": 0.001,
+            }
+        }
+        assert compare(report, payload) == []
+
 
 class TestOneSidedSpecs:
     """``{"min": v}`` / ``{"max": v}`` baseline entries (speedup floors)."""

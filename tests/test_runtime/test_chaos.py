@@ -24,6 +24,7 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -42,11 +43,16 @@ from repro.exceptions import ConvergenceError
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import RuntimeConfig
 from repro.runtime.mpbackend import _SEGMENT_PREFIX, live_segment_names
+from repro.runtime.supervisor import WorkerSupervisor
 
 pytestmark = [pytest.mark.mp, pytest.mark.chaos]
 
 
 SOLVE_KW = dict(k=2, epochs=1, iters_per_epoch=12, seed=3)
+
+
+def _rank_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("repro-rank")]
 
 
 def _shm_segments() -> set[str]:
@@ -67,6 +73,7 @@ def no_leaks():
     # anything still alive here is a leaked worker.
     leaked = [p for p in multiprocessing.active_children() if "repro-mp" in p.name]
     assert leaked == []
+    assert _rank_threads() == []  # no rank-pool thread outlives the backend
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +140,27 @@ class TestRespawn:
         result = _solve(problem, policy="respawn", faults=plan, timeout=0.5)
         assert np.array_equal(result.w, baseline.w)
         assert result.meta["resilience"]["respawns"] == 1
+
+
+class TestForkHygiene:
+    def test_no_rank_thread_alive_at_any_spawn(self, problem, baseline, monkeypatch):
+        """Workers fork only from a single-threaded host: the rank pool is
+        joined before a respawn and rebuilt by the next per-rank map."""
+        at_spawn: list[list[str]] = []
+        spawn = WorkerSupervisor._spawn
+
+        def watched_spawn(self, *args, **kwargs):
+            at_spawn.append(_rank_threads())
+            return spawn(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerSupervisor, "_spawn", watched_spawn)
+        plan = FaultPlan(crashes=(RankCrash(rank=2, at_op=5),))
+        result = _solve(problem, policy="respawn", faults=plan)
+        assert np.array_equal(result.w, baseline.w)
+        assert result.meta["resilience"]["respawns"] == 1
+        assert len(at_spawn) == 4 + 1  # the initial pool, then the respawn
+        assert at_spawn == [[]] * 5
+        assert _rank_threads() == []
 
 
 class TestShrink:

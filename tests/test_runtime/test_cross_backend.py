@@ -28,15 +28,15 @@ SERIAL = RuntimeConfig(backend="serial")
 #: matrix stays cheap but long enough to exercise sampling, momentum and
 #: (for prox-newton) outer refreshes.
 SOLVER_RUNS = {
-    "rc_sfista_dist": lambda prob, rt: rc_sfista_distributed(
-        prob, 4, k=2, b=0.2, seed=7, epochs=1, iters_per_epoch=6,
+    "rc_sfista_dist": lambda prob, rt, P=4: rc_sfista_distributed(
+        prob, P, k=2, b=0.2, seed=7, epochs=1, iters_per_epoch=6,
         monitor_every=6, runtime=rt,
     ),
-    "sfista_dist": lambda prob, rt: sfista_distributed(
-        prob, 4, b=0.2, seed=3, epochs=1, iters_per_epoch=8, runtime=rt,
+    "sfista_dist": lambda prob, rt, P=4: sfista_distributed(
+        prob, P, b=0.2, seed=3, epochs=1, iters_per_epoch=8, runtime=rt,
     ),
-    "prox_newton": lambda prob, rt: proximal_newton_distributed(
-        prob, 4, inner="rc_sfista", n_outer=2, inner_iters=8, k=2, b=0.2,
+    "prox_newton": lambda prob, rt, P=4: proximal_newton_distributed(
+        prob, P, inner="rc_sfista", n_outer=2, inner_iters=8, k=2, b=0.2,
         seed=1, runtime=rt,
     ),
 }
@@ -125,6 +125,17 @@ class TestRealParallelismConformance:
         )
         assert np.array_equal(ref.w, res.w)
         assert res.cost == ref.cost
+
+    @pytest.mark.mp
+    @pytest.mark.parametrize("solver", ["prox_newton", "rc_sfista_dist"])
+    def test_odd_rank_count_on_mp(self, tiny_covtype_problem, solver):
+        """P=3: an unpaired rank in the tournament, and ranks 1-2 on pool
+        threads while rank 0 runs on the calling thread."""
+        ref = SOLVER_RUNS[solver](tiny_covtype_problem, RuntimeConfig(), P=3)
+        res = SOLVER_RUNS[solver](tiny_covtype_problem, RuntimeConfig(backend="mp"), P=3)
+        assert np.array_equal(ref.w, res.w)
+        assert res.cost == ref.cost
+        assert res.n_iterations == ref.n_iterations
 
     @pytest.mark.mp
     def test_single_rank_matches_serial(self, tiny_covtype_problem):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import glob
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -44,6 +45,11 @@ from repro.runtime.mpbackend import (
 )
 
 pytestmark = pytest.mark.mp
+
+
+def _rank_threads() -> list[threading.Thread]:
+    """Live rank-pool threads (``RankPool`` names them ``repro-rank``)."""
+    return [t for t in threading.enumerate() if t.name.startswith("repro-rank")]
 
 
 def _shm_segments() -> set[str]:
@@ -339,10 +345,60 @@ class TestFromConfig:
     def test_threads_backend_parallel_map_matches_serial(self):
         from repro.runtime.backend import build_host_backend
 
-        be = build_host_backend(RuntimeConfig(backend="threads"), 4)
-        assert isinstance(be, ThreadPoolBackend)
-        assert be.parallel_ranks
+        for backend, cls in (("threads", ThreadPoolBackend), ("mp", MultiprocessingBackend)):
+            be = build_host_backend(RuntimeConfig(backend=backend), 4)
+            assert isinstance(be, cls)
+            assert be.parallel_ranks
+            try:
+                assert be.map_ranks(lambda p: p * p, 4) == [0, 1, 4, 9]
+                assert be.map_ranks(lambda p: p + 1, 1) == [1]
+                assert be.map_ranks(lambda p: p, 0) == []
+            finally:
+                be.close()
+            assert _rank_threads() == []
+
+
+# --------------------------------------------------------------------- #
+# per-rank closures on the mp backend's rank pool
+# --------------------------------------------------------------------- #
+class TestParallelMapRanks:
+    """mp's ``map_ranks`` runs the closures concurrently on host threads."""
+
+    def test_closures_run_concurrently(self):
+        # A serial map cannot get past the barrier: rank 0 waits alone.
+        lone = threading.Barrier(3, timeout=0.1)
+        with pytest.raises(threading.BrokenBarrierError):
+            [lone.wait() for _p in range(3)]
+        barrier = threading.Barrier(3, timeout=5)
+        be = MultiprocessingBackend(3, timeout=60.0)
         try:
-            assert be.map_ranks(lambda p: p * p, 4) == [0, 1, 4, 9]
+            ranks = be.map_ranks(lambda p: (barrier.wait(), p)[1], 3)
+            assert ranks == [0, 1, 2]
+            # Rank 0 runs on the caller, so P ranks take P-1 pool threads.
+            assert len(be._ranks._executor._threads) == 2
+            assert be.map_ranks(lambda _p: threading.current_thread().name, 3)[0] == (
+                threading.current_thread().name
+            )
         finally:
             be.close()
+        assert _rank_threads() == []
+
+    def test_closure_error_propagates_and_close_cleans_up(self):
+        before_live = live_segment_names()
+        finished: list[int] = []
+        error = ValueError("rank 1 failed")
+
+        def fn(p):
+            if p == 1:
+                raise error
+            finished.append(p)
+            return p
+
+        be = MultiprocessingBackend(3, timeout=60.0)
+        with pytest.raises(ValueError) as exc_info:
+            be.map_ranks(fn, 3)
+        assert exc_info.value is error  # the closure's own exception
+        assert sorted(finished) == [0, 2]  # every other rank ran to the end
+        be.close()
+        assert live_segment_names() == before_live
+        assert _rank_threads() == []
