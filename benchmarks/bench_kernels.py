@@ -5,8 +5,8 @@ time the hot kernels the solvers are built on — the numbers that determine
 how large a simulated experiment the repo can run per second of host time.
 
 ``test_kernel_speedups`` additionally measures the wall-clock *ratios* of
-the fast-path kernels (zero-copy fan-out, Gram workspaces, CSC memo, the
-Gram-form objective value — see docs/PERFORMANCE.md) against their
+the fast-path kernels (Gram workspaces, CSC memo, the Gram-form
+objective value — see docs/PERFORMANCE.md) against their
 slow-path equivalents and writes them to
 ``benchmarks/output/kernels_run.json``; the CI perf gate diffs that
 report against ``benchmarks/baselines/kernels.json``. Ratios of two runs
@@ -22,7 +22,6 @@ import pytest
 from benchmarks._common import emit, emit_json
 from repro.core.objectives import L1LeastSquares
 from repro.distsim.collectives import allreduce_values
-from repro.distsim.engine import SPMDEngine
 from repro.sparse.csr import CSCMatrix, CSRMatrix
 from repro.sparse.ops import GramWorkspace, sampled_gram
 from repro.sparse.random import random_csr
@@ -183,22 +182,6 @@ def _csc_memo_speedup(csr):
     return _best_of(slow) / _best_of(fast)
 
 
-def _allreduce_fanout_speedup(nranks=16, words=50_000, rounds=4):
-    """Zero-copy fan-out vs per-rank deep copies on the SPMD engine."""
-    payload = np.random.default_rng(4).standard_normal(words)
-
-    def program(ctx):
-        for _ in range(rounds):
-            yield ctx.allreduce(payload)
-        return None
-
-    def run(dedup):
-        SPMDEngine(nranks, dedup=dedup).run(program)
-
-    run(True)  # warm-up (imports, allocator)
-    return _best_of(lambda: run(False)) / _best_of(lambda: run(True))
-
-
 def _value_gram_speedup(d=400, m=4000, evals=50):
     """Gram-form ``value`` (``½wᵀHw − Rᵀw + ½‖y‖²/m``) vs the residual
     formula ``½‖Xᵀw − y‖²/m`` on dense data of the epsilon shape."""
@@ -224,7 +207,6 @@ def test_kernel_speedups(csr, csc):
         "gram_workspace_csr": _gram_speedup_csr(csr),
         "gram_workspace_csc": _gram_speedup_csc(csc),
         "csc_memoization": _csc_memo_speedup(csr),
-        "allreduce_fanout_p16": _allreduce_fanout_speedup(),
         "value_gram_dense": _value_gram_speedup(),
     }
     lines = [f"{name:>24s}: {ratio:8.2f}x" for name, ratio in speedups.items()]

@@ -536,6 +536,8 @@ class ERMObjective:
         d, m = X.shape
         if m == 0 or d == 0:
             raise ValidationError(f"X must be non-empty, got shape {(d, m)}")
+        if not np.isfinite(X if isinstance(X, np.ndarray) else X.data).all():
+            raise ValidationError("X must contain only finite values (found NaN or Inf)")
         y = check_vector(y, "y")
         if y.shape != (m,):
             raise ShapeError(f"y must have shape ({m},), got {y.shape}")

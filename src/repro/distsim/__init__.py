@@ -15,13 +15,13 @@ DESIGN.md §1). It provides:
   buffers and a sparse allreduce that is bit-identical to the dense one
   while charging O(nnz_union) words (SparCML-style stream-and-switch).
 * :mod:`repro.distsim.bsp` — the lock-step bulk-synchronous cluster the
-  solvers run on (local compute phases + collectives).
-* :mod:`repro.distsim.engine` — a generator-based SPMD engine with
-  point-to-point messaging, a miniature MPI for writing rank programs.
+  solvers run on (local compute phases + collectives). It is the one
+  simulated machine: the paper's algorithms communicate only through one
+  allreduce per round, so no point-to-point layer is modelled.
 * :mod:`repro.distsim.trace` — event timeline recording and reporting.
 * :mod:`repro.distsim.faults` — deterministic, seeded fault injection
-  (message drops/delays/corruption, rank stalls and crashes) plus the
-  retry policy; every retry, backoff and checkpoint is charged to the
+  (torn collectives, payload corruption, rank stalls and crashes) plus
+  the retry policy; every retry, backoff and checkpoint is charged to the
   same α-β-γ counters as the algorithm itself.
 
 Every communication primitive *actually moves the data* between per-rank
@@ -36,13 +36,9 @@ from repro.distsim.cost import CostCounter, ClusterCost, PhaseKind
 from repro.distsim.collectives import (
     CollectiveCost,
     allreduce_cost,
-    allgather_cost,
     bcast_cost,
     reduce_cost,
     gather_cost,
-    scatter_cost,
-    barrier_cost,
-    alltoall_cost,
     sparse_allreduce_cost,
     sparse_payload_words,
     SPARSE_SWITCH_DENSITY,
@@ -54,14 +50,11 @@ from repro.distsim.sparse_collectives import (
     support_union_size,
 )
 from repro.distsim.bsp import BSPCluster
-from repro.distsim.engine import SPMDEngine, RankContext, run_spmd
 from repro.distsim.trace import Trace, TraceEvent
 from repro.distsim.faults import (
     CORRUPTION_MODES,
     FaultInjector,
     FaultPlan,
-    MessageDelay,
-    MessageDrop,
     PayloadCorruption,
     RankCrash,
     RankStall,
@@ -79,13 +72,9 @@ __all__ = [
     "PhaseKind",
     "CollectiveCost",
     "allreduce_cost",
-    "allgather_cost",
     "bcast_cost",
     "reduce_cost",
     "gather_cost",
-    "scatter_cost",
-    "barrier_cost",
-    "alltoall_cost",
     "sparse_allreduce_cost",
     "sparse_payload_words",
     "SPARSE_SWITCH_DENSITY",
@@ -94,16 +83,11 @@ __all__ = [
     "sparse_allreduce_values",
     "support_union_size",
     "BSPCluster",
-    "SPMDEngine",
-    "RankContext",
-    "run_spmd",
     "Trace",
     "TraceEvent",
     "CORRUPTION_MODES",
     "FaultInjector",
     "FaultPlan",
-    "MessageDelay",
-    "MessageDrop",
     "PayloadCorruption",
     "RankCrash",
     "RankStall",

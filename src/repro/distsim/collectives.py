@@ -53,13 +53,9 @@ __all__ = [
     "resolve_reduce_op",
     "allreduce_cost",
     "allreduce_charge",
-    "allgather_cost",
     "bcast_cost",
     "reduce_cost",
     "gather_cost",
-    "scatter_cost",
-    "barrier_cost",
-    "alltoall_cost",
     "ceil_log2",
     "SPARSE_INDEX_WORDS",
     "SPARSE_SWITCH_DENSITY",
@@ -301,18 +297,6 @@ def allreduce_cost(
     return CollectiveCost(messages=msgs, words=w, time=t)
 
 
-def allgather_cost(machine: MachineSpec, p: int, words_local: float) -> CollectiveCost:
-    """Recursive-doubling allgather; each rank contributes *words_local*."""
-    _check(p, words_local)
-    if p == 1:
-        return CollectiveCost(0.0, 0.0, 0.0)
-    rounds = ceil_log2(p)
-    # round r exchanges 2^r * words_local; total (p-1) * words_local.
-    w = words_local * (p - 1)
-    t = rounds * machine.alpha + machine.beta * w
-    return CollectiveCost(messages=float(rounds), words=w, time=t)
-
-
 def bcast_cost(machine: MachineSpec, p: int, words: float) -> CollectiveCost:
     """Binomial-tree broadcast (two-level on hierarchical machines)."""
     _check(p, words)
@@ -349,41 +333,6 @@ def gather_cost(machine: MachineSpec, p: int, words_local: float) -> CollectiveC
     w = words_local * (p - 1)  # total data funnelled to the root
     t = rounds * machine.alpha + machine.beta * w
     return CollectiveCost(messages=float(rounds), words=w, time=t)
-
-
-def scatter_cost(machine: MachineSpec, p: int, words_local: float) -> CollectiveCost:
-    """Binomial-tree scatter (same cost structure as gather)."""
-    return gather_cost(machine, p, words_local)
-
-
-def barrier_cost(machine: MachineSpec, p: int) -> CollectiveCost:
-    """Dissemination barrier: ⌈log₂P⌉ zero-payload rounds (two-level on
-    hierarchical machines)."""
-    _check(p, 0.0)
-    if p == 1:
-        return CollectiveCost(0.0, 0.0, 0.0)
-    if isinstance(machine, HierarchicalMachine) and machine.node_size > 1:
-        ranks_per_node, n_nodes = _two_level_split(machine, p)
-        intra_rounds = ceil_log2(ranks_per_node)
-        inter_rounds = ceil_log2(n_nodes)
-        return CollectiveCost(
-            messages=float(2 * intra_rounds + inter_rounds),
-            words=0.0,
-            time=2 * intra_rounds * machine.alpha_intra + inter_rounds * machine.alpha,
-        )
-    rounds = ceil_log2(p)
-    return CollectiveCost(messages=float(rounds), words=0.0, time=rounds * machine.alpha)
-
-
-def alltoall_cost(machine: MachineSpec, p: int, words_per_pair: float) -> CollectiveCost:
-    """Pairwise-exchange all-to-all, *words_per_pair* to every other rank."""
-    _check(p, words_per_pair)
-    if p == 1:
-        return CollectiveCost(0.0, 0.0, 0.0)
-    msgs = float(p - 1)
-    w = words_per_pair * (p - 1)
-    t = (p - 1) * (machine.alpha + machine.beta * words_per_pair)
-    return CollectiveCost(messages=msgs, words=w, time=t)
 
 
 # ---------------------------------------------------------------------- #
@@ -445,9 +394,9 @@ class AllreduceCharge:
     """Everything one allreduce charges, from one helper for every path.
 
     :func:`allreduce_charge` is the single source of these numbers, so
-    dense/sparse/top-k/quantized payloads on every substrate (BSP cluster,
-    mp ledger, SPMD engine) report through the same counters and the same
-    trace detail.
+    dense/sparse/top-k/quantized payloads on both substrates (the BSP
+    cluster and the mp ledger) report through the same counters and the
+    same trace detail.
     """
 
     cost: CollectiveCost

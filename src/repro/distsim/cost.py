@@ -23,8 +23,6 @@ class PhaseKind(enum.Enum):
 
     COMPUTE = "compute"
     COLLECTIVE = "collective"
-    P2P = "p2p"
-    BARRIER = "barrier"
     FAULT = "fault"  # injected faults, retries, recovery traffic
 
 

@@ -23,12 +23,11 @@ Design rules
   re-trigger them; triggered crashes are cleared by :meth:`FaultInjector.heal_all`
   when the runtime "respawns" the rank.
 
-Three substrates consume the injector:
+Two substrates consume the injector, both once per collective (the
+paper's algorithms communicate only through collectives):
 
-* :class:`~repro.distsim.engine.SPMDEngine` — per-rank op indices count
-  the communication operations each rank initiates (sends, collectives).
 * :class:`~repro.distsim.bsp.BSPCluster` — the op index is the global
-  collective index (the cluster has no per-rank programs).
+  collective index.
 * :class:`~repro.runtime.mpbackend.MultiprocessingBackend` — the same
   global collective index, but the verdicts act on **real processes**:
   a due :class:`RankCrash` SIGKILLs the rank's worker, a
@@ -54,11 +53,8 @@ __all__ = [
     "RankCrash",
     "RankStall",
     "PayloadCorruption",
-    "MessageDrop",
-    "MessageDelay",
     "RetryPolicy",
     "FaultPlan",
-    "SendFault",
     "CollectiveFault",
     "FaultInjector",
     "corrupt_array",
@@ -68,9 +64,8 @@ __all__ = [
 CORRUPTION_MODES = ("nan", "inf", "bitflip")
 
 # Stream codes for decision generators — stable across releases so recorded
-# plans replay identically.
-_S_DROP = 1
-_S_DELAY = 2
+# plans replay identically. Codes 1 and 2 (retired point-to-point drop and
+# delay streams) are never reused.
 _S_CORRUPT = 3
 _S_STALL = 4
 _S_POSITION = 5
@@ -90,8 +85,7 @@ class RankCrash:
     """Permanent rank failure at a simulated time or op count.
 
     Exactly one of ``at_time`` (simulated seconds on that rank's clock)
-    and ``at_op`` (the rank's op index on the engine / the global
-    collective index on the BSP cluster) must be given.
+    and ``at_op`` (the global collective index) must be given.
     """
 
     rank: int
@@ -140,44 +134,19 @@ class PayloadCorruption:
             raise ValidationError(f"at_op must be >= 0, got {self.at_op}")
 
 
-@dataclass(frozen=True)
-class MessageDrop:
-    """Drop the message *rank* sends at send-attempt index *at_op*."""
-
-    rank: int
-    at_op: int
-
-    def __post_init__(self) -> None:
-        if self.at_op < 0:
-            raise ValidationError(f"at_op must be >= 0, got {self.at_op}")
-
-
-@dataclass(frozen=True)
-class MessageDelay:
-    """Delay delivery of the message *rank* sends at attempt *at_op* by *delay* s."""
-
-    rank: int
-    at_op: int
-    delay: float
-
-    def __post_init__(self) -> None:
-        if self.at_op < 0 or not (np.isfinite(self.delay) and self.delay > 0):
-            raise ValidationError("MessageDelay needs at_op >= 0 and delay > 0")
-
-
 # ---------------------------------------------------------------------- #
 # retry policy
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Ack + resend with exponential backoff.
+    """Re-issue with exponential backoff.
 
-    A dropped transmission is retried up to ``max_retries`` times; the
-    sender idles ``base_backoff * backoff_factor**(attempt-1)`` simulated
-    seconds before each resend. Every retransmission is charged as a real
-    message (and counted into the ``retry_messages``/``retry_words``
-    counters); a successful delivery that needed at least one resend
-    additionally charges an ``ack_words``-word acknowledgement round-trip.
+    A torn collective is re-issued up to ``max_retries`` times; the ranks
+    idle ``base_backoff * backoff_factor**(attempt-1)`` simulated seconds
+    before each re-issue. Every re-issue is charged as real traffic (and
+    counted into the ``retry_messages``/``retry_words`` counters). On the
+    mp backend the same series bounds the grace granted to a slow worker,
+    and each grace wait charges an ``ack_words``-word acknowledgement.
     """
 
     max_retries: int = 3
@@ -217,30 +186,23 @@ class FaultPlan:
 
     seed: int = 0
     # rate-based faults -------------------------------------------------- #
-    drop_rate: float = 0.0          # per p2p send attempt (engine)
-    delay_rate: float = 0.0         # per p2p send (engine)
-    delay: float = 1e-3             # seconds added when a delay fires
-    corrupt_rate: float = 0.0       # per payload / per-rank collective contribution
+    corrupt_rate: float = 0.0       # per-rank collective contribution
     corrupt_mode: str = "nan"
-    stall_rate: float = 0.0         # per rank per op / collective entry
+    stall_rate: float = 0.0         # per rank per collective
     stall: float = 1e-2             # seconds lost when a stall fires
     collective_drop_rate: float = 0.0  # per collective attempt (BSP cluster)
     # scheduled one-shot events ------------------------------------------ #
     crashes: tuple[RankCrash, ...] = ()
     stalls: tuple[RankStall, ...] = ()
     corruptions: tuple[PayloadCorruption, ...] = ()
-    drops: tuple[MessageDrop, ...] = ()
-    delays: tuple[MessageDelay, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("drop_rate", "delay_rate", "corrupt_rate", "stall_rate", "collective_drop_rate"):
+        for name in ("corrupt_rate", "stall_rate", "collective_drop_rate"):
             v = getattr(self, name)
             if not (np.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
-        for name in ("delay", "stall"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {v}")
+        if not (np.isfinite(self.stall) and self.stall >= 0):
+            raise ValidationError(f"stall must be finite and >= 0, got {self.stall}")
         if self.corrupt_mode not in CORRUPTION_MODES:
             raise ValidationError(
                 f"corrupt_mode must be one of {CORRUPTION_MODES}, got {self.corrupt_mode!r}"
@@ -255,16 +217,12 @@ class FaultPlan:
     def empty(self) -> bool:
         """True when the plan injects nothing at all."""
         return (
-            self.drop_rate == 0.0
-            and self.delay_rate == 0.0
-            and self.corrupt_rate == 0.0
+            self.corrupt_rate == 0.0
             and self.stall_rate == 0.0
             and self.collective_drop_rate == 0.0
             and not self.crashes
             and not self.stalls
             and not self.corruptions
-            and not self.drops
-            and not self.delays
         )
 
 
@@ -302,20 +260,6 @@ def corrupt_array(
 # per-decision result records
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class SendFault:
-    """Injector verdict for one p2p send attempt."""
-
-    drop: bool = False
-    delay: float = 0.0
-    corrupt: str | None = None
-    stall: float = 0.0
-
-    @property
-    def any(self) -> bool:
-        return self.drop or self.delay > 0 or self.corrupt is not None or self.stall > 0
-
-
-@dataclass(frozen=True)
 class CollectiveFault:
     """Injector verdict for one collective."""
 
@@ -328,7 +272,6 @@ class CollectiveFault:
         return bool(self.stalls) or bool(self.corruptions) or self.failed_attempts > 0
 
 
-_NO_SEND_FAULT = SendFault()
 _NO_COLLECTIVE_FAULT = CollectiveFault()
 
 # Cap on consecutive torn-collective attempts the injector will report;
@@ -354,8 +297,6 @@ class FaultInjector:
         self._healed: set[RankCrash] = set()
         self._stalls = {(s.rank, s.at_op): s.duration for s in plan.stalls}
         self._corruptions = {(c.rank, c.at_op): c.mode for c in plan.corruptions}
-        self._drops = {(d.rank, d.at_op) for d in plan.drops}
-        self._delays = {(d.rank, d.at_op): d.delay for d in plan.delays}
 
     # -- crash lifecycle ------------------------------------------------ #
     @property
@@ -405,31 +346,6 @@ class FaultInjector:
         """Forget all runtime state (crashes re-arm) — for fresh replays."""
         self._dead.clear()
         self._healed.clear()
-
-    # -- p2p ------------------------------------------------------------ #
-    def send_fault(self, rank: int, op_index: int) -> SendFault:
-        """Verdict for send attempt *op_index* initiated by *rank*."""
-        plan = self.plan
-        if plan.empty:
-            return _NO_SEND_FAULT
-        drop = (rank, op_index) in self._drops
-        delay = self._delays.get((rank, op_index), 0.0)
-        corrupt = self._corruptions.get((rank, op_index))
-        stall = self._stalls.get((rank, op_index), 0.0)
-        if not drop and plan.drop_rate > 0:
-            drop = _rng(plan.seed, _S_DROP, rank, op_index).random() < plan.drop_rate
-        if delay == 0.0 and plan.delay_rate > 0:
-            if _rng(plan.seed, _S_DELAY, rank, op_index).random() < plan.delay_rate:
-                delay = plan.delay
-        if corrupt is None and plan.corrupt_rate > 0:
-            if _rng(plan.seed, _S_CORRUPT, rank, op_index).random() < plan.corrupt_rate:
-                corrupt = plan.corrupt_mode
-        if stall == 0.0 and plan.stall_rate > 0:
-            if _rng(plan.seed, _S_STALL, rank, op_index).random() < plan.stall_rate:
-                stall = plan.stall
-        if not (drop or delay or corrupt or stall):
-            return _NO_SEND_FAULT
-        return SendFault(drop=drop, delay=delay, corrupt=corrupt, stall=stall)
 
     # -- collectives ---------------------------------------------------- #
     def collective_fault(self, nranks: int, index: int) -> CollectiveFault:

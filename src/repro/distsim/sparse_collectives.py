@@ -20,8 +20,8 @@ This module provides the *numerics* of that subsystem:
 
 The matching α-β-γ cost formulas, and the dense/sparse/auto decision,
 live in :mod:`repro.distsim.collectives` (:func:`allreduce_charge`);
-:class:`~repro.distsim.bsp.BSPCluster` and the SPMD engine glue the two
-together and log densification decisions into the trace.
+:class:`~repro.distsim.bsp.BSPCluster` and the mp backend's ledger glue
+the two together and log densification decisions into the trace.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Event timeline for simulated runs.
 
-Every phase executed on a :class:`~repro.distsim.bsp.BSPCluster` (and every
-matched communication in the SPMD engine) can be recorded as a
+Every phase executed on a :class:`~repro.distsim.bsp.BSPCluster` (and
+every collective charged to the mp backend's ledger) can be recorded as a
 :class:`TraceEvent`. Traces power the per-figure accounting in the
 benchmark harness (message counts per solver iteration, time breakdown by
 phase kind).
@@ -95,10 +95,10 @@ class Trace:
     def timeline(self, *, width: int = 72, max_events: int = 200) -> str:
         """ASCII phase timeline: one bar per event, width ∝ duration.
 
-        Phases render as ``c`` (compute), ``A`` (collective), ``p``
-        (point-to-point) and ``|`` (barrier), left-to-right in simulated
-        time. Zero-duration events render as single markers. Long traces
-        are truncated to the first *max_events* events.
+        Phases render as ``c`` (compute), ``A`` (collective) and ``!``
+        (fault), left-to-right in simulated time. Zero-duration events
+        render as single markers. Long traces are truncated to the first
+        *max_events* events.
         """
         if not self.events:
             return "(empty trace)"
@@ -109,13 +109,11 @@ class Trace:
         glyph = {
             PhaseKind.COMPUTE: "c",
             PhaseKind.COLLECTIVE: "A",
-            PhaseKind.P2P: "p",
-            PhaseKind.BARRIER: "|",
             PhaseKind.FAULT: "!",
         }
         lines = [
             f"timeline: {len(events)} events over {span:.4g}s "
-            f"(c=compute  A=collective  p=p2p  |=barrier  !=fault)"
+            f"(c=compute  A=collective  !=fault)"
         ]
         row = [" "] * width
         for e in events:

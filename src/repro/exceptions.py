@@ -14,7 +14,6 @@ __all__ = [
     "ShapeError",
     "ConvergenceError",
     "CommunicatorError",
-    "DeadlockError",
     "PartitionError",
     "DatasetError",
     "FormatError",
@@ -54,10 +53,6 @@ class ConvergenceError(ReproError, RuntimeError):
 
 class CommunicatorError(ReproError, RuntimeError):
     """Misuse of the simulated communicator (bad rank, mismatched buffers...)."""
-
-
-class DeadlockError(CommunicatorError):
-    """The SPMD engine detected that no rank can make progress."""
 
 
 class PartitionError(ReproError, ValueError):

@@ -32,9 +32,6 @@ __all__ = [
     "fraction_lines",
 ]
 
-#: Phase kinds whose time counts as communication in the comm/compute split.
-COMM_KINDS = (PhaseKind.COLLECTIVE, PhaseKind.P2P, PhaseKind.BARRIER)
-
 
 def _aggregate(trace: Trace, key_of) -> list[dict[str, Any]]:
     acc: dict[str, dict[str, Any]] = {}
@@ -75,7 +72,7 @@ def critical_path(trace: Trace) -> dict[str, float]:
     * ``span`` — ``max(end) - min(start)`` over all events (the simulated
       makespan the trace covers),
     * ``compute_time`` / ``comm_time`` / ``fault_time`` — summed phase
-      durations by class (collective + p2p + barrier count as comm),
+      durations by class (collectives count as comm),
     * ``comm_fraction`` / ``compute_fraction`` / ``fault_fraction`` —
       the same as fractions of the covered time,
     * ``gap_time`` — span not covered by any recorded phase (solver-side
@@ -97,7 +94,7 @@ def critical_path(trace: Trace) -> dict[str, float]:
         }
     span = max(e.end for e in trace.events) - min(e.start for e in trace.events)
     compute = sum(e.duration for e in trace.events if e.kind is PhaseKind.COMPUTE)
-    comm = sum(e.duration for e in trace.events if e.kind in COMM_KINDS)
+    comm = sum(e.duration for e in trace.events if e.kind is PhaseKind.COLLECTIVE)
     fault = sum(e.duration for e in trace.events if e.kind is PhaseKind.FAULT)
     covered = compute + comm + fault
     denom = covered or 1.0

@@ -9,7 +9,7 @@ cost model, so attaching or detaching it leaves iterates, counters and
 traces bit-identical — the golden-trace fixtures pin that.
 
 :class:`TelemetryRecorder` is the batteries-included implementation: it
-accumulates records, harvests the cluster/engine trace and cost summary at
+accumulates records, harvests the cluster trace and cost summary at
 ``on_run_end``, and renders everything into a :class:`RunReport` — the JSON
 document the benchmark harness emits (``--json`` mode), ``repro
 trace-report`` pretty-prints, and CI's regression gate diffs against the

@@ -2,10 +2,10 @@
 
 One :class:`~repro.distsim.trace.TraceEvent` becomes one complete
 (``"ph": "X"``) event; phase kinds map to stable virtual threads so the
-Perfetto timeline shows compute, collective, point-to-point, barrier and
-fault lanes separately. Timestamps are simulated seconds rescaled to
-microseconds (the trace-event unit) and rebased to the earliest event, so
-traces from different runs align at t=0.
+Perfetto timeline shows compute, collective and fault lanes separately.
+Timestamps are simulated seconds rescaled to microseconds (the
+trace-event unit) and rebased to the earliest event, so traces from
+different runs align at t=0.
 
 The output loads directly in https://ui.perfetto.dev or ``chrome://tracing``.
 """
@@ -26,9 +26,7 @@ __all__ = ["KIND_LANES", "to_chrome_trace", "write_chrome_trace"]
 KIND_LANES: dict[PhaseKind, int] = {
     PhaseKind.COMPUTE: 0,
     PhaseKind.COLLECTIVE: 1,
-    PhaseKind.P2P: 2,
-    PhaseKind.BARRIER: 3,
-    PhaseKind.FAULT: 4,
+    PhaseKind.FAULT: 2,
 }
 
 _PID = 1  # one simulated cluster per trace file

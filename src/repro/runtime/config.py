@@ -254,18 +254,11 @@ class RuntimeConfig:
                     "recv_timeout is a simulated-clock deadline; the mp "
                     "backend guards real round-trips with mp_timeout instead"
                 )
-            if isinstance(self.faults, FaultPlan) and (
-                self.faults.drop_rate
-                or self.faults.delay_rate
-                or self.faults.collective_drop_rate
-                or self.faults.drops
-                or self.faults.delays
-            ):
+            if isinstance(self.faults, FaultPlan) and self.faults.collective_drop_rate:
                 raise ValidationError(
-                    "p2p message drops/delays and torn collectives are "
-                    "simulation-engine faults; the mp backend runs collectives "
-                    "on real processes and supports crashes, stalls and "
-                    "payload corruption only"
+                    "torn collectives are a simulation-only fault; the mp "
+                    "backend runs collectives on real processes and supports "
+                    "crashes, stalls and payload corruption only"
                 )
         if self.cluster is not None:
             if (

@@ -813,7 +813,7 @@ class MultiprocessingBackend:
         the reduction (deterministic victim element, keyed by the plan
         seed and the collective index); a NaN/Inf then propagates through
         the tournament into the result, where the solver's NumericalGuard
-        sees it — the same integration point the simulated engines use.
+        sees it — the same integration point the simulated cluster uses.
         Stalls make the worker really sleep; the stall acks are awaited
         under the usual deadline + backoff grace, so a short stall is a
         slow rank and a long one escalates to hung-rank recovery.

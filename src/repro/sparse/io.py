@@ -49,9 +49,12 @@ def parse_libsvm_lines(
             continue
         parts = line.split()
         try:
-            labels.append(float(parts[0]))
+            label = float(parts[0])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad label {parts[0]!r}") from exc
+        if not np.isfinite(label):
+            raise FormatError(f"line {lineno}: non-finite label {parts[0]!r}")
+        labels.append(label)
         if len(parts) > 1:
             try:
                 pairs = [p.split(":", 1) for p in parts[1:]]
@@ -59,6 +62,8 @@ def parse_libsvm_lines(
                 val = np.array([float(v) for _, v in pairs], dtype=np.float64)
             except (ValueError, IndexError) as exc:
                 raise FormatError(f"line {lineno}: malformed feature pair") from exc
+            if not np.isfinite(val).all():
+                raise FormatError(f"line {lineno}: non-finite feature value")
             if idx.size and idx.min() < 0:
                 raise FormatError(f"line {lineno}: feature index below minimum")
             if np.any(np.diff(idx) <= 0):

@@ -29,6 +29,17 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             L1LeastSquares(np.ones((2, 3)), np.ones(3), -0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fmt", ["dense", "csr", "csc"])
+    def test_non_finite_X_rejected(self, fmt, bad):
+        """A NaN/Inf in X fails at construction, naming X, not deep in a solve."""
+        X = np.arange(1.0, 25.0).reshape(4, 6)
+        X[2, 3] = bad
+        if fmt != "dense":
+            X = CSRMatrix.from_dense(X) if fmt == "csr" else CSCMatrix.from_dense(X)
+        with pytest.raises(ValidationError, match="X must contain only finite"):
+            L1LeastSquares(X, np.ones(6), 0.1)
+
 
 class TestValuesAndGradients:
     def test_value_decomposition(self, small, rng):

@@ -86,6 +86,12 @@ class TestAllreduce:
         out = cluster.allreduce([np.array([float(r)]) for r in range(4)], op="max")
         assert out[0] == 3.0
 
+    def test_host_view_stays_writable(self, cluster):
+        """The allreduce returns ONE host-view array, and it is mutable."""
+        out = cluster.allreduce([np.ones(3) for _ in range(4)])
+        out[0] = 5.0  # must not raise
+        np.testing.assert_allclose(out[1:], 4.0)
+
 
 class TestChargeAllreduce:
     def test_identical_cost_to_real_allreduce(self):

@@ -79,9 +79,3 @@ def test_ring_total_words_independent_of_p_asymptotically(p, words, machine):
     """Ring allreduce moves ≤ 2·words per rank regardless of P."""
     c = coll.allreduce_cost(machine, p, words, "ring")
     assert c.words <= 2 * words + 1e-9
-
-
-@settings(max_examples=30, deadline=None)
-@given(p=st.integers(1, 64), machine=machines)
-def test_barrier_cost_zero_words(p, machine):
-    assert coll.barrier_cost(machine, p).words == 0.0

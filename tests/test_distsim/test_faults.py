@@ -1,4 +1,4 @@
-"""Fault-injection subsystem tests: plans, injector, engine + BSP hooks.
+"""Fault-injection subsystem tests: plans, injector, BSP hooks.
 
 Everything here rides on the module's two core guarantees:
 
@@ -17,13 +17,10 @@ from hypothesis import strategies as st
 
 from repro.distsim.bsp import BSPCluster
 from repro.distsim.cost import PhaseKind
-from repro.distsim.engine import SPMDEngine, run_spmd
 from repro.distsim.faults import (
     CORRUPTION_MODES,
     FaultInjector,
     FaultPlan,
-    MessageDelay,
-    MessageDrop,
     PayloadCorruption,
     RankCrash,
     RankStall,
@@ -45,8 +42,7 @@ pytestmark = pytest.mark.faults
 # plan / spec validation
 # ---------------------------------------------------------------------- #
 class TestPlanValidation:
-    @pytest.mark.parametrize("field", ["drop_rate", "delay_rate", "corrupt_rate",
-                                       "stall_rate", "collective_drop_rate"])
+    @pytest.mark.parametrize("field", ["corrupt_rate", "stall_rate", "collective_drop_rate"])
     @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
     def test_rates_must_be_probabilities(self, field, bad):
         with pytest.raises(ValidationError):
@@ -72,19 +68,21 @@ class TestPlanValidation:
         with pytest.raises(ValidationError):
             FaultPlan(crashes=(RankCrash(rank=1, at_op=0), RankCrash(rank=1, at_time=1.0)))
 
-    def test_stall_delay_specs_validated(self):
+    def test_stall_corruption_specs_validated(self):
         with pytest.raises(ValidationError):
             RankStall(rank=0, at_op=0, duration=0.0)
         with pytest.raises(ValidationError):
-            MessageDelay(rank=0, at_op=0, delay=-1.0)
+            RankStall(rank=0, at_op=-1, duration=1.0)
         with pytest.raises(ValidationError):
-            MessageDrop(rank=0, at_op=-2)
+            PayloadCorruption(rank=0, at_op=-2)
         with pytest.raises(ValidationError):
             PayloadCorruption(rank=0, at_op=0, mode="zap")
+        with pytest.raises(ValidationError):
+            FaultPlan(stall=-1.0)
 
     def test_empty_flag(self):
         assert FaultPlan().empty
-        assert not FaultPlan(drop_rate=0.01).empty
+        assert not FaultPlan(collective_drop_rate=0.01).empty
         assert not FaultPlan(crashes=(RankCrash(rank=0, at_op=5),)).empty
 
     def test_as_injector(self):
@@ -173,20 +171,19 @@ class TestCorruptArray:
 class TestInjector:
     def test_empty_plan_short_circuits(self):
         inj = FaultInjector(FaultPlan())
-        f1 = inj.send_fault(0, 0)
+        f1 = inj.collective_fault(8, 0)
         assert not f1.any
-        assert inj.send_fault(3, 17) is f1, "empty verdicts share one object"
-        assert not inj.collective_fault(8, 0).any
+        assert inj.collective_fault(3, 17) is f1, "empty verdicts share one object"
 
-    def test_scheduled_send_faults_fire_at_their_op(self):
+    def test_scheduled_collective_faults_fire_at_their_op(self):
         inj = FaultInjector(FaultPlan(
-            drops=(MessageDrop(rank=1, at_op=2),),
-            delays=(MessageDelay(rank=0, at_op=1, delay=0.5),),
+            stalls=(RankStall(rank=1, at_op=2, duration=0.5),),
+            corruptions=(PayloadCorruption(rank=0, at_op=1, mode="inf"),),
         ))
-        assert not inj.send_fault(1, 0).any
-        assert inj.send_fault(1, 2).drop
-        assert inj.send_fault(0, 1).delay == 0.5
-        assert not inj.send_fault(0, 2).any
+        assert not inj.collective_fault(4, 0).any
+        assert inj.collective_fault(4, 1).corruptions == {0: "inf"}
+        assert inj.collective_fault(4, 2).stalls == {1: 0.5}
+        assert not inj.collective_fault(4, 3).any
 
     def test_crash_latches_and_heals(self):
         inj = FaultInjector(FaultPlan(crashes=(RankCrash(rank=2, at_op=5),)))
@@ -233,14 +230,28 @@ class TestInjector:
             inj.due_crashes(0, time=0.0, op_index=0)
 
     def test_rate_verdicts_deterministic(self):
-        plan = FaultPlan(seed=7, drop_rate=0.3, delay_rate=0.2, stall_rate=0.1,
+        plan = FaultPlan(seed=7, collective_drop_rate=0.3, stall_rate=0.1,
                          corrupt_rate=0.2)
         a = FaultInjector(plan)
         b = FaultInjector(plan)
         for op in range(40):
-            assert a.send_fault(0, op) == b.send_fault(0, op)
+            assert a.collective_fault(4, op) == b.collective_fault(4, op)
         # call order must not matter
-        assert a.send_fault(1, 3) == b.send_fault(1, 3)
+        assert a.collective_fault(4, 3) == b.collective_fault(4, 3)
+
+    def test_rate_verdicts_are_pinned(self):
+        """Seeded schedules replay across releases: the stream codes are fixed."""
+        inj = FaultInjector(FaultPlan(seed=7, stall_rate=0.3, corrupt_rate=0.3,
+                                      collective_drop_rate=0.3))
+        got = []
+        for i in range(12):
+            f = inj.collective_fault(4, i)
+            got.append((sorted(f.stalls), sorted(f.corruptions), f.failed_attempts))
+        assert got == [
+            ([0, 3], [], 0), ([1], [0, 2], 1), ([1, 2], [1, 2], 0), ([0, 3], [3], 0),
+            ([1], [0, 2], 0), ([1], [], 0), ([0, 1, 2], [1], 0), ([2], [3], 0),
+            ([0, 2], [3], 0), ([0], [0, 2], 0), ([1], [1, 3], 1), ([0, 1], [0, 2], 0),
+        ]
 
     def test_collective_verdict_deterministic_and_seed_sensitive(self):
         kw = dict(stall_rate=0.3, corrupt_rate=0.3, collective_drop_rate=0.3)
@@ -253,134 +264,18 @@ class TestInjector:
 
 
 @given(seed=st.integers(0, 2**31 - 1), rate=st.floats(0.0, 1.0), op=st.integers(0, 500))
-def test_send_fault_replay_property(seed, rate, op):
+def test_collective_fault_replay_property(seed, rate, op):
     """Any (seed, rate) plan gives the same verdict for the same op, always."""
-    plan = FaultPlan(seed=seed, drop_rate=rate, corrupt_rate=rate)
-    assert FaultInjector(plan).send_fault(2, op) == FaultInjector(plan).send_fault(2, op)
+    plan = FaultPlan(seed=seed, collective_drop_rate=rate, corrupt_rate=rate,
+                     stall_rate=rate)
+    first = FaultInjector(plan).collective_fault(3, op)
+    assert FaultInjector(plan).collective_fault(3, op) == first
 
 
-# ---------------------------------------------------------------------- #
-# SPMD engine integration
-# ---------------------------------------------------------------------- #
-def _ring_program(ctx):
-    """Each rank sends right, receives from the left, then allreduces."""
-    right = (ctx.rank + 1) % ctx.size
-    left = (ctx.rank - 1) % ctx.size
-    yield ctx.send(right, np.full(4, float(ctx.rank)))
-    got = yield ctx.recv(left)
-    total = yield ctx.allreduce(got)
-    return total
-
-
-class TestEngineFaults:
-    def test_zero_fault_identity(self):
-        base = SPMDEngine(4, "comet_paper")
-        r0 = base.run(_ring_program)
-        faulty = SPMDEngine(4, "comet_paper", injector=FaultInjector(FaultPlan()))
-        r1 = faulty.run(_ring_program)
-        assert all(np.array_equal(a, b) for a, b in zip(r0, r1))
-        assert base.cost.summary() == faulty.cost.summary()
-
-    def test_scheduled_crash_raises_and_heals(self):
-        inj = FaultInjector(FaultPlan(crashes=(RankCrash(rank=1, at_op=0),)))
-        engine = SPMDEngine(4, "comet_paper", injector=inj)
-        with pytest.raises(RankFailureError, match="rank 1"):
-            engine.run(_ring_program)
-        assert inj.crashed_ranks == (1,)
-        assert inj.heal_all() == (1,)
-        # after the heal the same engine completes (counters keep growing)
-        out = SPMDEngine(4, "comet_paper", injector=inj).run(_ring_program)
-        assert np.array_equal(out[0], out[2])
-
-    def test_drop_with_retry_succeeds_and_charges(self):
-        plan = FaultPlan(drops=(MessageDrop(rank=0, at_op=0),))
-        engine = SPMDEngine(4, "comet_paper",
-                            injector=FaultInjector(plan), retry=RetryPolicy())
-        out = engine.run(_ring_program)
-        clean = SPMDEngine(4, "comet_paper").run(_ring_program)
-        assert all(np.array_equal(a, b) for a, b in zip(out, clean))
-        summary = engine.cost.summary()
-        assert summary["retry_messages_total"] > 0
-        assert summary["retry_words_total"] > 0
-        assert engine.elapsed > SPMDEngine(4, "comet_paper").elapsed
-
-    def test_drop_without_retry_hits_recv_deadline(self):
-        plan = FaultPlan(drops=(MessageDrop(rank=0, at_op=0),))
-        engine = SPMDEngine(4, "comet_paper", injector=FaultInjector(plan),
-                            recv_timeout=1.0)
-        with pytest.raises(CommTimeoutError, match="deadline"):
-            engine.run(_ring_program)
-
-    def test_drop_without_retry_or_deadline_deadlocks_with_diagnostics(self):
-        from repro.exceptions import DeadlockError
-
-        plan = FaultPlan(drops=(MessageDrop(rank=0, at_op=0),))
-        engine = SPMDEngine(4, "comet_paper", injector=FaultInjector(plan))
-        with pytest.raises(DeadlockError) as ei:
-            engine.run(_ring_program)
-        msg = str(ei.value)
-        assert "waiting recv" in msg and "clock=" in msg
-
-    def test_retry_budget_exhaustion(self):
-        plan = FaultPlan(drop_rate=1.0)  # every attempt drops
-        engine = SPMDEngine(2, "comet_paper", injector=FaultInjector(plan),
-                            retry=RetryPolicy(max_retries=2))
-        with pytest.raises(CommTimeoutError, match="retry budget"):
-            engine.run(_ring_program)
-
-    def test_delay_beyond_recv_deadline(self):
-        plan = FaultPlan(delays=(MessageDelay(rank=0, at_op=0, delay=10.0),))
-        engine = SPMDEngine(2, "comet_paper",
-                            injector=FaultInjector(plan), recv_timeout=1.0)
-        with pytest.raises(CommTimeoutError, match="deadline"):
-            engine.run(_ring_program)
-
+class TestFaultErrors:
     def test_fault_errors_share_a_base(self):
         assert issubclass(RankFailureError, FaultError)
         assert issubclass(CommTimeoutError, FaultError)
-
-    def test_engine_reuse_does_not_leak_messages(self):
-        """Regression: run() must reset mailboxes/posted/seq between runs.
-
-        The first program leaves an undelivered message in rank 1's
-        mailbox; before the fix a second run() on the same engine would
-        deliver the stale payload to the fresh program's recv.
-        """
-        def make_program(payload):
-            def program(ctx):
-                if ctx.rank == 0:
-                    yield ctx.send(1, payload + "-a")
-                    yield ctx.send(1, payload + "-b")  # never received
-                    return None
-                return (yield ctx.recv(0))
-            return program
-
-        engine = SPMDEngine(2, "comet_paper")
-        first = engine.run(make_program("first"))
-        assert first[1] == "first-a"
-        second = engine.run(make_program("second"))
-        assert second[1] == "second-a"
-
-    @given(seed=st.integers(0, 2**20))
-    def test_engine_replay_bit_identical(self, seed):
-        """Same plan, fresh engines: results and counters match exactly."""
-        plan = FaultPlan(seed=seed, delay_rate=0.4, stall_rate=0.3, delay=1e-3,
-                         stall=2e-3)
-
-        def run_once():
-            engine = SPMDEngine(3, "comet_paper", injector=FaultInjector(plan))
-            out = engine.run(_ring_program)
-            return out, engine.cost.summary()
-
-        out_a, cost_a = run_once()
-        out_b, cost_b = run_once()
-        assert all(np.array_equal(a, b) for a, b in zip(out_a, out_b))
-        assert cost_a == cost_b
-
-    def test_run_spmd_forwards_fault_kwargs(self):
-        inj = FaultInjector(FaultPlan(crashes=(RankCrash(rank=0, at_op=0),)))
-        with pytest.raises(RankFailureError):
-            run_spmd(2, _ring_program, injector=inj)
 
 
 # ---------------------------------------------------------------------- #

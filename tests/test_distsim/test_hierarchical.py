@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distsim.bsp import BSPCluster
-from repro.distsim.collectives import allreduce_cost, barrier_cost, bcast_cost
+from repro.distsim.collectives import allreduce_cost, bcast_cost
 from repro.distsim.machine import HierarchicalMachine, MachineSpec, get_machine
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
@@ -66,11 +66,14 @@ class TestTwoLevelCosts:
         f = bcast_cost(flat, 64, 1000)
         assert h.time < f.time
 
-    def test_barrier_two_level(self, hier, flat):
-        h = barrier_cost(hier, 64)
-        f = barrier_cost(flat, 64)
-        assert h.time < f.time
-        assert h.words == 0.0
+    def test_bcast_two_level_schedule(self, hier):
+        # 64 ranks at 4/node: 4 network rounds over 16 nodes, then 2 intra.
+        c = bcast_cost(hier, 64, 1000)
+        assert c.messages == 4 + 2
+        assert c.words == 1000 * (4 + 2)
+        assert c.time == pytest.approx(
+            4 * (hier.alpha + hier.beta * 1000) + 2 * hier.intra_message_time(1000)
+        )
 
     def test_inter_node_count(self, hier):
         # 256 ranks at 4/node → 64 nodes → 6 network rounds + 2·2 intra.

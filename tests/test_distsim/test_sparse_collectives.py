@@ -7,7 +7,6 @@ import pytest
 
 from repro.distsim import collectives as coll
 from repro.distsim.bsp import BSPCluster
-from repro.distsim.engine import SPMDEngine
 from repro.distsim.sparse_collectives import (
     COMM_MODES,
     SparseVector,
@@ -83,14 +82,6 @@ class TestAlgorithmInvariance:
             [SparseVector.from_dense(v) for v in vals], mode="sparse"
         )
         assert sparse.tobytes() == reference.tobytes()
-
-        def program(ctx):
-            out = yield ctx.allreduce(SparseVector.from_dense(vals[ctx.rank]), comm="sparse")
-            return out
-
-        engine = SPMDEngine(nranks, "comet_paper", allreduce_algorithm=algorithm)
-        for out in engine.run(program):
-            assert out.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("nranks", [1, 2, 3, 8])
     def test_all_empty_supports(self, nranks):
@@ -212,40 +203,3 @@ class TestResolveCommMode:
         with pytest.raises(ValidationError):
             resolve_comm_mode("bogus", union_density=0.1)
         assert COMM_MODES == ("dense", "sparse", "auto")
-
-
-# ---------------------------------------------------------------------- #
-# SPMD engine parity
-# ---------------------------------------------------------------------- #
-class TestSPMDParity:
-    def test_engine_counters_match_bsp(self, rng):
-        nranks, n = 4, 120
-        vals = [_random_sparse(rng, n, 6) for _ in range(nranks)]
-
-        bsp = BSPCluster(nranks, "comet_effective")
-        expected = bsp.allreduce_comm([v.copy() for v in vals], mode="sparse")
-
-        def program(ctx):
-            out = yield ctx.allreduce(vals[ctx.rank], comm="sparse")
-            return out
-
-        engine = SPMDEngine(nranks, "comet_effective")
-        results = engine.run(program)
-        for out in results:
-            assert out.tobytes() == expected.tobytes()
-        for eng_c, bsp_c in zip(engine.counters, bsp.counters):
-            assert eng_c.words == bsp_c.words
-            assert eng_c.sparse_words == bsp_c.sparse_words
-            assert eng_c.saved_words == bsp_c.saved_words
-
-    def test_engine_auto_logs_decision(self, rng):
-        vals = [_random_sparse(rng, 100, 3) for _ in range(3)]
-
-        def program(ctx):
-            out = yield ctx.allreduce(vals[ctx.rank], comm="auto")
-            return out
-
-        engine = SPMDEngine(3, "comet_effective", trace=Trace())
-        engine.run(program)
-        events = [e for e in engine.trace.events if e.label == "allreduce"]
-        assert events and events[0].detail.startswith("sparse nnz=")

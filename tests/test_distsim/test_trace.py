@@ -40,10 +40,10 @@ class TestTrace:
         t = Trace()
         t.record(ev(kind=PhaseKind.COMPUTE, start=0, end=2))
         t.record(ev(kind=PhaseKind.COMPUTE, start=2, end=3))
-        t.record(ev(kind=PhaseKind.BARRIER, start=3, end=3.5))
+        t.record(ev(kind=PhaseKind.FAULT, start=3, end=3.5))
         by_kind = t.time_by_kind()
         assert by_kind["compute"] == 3.0
-        assert by_kind["barrier"] == 0.5
+        assert by_kind["fault"] == 0.5
 
     def test_totals(self):
         t = Trace()
@@ -72,12 +72,12 @@ class TestTimeline:
         t = Trace()
         t.record(ev(kind=PhaseKind.COMPUTE, start=0.0, end=1.0))
         t.record(ev(kind=PhaseKind.COLLECTIVE, start=1.0, end=1.5))
-        t.record(ev(kind=PhaseKind.BARRIER, start=1.5, end=1.6))
+        t.record(ev(kind=PhaseKind.FAULT, start=1.5, end=1.6))
         return t
 
     def test_glyphs_present(self):
         out = self._trace().timeline(width=40)
-        assert "c" in out and "A" in out
+        assert "c" in out and "A" in out and "!" in out
 
     def test_lanes_labelled(self):
         out = self._trace().timeline(width=40)

@@ -156,7 +156,7 @@ class TestGateScript:
     def test_committed_kernels_baseline_is_wellformed(self):
         payload = load_baseline("benchmarks/baselines/kernels.json")
         assert payload["tolerance"] == 0.25
-        spec = payload["metrics"]["speedups.allreduce_fanout_p16"]
+        spec = payload["metrics"]["speedups.gram_workspace_csc"]
         assert spec == {"min": 1.0}
 
     def test_report_key_without_baseline_is_ignored(self):

@@ -44,17 +44,15 @@ class TestValidation:
     @pytest.mark.parametrize(
         "extra",
         [
-            # p2p drops/delays and torn collectives only exist inside the
-            # simulation engines; real pipes don't lose messages that way.
+            # Torn collectives only exist on the simulated cluster; real
+            # pipes don't lose messages that way.
             dict(faults=FaultPlan(collective_drop_rate=0.1)),
-            dict(faults=FaultPlan(drop_rate=0.1)),
-            dict(faults=FaultPlan(delay_rate=0.1)),
             dict(cluster=BSPCluster(2, "comet_effective")),
             dict(recv_timeout=1.0),
         ],
     )
     def test_mp_backend_excludes_simulation_knobs(self, extra):
-        """Simulation-engine faults/clusters/deadlines make no sense under mp."""
+        """Simulated faults/clusters/deadlines make no sense under mp."""
         with pytest.raises(ValidationError):
             RuntimeConfig(backend="mp", **extra)
 

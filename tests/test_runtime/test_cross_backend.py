@@ -9,9 +9,7 @@ cost-charging backend produces the *identical* charged α-β-γ summary.
 The BSP reference is itself pinned bit-for-bit to checked-in golden
 traces (``tests/test_distsim/test_golden_trace.py``), so equality with
 BSP here transitively pins every backend in the matrix to the golden
-accounting. The SPMD engine's row is
-``tests/test_distsim/test_spmd_rc_sfista.py``: a rank program on the
-engine reproduces the BSP run bit for bit.
+accounting.
 """
 
 import numpy as np

@@ -298,9 +298,9 @@ class TestFromConfig:
     def test_rejects_simulation_only_faults(self):
         from repro.distsim.faults import FaultPlan
 
-        # Torn collectives and p2p drops only exist in the simulation
-        # engines; real-process chaos (crashes/stalls/corruption) and
-        # retry flow through (TestChaos in test_chaos.py drives them).
+        # Torn collectives only exist on the simulated cluster; real-process
+        # chaos (crashes/stalls/corruption) and retry flow through
+        # (TestChaos in test_chaos.py drives them).
         plan = FaultPlan(collective_drop_rate=0.5, seed=0)
         with pytest.raises(ValidationError, match="simulation"):
             RuntimeConfig(backend="mp", faults=plan)

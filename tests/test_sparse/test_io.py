@@ -55,6 +55,21 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_libsvm_lines(["1.0 notapair"])
 
+    @pytest.mark.parametrize(
+        "line, what",
+        [
+            ("1 1:nan", "feature value"),
+            ("1 1:2 3:-inf", "feature value"),
+            ("1 1:1e400", "feature value"),
+            ("inf 1:2", "label"),
+            ("nan", "label"),
+            ("-1e400 1:2", "label"),
+        ],
+    )
+    def test_non_finite_rejected(self, line, what):
+        with pytest.raises(FormatError, match=f"line 2: non-finite {what}"):
+            parse_libsvm_lines(["1 1:1.0", line])
+
     def test_duplicate_feature_index(self):
         with pytest.raises(FormatError, match="duplicate"):
             parse_libsvm_lines(["1.0 1:1.0 1:2.0"])
