@@ -44,7 +44,6 @@ from repro.core.model import (
     make_loss,
     make_penalty,
     parse_penalty_spec,
-    resolve_objective,
 )
 from repro.core.objectives import L1LeastSquares, QuadraticModel
 from repro.core.results import SolveResult, History
@@ -83,7 +82,6 @@ __all__ = [
     "make_penalty",
     "parse_penalty_spec",
     "canonical_penalty_spec",
-    "resolve_objective",
     "L1LeastSquares",
     "QuadraticModel",
     "SolveResult",

@@ -439,7 +439,7 @@ class RankPlacement:
         return moved
 
 
-def run_params(loop, nranks: int, resolved) -> dict:
+def run_params(loop, nranks: int, problem: ERMObjective) -> dict:
     """The runtime keys every distributed solver reports in its run summary.
 
     Each solver merges its own algorithm keys into this dict and hands the
@@ -458,6 +458,6 @@ def run_params(loop, nranks: int, resolved) -> dict:
         "on_nan": config.on_nan,
         "max_recoveries": config.max_recoveries,
         "adaptive_restart": config.adaptive_restart,
-        "loss": resolved.loss.name,
-        "penalty": resolved.penalty.spec,
+        "loss": problem.loss.name,
+        "penalty": problem.penalty.spec,
     }

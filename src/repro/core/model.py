@@ -15,15 +15,14 @@ This module is the one place that knows what ``ℓ`` and ``g`` can be:
   ``SquaredHingeLoss``).
 * :class:`Regularizer` — a *named* penalty wrapping the
   :class:`~repro.core.proximal.ProximalOperator` hierarchy (``l1``,
-  ``elastic_net``, ``group_l1``) so configs, specs, and fingerprints can
+  ``elastic_net``, ``group_l1``) so specs, the CLI and fingerprints can
   refer to it canonically.
 * :class:`ERMObjective` — the data-backed composite objective built
   from any (loss, penalty) pair. ``L1LeastSquares`` (the paper's
   problem) and ``L1Logistic`` are its named (squared, l1) and
   (logistic, l1) instances; every other pair instantiates the base class.
-* :func:`resolve_objective` — the bridge the runtime solvers use: given a
-  problem plus the ``RuntimeConfig(loss=..., penalty=...)`` overrides it
-  returns the objective to run and the loss/penalty pair.
+  The problem is the only description of the objective: every solver
+  reads its ``loss`` and ``penalty`` from the problem it is handed.
 
 Every solver runs one path for every pair. At a linearization point
 ``a`` the sampled quadratic model is ``H = (1/m̄) X_S diag(c) X_Sᵀ`` and
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -73,18 +71,16 @@ __all__ = [
     "SquaredHingeLoss",
     "Regularizer",
     "ERMObjective",
-    "ResolvedObjective",
     "make_loss",
     "make_penalty",
     "parse_penalty_spec",
-    "resolve_objective",
 ]
 
 Matrix = np.ndarray | CSRMatrix | CSCMatrix
 
-#: Canonical loss names accepted by configs, specs and the CLI.
+#: Canonical loss names accepted by problem specs and the CLI.
 LOSSES = ("squared", "logistic", "squared_hinge")
-#: Canonical penalty names accepted by configs, specs and the CLI.
+#: Canonical penalty names accepted by problem specs and the CLI.
 PENALTIES = ("l1", "elastic_net", "group_l1")
 
 
@@ -279,7 +275,7 @@ def make_loss(loss: str | SmoothLoss) -> SmoothLoss:
 def parse_penalty_spec(spec: str) -> tuple[str, dict[str, float]]:
     """Parse and validate ``"name"`` / ``"name:k=v,..."`` penalty specs.
 
-    Validation happens *here*, at config-build time — malformed params
+    Validation happens *here*, at build time — malformed params
     (negative strengths, non-integer group sizes, unknown keys) are
     rejected before any solver starts. Supported forms:
 
@@ -423,7 +419,7 @@ def make_penalty(
     if d is None:
         raise ValidationError(
             "group_l1 needs the problem dimension to lay out its groups; "
-            "build it through resolve_objective or pass d="
+            "build it through ERMObjective or pass d="
         )
     size = int(params["size"])
     return Regularizer(
@@ -745,74 +741,3 @@ class ERMObjective:
         preds = np.sign(self.predictions(w))
         preds[preds == 0] = 1.0
         return float(np.mean(preds == self.y))
-
-    def quadratic_model(self, w: np.ndarray):
-        """The PN subproblem smooth part (Eq. 19) linearized around ``w``."""
-        from repro.core.objectives import QuadraticModel
-
-        w = np.asarray(w, dtype=np.float64)
-        return QuadraticModel.from_linearization(self.hessian_at(w), self.gradient(w), w)
-
-
-# --------------------------------------------------------------------- #
-# the runtime bridge
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ResolvedObjective:
-    """What a runtime solver actually optimizes after config overrides.
-
-    ``objective`` is the problem to evaluate/monitor: the original when
-    the overrides name its own loss and penalty, else a fresh
-    :class:`ERMObjective` view over the same ``X``/``y``. ``loss`` and
-    ``penalty`` are the pair every solver stage runs with.
-    """
-
-    objective: Any
-    loss: SmoothLoss
-    penalty: Regularizer
-
-
-def resolve_objective(
-    problem: Any,
-    *,
-    loss: str | SmoothLoss | None = None,
-    penalty: str | Regularizer | ProximalOperator | None = None,
-) -> ResolvedObjective:
-    """Merge a problem's own (loss, penalty) with config overrides.
-
-    An override that names the problem's own loss and penalty (same spec
-    at the same λ) resolves to the problem itself; any other pair to a
-    fresh :class:`ERMObjective` over the problem's data. A penalty-only
-    override keeps the problem's loss, so it shares the problem's caches
-    (Gram, Lipschitz estimates) as an ``at_lam`` view does.
-    """
-    base_loss: SmoothLoss = problem.loss
-    base_penalty: Regularizer = problem.penalty
-    resolved_loss = make_loss(loss) if loss is not None else base_loss
-    if resolved_loss.name == base_loss.name:
-        resolved_loss = base_loss
-    resolved_penalty = (
-        make_penalty(penalty, lam=problem.lam, d=problem.d)
-        if penalty is not None
-        else base_penalty
-    )
-    # Two "custom" operators share a spec but not their math.
-    if resolved_penalty.name != "custom" and (
-        resolved_penalty.spec, resolved_penalty.lam
-    ) == (base_penalty.spec, base_penalty.lam):
-        resolved_penalty = base_penalty
-    if resolved_loss is base_loss and resolved_penalty is base_penalty:
-        objective = problem
-    else:
-        objective = ERMObjective(
-            problem.X,
-            problem.y,
-            loss=resolved_loss,
-            penalty=resolved_penalty,
-            lam=problem.lam,
-        )
-        if resolved_loss is base_loss and isinstance(problem, ERMObjective):
-            objective._memo = problem._memo
-    return ResolvedObjective(
-        objective=objective, loss=resolved_loss, penalty=resolved_penalty
-    )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.model import ERMObjective, Matrix, make_loss, resolve_objective
+from repro.core.model import ERMObjective, Matrix, canonical_penalty_spec, make_loss
 from repro.exceptions import ShapeError, ValidationError
 
 __all__ = ["L1LeastSquares", "QuadraticModel", "build_objective", "require_squared_l1"]
@@ -59,15 +59,18 @@ def build_objective(
 ) -> ERMObjective:
     """The objective a (loss, penalty) spec names over regression data.
 
-    The paper's problem at ``lam`` resolved against the spec, so the
-    default pair is the :class:`L1LeastSquares` itself and any other pair
-    an :class:`ERMObjective` view over the same ``X``. Classification
-    losses see the targets relabelled by sign (ties go to +1), so one
-    dataset or synthetic spec serves every loss.
+    The (squared, l1) pair, in any spelling of its spec, is the paper's
+    :class:`L1LeastSquares` itself; any other pair is an
+    :class:`ERMObjective` over the same ``X``. Classification losses see
+    the targets relabelled by sign (ties go to +1), so one dataset or
+    synthetic spec serves every loss.
     """
-    if make_loss(loss).classification:
+    smooth = make_loss(loss)
+    if smooth.classification:
         y = np.where(np.asarray(y) >= 0, 1.0, -1.0)
-    return resolve_objective(L1LeastSquares(X, y, lam), loss=loss, penalty=penalty).objective
+    if smooth.name == "squared" and canonical_penalty_spec(penalty) == "l1":
+        return L1LeastSquares(X, y, lam)
+    return ERMObjective(X, y, loss=smooth, penalty=penalty, lam=lam)
 
 
 def require_squared_l1(problem: ERMObjective, solver: str) -> None:

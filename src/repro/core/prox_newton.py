@@ -44,7 +44,7 @@ from repro.core._dist_common import (
 )
 from repro.core.cd import coordinate_descent_quadratic
 from repro.core.fista import fista, momentum_mu, t_next
-from repro.core.model import ERMObjective, resolve_objective
+from repro.core.model import ERMObjective
 from repro.core.objectives import QuadraticModel
 from repro.core.results import History, SolveResult
 from repro.core.stopping import StoppingCriterion
@@ -206,6 +206,8 @@ def proximal_newton_distributed(
     the communication pattern. ``step_size`` is the inner γ (defaults to
     the problem's 1/L, shared by all variants for comparability).
     ``damping`` is the outer step ``γ_n`` (Alg. 1 line 6) and must be > 0.
+    ``problem`` is the objective: its ``loss`` weights every Hessian and
+    its ``penalty`` is the inner prox; ``meta`` reports both.
 
     Runtime
     -------
@@ -235,19 +237,17 @@ def proximal_newton_distributed(
     # Every (loss, penalty) pair runs the same stages: Hessians are weighted
     # by the loss's curvature at the outer iterate (the §3.3 prox-Newton
     # linearization point); the squared loss is the unweighted case.
-    resolved = resolve_objective(problem, loss=config.loss, penalty=config.penalty)
-    view = resolved.objective
-    loss = resolved.loss
-    prox = resolved.penalty.prox
+    loss = problem.loss
+    prox = problem.penalty.prox
     rng = as_generator(seed)
     d = problem.d
     gamma = (
-        check_positive(step_size, "step_size") if step_size is not None else view.default_step()
+        check_positive(step_size, "step_size") if step_size is not None else problem.default_step()
     )
     mbar = minibatch_size(problem.m, b)
     # Proximal-point damping of the Hessian-reuse subproblem (see rc_sfista_dist).
     eps_reg = (
-        0.25 * view.sampled_hessian_deviation(mbar)
+        0.25 * problem.sampled_hessian_deviation(mbar)
         if (inner == "rc_sfista" and S > 1)
         else 0.0
     )
@@ -260,7 +260,7 @@ def proximal_newton_distributed(
     placement = RankPlacement(data, loop, mbar=mbar, blocks=max_block, rhs=False)
     loop.start(
         {
-            **run_params(loop, nranks, resolved),
+            **run_params(loop, nranks, problem),
             "inner": inner,
             "n_outer": n_outer,
             "inner_iters": inner_iters,
@@ -414,7 +414,7 @@ def proximal_newton_distributed(
             w = w + damping * (u - w)
             outer_done = n
             if n % monitor_every == 0 or n == n_outer:
-                obj = view.value(w)  # out of band
+                obj = problem.value(w)  # out of band
                 # A non-finite iterate cannot be fixed by re-communicating.
                 loop.screen_objective(obj)
                 history.append(

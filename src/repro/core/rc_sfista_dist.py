@@ -53,7 +53,7 @@ from repro.core._dist_common import (
     svrg_rhs,
 )
 from repro.core.fista import momentum_mu, t_next
-from repro.core.model import ERMObjective, resolve_objective
+from repro.core.model import ERMObjective
 from repro.core.results import History, SolveResult
 from repro.core.sfista import GradientEstimator, stochastic_step_size
 from repro.core.sfista_dist import _epoch_anchor_gradient
@@ -93,7 +93,8 @@ def rc_sfista_distributed(
     :func:`repro.core.sfista_dist.sfista_distributed`. ``history`` carries
     simulated times; ``cost`` the cluster counters; ``n_comm_rounds``
     counts the stage-C rounds plus one anchor-gradient round per SVRG
-    epoch.
+    epoch. ``problem`` is the objective: its ``loss`` and ``penalty`` run
+    every stage, and ``meta`` reports both.
 
     Runtime
     -------
@@ -121,23 +122,20 @@ def rc_sfista_distributed(
     if monitor_every < 1:
         raise ValidationError(f"monitor_every must be >= 1, got {monitor_every}")
     stopping = stopping or StoppingCriterion()
-    # The objective view: the problem itself unless the config overrides
-    # its (loss, penalty); every pair runs the same stages below.
-    resolved = resolve_objective(problem, loss=config.loss, penalty=config.penalty)
-    view = resolved.objective
-    loss = resolved.loss
+    # Every (loss, penalty) pair of the problem runs the same stages below.
+    loss = problem.loss
     rng = as_generator(seed)
     mbar = minibatch_size(problem.m, b)
     gamma = (
         check_positive(step_size, "step_size")
         if step_size is not None
         else stochastic_step_size(
-            view.lipschitz(),
+            problem.lipschitz(),
             problem.m,
             mbar,
-            view.max_sample_lipschitz,
+            problem.max_sample_lipschitz,
             epoch_length=iters_per_epoch if restart_momentum else epochs * iters_per_epoch,
-            deviation=view.sampled_hessian_deviation(mbar),
+            deviation=problem.sampled_hessian_deviation(mbar),
         )
     )
     d = problem.d
@@ -146,7 +144,7 @@ def rc_sfista_distributed(
     # SFISTA). ε is the sampled-curvature uncertainty: without it, repeated
     # steps overshoot in the sampled Hessian's null space (rank(H_j) ≤ m̄ < d)
     # and large S diverges instead of merely over-solving.
-    eps_reg = 0.25 * view.sampled_hessian_deviation(mbar) if S > 1 else 0.0
+    eps_reg = 0.25 * problem.sampled_hessian_deviation(mbar) if S > 1 else 0.0
 
     data = distribute_problem(problem, nranks)
     backend = build_host_backend(config, nranks)
@@ -155,7 +153,7 @@ def rc_sfista_distributed(
     placement = RankPlacement(data, loop, mbar=mbar, blocks=k, rhs=True)
     loop.start(
         {
-            **run_params(loop, nranks, resolved),
+            **run_params(loop, nranks, problem),
             "k": k,
             "S": S,
             "b": b,
@@ -282,7 +280,7 @@ def rc_sfista_distributed(
                     mu = momentum_mu(t_prev, t_cur)
                     v = w + mu * (w - w_prev)
                     u = hessian_reuse_update(
-                        H, R, v, gamma=gamma, prox=resolved.penalty.prox, S=S, eps_reg=eps_reg
+                        H, R, v, gamma=gamma, prox=problem.penalty.prox, S=S, eps_reg=eps_reg
                     )
                     for _s in range(S):  # Eqs. (20)-(23): S prox steps on the model
                         backend.compute(UPDATE_FLOPS(d), label="update")
@@ -294,7 +292,7 @@ def rc_sfista_distributed(
                     if sampled_iter % monitor_every == 0 or (
                         epoch == epochs - 1 and rnd == n_rounds - 1 and j == block - 1
                     ):
-                        obj = view.value(w)  # out of band
+                        obj = problem.value(w)  # out of band
                         # An iterate gone non-finite cannot be fixed by
                         # re-communicating — recompute degrades to rollback.
                         loop.screen_objective(obj)

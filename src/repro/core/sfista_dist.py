@@ -37,7 +37,7 @@ from repro.core._dist_common import (
     svrg_rhs,
 )
 from repro.core.fista import momentum_mu, t_next
-from repro.core.model import ERMObjective, resolve_objective
+from repro.core.model import ERMObjective
 from repro.core.results import History, SolveResult
 from repro.core.sfista import GradientEstimator, stochastic_step_size
 from repro.core.stopping import StoppingCriterion
@@ -118,6 +118,9 @@ def sfista_distributed(
 
     Parameters
     ----------
+    problem:
+        The objective to minimize: its ``loss`` and ``penalty`` run every
+        stage, and ``meta`` reports both.
     b:
         Sampling rate in (0, 1]; the mini-batch is ``m̄ = ⌊b·m⌋``, drawn
         with replacement from the seed every rank shares.
@@ -174,21 +177,19 @@ def sfista_distributed(
         raise ValidationError(f"monitor_every must be >= 1, got {monitor_every}")
     stopping = stopping or StoppingCriterion()
     # Every (loss, penalty) pair runs the same stages (see rc_sfista_dist).
-    resolved = resolve_objective(problem, loss=config.loss, penalty=config.penalty)
-    view = resolved.objective
-    loss = resolved.loss
+    loss = problem.loss
     rng = as_generator(seed)
     mbar = minibatch_size(problem.m, b)
     gamma = (
         check_positive(step_size, "step_size")
         if step_size is not None
         else stochastic_step_size(
-            view.lipschitz(),
+            problem.lipschitz(),
             problem.m,
             mbar,
-            view.max_sample_lipschitz,
+            problem.max_sample_lipschitz,
             epoch_length=iters_per_epoch if restart_momentum else epochs * iters_per_epoch,
-            deviation=view.sampled_hessian_deviation(mbar),
+            deviation=problem.sampled_hessian_deviation(mbar),
         )
     )
     d = problem.d
@@ -203,7 +204,7 @@ def sfista_distributed(
     placement = RankPlacement(data, loop, mbar=mbar, blocks=1, rhs=True)
     loop.start(
         {
-            **run_params(loop, nranks, resolved),
+            **run_params(loop, nranks, problem),
             "b": b,
             "mbar": mbar,
             "epochs": epochs,
@@ -332,7 +333,7 @@ def sfista_distributed(
                     if estimator is GradientEstimator.SVRG:
                         R = svrg_rhs(H, R, anchor, full_grad, loss)
                         backend.compute(2.0 * d * d, label="svrg_rhs")
-                    w_new = hessian_reuse_update(H, R, v, gamma=gamma, prox=resolved.penalty.prox)
+                    w_new = hessian_reuse_update(H, R, v, gamma=gamma, prox=problem.penalty.prox)
                     backend.compute(UPDATE_FLOPS(d), label="update")
                 else:
                     # Gradient mode: local sampled-gradient contributions.
@@ -362,7 +363,7 @@ def sfista_distributed(
                     if estimator is GradientEstimator.SVRG:
                         g = g + full_grad  # type: ignore[operator]
                     backend.compute(8.0 * d, label="update")
-                    w_new = resolved.penalty.prox(v - gamma * g, gamma)
+                    w_new = problem.penalty.prox(v - gamma * g, gamma)
 
                 w_prev, w = w, w_new
                 t_prev = t_cur
@@ -371,7 +372,7 @@ def sfista_distributed(
                 if total_iter % monitor_every == 0 or (
                     epoch == epochs - 1 and _n == iters_per_epoch - 1
                 ):
-                    obj = view.value(w)  # out of band
+                    obj = problem.value(w)  # out of band
                     loop.screen_objective(obj)
                     history.append(
                         total_iter,

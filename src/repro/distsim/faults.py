@@ -197,6 +197,10 @@ class FaultPlan:
     corruptions: tuple[PayloadCorruption, ...] = ()
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise ValidationError(
+                f"fault plan seed must be a non-negative integer, got {self.seed}"
+            )
         for name in ("corrupt_rate", "stall_rate", "collective_drop_rate"):
             v = getattr(self, name)
             if not (np.isfinite(v) and 0.0 <= v <= 1.0):

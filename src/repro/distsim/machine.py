@@ -65,19 +65,9 @@ class MachineSpec:
             raise ValidationError(f"straggler_sigma must be >= 0, got {self.straggler_sigma}")
 
     # ------------------------------------------------------------------ #
-    def message_time(self, words: float) -> float:
-        """Point-to-point transfer time for a message of *words* words."""
-        return self.alpha + self.beta * float(words)
-
     def compute_time(self, flops: float) -> float:
         """Time to execute *flops* floating point operations on one rank."""
         return self.gamma * float(flops)
-
-    def latency_bandwidth_ratio(self) -> float:
-        """α/β — the machine figure-of-merit in the k-bound of Eq. (25)."""
-        if self.beta == 0:
-            return float("inf")
-        return self.alpha / self.beta
 
     def with_(self, **kwargs: object) -> "MachineSpec":
         """Return a copy with selected fields replaced."""

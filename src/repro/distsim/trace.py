@@ -58,15 +58,6 @@ class Trace:
     def __iter__(self) -> "Iterable[TraceEvent]":
         return iter(self.events)
 
-    def filter(self, kind: PhaseKind | None = None, label: str | None = None) -> list[TraceEvent]:
-        """Events matching *kind* and/or a label prefix."""
-        out = self.events
-        if kind is not None:
-            out = [e for e in out if e.kind is kind]
-        if label is not None:
-            out = [e for e in out if e.label.startswith(label)]
-        return out
-
     def time_by_kind(self) -> dict[str, float]:
         """Total simulated time attributed to each phase kind."""
         acc: dict[str, float] = {}
@@ -82,15 +73,6 @@ class Trace:
             "messages": sum(e.messages for e in self.events),
             "time": sum(e.duration for e in self.events),
         }
-
-    def summary_lines(self) -> list[str]:
-        """Human-readable per-kind breakdown."""
-        by_kind = self.time_by_kind()
-        total = sum(by_kind.values()) or 1.0
-        lines = [f"{len(self.events)} events, {total:.6g}s simulated phase time"]
-        for kind, t in sorted(by_kind.items(), key=lambda kv: -kv[1]):
-            lines.append(f"  {kind:<11} {t:.6g}s ({100.0 * t / total:5.1f}%)")
-        return lines
 
     def timeline(self, *, width: int = 72, max_events: int = 200) -> str:
         """ASCII phase timeline: one bar per event, width ∝ duration.

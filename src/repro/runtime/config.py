@@ -59,6 +59,9 @@ FAILURE_POLICIES = ("fail_fast", "respawn", "shrink")
 class RuntimeConfig:
     """Cross-cutting execution knobs shared by every distributed solver.
 
+    The objective is not among them: a solver runs the loss and penalty
+    of the problem it is handed.
+
     Simulation shape
     ----------------
     backend:
@@ -87,18 +90,6 @@ class RuntimeConfig:
     machine / allreduce_algorithm / jitter_seed:
         The α-β-γ machine model, collective algorithm and per-rank compute
         jitter of the simulated cluster.
-    loss / penalty:
-        The objective overrides of the model layer
-        (:mod:`repro.core.model`): a loss name (``"squared"``,
-        ``"logistic"``, ``"squared_hinge"``) or :class:`SmoothLoss`
-        instance, and a penalty spec (``"l1"``,
-        ``"elastic_net[:l2=r]"``, ``"group_l1[:size=n]"``), prebuilt
-        :class:`Regularizer` or bare :class:`ProximalOperator`. ``None``
-        (default) inherits the problem's own pair — for the classic
-        squared+l1 problems the solvers then take their historical
-        byte-identical code path. Specs are validated here, at
-        config-build time; the penalty strength is always the problem's
-        ``lam``.
     comm:
         Collective payload encoding: ``"dense"``, ``"sparse"``
         (index+value, O(nnz_union) words) or ``"auto"`` (per-phase
@@ -152,8 +143,6 @@ class RuntimeConfig:
     backend: str = "bsp"
     machine: str | MachineSpec = "comet_effective"
     allreduce_algorithm: str = "recursive_doubling"
-    loss: object = None
-    penalty: object = None
     comm: str = "dense"
     comm_topology: str = "flat"
     comm_compress: str = "none"
@@ -204,24 +193,6 @@ class RuntimeConfig:
                     "so the node-local tournaments tile the flat combine "
                     f"tree exactly, got node_size={node_size}"
                 )
-        if self.loss is not None or self.penalty is not None:
-            # Imported lazily: repro.core.model must not load while
-            # repro.runtime is still mid-import (the solvers in
-            # repro.core.__init__ import repro.runtime back).
-            from repro.core.model import (
-                Regularizer,
-                SmoothLoss,
-                make_loss,
-                parse_penalty_spec,
-            )
-            from repro.core.proximal import ProximalOperator
-
-            if self.loss is not None and not isinstance(self.loss, SmoothLoss):
-                make_loss(self.loss)  # rejects unknown names at config-build time
-            if self.penalty is not None and not isinstance(
-                self.penalty, (Regularizer, ProximalOperator)
-            ):
-                parse_penalty_spec(self.penalty)
         if self.on_nan is not None and self.on_nan not in ON_NAN_POLICIES:
             raise ValidationError(
                 f"on_nan must be one of {ON_NAN_POLICIES} or None, got {self.on_nan!r}"

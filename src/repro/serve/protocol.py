@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -53,6 +53,8 @@ from repro.exceptions import (
 
 __all__ = [
     "JOB_STATES",
+    "RUNTIME_KEYS",
+    "RUNTIME_SOLVER_KEYS",
     "SERVE_SOLVERS",
     "QueueFullError",
     "SubmitRequest",
@@ -70,6 +72,48 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: (``w0``); the runtime solvers execute on any RuntimeConfig backend and
 #: still benefit from the cached problem + workspaces.
 SERVE_SOLVERS = ("fista", "ista", "sfista_dist", "rc_sfista_dist")
+
+#: The keys a request's ``runtime`` object may carry, each with the JSON
+#: type its value must have. :data:`RUNTIME_SOLVER_KEYS` parameterise the
+#: solver call; the rest are :class:`~repro.runtime.RuntimeConfig` fields.
+#: Only types are checked at submission: ranges (``nranks >= 1``, ``b`` in
+#: (0, 1], ...) stay with the solvers and ``RuntimeConfig``, which raise
+#: ValidationError (400) too.
+RUNTIME_KEYS: dict[str, str] = {
+    "nranks": "an integer",
+    "epochs": "an integer",
+    "iters_per_epoch": "an integer",
+    "k": "an integer",
+    "S": "an integer",
+    "b": "a number",
+    "seed": "a non-negative integer",
+    "backend": "a string",
+    "machine": "a string",
+    "comm": "a string",
+    "comm_topology": "a string",
+    "comm_compress": "a string",
+    "mp_timeout": "a number",
+    "mp_failure_policy": "a string",
+    "checkpoint_every": "an integer",
+    "on_nan": "a string or null",
+    "max_recoveries": "an integer",
+    "adaptive_restart": "a boolean",
+}
+RUNTIME_SOLVER_KEYS = frozenset({"nranks", "epochs", "iters_per_epoch", "k", "S", "b", "seed"})
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_RUNTIME_TYPES: dict[str, Callable[[Any], bool]] = {
+    "an integer": _is_int,
+    "a non-negative integer": lambda v: _is_int(v) and v >= 0,
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+}
 
 _SYNTHETIC_KEYS = {"d", "m", "density", "support_fraction", "noise", "seed"}
 _SYNTHETIC_DEFAULTS = {
@@ -210,6 +254,15 @@ class SubmitRequest:
             raise ValidationError(
                 f"rel_change_tol must be > 0 or null, got {self.rel_change_tol}"
             )
+        unknown = set(self.runtime) - set(RUNTIME_KEYS)
+        if unknown:
+            raise ValidationError(
+                f"unknown runtime keys {sorted(unknown)}; allowed: {sorted(RUNTIME_KEYS)}"
+            )
+        for key, value in self.runtime.items():
+            kind = RUNTIME_KEYS[key]
+            if not _RUNTIME_TYPES[kind](value):
+                raise ValidationError(f"runtime {key!r} must be {kind}, got {value!r}")
 
     @property
     def fingerprint(self) -> str:

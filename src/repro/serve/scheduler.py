@@ -44,22 +44,17 @@ from repro.obs.telemetry import TelemetryRecorder
 from repro.runtime import RuntimeConfig
 from repro.serve.cache import CacheEntry, SolveCache
 from repro.serve.jobs import FairQueue, Job
-from repro.serve.protocol import SubmitRequest, error_payload, result_payload
+from repro.serve.protocol import (
+    RUNTIME_SOLVER_KEYS,
+    SubmitRequest,
+    error_payload,
+    result_payload,
+)
 
 __all__ = ["Scheduler"]
 
 #: Solvers that accept a ``w0`` warm start.
 _WARM_SOLVERS = ("fista", "ista")
-
-#: Keys a request's ``runtime`` object may carry. ``nranks``/``epochs``/
-#: ``iters_per_epoch``/``k``/``S``/``b``/``seed`` parameterise the solver
-#: call; the rest build the :class:`~repro.runtime.RuntimeConfig`.
-_SOLVER_KEYS = {"nranks", "epochs", "iters_per_epoch", "k", "S", "b", "seed"}
-_CONFIG_KEYS = {
-    "backend", "comm", "comm_topology", "comm_compress", "machine",
-    "mp_timeout", "mp_failure_policy",
-    "checkpoint_every", "on_nan", "max_recoveries", "adaptive_restart",
-}
 
 #: Latency histogram buckets: sub-millisecond warm refinements up to
 #: multi-second cold distributed solves.
@@ -67,14 +62,9 @@ _LATENCY_BUCKETS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10
 
 
 def _split_runtime(runtime: Mapping[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
-    unknown = set(runtime) - _SOLVER_KEYS - _CONFIG_KEYS
-    if unknown:
-        raise ValidationError(
-            f"unknown runtime keys {sorted(unknown)}; solver keys: "
-            f"{sorted(_SOLVER_KEYS)}, config keys: {sorted(_CONFIG_KEYS)}"
-        )
-    solver = {k: runtime[k] for k in _SOLVER_KEYS if k in runtime}
-    config = {k: runtime[k] for k in _CONFIG_KEYS if k in runtime}
+    """Solver-call keys and RuntimeConfig fields of a validated request."""
+    solver = {k: v for k, v in runtime.items() if k in RUNTIME_SOLVER_KEYS}
+    config = {k: v for k, v in runtime.items() if k not in RUNTIME_SOLVER_KEYS}
     return solver, config
 
 
@@ -366,9 +356,9 @@ class Scheduler:
         config_kw: dict[str, Any],
         recorder: TelemetryRecorder | None,
     ) -> Any:
-        nranks = int(solver_kw.get("nranks", 4))
-        epochs = int(solver_kw.get("epochs", 1))
-        iters = int(solver_kw.get("iters_per_epoch", 100))
+        nranks = solver_kw.get("nranks", 4)
+        epochs = solver_kw.get("epochs", 1)
+        iters = solver_kw.get("iters_per_epoch", 100)
         seed = solver_kw.get("seed", 0)
         b = float(solver_kw.get("b", 0.01))
         cfg = RuntimeConfig(telemetry=recorder, **config_kw)
@@ -379,7 +369,7 @@ class Scheduler:
             )
         return rc_sfista_distributed(
             problem, nranks,
-            k=int(solver_kw.get("k", 1)), S=int(solver_kw.get("S", 1)),
+            k=solver_kw.get("k", 1), S=solver_kw.get("S", 1),
             b=b, seed=seed, epochs=epochs, iters_per_epoch=iters,
             stopping=stopping, runtime=cfg,
         )

@@ -37,8 +37,6 @@ __all__ = [
     "gram_flops",
     "rhs_flops",
     "spmv_flops",
-    "gemv_flops",
-    "dense_gram_flops",
 ]
 
 Matrix = np.ndarray | CSRMatrix | CSCMatrix
@@ -408,13 +406,3 @@ def rhs_flops(X: Matrix, cols: np.ndarray) -> int:
 def spmv_flops(nnz: int) -> int:
     """Flops for a sparse matrix-vector product with *nnz* stored entries."""
     return 2 * int(nnz)
-
-
-def gemv_flops(n: int, m: int) -> int:
-    """Flops for a dense ``(n × m)`` matrix-vector product."""
-    return 2 * int(n) * int(m)
-
-
-def dense_gram_flops(d: int, mbar: int) -> int:
-    """Flops for dense formation of a ``d×d`` Gram from ``d×m̄`` data."""
-    return 2 * int(d) * int(d) * int(mbar)

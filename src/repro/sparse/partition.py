@@ -3,7 +3,7 @@
 The paper distributes ``X`` (features × samples) *column-wise* and the label
 vector ``y`` *row-wise* over ``P`` processors (§4.1): each processor owns a
 contiguous block of samples and the full feature dimension. This module
-computes balanced partitions and per-rank views.
+computes balanced partitions and each rank's column range.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import PartitionError
-from repro.sparse.csr import CSCMatrix, CSRMatrix
 
 __all__ = ["ColumnPartition", "partition_columns"]
 
@@ -41,12 +40,6 @@ class ColumnPartition:
         object.__setattr__(self, "offsets", offsets)
 
     # ------------------------------------------------------------------ #
-    def owner_of(self, col: int) -> int:
-        """Rank owning global column *col*."""
-        if not (0 <= col < self.m):
-            raise PartitionError(f"column {col} out of range [0, {self.m})")
-        return int(np.searchsorted(self.offsets, col, side="right") - 1)
-
     def local_slice(self, rank: int) -> slice:
         """Global column range owned by *rank* as a slice."""
         self._check_rank(rank)
@@ -60,33 +53,6 @@ class ColumnPartition:
     def sizes(self) -> np.ndarray:
         """Columns per rank."""
         return np.diff(self.offsets)
-
-    def to_local(self, rank: int, global_cols: np.ndarray) -> np.ndarray:
-        """Translate *global_cols* owned by *rank* into local indices."""
-        global_cols = np.asarray(global_cols, dtype=np.int64)
-        lo, hi = self.offsets[rank], self.offsets[rank + 1]
-        if global_cols.size and (global_cols.min() < lo or global_cols.max() >= hi):
-            raise PartitionError(f"columns not owned by rank {rank}")
-        return global_cols - lo
-
-    def restrict(self, rank: int, global_cols: np.ndarray) -> np.ndarray:
-        """Filter *global_cols* to those owned by *rank*, returned as local ids.
-
-        This is how each processor realizes its share of the globally-agreed
-        sample set ``I_n``: every rank draws the same global indices from a
-        shared seed, keeps its own, and the union over ranks is exactly
-        ``I_n``.
-        """
-        global_cols = np.asarray(global_cols, dtype=np.int64)
-        lo, hi = self.offsets[rank], self.offsets[rank + 1]
-        mine = global_cols[(global_cols >= lo) & (global_cols < hi)]
-        return mine - lo
-
-    def imbalance(self) -> float:
-        """Load imbalance ``max/mean`` of per-rank column counts (1.0 = perfect)."""
-        sizes = self.sizes()
-        mean = sizes.mean() if sizes.size else 0.0
-        return float(sizes.max() / mean) if mean > 0 else 1.0
 
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.nranks):
@@ -110,13 +76,3 @@ def partition_columns(m: int, nranks: int) -> ColumnPartition:
     np.cumsum(sizes, out=offsets[1:])
     return ColumnPartition(m=m, nranks=nranks, offsets=offsets)
 
-
-def local_block(
-    X: np.ndarray | CSRMatrix | CSCMatrix, part: ColumnPartition, rank: int
-) -> np.ndarray | CSCMatrix:
-    """Extract rank-local columns of ``X`` (dense slice or CSC block)."""
-    sl = part.local_slice(rank)
-    if isinstance(X, np.ndarray):
-        return X[:, sl]
-    csc = X.to_csc() if isinstance(X, CSRMatrix) else X
-    return csc.select_columns(np.arange(sl.start, sl.stop, dtype=np.int64))

@@ -29,14 +29,15 @@ RandomState = int | np.random.Generator | np.random.SeedSequence | None
 def as_generator(seed: RandomState = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for *seed*.
 
-    Accepts ``None`` (non-deterministic), an ``int``, a ``SeedSequence``, or
-    an existing ``Generator`` (returned unchanged, so callers can thread one
-    generator through a pipeline).
+    Accepts ``None`` (non-deterministic), a non-negative ``int``, a
+    ``SeedSequence``, or an existing ``Generator`` (returned unchanged, so
+    callers can thread one generator through a pipeline). A negative
+    integer raises :class:`~repro.exceptions.ValidationError`.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -223,8 +223,12 @@ class TestCollectivesV2Flags:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--solver", "rc_sfista_dist", "--k", "0"]],
-        ids=["k-zero"],
+        [
+            ["--solver", "rc_sfista_dist", "--k", "0"],
+            ["--solver", "rc_sfista_dist", "--seed", "-1"],
+            ["--solver", "rc_sfista_dist", "--faults-seed", "-1", "--stall-rate", "0.1"],
+        ],
+        ids=["k-zero", "negative-seed", "negative-faults-seed"],
     )
     def test_solver_validation_is_usage_error(self, flags):
         with pytest.raises(SystemExit, match="invalid solve configuration"):

@@ -5,15 +5,12 @@ Three contracts live here:
 * analytic derivatives of every :class:`SmoothLoss` match central
   differences (the generalized solvers trust ``grad``/``curvature``);
 * penalty specs parse, canonicalise and reject malformed input at
-  build time, and :func:`resolve_objective` keeps the problem itself
-  whenever the overrides name its own (loss, penalty);
+  build time, and :func:`build_objective` turns a (loss, penalty) spec
+  into the problem itself: the paper's ``L1LeastSquares`` for
+  (squared, l1), an ``ERMObjective`` for every other pair;
 * every loss's sampled quadratic model ``(c, r)`` reproduces the sampled
   loss gradient, and the squared loss is its unweighted case — so
-  squared+elastic_net charges the same sparse Gram flops as squared+l1;
-* **byte-identity pin** — default runs and explicit
-  ``RuntimeConfig(loss="squared", penalty="l1")`` runs produce
-  bit-identical iterates and equal charged costs across all four
-  runtime solvers, so the refactor cannot have perturbed history.
+  squared+elastic_net charges the same sparse Gram flops as squared+l1.
 """
 
 import numpy as np
@@ -34,9 +31,8 @@ from repro.core.model import (
     make_loss,
     make_penalty,
     parse_penalty_spec,
-    resolve_objective,
 )
-from repro.core.objectives import L1LeastSquares, QuadraticModel
+from repro.core.objectives import L1LeastSquares, QuadraticModel, build_objective
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.proximal import ElasticNetProx, GroupL1Prox, L1Prox
 from repro.core.rc_sfista_dist import rc_sfista_distributed
@@ -238,7 +234,7 @@ class TestERMObjectiveEquivalence:
     def test_quadratic_model_linearization(self, pair):
         _, erm = pair
         w = np.full(erm.d, 0.1)
-        qm = erm.quadratic_model(w)
+        qm = QuadraticModel.from_linearization(erm.hessian_at(w), erm.gradient(w), w)
         assert isinstance(qm, QuadraticModel)
         np.testing.assert_allclose(qm.gradient(w), erm.gradient(w), atol=1e-10)
 
@@ -251,121 +247,52 @@ class TestERMObjectiveEquivalence:
         assert erm.optimality_residual(w0) >= 0.0
 
 
-class TestResolveObjective:
-    def test_default_squared_l1_is_legacy(self, tiny_covtype_problem):
-        res = resolve_objective(tiny_covtype_problem)
-        assert res.objective is tiny_covtype_problem
-        assert res.loss is tiny_covtype_problem.loss
-        assert res.penalty is tiny_covtype_problem.penalty
-        assert res.loss.name == "squared" and res.penalty.spec == "l1"
+class TestBuildObjective:
+    """The CLI and serve build every problem through ``build_objective``."""
 
-    def test_explicit_legacy_override_keeps_problem(self, tiny_covtype_problem):
-        res = resolve_objective(tiny_covtype_problem, loss="squared", penalty="l1")
-        assert res.objective is tiny_covtype_problem
-        assert res.penalty is tiny_covtype_problem.penalty
-
-    def test_loss_override_builds_general_view(self, tiny_covtype_problem):
-        # Classification losses validate ±1 labels, so the override sits on
-        # a binarized view (serve/CLI binarize before resolve, too).
+    @pytest.mark.parametrize("penalty", ["l1", "l1:"])
+    def test_squared_l1_is_the_papers_problem(self, tiny_covtype_problem, penalty):
         base = tiny_covtype_problem
-        classified = L1LeastSquares(
-            base.X, np.where(base.y >= 0, 1.0, -1.0), base.lam
-        )
-        res = resolve_objective(classified, loss="logistic")
-        assert res.objective is not classified
-        assert isinstance(res.objective, ERMObjective)
-        assert res.objective.X is classified.X
-        assert res.objective.lam == classified.lam
+        problem = build_objective(base.X, base.y, base.lam, loss="squared", penalty=penalty)
+        assert type(problem) is L1LeastSquares
+        assert problem.X is base.X and problem.lam == base.lam
+        np.testing.assert_array_equal(problem.y, base.y)
+        assert type(build_objective(base.X, base.y, base.lam)) is L1LeastSquares
 
-    def test_loss_override_rejects_regression_labels(self, tiny_covtype_problem):
-        with pytest.raises(ValidationError, match=r"\{-1, \+1\}"):
-            resolve_objective(tiny_covtype_problem, loss="logistic")
-
-    def test_general_problem_passes_through(self, tiny_covtype_problem):
+    @pytest.mark.parametrize(
+        "loss, penalty, spec",
+        [
+            ("squared", "elastic_net", "elastic_net:l2=1"),
+            ("squared", "group_l1:size=4", "group_l1:size=4"),
+            ("logistic", "l1", "l1"),
+            ("squared_hinge", "elastic_net:l2=0.5", "elastic_net:l2=0.5"),
+        ],
+    )
+    def test_other_pairs_are_erm_objectives(self, tiny_covtype_problem, loss, penalty, spec):
         base = tiny_covtype_problem
-        erm = ERMObjective(
-            base.X, np.where(base.y >= 0, 1.0, -1.0), loss="logistic",
-            penalty="elastic_net:l2=1", lam=base.lam,
-        )
-        res = resolve_objective(erm)
-        assert res.objective is erm
-        same = resolve_objective(erm, loss="logistic", penalty="elastic_net:l2=1")
-        assert same.objective is erm and same.penalty is erm.penalty
-        other = resolve_objective(erm, penalty="elastic_net:l2=2")
-        assert other.objective is not erm and other.penalty.spec == "elastic_net:l2=2"
+        problem = build_objective(base.X, base.y, base.lam, loss=loss, penalty=penalty)
+        assert type(problem) is ERMObjective
+        assert problem.loss.name == loss and problem.penalty.spec == spec
+        assert problem.X is base.X and problem.lam == base.lam
 
-    def test_penalty_override_shares_the_problem_caches(self, tiny_covtype_problem, monkeypatch):
-        # A per-solve penalty override must not re-run the power iteration
-        # or rebuild the Gram of the problem it views.
-        base = tiny_covtype_problem
-        step = base.default_step()
-        monkeypatch.setattr(
-            "repro.core.model.gram_lipschitz",
-            lambda *a, **k: pytest.fail("a penalty override re-ran the power iteration"),
-        )
-        view = resolve_objective(base, penalty="elastic_net:l2=1").objective
-        assert type(view) is ERMObjective and view.penalty.spec == "elastic_net:l2=1"
-        assert view.default_step() == step
-        assert view.hessian is base.hessian
-        # Another loss has other curvature statistics: nothing is shared.
-        classified = L1LeastSquares(base.X, np.where(base.y >= 0, 1.0, -1.0), base.lam)
-        logistic = resolve_objective(classified, loss="logistic").objective
-        assert logistic._memo is not classified._memo
-
-
-# --------------------------------------------------------------------- #
-# the byte-identity pin: defaults == explicit squared+l1, bit for bit
-# --------------------------------------------------------------------- #
-def _run(solver, problem, runtime):
-    if solver is proximal_newton_distributed:
-        return solver(problem, 3, n_outer=2, inner_iters=6, b=0.25, seed=11,
-                      runtime=runtime)
-    return solver(problem, 3, b=0.25, epochs=1, iters_per_epoch=8, seed=11,
-                  runtime=runtime)
-
-
-@pytest.mark.parametrize(
-    "solver",
-    [rc_sfista_distributed, sfista_distributed, proximal_newton_distributed],
-    ids=lambda s: s.__name__,
-)
-def test_defaults_are_byte_identical_to_explicit_legacy(
-    solver, tiny_covtype_problem
-):
-    """The refactor's core promise: threading (loss, penalty) through the
-    runtime surface leaves default runs bit-for-bit unchanged — same
-    iterates, same charged communication costs."""
-    default = _run(solver, tiny_covtype_problem, RuntimeConfig())
-    explicit = _run(
-        solver, tiny_covtype_problem, RuntimeConfig(loss="squared", penalty="l1")
-    )
-    assert np.array_equal(default.w, explicit.w)  # bit-identical, no tolerance
-    assert default.cost == explicit.cost
-    assert list(default.history.objectives) == list(explicit.history.objectives)
-
-
-@pytest.mark.parametrize("backend", ["bsp", "serial", "threads"])
-def test_byte_identity_pin_holds_across_backends(backend, tiny_covtype_problem):
-    """The pin extends over the execution substrate. mp is covered
-    transitively: the conformance matrix (test_cross_backend.py) pins mp
-    bit-for-bit to the BSP reference asserted here."""
-    nranks = 1 if backend == "serial" else 3  # serial runs exactly 1 rank
-    default = rc_sfista_distributed(
-        tiny_covtype_problem, nranks, k=2, b=0.25, seed=11, epochs=1,
-        iters_per_epoch=8, runtime=RuntimeConfig(backend=backend),
-    )
-    explicit = rc_sfista_distributed(
-        tiny_covtype_problem, nranks, k=2, b=0.25, seed=11, epochs=1,
-        iters_per_epoch=8,
-        runtime=RuntimeConfig(backend=backend, loss="squared", penalty="l1"),
-    )
-    assert np.array_equal(default.w, explicit.w)
-    assert default.cost == explicit.cost
+    @pytest.mark.parametrize("loss", ["logistic", "squared_hinge"])
+    def test_classification_labels_are_signs(self, loss):
+        X = np.arange(8.0).reshape(2, 4)
+        y = np.array([0.5, 0.0, -2.0, -0.0])
+        problem = build_objective(X, y, 0.1, loss=loss)
+        np.testing.assert_array_equal(problem.y, [1.0, 1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(build_objective(X, y, 0.1).y, y)
 
 
 # --------------------------------------------------------------------- #
 # general objectives descend through all three runtime solvers
 # --------------------------------------------------------------------- #
+def _run(solver, problem):
+    if solver is proximal_newton_distributed:
+        return solver(problem, 3, n_outer=2, inner_iters=6, b=0.25, seed=11)
+    return solver(problem, 3, b=0.25, epochs=1, iters_per_epoch=8, seed=11)
+
+
 @pytest.mark.parametrize(
     "solver",
     [rc_sfista_distributed, sfista_distributed, proximal_newton_distributed],
@@ -378,32 +305,10 @@ def test_logistic_general_penalties_descend(solver, penalty, tiny_covtype_proble
         base.X, np.where(base.y >= 0, 1.0, -1.0), loss="logistic",
         penalty=penalty, lam=base.lam,
     )
-    res = _run(solver, problem, RuntimeConfig())
+    res = _run(solver, problem)
     assert np.all(np.isfinite(res.w))
     start = problem.value(np.zeros(problem.d))
     assert problem.value(res.w) <= start + 1e-12
-
-
-@pytest.mark.parametrize(
-    "solver",
-    [rc_sfista_distributed, sfista_distributed, proximal_newton_distributed],
-    ids=lambda s: s.__name__,
-)
-def test_runtime_override_matches_prebuilt_objective(solver, tiny_covtype_problem):
-    """`RuntimeConfig(loss=..., penalty=...)` on a legacy problem must act
-    exactly like handing the solver a prebuilt ERMObjective."""
-    base = tiny_covtype_problem
-    y = np.where(base.y >= 0, 1.0, -1.0)
-    classified = L1LeastSquares(base.X, y, base.lam)
-    via_config = _run(
-        solver, classified,
-        RuntimeConfig(loss="logistic", penalty="elastic_net:l2=1"),
-    )
-    prebuilt = ERMObjective(
-        base.X, y, loss="logistic", penalty="elastic_net:l2=1", lam=base.lam
-    )
-    via_problem = _run(solver, prebuilt, RuntimeConfig())
-    assert np.array_equal(via_config.w, via_problem.w)
 
 
 # --------------------------------------------------------------------- #
@@ -473,9 +378,9 @@ def test_sampled_model_gradient_is_the_sampled_loss_gradient(seed, loss, sparse)
     close(H @ a - R_svrg, want, np.linalg.norm(H @ a) + np.linalg.norm(R_svrg))
 
 
-def _sparse_problem():
+def _sparse_problem(penalty):
     X, y, _ = make_regression(60, 600, density=0.02, noise=0.05, rng=3)
-    return L1LeastSquares(X, y, 0.01)
+    return ERMObjective(X, y, penalty=penalty, lam=0.01)
 
 
 @pytest.mark.parametrize(
@@ -489,13 +394,13 @@ def test_general_penalty_charges_the_sparse_gram(solver):
 
     def hessian_block_flops(penalty):
         cluster = BSPCluster(4, "comet_paper", trace=Trace())
-        runtime = RuntimeConfig(cluster=cluster, penalty=penalty)
+        runtime = RuntimeConfig(cluster=cluster)
         if solver is proximal_newton_distributed:
-            solver(_sparse_problem(), 4, n_outer=2, inner_iters=8, k=4, b=0.1,
+            solver(_sparse_problem(penalty), 4, n_outer=2, inner_iters=8, k=4, b=0.1,
                    seed=0, runtime=runtime)
         else:
             kw = {"k": 4} if solver is rc_sfista_distributed else {}
-            solver(_sparse_problem(), 4, b=0.1, iters_per_epoch=8,
+            solver(_sparse_problem(penalty), 4, b=0.1, iters_per_epoch=8,
                    estimator="plain", seed=0, runtime=runtime, **kw)
         return sum(e.flops for e in cluster.trace.events if e.label == "hessian_blocks")
 

@@ -49,7 +49,7 @@ class TestCompute:
 
     def test_trace_records_compute(self, cluster):
         cluster.compute(10.0, label="work")
-        events = cluster.trace.filter(kind=PhaseKind.COMPUTE)
+        events = [e for e in cluster.trace if e.kind is PhaseKind.COMPUTE]
         assert len(events) == 1
         assert events[0].label == "work"
 

@@ -52,6 +52,10 @@ class TestPlanValidation:
         with pytest.raises(ValidationError):
             FaultPlan(corrupt_rate=0.1, corrupt_mode="gamma_ray")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            FaultPlan(seed=-1, stall_rate=0.1)
+
     def test_crash_needs_exactly_one_trigger(self):
         with pytest.raises(ValidationError):
             RankCrash(rank=0)

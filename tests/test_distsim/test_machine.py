@@ -8,21 +8,9 @@ from repro.exceptions import ValidationError
 
 
 class TestMachineSpec:
-    def test_message_time(self):
-        m = MachineSpec("t", alpha=1e-5, beta=1e-9, gamma=1e-10)
-        assert m.message_time(1000) == pytest.approx(1e-5 + 1e-6)
-
     def test_compute_time(self):
         m = MachineSpec("t", alpha=0, beta=0, gamma=2e-10)
         assert m.compute_time(1e6) == pytest.approx(2e-4)
-
-    def test_latency_bandwidth_ratio(self):
-        m = MachineSpec("t", alpha=1e-6, beta=1e-10, gamma=0)
-        assert m.latency_bandwidth_ratio() == pytest.approx(1e4)
-
-    def test_ratio_infinite_when_beta_zero(self):
-        m = MachineSpec("t", alpha=1e-6, beta=0.0, gamma=0)
-        assert m.latency_bandwidth_ratio() == np.inf
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValidationError):

@@ -24,18 +24,6 @@ class TestTrace:
         t.record(ev())
         assert len(t) == 0
 
-    def test_filter_by_kind(self):
-        t = Trace()
-        t.record(ev(kind=PhaseKind.COMPUTE))
-        t.record(ev(kind=PhaseKind.COLLECTIVE))
-        assert len(t.filter(kind=PhaseKind.COMPUTE)) == 1
-
-    def test_filter_by_label_prefix(self):
-        t = Trace()
-        t.record(ev(label="allreduce_G"))
-        t.record(ev(label="update"))
-        assert len(t.filter(label="allreduce")) == 1
-
     def test_time_by_kind(self):
         t = Trace()
         t.record(ev(kind=PhaseKind.COMPUTE, start=0, end=2))
@@ -53,13 +41,6 @@ class TestTrace:
         assert totals["flops"] == 11
         assert totals["words"] == 6
         assert totals["messages"] == 3
-
-    def test_summary_lines(self):
-        t = Trace()
-        t.record(ev())
-        lines = t.summary_lines()
-        assert "1 events" in lines[0]
-        assert any("compute" in line for line in lines)
 
     def test_iter(self):
         t = Trace()

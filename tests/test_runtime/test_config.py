@@ -69,44 +69,6 @@ class TestValidation:
     def test_failure_policies_constant(self):
         assert FAILURE_POLICIES == ("fail_fast", "respawn", "shrink")
 
-    def test_loss_penalty_default_off(self):
-        cfg = RuntimeConfig()
-        assert cfg.loss is None and cfg.penalty is None
-
-    def test_loss_penalty_specs_accepted(self):
-        cfg = RuntimeConfig(loss="logistic", penalty="elastic_net:l2=0.5")
-        assert cfg.loss == "logistic"
-        assert cfg.penalty == "elastic_net:l2=0.5"
-
-    def test_loss_penalty_instances_accepted(self):
-        from repro.core.model import SquaredHingeLoss, make_penalty
-        from repro.core.proximal import L1Prox
-
-        cfg = RuntimeConfig(
-            loss=SquaredHingeLoss(), penalty=make_penalty("l1", lam=0.1)
-        )
-        assert cfg.loss.name == "squared_hinge"
-        cfg = RuntimeConfig(penalty=L1Prox(0.2))  # bare prox passes too
-        assert cfg.penalty.lam == 0.2
-
-    @pytest.mark.parametrize(
-        "kwargs, needle",
-        [
-            (dict(loss="hinge"), "allowed values"),
-            (dict(penalty="l0"), "allowed values"),
-            (dict(penalty="elastic_net:l2=-1"), ">= 0"),
-            (dict(penalty="elastic_net:ridge=2"), "does not accept"),
-            (dict(penalty="group_l1:size=2.5"), "positive integer"),
-            (dict(penalty="group_l1:size"), "key=value"),
-            (dict(penalty="elastic_net:l2=much"), "must be numeric"),
-        ],
-    )
-    def test_malformed_loss_penalty_rejected_at_config_build(self, kwargs, needle):
-        """Satellite contract: bad specs die in RuntimeConfig.__post_init__,
-        before any solver (or serve worker) starts."""
-        with pytest.raises(ValidationError, match=needle):
-            RuntimeConfig(**kwargs)
-
     def test_bad_failure_policy_rejected(self):
         with pytest.raises(ValidationError):
             RuntimeConfig(mp_failure_policy="restart")

@@ -154,6 +154,66 @@ class TestSubmitRequest:
             assert f"solver must be one of {SERVE_SOLVERS}" in str(exc.value)
 
 
+_BAD_RUNTIME = [
+    ("seed", -1, "a non-negative integer"),
+    ("seed", 1.5, "a non-negative integer"),
+    ("nranks", "x", "an integer"),
+    ("nranks", True, "an integer"),
+    ("epochs", 2.0, "an integer"),
+    ("iters_per_epoch", None, "an integer"),
+    ("k", "2", "an integer"),
+    ("S", [1], "an integer"),
+    ("checkpoint_every", "often", "an integer"),
+    ("max_recoveries", 1.0, "an integer"),
+    ("b", "abc", "a number"),
+    ("b", False, "a number"),
+    ("mp_timeout", "10", "a number"),
+    ("backend", 3, "a string"),
+    ("machine", None, "a string"),
+    ("comm", ["dense"], "a string"),
+    ("comm_topology", 1, "a string"),
+    ("comm_compress", None, "a string"),
+    ("mp_failure_policy", 0, "a string"),
+    ("on_nan", 1, "a string or null"),
+    ("adaptive_restart", 1, "a boolean"),
+]
+
+
+class TestRuntimeKeys:
+    """Malformed ``runtime`` objects are 400s at submission, never queued."""
+
+    _SPEC = {"synthetic": {"d": 5, "m": 20}}
+
+    def _reject(self, runtime):
+        with pytest.raises(ValidationError) as exc:
+            SubmitRequest.from_json({"problem": self._SPEC, "runtime": runtime})
+        status, body = error_payload(exc.value)
+        assert status == 400 and body["type"] == "ValidationError"
+        return str(exc.value)
+
+    def test_unknown_key_rejected_at_submit(self):
+        assert "unknown runtime keys ['bogus']" in self._reject({"bogus": 1})
+
+    @pytest.mark.parametrize(
+        "key, value, kind", _BAD_RUNTIME,
+        ids=[f"{key}-{type(value).__name__}" for key, value, _ in _BAD_RUNTIME],
+    )
+    def test_mistyped_value_rejected_at_submit(self, key, value, kind):
+        assert f"runtime {key!r} must be {kind}" in self._reject({key: value})
+
+    def test_well_typed_runtime_accepted(self):
+        runtime = {
+            "nranks": 2, "epochs": 1, "iters_per_epoch": 4, "k": 2, "S": 1,
+            "b": 1, "seed": 0, "backend": "bsp", "machine": "comet_paper",
+            "comm": "dense", "comm_topology": "flat", "comm_compress": "none",
+            "mp_timeout": 30, "mp_failure_policy": "fail_fast",
+            "checkpoint_every": 0, "on_nan": None, "max_recoveries": 3,
+            "adaptive_restart": False,
+        }
+        req = SubmitRequest.from_json({"problem": self._SPEC, "runtime": runtime})
+        assert req.runtime == runtime
+
+
 def _result(w, converged=True):
     return SolveResult(w=np.asarray(w, dtype=float), converged=converged, n_iterations=7)
 

@@ -202,20 +202,6 @@ class TestFailures:
             assert job.error["retryable"] is False
         _run(main())
 
-    def test_unknown_runtime_key_fails_job(self):
-        async def main():
-            s = Scheduler()
-            await s.start()
-            try:
-                job = s.submit(SubmitRequest.from_json({
-                    "problem": _SPEC, "runtime": {"bogus_knob": 1},
-                    "solver": "sfista_dist",
-                }))
-                assert await s.wait(job, 30.0)
-            finally:
-                await s.stop()
-            assert job.state == "failed" and job.error_status == 400
-        _run(main())
 
 
 class TestObservability:

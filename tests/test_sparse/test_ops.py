@@ -6,8 +6,6 @@ import pytest
 from repro.exceptions import ShapeError
 from repro.sparse.csr import CSCMatrix, CSRMatrix
 from repro.sparse.ops import (
-    dense_gram_flops,
-    gemv_flops,
     gram_flops,
     rhs_flops,
     sampled_gram,
@@ -95,10 +93,8 @@ class TestFlopAccounting:
         nnz = int((D[:, cols] != 0).sum())
         assert rhs_flops(csc, cols) == 2 * nnz
 
-    def test_spmv_gemv(self):
+    def test_spmv_flops(self):
         assert spmv_flops(10) == 20
-        assert gemv_flops(3, 4) == 24
-        assert dense_gram_flops(3, 5) == 90
 
     def test_gram_flops_scale_with_density(self):
         gen = np.random.default_rng(0)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import PartitionError
-from repro.sparse.csr import CSCMatrix
-from repro.sparse.partition import ColumnPartition, local_block, partition_columns
+from repro.sparse.partition import ColumnPartition, partition_columns
 
 
 class TestPartitionColumns:
@@ -43,16 +42,6 @@ class TestColumnPartitionQueries:
     def part(self):
         return partition_columns(10, 3)  # sizes [4, 3, 3]
 
-    def test_owner_of(self, part):
-        assert part.owner_of(0) == 0
-        assert part.owner_of(3) == 0
-        assert part.owner_of(4) == 1
-        assert part.owner_of(9) == 2
-
-    def test_owner_out_of_range(self, part):
-        with pytest.raises(PartitionError):
-            part.owner_of(10)
-
     def test_local_slice_and_size(self, part):
         assert part.local_slice(1) == slice(4, 7)
         assert part.local_size(1) == 3
@@ -61,46 +50,9 @@ class TestColumnPartitionQueries:
         with pytest.raises(PartitionError):
             part.local_slice(3)
 
-    def test_to_local(self, part):
-        np.testing.assert_array_equal(part.to_local(1, np.array([4, 6])), [0, 2])
-
-    def test_to_local_not_owned(self, part):
-        with pytest.raises(PartitionError):
-            part.to_local(1, np.array([0]))
-
-    def test_restrict(self, part):
-        global_cols = np.array([0, 4, 5, 9, 4])
-        np.testing.assert_array_equal(part.restrict(1, global_cols), [0, 1, 0])
-
-    def test_restrict_union_covers_all(self, part):
-        gen = np.random.default_rng(0)
-        idx = gen.integers(0, 10, size=40)
-        total = sum(part.restrict(p, idx).size for p in range(3))
-        assert total == idx.size
-
-    def test_imbalance(self, part):
-        assert part.imbalance() == pytest.approx(4 / (10 / 3))
-
-    def test_imbalance_perfect(self):
-        assert partition_columns(8, 4).imbalance() == 1.0
-
     def test_invalid_offsets(self):
         with pytest.raises(PartitionError):
             ColumnPartition(m=5, nranks=2, offsets=np.array([0, 3]))
         with pytest.raises(PartitionError):
             ColumnPartition(m=5, nranks=2, offsets=np.array([0, 6, 5]))
 
-
-class TestLocalBlock:
-    def test_dense(self, rng):
-        X = rng.standard_normal((4, 9))
-        part = partition_columns(9, 2)
-        np.testing.assert_array_equal(local_block(X, part, 0), X[:, :5])
-
-    def test_sparse(self, medium_csr):
-        part = partition_columns(medium_csr.shape[1], 3)
-        block = local_block(medium_csr, part, 1)
-        assert isinstance(block, CSCMatrix)
-        np.testing.assert_array_equal(
-            block.to_dense(), medium_csr.to_dense()[:, part.local_slice(1)]
-        )

@@ -33,6 +33,11 @@ class TestAsGenerator:
     def test_none_gives_generator(self):
         assert isinstance(as_generator(None), np.random.Generator)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            as_generator(seed)
+
 
 class TestSpawnGenerators:
     def test_count(self):
