@@ -6,8 +6,8 @@ how large a simulated experiment the repo can run per second of host time.
 
 ``test_kernel_speedups`` additionally measures the wall-clock *ratios* of
 the fast-path kernels (Gram workspaces, CSC memo, the Gram-form
-objective value — see docs/PERFORMANCE.md) against their
-slow-path equivalents and writes them to
+objective value, the RFP stage-B write and stage-D product — see
+docs/PERFORMANCE.md) against their slow-path equivalents and writes them to
 ``benchmarks/output/kernels_run.json``; the CI perf gate diffs that
 report against ``benchmarks/baselines/kernels.json``. Ratios of two runs
 on the same host are machine-independent, so the committed floors hold on
@@ -23,8 +23,9 @@ from benchmarks._common import emit, emit_json
 from repro.core.objectives import L1LeastSquares
 from repro.distsim.collectives import allreduce_values
 from repro.sparse.csr import CSCMatrix, CSRMatrix
-from repro.sparse.ops import GramWorkspace, sampled_gram
+from repro.sparse.ops import GramWorkspace, packed_size, sampled_gram
 from repro.sparse.random import random_csr
+from repro.sparse.rfp import RFPGram, RFPMatvec, rfp_index
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,85 @@ def _value_gram_speedup(d=400, m=4000, evals=50):
     )
 
 
+def _rfp_blocks(d, nbar, k, seed):
+    """A dense epsilon-shaped rank gather (F-ordered, as ``X[:, cols]``)
+    of *k* sets of *nbar* columns, and its column spans."""
+    A = np.asfortranarray(np.random.default_rng(seed).standard_normal((d, k * nbar)))
+    return A, [(j * nbar, (j + 1) * nbar, j) for j in range(k)]
+
+
+def _rfp_gram_speedup(d=400, nbar=40, k=8):
+    """Stage B: ``dsfrk`` straight into the RFP rows vs inline numpy —
+    the full ``A @ A.T`` product, then a gather of its upper triangle
+    into the row and the scale pass (the row-major triangle layout)."""
+    A, spans = _rfp_blocks(d, nbar, k, 6)
+    scale = 1.0 / nbar
+    out = np.empty((k, packed_size(d)))
+    gram = RFPGram(d)
+    scratch = np.empty((d, d))
+    r = np.arange(d)
+    upper = np.flatnonzero(r[:, None] <= r)
+
+    def slow():
+        for lo, hi, j in spans:
+            np.matmul(A[:, lo:hi], A[:, lo:hi].T, out=scratch)
+            np.take(scratch.reshape(-1), upper, out=out[j], mode="clip")
+            out[j] *= scale
+
+    def fast():
+        gram(A, spans, scale, out)
+
+    fast()
+    for lo, hi, j in spans:
+        full = A[:, lo:hi] @ A[:, lo:hi].T * scale
+        np.testing.assert_allclose(out[j], full.reshape(-1)[rfp_index(d)], rtol=0, atol=1e-13)
+    return _best_of(slow) / _best_of(fast)
+
+
+def _rfp_matvec_speedup(d=400, nbar=40, k=8, products=3):
+    """Stage D of one round: ``products`` ``H_j @ u`` per shipped block
+    (S = 2 plus the SVRG right-hand side). The RFP path multiplies the
+    words as shipped; the slow side is inline numpy on the row-major
+    upper-triangle layout — scatter it into ``(d, d)``, mirror it in
+    64-row tiles, then dense ``H @ u``. A bare dense product without that
+    rebuild is faster than the four-call RFP product at this size."""
+    A, spans = _rfp_blocks(d, nbar, k, 7)
+    rows = np.empty((k, packed_size(d)))
+    RFPGram(d)(A, spans, 1.0 / nbar, rows)
+    r = np.arange(d)
+    upper_mask = r[:, None] <= r
+    tile_lower = np.tri(64, k=-1, dtype=bool)
+    triangles = [(A[:, lo:hi] @ A[:, lo:hi].T / nbar)[upper_mask] for lo, hi, _ in spans]
+    u = np.random.default_rng(8).standard_normal(d)
+    H = np.empty((d, d))
+    matvec = RFPMatvec(d)
+
+    def rebuild(tri):
+        H[upper_mask] = tri
+        for lo in range(0, d, 64):
+            hi = min(lo + 64, d)
+            H[lo:hi, :lo] = H[:lo, lo:hi].T
+            tile = H[lo:hi, lo:hi]
+            np.copyto(tile, tile.T, where=tile_lower[: hi - lo, : hi - lo])
+
+    def slow():
+        for tri in triangles:
+            rebuild(tri)
+            for _ in range(products):
+                H @ u
+
+    def fast():
+        for row in rows:
+            block = matvec.bind(row)
+            for _ in range(products):
+                block @ u
+
+    rebuild(triangles[0])
+    assert np.array_equal(H, H.T)
+    np.testing.assert_allclose(matvec.bind(rows[0]) @ u, H @ u, rtol=1e-12, atol=1e-12)
+    return _best_of(slow) / _best_of(fast)
+
+
 def test_kernel_speedups(csr, csc):
     """Measure fast-path/slow-path wall-clock ratios and emit the report."""
     speedups = {
@@ -208,6 +288,8 @@ def test_kernel_speedups(csr, csc):
         "gram_workspace_csc": _gram_speedup_csc(csc),
         "csc_memoization": _csc_memo_speedup(csr),
         "value_gram_dense": _value_gram_speedup(),
+        "rfp_gram": _rfp_gram_speedup(),
+        "rfp_matvec": _rfp_matvec_speedup(),
     }
     lines = [f"{name:>24s}: {ratio:8.2f}x" for name, ratio in speedups.items()]
     emit("kernels_speedups", "\n".join(lines))

@@ -3,7 +3,8 @@
 Verifies the closed-form model against counters measured on the simulator:
 message and word counts must match exactly; flops in expectation. The
 "W paper" column is the paper's d² count per H block, next to the
-d(d+1)/2-word packed upper triangle the solvers ship.
+d(d+1)/2 distinct entries the solvers ship (rectangular full packed
+format, see docs/COLLECTIVES.md).
 """
 
 import pytest

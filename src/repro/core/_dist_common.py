@@ -38,9 +38,9 @@ from repro.sparse.ops import (
     rhs_flops,
     sampled_gram_blocks,
     sampled_rhs,
-    unpack_symmetric,
 )
 from repro.sparse.partition import ColumnPartition, partition_columns
+from repro.sparse.rfp import RFPMatrix, RFPMatvec, gram_kernel
 
 __all__ = [
     "RankData",
@@ -88,7 +88,7 @@ class RankWorkspaces:
 
 
 def hessian_reuse_update(
-    H: np.ndarray,
+    H: np.ndarray | RFPMatrix,
     R: np.ndarray,
     v: np.ndarray,
     *,
@@ -104,8 +104,9 @@ def hessian_reuse_update(
     momentum point ``v``, iterate ``u ← prox(u − γ(Hu − R + ε(u − v)), γ)``
     with the penalty's ``prox(w, gamma)`` (for ``λ‖·‖₁`` the
     soft-threshold at ``λγ``). ``S=1, eps_reg=0`` is the plain SFISTA
-    step. The caller charges the ``UPDATE_FLOPS`` cost — this function is
-    pure arithmetic.
+    step. ``H`` is a shipped block (:class:`~repro.sparse.rfp.RFPMatrix`)
+    or a dense array; only ``H @ u`` is used. The caller charges the
+    ``UPDATE_FLOPS`` cost — this function is pure arithmetic.
     """
     u = v
     for _s in range(S):
@@ -115,7 +116,11 @@ def hessian_reuse_update(
 
 
 def svrg_rhs(
-    H: np.ndarray, correction: np.ndarray, anchor: np.ndarray, full_grad: np.ndarray, loss
+    H: np.ndarray | RFPMatrix,
+    correction: np.ndarray,
+    anchor: np.ndarray,
+    full_grad: np.ndarray,
+    loss,
 ) -> np.ndarray:
     """Stage-D right-hand side of the SVRG model: ``R = Hŵ − ∇f(ŵ) + corr``.
 
@@ -175,10 +180,10 @@ class RankData:
 
         Row ``j`` of the returned ``(len(idx_sets), stride)`` array is the
         local share of block ``j`` for the global sample set
-        ``idx_sets[j]``: the packed upper triangle of the symmetric
-        ``H_j = (1/m̄) X_p,S diag(c) X_p,Sᵀ`` (``d(d + 1)/2`` words, ``d``
-        the feature count; :func:`~repro.sparse.ops.unpack_symmetric`
-        restores it) followed, with ``rhs``, by
+        ``idx_sets[j]``: the symmetric ``H_j = (1/m̄) X_p,S diag(c)
+        X_p,Sᵀ`` in rectangular full packed format (``d(d + 1)/2`` words,
+        ``d`` the feature count; see :mod:`repro.sparse.rfp`) followed,
+        with ``rhs``, by
         ``R_j = (1/m̄) X_p,S r_p,S`` (``d`` words; ``response=None``
         zero-fills it). Summing the rows
         over ranks gives the global blocks exactly. ``weights`` and
@@ -354,12 +359,11 @@ class RankPlacement:
     scratch (:class:`RankWorkspaces`, each pool sized once for a round's
     ``blocks·m̄`` columns) and one stage-C payload buffer of ``blocks``
     blocks per rank, so :meth:`pack` builds each rank's blocks in place
-    with no per-iteration allocation. A block is the packed upper triangle
-    of the symmetric ``H_j`` (``d(d + 1)/2`` words) followed, with ``rhs``,
-    by ``R_j`` (``d`` words); :meth:`unpack` restores a reduced block. The
-    solver reads
-    ``placement.data`` afresh every round, because an elastic pool
-    shrink swaps it in :meth:`repartition`.
+    with no per-iteration allocation. A block is the symmetric ``H_j`` in
+    rectangular full packed format (``d(d + 1)/2`` words) followed, with
+    ``rhs``, by ``R_j`` (``d`` words); :meth:`block` reads a reduced block
+    as shipped. The solver reads ``placement.data`` afresh every round,
+    because an elastic pool shrink swaps it in :meth:`repartition`.
     """
 
     def __init__(self, data: DistributedData, loop, *, mbar: int, blocks: int, rhs: bool) -> None:
@@ -371,7 +375,7 @@ class RankPlacement:
         self._packed = packed_size(d)
         self._stride = self._packed + d if rhs else self._packed
         self._place(data)
-        self._H = np.empty((d, d))  # every unpacked H_j of the solve lands here
+        self._matvec = RFPMatvec(d)  # stage D runs on one thread
 
     def _place(self, data: DistributedData) -> None:
         d = data.problem.d
@@ -411,17 +415,15 @@ class RankPlacement:
         )
         return buf, flops
 
-    def unpack(self, combined: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    def block(self, combined: np.ndarray, j: int) -> tuple[RFPMatrix, np.ndarray]:
         """Block *j* of a reduced stage-C payload as ``(H_j, R_j)``.
 
-        ``H_j`` is unpacked (:func:`~repro.sparse.ops.unpack_symmetric`)
-        into one ``(d, d)`` buffer that every call reuses, so it is valid
-        until the next call; ``R_j`` is a view of *combined* (empty without
+        ``H_j`` multiplies its RFP words in place (``H_j @ u``); both are
+        views of *combined*, valid while it is (``R_j`` is empty without
         ``rhs``).
         """
         row = combined[j * self._stride : (j + 1) * self._stride]
-        d = self._H.shape[0]
-        return unpack_symmetric(row[: self._packed], d, self._H), row[self._packed :]
+        return self._matvec.bind(row[: self._packed]), row[self._packed :]
 
     def repartition(self, new_nranks: int, lost_ranks) -> float:
         """Shrink to *new_nranks*: re-scatter columns, rebuild rank-sized state.
@@ -442,6 +444,10 @@ class RankPlacement:
 def run_params(loop, nranks: int, problem: ERMObjective) -> dict:
     """The runtime keys every distributed solver reports in its run summary.
 
+    ``gram_kernel`` names the stage-B/D kernel path
+    (:func:`repro.sparse.rfp.gram_kernel`): ``"openblas"``, or the numpy
+    fallback.
+
     Each solver merges its own algorithm keys into this dict and hands the
     result to ``loop.start``; ``loop.finish`` returns it, with the outcome
     and the ``resilience``/``perf`` blocks, as ``SolveResult.meta``.
@@ -460,4 +466,5 @@ def run_params(loop, nranks: int, problem: ERMObjective) -> dict:
         "adaptive_restart": config.adaptive_restart,
         "loss": problem.loss.name,
         "penalty": problem.penalty.spec,
+        "gram_kernel": gram_kernel(),
     }

@@ -25,7 +25,7 @@ changes the communication pattern:
   inner iteration).
 * ``inner="sfista"`` — stochastic inner solver; every inner iteration
   builds a fresh sampled Hessian (one d(d+1)/2-word allreduce of its
-  upper triangle per inner iteration).
+  distinct entries per inner iteration).
 * ``inner="rc_sfista"`` — the paper's method; ``k`` sampled blocks per
   allreduce (k·d(d+1)/2 words every k inner iterations) and Hessian-reuse
   ``S``.
@@ -393,7 +393,7 @@ def proximal_newton_distributed(
                     block = min(block_k, inner_iters - done)
                     G = sampled_blocks(block)
                     for j in range(block):
-                        H_j, _ = placement.unpack(G, j)
+                        H_j, _ = placement.block(G, j)
                         # R of the linearized model with sampled H: Hw − ∇f(w).
                         R_j = H_j @ w - grad
                         backend.compute(2.0 * d * d, label="model_rhs")

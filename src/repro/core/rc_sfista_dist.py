@@ -7,11 +7,11 @@ Implements the four stages of Fig. 1 per outer round:
 * **Stage B** — each rank builds its ``k`` local blocks
   ``H_p = (1/m̄) X_{p,S} X_{p,S}ᵀ`` and (plain estimator) ``R_p``.
 * **Stage C** — ONE ``MPI_Allreduce`` of the concatenated blocks
-  ``G = [triu(H₁) | R₁ | … | triu(H_k) | R_k]`` — ``k(d(d + 1)/2 + d)``
+  ``G = [rfp(H₁) | R₁ | … | rfp(H_k) | R_k]`` — ``k(d(d + 1)/2 + d)``
   words — instead of the ``k`` separate allreduces SFISTA pays. Latency
   ÷ k, bandwidth unchanged (Table 1). Each symmetric ``H_j`` ships only
-  its upper triangle (Table 1 counts ``k(d² + d)``) and is unpacked after
-  the reduction.
+  its ``d(d + 1)/2`` distinct entries (Table 1 counts ``k(d² + d)``), in
+  rectangular full packed format, and stage D multiplies them as shipped.
 * **Stage D** — ``k`` unrolled iterations, each running ``S`` Hessian-reuse
   inner steps, fully local and replicated.
 
@@ -272,7 +272,7 @@ def rc_sfista_distributed(
                 # ---- stage D: k × S replicated local updates ----------- #
                 stop_now = False
                 for j in range(block):
-                    H, R = placement.unpack(combined, j)
+                    H, R = placement.block(combined, j)
                     if estimator is GradientEstimator.SVRG:
                         R = svrg_rhs(H, R, anchor, full_grad, loss)
                         backend.compute(2.0 * d * d, label="svrg_rhs")

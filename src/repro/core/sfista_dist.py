@@ -8,7 +8,7 @@ the same body on the zero-cost single-rank backend.
 
 Two communication modes:
 
-* ``"hessian"`` (paper-faithful) — allreduce ``[triu(H_n) | R_n]``,
+* ``"hessian"`` (paper-faithful) — allreduce ``[rfp(H_n) | R_n]``,
   ``d(d + 1)/2 + d`` words, each iteration, matching Table 1's
   ``O(N d² log P)`` bandwidth. Required by the PN framing where every
   rank needs ``H_n``.
@@ -329,7 +329,7 @@ def sfista_distributed(
                     backend.compute([fl for _buf, fl in results], label="hessian_blocks")
                     # Stage C: one allreduce of d(d+1)/2 + d words.
                     combined = loop.allreduce(packed, label="allreduce_HR")
-                    H, R = placement.unpack(combined, 0)
+                    H, R = placement.block(combined, 0)
                     if estimator is GradientEstimator.SVRG:
                         R = svrg_rhs(H, R, anchor, full_grad, loss)
                         backend.compute(2.0 * d * d, label="svrg_rhs")

@@ -194,14 +194,14 @@ def canonical_problem_spec(spec: Mapping[str, Any]) -> dict[str, Any]:
     for required in ("d", "m"):
         if required not in synth:
             raise ValidationError(f"synthetic spec needs {required!r}")
-        if not isinstance(synth[required], int) or synth[required] < 1:
+        if not _is_int(synth[required]) or synth[required] < 1:
             raise ValidationError(f"synthetic {required!r} must be a positive integer")
     out: dict[str, Any] = {"d": synth["d"], "m": synth["m"]}
     for key, default in _SYNTHETIC_DEFAULTS.items():
         value = synth.get(key, default)
         if key == "seed":
-            if not isinstance(value, int):
-                raise ValidationError("synthetic seed must be an integer")
+            if not _is_int(value) or value < 0:
+                raise ValidationError("synthetic seed must be a non-negative integer")
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValidationError(f"synthetic {key!r} must be numeric")
@@ -308,7 +308,7 @@ class SubmitRequest:
                 raise ValidationError("lam must be a number")
             kwargs["lam"] = float(lam)
         if "max_iter" in payload:
-            if not isinstance(payload["max_iter"], int):
+            if not _is_int(payload["max_iter"]):
                 raise ValidationError("max_iter must be an integer")
             kwargs["max_iter"] = payload["max_iter"]
         if "rel_change_tol" in payload:

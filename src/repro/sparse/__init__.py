@@ -19,7 +19,6 @@ from repro.sparse.ops import (
     sampled_gram_blocks,
     sampled_rhs,
     packed_size,
-    unpack_symmetric,
     gram_flops,
     rhs_flops,
     spmv_flops,
@@ -37,7 +36,6 @@ __all__ = [
     "sampled_gram_blocks",
     "sampled_rhs",
     "packed_size",
-    "unpack_symmetric",
     "gram_flops",
     "rhs_flops",
     "spmv_flops",

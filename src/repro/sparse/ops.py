@@ -20,12 +20,12 @@ metadata so the cost model and the numerics cannot drift apart.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 
 import numpy as np
 
 from repro.exceptions import ShapeError, ValidationError
 from repro.sparse.csr import CSCMatrix, CSRMatrix
+from repro.sparse.rfp import RFPGram
 
 __all__ = [
     "GramWorkspace",
@@ -33,7 +33,6 @@ __all__ = [
     "sampled_rhs",
     "sampled_gram_blocks",
     "packed_size",
-    "unpack_symmetric",
     "gram_flops",
     "rhs_flops",
     "spmv_flops",
@@ -49,11 +48,11 @@ class GramWorkspace:
     every round, so the dense block they are gathered into can live in
     one pool: ``max_cols`` (a rank's ``k·m̄`` columns per round) sizes it
     at its first borrow, and it never regrows after. The ``(d, d)``
-    scratch the Gram product is formed in stays cache-resident across
-    calls, next to ``upper``, the flat index of its upper triangle that
-    packs each block into the stage-C payload. Both live and die with the
-    workspace, so a solve leaves no index behind. Results are
-    bit-identical to the allocating path.
+    scratch :func:`sampled_gram` forms its product in stays cache-resident
+    across calls, and :func:`sampled_gram_blocks` borrows one
+    :class:`~repro.sparse.rfp.RFPGram`, the stage-B writer with its BLAS
+    arguments built once. All live and die with the workspace. Results
+    are bit-identical to the allocating path.
 
     ``reuses`` counts borrows served without growing a buffer — it feeds
     the ``gram_workspace_reuses`` runtime counter (see docs/PERFORMANCE.md).
@@ -66,7 +65,7 @@ class GramWorkspace:
         self._pool_size = d * int(max_cols)
         self._pool = np.empty(0, dtype=np.float64)
         self._scratch = np.empty((d, d), dtype=np.float64)
-        self.upper = _triu_index(d)
+        self._rfp_gram: RFPGram | None = None
         self.reuses = 0
 
     def dense_block(self, rows: int, ncols: int) -> np.ndarray:
@@ -90,10 +89,17 @@ class GramWorkspace:
         """Borrow the ``(d, d)`` scratch the Gram product is formed in."""
         if self._scratch.shape != (d, d):
             self._scratch = np.empty((d, d), dtype=np.float64)
-            self.upper = _triu_index(d)
         else:
             self.reuses += 1
         return self._scratch
+
+    def rfp_gram(self, d: int) -> RFPGram:
+        """Borrow the stage-B writer of order *d* (see :func:`sampled_gram_blocks`)."""
+        if self._rfp_gram is None or self._rfp_gram.d != d:
+            self._rfp_gram = RFPGram(d)
+        else:
+            self.reuses += 1
+        return self._rfp_gram
 
 
 def _select_columns_dense(
@@ -220,56 +226,9 @@ def sampled_rhs(
 
 
 def packed_size(d: int) -> int:
-    """Words of one packed symmetric ``(d, d)`` block: its upper triangle."""
+    """Words of one packed symmetric ``(d, d)`` block: its ``d(d + 1)/2``
+    distinct entries, in RFP (see :mod:`repro.sparse.rfp`)."""
     return d * (d + 1) // 2
-
-
-def _triu_index(d: int) -> np.ndarray:
-    """Flat indices of the upper triangle of a ``(d, d)`` array, row by row.
-
-    Kept writeable: ``np.take`` copies a read-only index on every gather.
-    """
-    r = np.arange(d)
-    return np.flatnonzero(r[:, None] <= r)
-
-
-@lru_cache(maxsize=8)
-def _upper_mask(d: int) -> np.ndarray:
-    """The ``(d, d)`` boolean mask of the upper triangle (diagonal included)."""
-    r = np.arange(d)
-    return r[:, None] <= r
-
-
-#: Tile edge of the mirror in :func:`unpack_symmetric`, and the strictly
-#: lower triangle of one diagonal tile.
-_TILE = 64
-_TILE_LOWER = np.tri(_TILE, k=-1, dtype=bool)
-
-
-def unpack_symmetric(packed: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
-    """Write the symmetric ``(d, d)`` matrix whose packed upper triangle is *packed*.
-
-    The inverse of the stage-C layout of :func:`sampled_gram_blocks`: one
-    masked scatter writes the upper triangle, then ``64``-row tiles copy
-    their transposed column block into the lower triangle, so each
-    off-diagonal value lands in both of its mirrored places and the result
-    is exactly symmetric. Only the boolean mask (a byte per entry) is
-    cached: an 8-byte position index of every entry, kept for the
-    process, pinned the allocator's heap after the first solve and raised
-    the peak RSS of later allocations. ``out`` is a C-contiguous float64
-    ``(d, d)`` buffer, written in place and returned.
-    """
-    if packed.shape != (packed_size(d),):
-        raise ShapeError(f"packed block must have {packed_size(d)} entries, got {packed.shape}")
-    if out.shape != (d, d) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ShapeError(f"out must be C-contiguous float64 of shape {(d, d)}")
-    out[_upper_mask(d)] = packed
-    for lo in range(0, d, _TILE):
-        hi = min(lo + _TILE, d)
-        out[lo:hi, :lo] = out[:lo, lo:hi].T
-        tile = out[lo:hi, lo:hi]
-        np.copyto(tile, tile.T, where=_TILE_LOWER[: hi - lo, : hi - lo])
-    return out
 
 
 def sampled_gram_blocks(
@@ -289,24 +248,25 @@ def sampled_gram_blocks(
     ``cols`` holds the sets one after another, set ``j`` being
     ``cols[offsets[j]:offsets[j + 1]]`` (an ``indptr``-style list of
     ``k + 1`` offsets). Row ``j`` of the ``(k, stride)`` result holds the
-    upper triangle of the symmetric ``H_j = scale·X_{S_j} diag(c)
-    X_{S_j}ᵀ``, row by row (``stride = d(d + 1)/2``, see
+    ``d(d + 1)/2`` distinct entries of the symmetric ``H_j = scale·X_{S_j}
+    diag(c) X_{S_j}ᵀ`` in rectangular full packed format
+    (:mod:`repro.sparse.rfp`; ``stride = d(d + 1)/2``, see
     :func:`packed_size`), followed, with ``rhs``, by
     ``R_j = scale·X_{S_j} r_{S_j}`` (``stride = d(d + 1)/2 + d``;
     ``response=None`` zero-fills it). An empty set's block is zero.
-    :func:`unpack_symmetric` restores the full ``H_j``.
+    :meth:`RFPMatvec.bind <repro.sparse.rfp.RFPMatvec.bind>` multiplies a
+    row as it stands.
 
     All of ``cols`` is gathered into one ``(d, len(cols))`` block and each
     block is computed on a column view of it: the ``R_j`` from the
     unweighted columns, then, after one in-place ``√c`` scaling of the
-    whole block, the ``H_j``. Each product runs in the workspace's
-    ``(d, d)`` scratch; BLAS syrk mirrors it exactly (pinned by
-    ``tests/test_sparse/test_symmetry.py``), so its upper triangle is
-    gathered into the payload and scaled there, the only pass over the
-    cold payload. Every unpacked block is bit-identical to
-    :func:`sampled_gram`/:func:`sampled_rhs` on its own set, as the scale
-    commutes with the selection. ``out`` and ``workspace`` work as in
-    :func:`sampled_gram`; size the workspace for ``len(cols)`` columns.
+    whole block, the ``H_j``, written by BLAS ``dsfrk`` straight into its
+    payload row with the scale as ``α`` (:class:`~repro.sparse.rfp.RFPGram`).
+    ``H_j`` agrees with :func:`sampled_gram` on its own set to rounding
+    (BLAS orders the sums of the RFP kernel differently from a full
+    ``syrk``); ``R_j`` is bit-identical to :func:`sampled_rhs`. ``out``
+    (C-contiguous) and ``workspace`` work as in :func:`sampled_gram`;
+    size the workspace for ``len(cols)`` columns.
     """
     cols = np.asarray(cols, dtype=np.int64)
     offsets = [int(o) for o in offsets]
@@ -320,22 +280,22 @@ def sampled_gram_blocks(
     stride = t + d if rhs else t
     if out is None:
         out = np.empty((k, stride), dtype=np.float64)
-    elif out.shape != (k, stride) or out.dtype != np.float64:
-        raise ShapeError(f"out must be float64 of shape {(k, stride)}")
+    elif out.shape != (k, stride) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be C-contiguous float64 of shape {(k, stride)}")
     if cols.size == 0:
         out.fill(0.0)
         return out
     A = _select_columns_dense(X, cols, workspace)
     spans = []  # (first column, end column, output row) of each non-empty set
-    for lo, hi, row in zip(offsets, offsets[1:], out):
+    for j, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
         if hi > lo:
-            spans.append((lo, hi, row))
+            spans.append((lo, hi, j))
         else:
-            row.fill(0.0)
+            out[j].fill(0.0)
     if rhs and response is not None:
         r = np.asarray(response, dtype=np.float64)[cols]
-        for lo, hi, row in spans:
-            R_j = row[t:]
+        for lo, hi, j in spans:
+            R_j = out[j, t:]
             np.matmul(A[:, lo:hi], r[lo:hi], out=R_j)
             R_j *= scale
     elif rhs:
@@ -343,16 +303,8 @@ def sampled_gram_blocks(
     if weights is not None:
         # The gather is a fresh copy or workspace scratch, never X itself.
         A *= _sqrt_weights(weights, cols)
-    if workspace is not None:
-        scratch, upper = workspace.gram_scratch(d), workspace.upper
-    else:
-        scratch, upper = np.empty((d, d)), _triu_index(d)
-    for lo, hi, row in spans:
-        H_j = row[:t]
-        np.matmul(A[:, lo:hi], A[:, lo:hi].T, out=scratch)
-        # mode="clip" writes straight into H_j; the default buffers a copy.
-        np.take(scratch.reshape(-1), upper, out=H_j, mode="clip")
-        H_j *= scale
+    gram = RFPGram(d) if workspace is None else workspace.rfp_gram(d)
+    gram(A, spans, scale, out)
     return out
 
 

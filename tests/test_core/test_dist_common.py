@@ -9,7 +9,8 @@ from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.sfista_dist import sfista_distributed
 from repro.exceptions import ValidationError
 from repro.perf.model import update_flops_per_step
-from repro.sparse.ops import sampled_gram, unpack_symmetric
+from repro.sparse.ops import sampled_gram
+from tests.test_sparse.rfp_oracle import rfp_to_dense
 
 
 class TestDistributeProblem:
@@ -52,7 +53,7 @@ class TestRankContributions:
         total = np.zeros((p.d, p.d))
         for rd in data.ranks:
             blocks, _local, _fl = rd.sampled_hessian_contribution([idx], mbar, p.d)
-            total += unpack_symmetric(blocks[0], p.d, np.empty((p.d, p.d)))
+            total += rfp_to_dense(blocks[0], p.d)
         expected = sampled_gram(p.X, np.sort(idx), scale=1.0 / mbar)
         np.testing.assert_allclose(total, expected, atol=1e-10)
 
@@ -105,7 +106,7 @@ class TestRankContributions:
         total = np.zeros((p.d, p.d))
         for rd in data.ranks:
             blocks, _l, _f = rd.sampled_hessian_contribution([idx], idx.size, p.d)
-            total += unpack_symmetric(blocks[0], p.d, np.empty((p.d, p.d)))
+            total += rfp_to_dense(blocks[0], p.d)
         expected = sampled_gram(p.X, np.sort(idx), scale=1.0 / idx.size)
         np.testing.assert_allclose(total, expected, atol=1e-10)
 
@@ -120,7 +121,7 @@ class TestUpdateFlopsConsistency:
 RUNTIME_KEYS = {
     "nranks", "machine", "allreduce_algorithm", "comm", "comm_topology",
     "comm_compress", "checkpoint_every", "on_nan", "max_recoveries",
-    "adaptive_restart", "loss", "penalty",
+    "adaptive_restart", "loss", "penalty", "gram_kernel",
 }
 
 #: One tiny fixed-budget run per distributed solver.

@@ -14,6 +14,7 @@ from repro.core.sfista_dist import importance_probabilities, sfista_distributed
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
 from repro.utils.rng import sample_indices_weighted
+from tests.test_sparse.rfp_oracle import rfp_to_dense
 
 
 def sfista(problem, **kw):
@@ -30,8 +31,8 @@ def weighted_stage_b(problem, mbar):
 
     def build(idx, omega):
         buf, _flops = placement.pack(0, [idx], weights=omega, response=problem.y * omega)
-        H, R = placement.unpack(buf, 0)
-        return H.copy(), R.copy()
+        H, R = placement.block(buf, 0)
+        return rfp_to_dense(H.words, problem.d), R.copy()
 
     return build
 

@@ -43,7 +43,8 @@ from repro.distsim.trace import Trace
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
 from repro.sparse.csr import CSCMatrix
-from repro.sparse.ops import packed_size, unpack_symmetric
+from repro.sparse.ops import packed_size
+from tests.test_sparse.rfp_oracle import rfp_to_dense
 
 pytestmark = pytest.mark.losses
 
@@ -358,7 +359,7 @@ def test_sampled_model_gradient_is_the_sampled_loss_gradient(seed, loss, sparse)
             [idx], mbar, d, weights=c, response=r, rhs=True
         )
         t = packed_size(d)
-        return unpack_symmetric(out[0, :t], d, np.empty((d, d))), out[0, t:]
+        return rfp_to_dense(out[0, :t], d), out[0, t:]
 
     def sampled_grad(point):
         z = dense[:, idx].T @ point

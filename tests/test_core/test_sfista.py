@@ -11,6 +11,7 @@ from repro.core.sfista_dist import sfista_distributed
 from repro.core.stopping import StoppingCriterion
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
+from tests.test_sparse.rfp_oracle import rfp_to_dense
 
 
 def sfista(problem, **kw):
@@ -26,8 +27,8 @@ def stage_b(problem, mbar):
 
     def build(idx, response=None):
         buf, _flops = placement.pack(0, [idx], response=response)
-        H, R = placement.unpack(buf, 0)
-        return H.copy(), R.copy()
+        H, R = placement.block(buf, 0)
+        return rfp_to_dense(H.words, problem.d), R.copy()
 
     return build
 

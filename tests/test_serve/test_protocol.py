@@ -61,6 +61,10 @@ class TestCanonicalSpec:
         {"synthetic": {"d": 10, "m": 50, "bogus": 1}},
         {"synthetic": {"d": 10, "m": 50, "seed": 1.5}},
         "not-a-dict",
+        # Rejected at submit, not first in the worker that builds the problem.
+        {"synthetic": {"d": 10, "m": 50, "seed": -1}},
+        {"synthetic": {"d": 10, "m": 50, "seed": True}},
+        {"synthetic": {"d": True, "m": 50}},
     ])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValidationError):
@@ -146,6 +150,8 @@ class TestSubmitRequest:
         [],
         # Retired: rc_sfista_dist runs the same RC-SFISTA schedule.
         {"problem": {"synthetic": {"d": 5, "m": 20}}, "solver": "rc_sfista_spmd"},
+        # A bool is an int subclass; it must not pass as max_iter=1.
+        {"problem": {"synthetic": {"d": 5, "m": 20}}, "max_iter": True},
     ])
     def test_bad_requests_rejected(self, bad):
         with pytest.raises(ValidationError) as exc:

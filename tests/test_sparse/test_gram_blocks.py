@@ -1,12 +1,12 @@
 """The batched stage-B kernel: one column gather per rank per round.
 
 ``RankPlacement.pack`` builds a rank's k blocks from a single gather of
-its local columns (``sampled_gram_blocks``). Every block, its ``H_j``
-unpacked from the shipped upper triangle, must equal the per-block
-allocating reference — ``sampled_gram``/``sampled_rhs`` on that block's
-own columns, no workspace — byte for byte, whatever the layout of the
-shared gather. The dense gather itself must touch only the selected
-columns of a rank's strided column slice.
+its local columns (``sampled_gram_blocks``). Every block must equal the
+per-block allocating reference — the same kernel on that block's own
+columns, one set per call, no workspace — byte for byte, whatever the
+layout of the shared gather (``test_packed_blocks.py`` holds each block
+against ``sampled_gram``/``sampled_rhs``). The dense gather itself must
+touch only the selected columns of a rank's strided column slice.
 """
 
 import tracemalloc
@@ -27,8 +27,6 @@ from repro.sparse.ops import (
     rhs_flops,
     sampled_gram,
     sampled_gram_blocks,
-    sampled_rhs,
-    unpack_symmetric,
 )
 
 D, M, NRANKS, MBAR = 12, 160, 4, 30
@@ -56,31 +54,14 @@ def _sample_sets(k: int, rng) -> list[np.ndarray]:
 
 
 def _reference(rank_data, idx_sets, *, weights, response, rhs) -> bytes:
-    """Per-block allocating kernels, one block at a time: ``H_j`` then ``R_j``."""
-    d = rank_data.X_local.shape[0]
+    """The allocating kernel one set at a time, each from its own gather."""
     parts = []
     for idx in idx_sets:
         local = rank_data._restrict(idx)
-        H = np.zeros((d, d))
-        R = np.zeros(d)
-        if local.size:
-            H = sampled_gram(rank_data.X_local, local, scale=1.0 / MBAR, weights=weights)
-            if response is not None:
-                R = sampled_rhs(rank_data.X_local, response, local, scale=1.0 / MBAR)
-        parts.append(H.ravel())
-        if rhs:
-            parts.append(R)
-    return np.concatenate(parts).tobytes()
-
-
-def _unpacked(buf: np.ndarray, k: int, rhs: bool) -> bytes:
-    """The shipped blocks with each ``H_j`` unpacked: the reference layout."""
-    H = np.empty((D, D))
-    parts = []
-    for row in buf.reshape(k, -1):
-        parts.append(unpack_symmetric(row[:T], D, H).ravel().copy())
-        if rhs:
-            parts.append(row[T:])
+        parts.append(sampled_gram_blocks(
+            rank_data.X_local, local, [0, local.size], scale=1.0 / MBAR, weights=weights,
+            response=response, rhs=rhs,
+        ))
     return np.concatenate(parts).tobytes()
 
 
@@ -116,7 +97,7 @@ def test_pack_is_bit_identical_to_per_block_reference(kind, weighted, rhs, with_
             response = rng.standard_normal(rank_data.m_local) if with_response else None
             buf, flops = placement.pack(p, idx_sets, weights=weights, response=response)
             want = _reference(rank_data, idx_sets, weights=weights, response=response, rhs=rhs)
-            assert _unpacked(buf, len(idx_sets), rhs) == want
+            assert buf.tobytes() == want
             assert flops == _reference_flops(
                 rank_data, idx_sets, weighted=weighted, rhs_charged=with_response
             )

@@ -1,13 +1,13 @@
 """The packed stage-C layout: each symmetric ``H_j`` ships once.
 
 ``sampled_gram_blocks`` writes row ``j`` of a rank's payload as
-``[triu(H_j) | R_j]``: the upper triangle of ``H_j`` row by row
-(``d(d+1)/2`` words), then, with ``rhs``, ``R_j`` (``d`` words).
-``unpack_symmetric`` restores ``H_j``. These tests pin the layout against
-an independent packing (``np.triu_indices``), the round trip against the
-per-block allocating kernels, the exact symmetry of the unpacked matrix,
-the reduce-then-unpack order the solvers rely on, and the payload length
-``k(d(d+1)/2 + d)`` the cost model charges.
+``[rfp(H_j) | R_j]``: the ``d(d+1)/2`` distinct entries of ``H_j`` in
+rectangular full packed format, then, with ``rhs``, ``R_j`` (``d``
+words). These tests read the layout with an independent oracle
+(``rfp_oracle.rfp_to_dense``, from LAPACK's definition) and pin the
+round trip against the per-block allocating kernels, the reduce-then-
+unpack order the solvers rely on, the stage-D product on the shipped
+words, and the payload length ``k(d(d+1)/2 + d)`` the cost model charges.
 """
 
 from types import SimpleNamespace
@@ -21,7 +21,9 @@ from repro.distsim.collectives import ceil_log2
 from repro.exceptions import ShapeError
 from repro.perf.model import rc_sfista_costs, sfista_costs
 from repro.sparse.csr import CSCMatrix, CSRMatrix
-from repro.sparse.ops import packed_size, sampled_gram, sampled_rhs, unpack_symmetric
+from repro.sparse.ops import packed_size, sampled_gram, sampled_rhs
+from repro.sparse.rfp import RFPMatvec, rfp_index
+from tests.test_sparse.rfp_oracle import assert_gram_close, assert_matvec_close, rfp_to_dense
 
 D, M, NRANKS, MBAR = 9, 120, 3, 24
 T = packed_size(D)
@@ -61,8 +63,6 @@ def _placement(kind: str, k: int, rhs: bool):
 def test_unpacked_blocks_are_the_per_block_kernels(kind, weighted, rhs, with_response, k):
     data, placement = _placement(kind, k, rhs)
     rng = np.random.default_rng([k, int(weighted), int(rhs), int(with_response)])
-    upper = np.triu_indices(D)
-    H = np.empty((D, D))
     saw_empty = False
     # The short final round reuses the buffers sized for k blocks.
     for idx_sets in (_sample_sets(k, rng), _sample_sets(max(1, k - 1), rng)):
@@ -80,10 +80,7 @@ def test_unpacked_blocks_are_the_per_block_kernels(kind, weighted, rhs, with_res
                     H_ref = sampled_gram(X, local, scale=1.0 / MBAR, weights=weights)
                     if with_response:
                         R_ref = sampled_rhs(X, response, local, scale=1.0 / MBAR)
-                assert row[:T].tobytes() == H_ref[upper].tobytes()
-                unpack_symmetric(row[:T], D, H)
-                assert H.tobytes() == H_ref.tobytes()
-                assert np.array_equal(H, H.T)
+                assert_gram_close(rfp_to_dense(row[:T], D), H_ref, local.size)
                 if rhs:
                     assert row[T:].tobytes() == R_ref.tobytes()
     assert saw_empty or k == 1
@@ -92,22 +89,37 @@ def test_unpacked_blocks_are_the_per_block_kernels(kind, weighted, rhs, with_res
 @pytest.mark.parametrize("kind", ["dense", "csc"])
 def test_reduce_then_unpack_equals_unpack_then_reduce(kind):
     """Summing the packed payloads over ranks and mirroring once gives the
-    bytes of summing the full blocks in the same order: iterates cannot
-    move with the layout."""
+    bytes of summing the full blocks in the same order: the reduction
+    cannot move with the layout."""
     data, placement = _placement(kind, 4, True)
     rng = np.random.default_rng(2)
     idx_sets = _sample_sets(4, rng)
     packed_sum = np.zeros(4 * (T + D))
     full_sum = np.zeros((4, D, D))
-    H = np.empty((D, D))
     for p, rank_data in enumerate(data.ranks):
         weights = rng.uniform(0.0, 0.5, rank_data.m_local)
         buf, _ = placement.pack(p, idx_sets, weights=weights)
         packed_sum += buf
         for j, row in enumerate(buf.reshape(4, -1)):
-            full_sum[j] += unpack_symmetric(row[:T], D, H)
+            full_sum[j] += rfp_to_dense(row[:T], D)
     for j, row in enumerate(packed_sum.reshape(4, -1)):
-        assert unpack_symmetric(row[:T], D, H).tobytes() == full_sum[j].tobytes()
+        assert rfp_to_dense(row[:T], D).tobytes() == full_sum[j].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dense", "csc"])
+def test_stage_d_multiplies_the_shipped_block(kind):
+    """``placement.block`` reads a reduced row as shipped: ``H_j @ u`` is
+    the oracle's dense product to rounding, ``R_j`` a view of the row."""
+    data, placement = _placement(kind, 4, True)
+    rng = np.random.default_rng(3)
+    idx_sets = _sample_sets(4, rng)
+    combined = sum(placement.pack(p, idx_sets)[0].copy() for p in range(NRANKS))
+    for j in range(4):
+        H, R = placement.block(combined, j)
+        dense = rfp_to_dense(combined[j * (T + D) : j * (T + D) + T], D)
+        for u in (rng.standard_normal(D), np.zeros(D)):
+            assert_matvec_close(H @ u, dense, u)
+        assert np.shares_memory(R, combined) and R.shape == (D,)
 
 
 @pytest.mark.parametrize("k", [1, 4, 8])
@@ -132,24 +144,35 @@ def test_placement_buffers_hold_k_packed_blocks(rhs):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 63, 64, 65, 128, 196])
 def test_unpack_inverts_the_upper_triangle(d):
+    """The oracle inverts the library's RFP index (the numpy fallback's
+    stage-B gather), which reads only the upper triangle."""
     rng = np.random.default_rng(d)
     A = rng.standard_normal((d, d))
     S = A + A.T
-    out = np.full((d, d), np.nan)
-    assert unpack_symmetric(S[np.triu_indices(d)], d, out) is out
-    assert out.tobytes() == S.tobytes()
+    index = rfp_index(d)
+    assert np.all(index // d <= index % d)
+    assert rfp_to_dense(S.reshape(-1)[index], d).tobytes() == S.tobytes()
+    lower_nan = np.triu(S) + np.tril(np.full((d, d), np.nan), -1)
+    assert rfp_to_dense(lower_nan.reshape(-1)[index], d).tobytes() == S.tobytes()
 
 
 class TestUnpackChecks:
     def test_packed_length(self):
         with pytest.raises(ShapeError, match="entries"):
-            unpack_symmetric(np.zeros(T + 1), D, np.empty((D, D)))
+            RFPMatvec(D).bind(np.zeros(T + 1))
 
     @pytest.mark.parametrize(
-        "out",
-        [np.empty((D, D + 1)), np.empty((D, D), dtype=np.float32), np.empty((D, D), order="F")],
-        ids=["shape", "dtype", "fortran"],
+        "words",
+        [np.zeros(T, dtype=np.float32), np.zeros(2 * T)[::2], np.zeros((1, T))],
+        ids=["dtype", "strided", "2d"],
     )
-    def test_out_buffer(self, out):
-        with pytest.raises(ShapeError, match="out"):
-            unpack_symmetric(np.zeros(T), D, out)
+    def test_block_words(self, words):
+        """Words go to BLAS by pointer: only contiguous float64 rows."""
+        with pytest.raises(ShapeError, match="entries"):
+            RFPMatvec(D).bind(words)
+
+    def test_vector_shape(self):
+        H = RFPMatvec(D).bind(np.zeros(T))
+        for x in (np.zeros(D + 1), np.zeros((D, 1)), 1.0):
+            with pytest.raises(ShapeError, match="vector"):
+                H @ x

@@ -1,15 +1,15 @@
 """Symmetry guard for the sampled-Gram kernels.
 
-The kernels skip the ``0.5·(S + Sᵀ)`` pass: numpy hands ``A @ A.T`` to
-BLAS syrk, which computes one triangle and mirrors it, so the raw product
-is exactly symmetric, and the stage-C payload ships only its upper
-triangle. This file pins that property for every block layout
-the kernels multiply — dense (F-ordered fancy-index gathers) and CSR/CSC
-(C-ordered densified gathers), weighted and unweighted, both memory
-orders, and column views of a ``k·n̄``-column gather whose leading
-dimension is ``k·n̄``. A numpy or BLAS that stops mirroring fails here
-instead of silently changing bits downstream: the unpacked payload
-block would no longer equal the full kernel output.
+``sampled_gram`` skips the ``0.5·(S + Sᵀ)`` pass: numpy hands ``A @ A.T``
+to BLAS syrk, which computes one triangle and mirrors it, so the raw
+product is exactly symmetric. This file pins that property for every
+block layout the kernels multiply — dense (F-ordered fancy-index
+gathers) and CSR/CSC (C-ordered densified gathers), weighted and
+unweighted, both memory orders, and column views of a ``k·n̄``-column
+gather whose leading dimension is ``k·n̄``. The stage-C payload stores
+each off-diagonal entry once (RFP), so its blocks are symmetric by
+construction; they must agree with the full kernel output to rounding
+for the same layouts.
 """
 
 import numpy as np
@@ -22,8 +22,8 @@ from repro.sparse.ops import (
     packed_size,
     sampled_gram,
     sampled_gram_blocks,
-    unpack_symmetric,
 )
+from tests.test_sparse.rfp_oracle import assert_gram_close, rfp_to_dense
 
 #: (d, k, n̄): a degenerate shape, small odd ones, and the mnist (196, 25)
 #: and epsilon (400, 40) rank shapes of the solve benchmarks.
@@ -77,18 +77,13 @@ def test_kernel_outputs_are_exactly_symmetric(kind, weighted, d, k, nbar):
     weights = rng.uniform(0.0, 0.25, m) if weighted else None
     cols = rng.integers(0, m, size=k * nbar)
     offsets = list(range(0, cols.size + 1, nbar))
-    H = np.empty((d, d))
     for workspace in (None, GramWorkspace(d, cols.size)):
         blocks = sampled_gram_blocks(
             X, cols, offsets, scale=1.0 / nbar, weights=weights, workspace=workspace
         )
         assert blocks.shape == (k, packed_size(d))
         for lo, row in zip(offsets, blocks):
-            # The shipped upper triangle restores the full kernel output:
-            # its mirrored lower triangle is what syrk wrote there.
             full = sampled_gram(X, cols[lo : lo + nbar], scale=1.0 / nbar, weights=weights)
             _assert_symmetric(full)
-            unpack_symmetric(row, d, H)
-            _assert_symmetric(H)
-            assert H.tobytes() == full.tobytes()
+            assert_gram_close(rfp_to_dense(row, d), full, nbar)
         _assert_symmetric(sampled_gram(X, cols, weights=weights, workspace=workspace))
