@@ -1,19 +1,20 @@
 #!/usr/bin/env python
 """Proximal Newton pipeline: RC-SFISTA as the inner solver (paper §3.3 / Fig. 7).
 
-Shows the PN method (Alg. 1) solving a lasso problem with three inner
-solvers — exact coordinate descent, FISTA on the quadratic model, and the
-communication-avoiding RC-SFISTA — and compares the distributed
-communication footprint of the FISTA vs RC-SFISTA inner loops.
+Shows the PN method (Alg. 1) solving a lasso problem with its three inner
+solvers — FISTA on the quadratic model, SFISTA on sampled Hessians, and the
+communication-avoiding RC-SFISTA — run serially (the one PN body at P=1 on
+the serial backend), then compares the distributed communication footprint
+of the FISTA vs RC-SFISTA inner loops.
 
 Run:  python examples/proximal_newton_pipeline.py
 """
 
-from repro.core import proximal_newton, solve_reference
-from repro.core.prox_newton import proximal_newton_distributed
+from repro.core import proximal_newton_distributed, solve_reference
 from repro.core.stopping import StoppingCriterion
 from repro.data import get_dataset
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 
 def main() -> None:
@@ -22,11 +23,16 @@ def main() -> None:
     fstar = solve_reference(problem, tol=1e-9).meta["fstar"]
     stop = StoppingCriterion(tol=1e-6, fstar=fstar)
 
-    # --- serial PN with different inner solvers ------------------------- #
+    # --- serial PN (P=1, serial backend) with each inner solver --------- #
     rows = []
-    for inner, iters in (("cd", 50), ("fista", 150)):
-        res = proximal_newton(
-            problem, n_outer=10, inner=inner, inner_iters=iters, stopping=stop
+    for inner, kw in (
+        ("fista", {}),
+        ("sfista", {"b": 0.2}),
+        ("rc_sfista", {"k": 4, "S": 2, "b": 0.2}),
+    ):
+        res = proximal_newton_distributed(
+            problem, 1, inner=inner, n_outer=10, inner_iters=150, stopping=stop,
+            seed=0, runtime=RuntimeConfig(backend="serial"), **kw,
         )
         rows.append(
             [f"PN + {inner}", res.n_iterations, f"{res.history.rel_errors[-1]:.2e}",
@@ -35,7 +41,7 @@ def main() -> None:
     print(format_table(
         ["variant", "outer iters", "final rel err", "converged"],
         rows,
-        title="Serial proximal Newton (Alg. 1)",
+        title="Serial proximal Newton (Alg. 1, P=1 on the serial backend)",
     ))
 
     # --- distributed PN: the Fig. 7 communication comparison ------------ #

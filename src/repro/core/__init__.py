@@ -9,13 +9,14 @@ Solvers
 * :func:`repro.core.rc_sfista_dist.rc_sfista_distributed` — RC-SFISTA
   with iteration overlapping ``k`` and Hessian-reuse ``S`` (paper Alg. 5,
   Fig. 1).
+* :func:`repro.core.prox_newton.proximal_newton_distributed` — the outer
+  PN method (paper Alg. 1) with FISTA, SFISTA or RC-SFISTA as the inner
+  solver (Fig. 7).
 
-  Each is one body for every rank count: ``nranks=1`` with
+  Each of these three is one body for every rank count: ``nranks=1`` with
   ``runtime=RuntimeConfig(backend="serial")`` is the serial solver.
-* :func:`repro.core.prox_newton.proximal_newton` — the outer PN method
-  (paper Alg. 1) with pluggable inner solvers.
 * :func:`repro.core.cd.coordinate_descent_lasso` — coordinate-descent
-  lasso (PN inner-solver alternative and the ProxCoCoA local solver).
+  lasso (the CLI's ``cd`` solver and the ProxCoCoA local solver).
 * :func:`repro.core.proxcocoa.proxcocoa` — the ProxCoCoA baseline
   (Smith et al. 2015) on the same simulated cluster.
 * :func:`repro.core.reference.solve_reference` — high-accuracy optimum
@@ -25,10 +26,7 @@ Solvers
 from repro.core.proximal import (
     soft_threshold,
     L1Prox,
-    L2SquaredProx,
     ElasticNetProx,
-    BoxProx,
-    ZeroProx,
     GroupL1Prox,
 )
 from repro.core.model import (
@@ -45,14 +43,14 @@ from repro.core.model import (
     make_penalty,
     parse_penalty_spec,
 )
-from repro.core.objectives import L1LeastSquares, QuadraticModel
+from repro.core.objectives import L1LeastSquares
 from repro.core.results import SolveResult, History
 from repro.core.stopping import StoppingCriterion, relative_objective_error
 from repro.core.fista import fista, ista
 from repro.core.sfista import GradientEstimator, stochastic_step_size
 from repro.core.sfista_dist import sfista_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.prox_newton import proximal_newton
+from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.cd import coordinate_descent_lasso
 from repro.core.proxcocoa import proxcocoa
 from repro.core.reference import solve_reference
@@ -65,10 +63,7 @@ from repro.core.cv import cross_validate_lambda, kfold_indices, CVResult
 __all__ = [
     "soft_threshold",
     "L1Prox",
-    "L2SquaredProx",
     "ElasticNetProx",
-    "BoxProx",
-    "ZeroProx",
     "GroupL1Prox",
     "LOSSES",
     "PENALTIES",
@@ -83,7 +78,6 @@ __all__ = [
     "parse_penalty_spec",
     "canonical_penalty_spec",
     "L1LeastSquares",
-    "QuadraticModel",
     "SolveResult",
     "History",
     "StoppingCriterion",
@@ -94,7 +88,7 @@ __all__ = [
     "stochastic_step_size",
     "sfista_distributed",
     "rc_sfista_distributed",
-    "proximal_newton",
+    "proximal_newton_distributed",
     "coordinate_descent_lasso",
     "proxcocoa",
     "solve_reference",

@@ -53,7 +53,7 @@ def _prepare(
 ) -> tuple[float, ProximalOperator, np.ndarray]:
     if prox is None:
         # An ERMObjective carries its penalty; L1Prox(lam) remains the
-        # fallback for bare quadratic models handed an explicit λ.
+        # fallback for duck-typed smooth problems that carry only a λ.
         prox = getattr(problem, "penalty", None)
         if prox is None:
             lam = getattr(problem, "lam", None)
@@ -98,9 +98,9 @@ def fista(
     Parameters
     ----------
     problem:
-        :class:`L1LeastSquares`, :class:`QuadraticModel` (with explicit
-        *prox*), or any object exposing ``gradient(w)``, ``value(w)`` and
-        ``d``.
+        Any :class:`~repro.core.model.ERMObjective`, or any object
+        exposing ``gradient(w)``, ``value(w)`` and ``d`` (with an explicit
+        *prox* when it has no ``penalty``).
     step_size:
         γ; defaults to ``1/L`` via the problem's Lipschitz estimate.
     stopping:

@@ -511,7 +511,7 @@ class ERMObjective:
     :class:`~repro.core.objectives.L1LeastSquares` and
     :class:`~repro.core.logistic.L1Logistic` only name two pairs. All
     solvers consume the same surface: ``value``/``smooth_value``/
-    ``reg_value``/``gradient``/``hessian``/``hessian_at``/``rhs``/
+    ``reg_value``/``gradient``/``hessian``/``rhs``/
     ``lipschitz``/``default_step`` plus the step-size statistics
     ``max_sample_lipschitz`` and ``sampled_hessian_deviation``.
     ``at_lam`` gives the same objective at another λ over the same caches.
@@ -614,14 +614,6 @@ class ERMObjective:
         z = self.predictions(w)
         return _matvec_x(self.X, self.loss.grad(z, self.y)) / self.m
 
-    def hessian_at(self, w: np.ndarray) -> np.ndarray:
-        """``∇²f(w) = (1/m) X diag(ℓ''(z, y)) Xᵀ`` (dense, symmetrized)."""
-        z = self.predictions(w)
-        weights = self.loss.curvature(z, self.y)
-        dense = self.X if isinstance(self.X, np.ndarray) else self.X.to_dense()
-        H = (dense * weights[None, :]) @ dense.T / self.m
-        return 0.5 * (H + H.T)
-
     @property
     def constant_curvature(self) -> bool:
         """True when ``∇²f`` does not depend on ``w`` (squared loss)."""
@@ -630,8 +622,8 @@ class ERMObjective:
     def _require_constant_curvature(self) -> None:
         if not self.constant_curvature:
             raise ValidationError(
-                f"the {self.loss.name} loss has w-dependent curvature; "
-                "use hessian_at(w)"
+                f"the {self.loss.name} loss has w-dependent curvature, "
+                "so it has no constant Hessian"
             )
 
     @property
@@ -639,9 +631,8 @@ class ERMObjective:
         """The constant dense Hessian ``H = (1/m) X Xᵀ`` (Eq. 4; cached).
 
         Constant-curvature losses only. ``D @ D.T`` on one buffer runs as a
-        symmetric rank-k update, which is exactly symmetric and which
-        ``hessian_at``'s weighted product is not, so the two differ in the
-        last bits. The product is scaled in place: one d² buffer.
+        symmetric rank-k update, which is exactly symmetric. The product is
+        scaled in place: one d² buffer.
         """
         self._require_constant_curvature()
 

@@ -13,12 +13,11 @@ approximately minimizes it with a first-order inner solver, and steps
 either exact or the uniformly-sampled ``(1/m̄) X_S X_Sᵀ`` (paper §3.3 /
 §5.5).
 
-:func:`proximal_newton` is the serial method (inner solvers: FISTA on the
-quadratic model, or exact coordinate descent).
-
-:func:`proximal_newton_distributed` reproduces the Fig. 7 experiment: the
-*inner solver's* communication dominates, and the choice of inner solver
-changes the communication pattern:
+:func:`proximal_newton_distributed` is the one PN body for every rank
+count: ``nranks=1`` with ``runtime=RuntimeConfig(backend="serial")`` is the
+serial method. It reproduces the Fig. 7 experiment: the *inner solver's*
+communication dominates, and the choice of inner solver changes the
+communication pattern:
 
 * ``inner="fista"`` — deterministic FISTA; every inner iteration applies
   the exact Hessian through the distributed data (one d-word allreduce per
@@ -42,144 +41,16 @@ from repro.core._dist_common import (
     hessian_reuse_update,
     run_params,
 )
-from repro.core.cd import coordinate_descent_quadratic
-from repro.core.fista import fista, momentum_mu, t_next
+from repro.core.fista import momentum_mu, t_next
 from repro.core.model import ERMObjective
-from repro.core.objectives import QuadraticModel
 from repro.core.results import History, SolveResult
 from repro.core.stopping import StoppingCriterion
 from repro.exceptions import ValidationError
 from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend
-from repro.sparse.ops import GramWorkspace, sampled_gram
 from repro.utils.rng import RandomState, as_generator, minibatch_size, sample_indices
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_positive
 
-__all__ = ["proximal_newton", "proximal_newton_distributed"]
-
-
-def proximal_newton(
-    problem: ERMObjective,
-    *,
-    n_outer: int = 10,
-    inner: str = "fista",
-    inner_iters: int = 50,
-    b_hessian: float = 1.0,
-    damping: float = 1.0,
-    line_search: bool = False,
-    seed: RandomState = 0,
-    stopping: StoppingCriterion | None = None,
-    w0: np.ndarray | None = None,
-) -> SolveResult:
-    """Serial proximal Newton (Alg. 1).
-
-    Parameters
-    ----------
-    inner:
-        ``"fista"`` (accelerated proximal gradient on the model) or
-        ``"cd"`` (exact coordinate minimization, ``inner_iters`` epochs).
-    b_hessian:
-        Hessian sampling rate; 1.0 uses the exact Hessian.
-    damping:
-        Step ``γ_n`` applied to the Newton direction (Alg. 1 line 6).
-    line_search:
-        Backtracking on ``γ_n``: halve the step until ``F`` does not
-        increase (Lee–Sun–Saunders-style globalization). Makes PN robust
-        when the sampled Hessian misestimates curvature; a full step is
-        tried first, so well-behaved problems are unaffected.
-    """
-    if n_outer < 1 or inner_iters < 1:
-        raise ValidationError("n_outer and inner_iters must be >= 1")
-    if inner not in ("fista", "cd"):
-        raise ValidationError(f"inner must be 'fista' or 'cd', got {inner!r}")
-    check_in_range(b_hessian, "b_hessian", 0.0, 1.0, low_inclusive=False)
-    check_positive(damping, "damping")
-    stopping = stopping or StoppingCriterion()
-    # Inherit the problem's own (loss, penalty). The exact-CD inner solver
-    # minimizes the l1 model in closed form and supports no other penalty.
-    penalty = problem.penalty
-    if inner == "cd" and penalty.name != "l1":
-        raise ValidationError(
-            "inner='cd' supports only the plain l1 penalty; use "
-            f"inner='fista' for {penalty.spec!r}"
-        )
-    rng = as_generator(seed)
-    d, lam = problem.d, problem.lam
-
-    w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
-    if w.shape != (d,):
-        raise ValidationError(f"w0 must have shape ({d},), got {w.shape}")
-    mbar = minibatch_size(problem.m, b_hessian) if b_hessian < 1.0 else problem.m
-    # Scratch for the sampled-Hessian branch, reused across outer rounds
-    # (H itself is freshly allocated each time — the model keeps it).
-    gram_ws = GramWorkspace(d, mbar) if b_hessian < 1.0 else None
-
-    history = History()
-    prev_obj: float | None = None
-    converged = False
-    outer_done = 0
-    # Constant-curvature problems (squared loss) use the cached Hessian or
-    # the data-only sampled Gram; w-dependent curvature (e.g. logistic)
-    # routes through hessian_at.
-    for n in range(1, n_outer + 1):
-        grad = problem.gradient(w)
-        if not problem.constant_curvature:
-            # General ERM objectives (e.g. logistic) expose curvature at the
-            # current iterate — Alg. 1 line 3 in its general form.
-            H = problem.hessian_at(w)
-        elif b_hessian >= 1.0:
-            H = problem.hessian
-        else:
-            idx = sample_indices(rng, problem.m, mbar)
-            H = sampled_gram(problem.X, idx, workspace=gram_ws)
-        model = QuadraticModel.from_linearization(H, grad, w)
-        if inner == "fista":
-            L = model.lipschitz()
-            step = 1.0 / L if L > 0 else 1.0
-            z = fista(
-                model,
-                prox=penalty,
-                w0=w,
-                step_size=step,
-                max_iter=inner_iters,
-                monitor_every=max(1, inner_iters),
-            ).w
-        else:
-            z = coordinate_descent_quadratic(model.H, model.R, lam, u0=w, max_epochs=inner_iters)
-        direction = z - w
-        if line_search:
-            current = problem.value(w)
-            step = damping
-            for _bt in range(30):
-                candidate = w + step * direction
-                if problem.value(candidate) <= current + 1e-12:
-                    break
-                step *= 0.5
-            w = w + step * direction
-        else:
-            w = w + damping * direction
-        outer_done = n
-
-        obj = problem.value(w)
-        history.append(n, obj, stopping.rel_error(obj))
-        if stopping.satisfied(obj, prev_obj):
-            converged = True
-            break
-        prev_obj = obj
-
-    return SolveResult(
-        w=w,
-        converged=converged,
-        n_iterations=outer_done,
-        history=history,
-        meta={
-            "solver": "proximal_newton",
-            "inner": inner,
-            "inner_iters": inner_iters,
-            "b_hessian": b_hessian,
-            "damping": damping,
-            "line_search": line_search,
-        },
-    )
+__all__ = ["proximal_newton_distributed"]
 
 
 def proximal_newton_distributed(

@@ -9,8 +9,9 @@ The proximal mapping of a convex function ``g`` with step ``γ`` is
 
 For the l1-regularized least squares problem the paper targets,
 ``g(w) = λ‖w‖₁`` and the prox is the soft-thresholding operator
-``S_{λγ}(β) = sign(β)·max(|β| − λγ, 0)`` (Eq. 14). Other standard
-regularizers are provided for the general composite problem of Eq. (1).
+``S_{λγ}(β) = sign(β)·max(|β| − λγ, 0)`` (Eq. 14). The elastic-net and
+group-l1 operators serve the other penalties of the general composite
+problem of Eq. (1) (see :func:`repro.core.model.make_penalty`).
 
 Every operator satisfies (and the property tests verify):
 
@@ -32,10 +33,7 @@ __all__ = [
     "soft_threshold",
     "ProximalOperator",
     "L1Prox",
-    "L2SquaredProx",
     "ElasticNetProx",
-    "BoxProx",
-    "ZeroProx",
     "GroupL1Prox",
 ]
 
@@ -79,20 +77,6 @@ class L1Prox(ProximalOperator):
         return soft_threshold(np.asarray(w, dtype=np.float64), self.lam * gamma)
 
 
-class L2SquaredProx(ProximalOperator):
-    """``g(w) = (λ/2)‖w‖²`` — ridge; prox is uniform shrinkage."""
-
-    def __init__(self, lam: float) -> None:
-        self.lam = check_positive(lam, "lambda", strict=False)
-
-    def value(self, w: np.ndarray) -> float:
-        return 0.5 * self.lam * float(np.dot(w, w))
-
-    def prox(self, w: np.ndarray, gamma: float) -> np.ndarray:
-        gamma = self._check_gamma(gamma)
-        return np.asarray(w, dtype=np.float64) / (1.0 + self.lam * gamma)
-
-
 class ElasticNetProx(ProximalOperator):
     """``g(w) = λ₁‖w‖₁ + (λ₂/2)‖w‖²`` — soft-threshold then shrink."""
 
@@ -108,35 +92,6 @@ class ElasticNetProx(ProximalOperator):
         return soft_threshold(np.asarray(w, dtype=np.float64), self.lam1 * gamma) / (
             1.0 + self.lam2 * gamma
         )
-
-
-class BoxProx(ProximalOperator):
-    """Indicator of the box ``[lo, hi]^d``; prox is clipping."""
-
-    def __init__(self, lo: float, hi: float) -> None:
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ValidationError(f"invalid box [{lo}, {hi}]")
-        self.lo = float(lo)
-        self.hi = float(hi)
-
-    def value(self, w: np.ndarray) -> float:
-        w = np.asarray(w)
-        return 0.0 if bool(np.all((w >= self.lo) & (w <= self.hi))) else float("inf")
-
-    def prox(self, w: np.ndarray, gamma: float) -> np.ndarray:
-        self._check_gamma(gamma)
-        return np.clip(np.asarray(w, dtype=np.float64), self.lo, self.hi)
-
-
-class ZeroProx(ProximalOperator):
-    """``g ≡ 0`` — reduces proximal gradient to plain gradient descent."""
-
-    def value(self, w: np.ndarray) -> float:
-        return 0.0
-
-    def prox(self, w: np.ndarray, gamma: float) -> np.ndarray:
-        self._check_gamma(gamma)
-        return np.asarray(w, dtype=np.float64).copy()
 
 
 class GroupL1Prox(ProximalOperator):

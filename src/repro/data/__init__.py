@@ -1,26 +1,22 @@
 """Datasets: synthetic generators and the Table 2 benchmark registry."""
 
-from repro.data.synthetic import make_regression, make_correlated_regression
+from repro.data.synthetic import make_regression
 from repro.data.datasets import (
     Dataset,
     DatasetSpec,
     DATASETS,
     get_dataset,
     dataset_table,
-    dataset_from_libsvm,
 )
-from repro.data.scaling import normalize_feature_rows, normalize_sample_columns, center_labels
+from repro.data.scaling import normalize_feature_rows, normalize_sample_columns
 
 __all__ = [
     "make_regression",
-    "make_correlated_regression",
     "Dataset",
     "DatasetSpec",
     "DATASETS",
     "get_dataset",
     "dataset_table",
-    "dataset_from_libsvm",
     "normalize_feature_rows",
     "normalize_sample_columns",
-    "center_labels",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "DATASETS",
     "get_dataset",
     "dataset_table",
-    "dataset_from_libsvm",
 ]
 
 
@@ -198,51 +197,6 @@ def get_dataset(name: str, *, size: str = "scaled") -> Dataset:
     grad0 = (X @ y if isinstance(X, np.ndarray) else X.matvec(y)) / m
     lam = spec.lam_ratio * float(np.max(np.abs(grad0)))
     return Dataset(spec=spec, X=X, y=y, w_true=w_true, lam=lam)
-
-
-def dataset_from_libsvm(
-    path: str,
-    *,
-    name: str = "custom",
-    lam_ratio: float = 0.1,
-    normalize: bool = True,
-    n_features: int | None = None,
-) -> Dataset:
-    """Wrap a real LIBSVM file in the registry's :class:`Dataset` interface.
-
-    Applies the same preprocessing the synthetic registry uses (unit-norm
-    samples, λ as a fraction of λ_max) so real data drops into every
-    experiment and solver unchanged. ``w_true`` is unknown for real data
-    and returned as zeros.
-    """
-    from repro.sparse.io import load_libsvm
-
-    if not (0.0 < lam_ratio <= 1.0):
-        raise DatasetError(f"lam_ratio must lie in (0, 1], got {lam_ratio}")
-    X, y = load_libsvm(path, n_features=n_features)
-    if X.shape[0] == 0 or X.shape[1] == 0:
-        raise DatasetError(f"{path} contains no usable data")
-    if normalize:
-        X, _norms = normalize_sample_columns(X)
-    grad0 = (X @ y if isinstance(X, np.ndarray) else X.matvec(y)) / X.shape[1]
-    lam_max = float(np.max(np.abs(grad0)))
-    if lam_max <= 0:
-        raise DatasetError("labels are orthogonal to the data; lambda_max is zero")
-    spec = DatasetSpec(
-        name=name,
-        paper_rows=X.shape[1],
-        paper_cols=X.shape[0],
-        paper_density=X.density if not isinstance(X, np.ndarray) else 1.0,
-        paper_size="n/a",
-        scaled_m=X.shape[1],
-        scaled_d=X.shape[0],
-        density=X.density if not isinstance(X, np.ndarray) else 1.0,
-        lam=lam_ratio,
-        lam_ratio=lam_ratio,
-        seed=0,
-        note=f"loaded from {path}",
-    )
-    return Dataset(spec=spec, X=X, y=y, w_true=np.zeros(X.shape[0]), lam=lam_ratio * lam_max)
 
 
 def dataset_table(*, size: str = "scaled") -> list[dict[str, object]]:

@@ -1,8 +1,8 @@
 """Feature/label preprocessing.
 
 Standard lasso practice: scale feature rows to unit norm so a single λ is
-meaningful across features, and (dense data only) center labels. Sparse
-matrices are scaled without centering to preserve sparsity.
+meaningful across features. Sparse matrices are scaled without centering
+to preserve sparsity.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 from repro.sparse.csr import CSCMatrix, CSRMatrix
 from repro.exceptions import ValidationError
 
-__all__ = ["normalize_feature_rows", "normalize_sample_columns", "center_labels"]
+__all__ = ["normalize_feature_rows", "normalize_sample_columns"]
 
 
 def normalize_sample_columns(
@@ -68,12 +68,3 @@ def normalize_feature_rows(
         scaled, norms = normalize_feature_rows(csr)
         return scaled.to_csc(), norms  # type: ignore[union-attr]
     raise ValidationError(f"unsupported matrix type {type(X).__name__}")
-
-
-def center_labels(y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return ``(y − mean, mean)``."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValidationError(f"y must be 1-D, got shape {y.shape}")
-    mean = float(y.mean()) if y.size else 0.0
-    return y - mean, mean

@@ -17,7 +17,7 @@ from repro.sparse.random import random_coo
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_in_range, check_positive
 
-__all__ = ["make_regression", "make_correlated_regression"]
+__all__ = ["make_regression"]
 
 
 def _ground_truth(rng: np.random.Generator, d: int, support: int) -> np.ndarray:
@@ -80,37 +80,4 @@ def make_regression(
         X = COOMatrix(coo.rows, coo.cols, coo.data * scales[coo.rows], coo.shape).to_csc()
         predictions = X.rmatvec(w_true)
     y = predictions + noise * gen.standard_normal(m)
-    return X, y, w_true
-
-
-def make_correlated_regression(
-    d: int,
-    m: int,
-    *,
-    correlation: float = 0.5,
-    support_fraction: float = 0.2,
-    noise: float = 0.05,
-    rng: RandomState = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense problem with AR(1)-correlated features (condition-number knob).
-
-    Adjacent features have correlation ``ρ = correlation``; higher ρ makes
-    the Hessian worse conditioned, slowing first-order solvers — useful for
-    stress-testing acceleration and Hessian-reuse.
-    """
-    if d < 1 or m < 1:
-        raise ValidationError(f"d and m must be >= 1, got ({d}, {m})")
-    rho = check_in_range(correlation, "correlation", 0.0, 1.0, high_inclusive=False)
-    check_positive(noise, "noise", strict=False)
-    gen = as_generator(rng)
-    w_true = _ground_truth(gen, d, max(1, int(round(support_fraction * d))))
-
-    # AR(1) process down the feature axis: x_j = ρ x_{j-1} + √(1−ρ²) ε_j.
-    Z = gen.standard_normal((d, m))
-    X = np.empty((d, m))
-    X[0] = Z[0]
-    scale = np.sqrt(1.0 - rho * rho)
-    for j in range(1, d):
-        X[j] = rho * X[j - 1] + scale * Z[j]
-    y = X.T @ w_true + noise * gen.standard_normal(m)
     return X, y, w_true

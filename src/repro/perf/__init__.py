@@ -16,7 +16,7 @@ from repro.perf.bounds import (
     recommend_k,
     recommend_s,
 )
-from repro.perf.report import format_table, format_series
+from repro.perf.report import format_table
 
 __all__ = [
     "AlgorithmCosts",
@@ -32,5 +32,4 @@ __all__ = [
     "recommend_k",
     "recommend_s",
     "format_table",
-    "format_series",
 ]

@@ -1,6 +1,6 @@
-"""Plain-text table and series formatting for benchmark output.
+"""Plain-text table formatting for benchmark output.
 
-The benchmark harness prints the same rows/series the paper reports; these
+The benchmark harness prints the same rows the paper reports; these
 helpers keep that output aligned and dependency-free.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-__all__ = ["format_table", "format_series", "format_value"]
+__all__ = ["format_table", "format_value"]
 
 
 def format_value(value: Any, precision: int = 4) -> str:
@@ -43,12 +43,3 @@ def format_table(
     for row in str_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(
-    name: str, xs: Sequence[Any], ys: Sequence[Any], *, x_label: str = "x", y_label: str = "y"
-) -> str:
-    """Render one (x, y) series as two aligned columns."""
-    if len(xs) != len(ys):
-        raise ValueError(f"series {name!r}: {len(xs)} x-values vs {len(ys)} y-values")
-    return format_table([x_label, y_label], list(zip(xs, ys)), title=f"series: {name}")

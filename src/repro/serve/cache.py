@@ -1,4 +1,4 @@
-"""Cross-request solve cache: problems, workspaces and warm-start ladders.
+"""Cross-request solve cache: problems and warm-start ladders.
 
 The serving workload (ROADMAP item 2) is dominated by *repeats*: λ-grids
 swept over one problem, the same problem re-submitted by many tenants,
@@ -9,8 +9,6 @@ from cold solves into warm ones by keeping, per problem fingerprint:
   or synthetic matrix is often more expensive than a warm solve;
 * the matrix's **memoized CSC twin** (primed once, reused by every Gram
   evaluation — the 80× kernel of PR 5);
-* a reusable :class:`~repro.sparse.ops.GramWorkspace` sized to the
-  problem, handed to runtime solvers so batched requests share scratch;
 * a :class:`~repro.core.warmstart.WarmStartLadder` — the same
   implementation the regularization-path sweep uses — holding the best
   iterate per λ.
@@ -42,7 +40,6 @@ from repro.data.synthetic import make_regression
 from repro.exceptions import ValidationError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.protocol import canonical_problem_spec, problem_fingerprint
-from repro.sparse.ops import GramWorkspace
 
 __all__ = ["CacheEntry", "SolveCache"]
 
@@ -56,7 +53,6 @@ class CacheEntry:
     problem: ERMObjective  # at the entry's default λ
     default_lam: float
     ladder: WarmStartLadder
-    workspace: GramWorkspace
     #: Cached problem views at previously requested λs (``at_lam`` views:
     #: the CSC memo, the Gram and the Lipschitz estimates stay shared).
     _at_lam: dict[float, ERMObjective] = field(default_factory=dict)
@@ -132,7 +128,7 @@ class SolveCache:
 
     # -- problems -------------------------------------------------------- #
     def entry_for(self, spec: Mapping[str, Any]) -> CacheEntry:
-        """The cache entry for *spec*, building problem + workspace on miss."""
+        """The cache entry for *spec*, building problem + ladder on miss."""
         canonical = canonical_problem_spec(spec)
         fp = problem_fingerprint(canonical)
         with self._lock:
@@ -155,7 +151,6 @@ class SolveCache:
             problem=problem,
             default_lam=float(problem.lam),
             ladder=WarmStartLadder(problem.d),
-            workspace=GramWorkspace(problem.d),
         )
         with self._lock:
             existing = self._entries.get(fp)

@@ -14,8 +14,8 @@ objective: ``"loss"`` (one of :data:`~repro.core.model.LOSSES`, default
 ``"squared"``) and ``"penalty"`` (a spec string like ``"l1"`` or
 ``"elastic_net:l2=0.5"``, default ``"l1"``). Specs are canonicalised and
 fingerprinted (:func:`problem_fingerprint`) — two requests naming the same
-spec share one cached problem instance, its memoized CSC twin, its Gram
-workspace and its warm-start ladder, while requests differing only in
+spec share one cached problem instance, its memoized CSC twin and its
+warm-start ladder, while requests differing only in
 loss or penalty never collide (docs/SERVING.md).
 
 Failure mapping (the table in docs/SERVING.md):
@@ -70,7 +70,7 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: Solvers a job may request. The serial solvers accept warm starts
 #: (``w0``); the runtime solvers execute on any RuntimeConfig backend and
-#: still benefit from the cached problem + workspaces.
+#: still benefit from the cached problem.
 SERVE_SOLVERS = ("fista", "ista", "sfista_dist", "rc_sfista_dist")
 
 #: The keys a request's ``runtime`` object may carry, each with the JSON

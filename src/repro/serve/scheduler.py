@@ -10,10 +10,10 @@ handed to them and the (internally locked) cache.
 **Batching.** When a job is dispatched, every queued job with the same
 ``batch_key`` (problem fingerprint, solver, budget, runtime knobs) is
 pulled into the same *multi-start run*: one worker, one cache entry, one
-problem instance, one Gram workspace — each start solved in submission
-order. Each start is the identical solver call it would have been solo,
-so batched results are bit-identical to individually submitted solves
-(pinned by tests/test_serve/test_scheduler.py).
+problem instance — each start solved in submission order. Each start is
+the identical solver call it would have been solo, so batched results are
+bit-identical to individually submitted solves (pinned by
+tests/test_serve/test_scheduler.py).
 
 **Cancellation.** A queued job is removed from the queue and reported
 ``cancelled`` immediately. A running job cannot be interrupted mid-solve

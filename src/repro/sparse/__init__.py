@@ -21,7 +21,6 @@ from repro.sparse.ops import (
     packed_size,
     gram_flops,
     rhs_flops,
-    spmv_flops,
 )
 from repro.sparse.partition import ColumnPartition, partition_columns
 from repro.sparse.io import load_libsvm, save_libsvm
@@ -38,7 +37,6 @@ __all__ = [
     "packed_size",
     "gram_flops",
     "rhs_flops",
-    "spmv_flops",
     "ColumnPartition",
     "partition_columns",
     "load_libsvm",

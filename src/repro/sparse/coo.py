@@ -29,8 +29,7 @@ class COOMatrix:
         ``int64`` index arrays of equal length ``nnz``.
     data:
         ``float64`` value array of length ``nnz``. Explicit zeros are kept
-        (they count as stored entries) — call :meth:`eliminate_zeros` to drop
-        them.
+        (they count as stored entries).
     shape:
         ``(n_rows, n_cols)``.
     """
@@ -93,26 +92,6 @@ class COOMatrix:
     def transpose(self) -> "COOMatrix":
         """Return the transpose (swap row/column indices — O(1) data reuse)."""
         return COOMatrix(self.cols, self.rows, self.data, (self.shape[1], self.shape[0]))
-
-    def sum_duplicates(self) -> "COOMatrix":
-        """Combine duplicate ``(row, col)`` entries by summation."""
-        if self.nnz == 0:
-            return self
-        n, m = self.shape
-        keys = self.rows * m + self.cols
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        data_sorted = self.data[order]
-        boundaries = np.flatnonzero(np.diff(keys_sorted)) + 1
-        starts = np.concatenate(([0], boundaries))
-        summed = np.add.reduceat(data_sorted, starts)
-        unique_keys = keys_sorted[starts]
-        return COOMatrix(unique_keys // m, unique_keys % m, summed, self.shape)
-
-    def eliminate_zeros(self) -> "COOMatrix":
-        """Drop explicitly stored zero entries."""
-        mask = self.data != 0.0
-        return COOMatrix(self.rows[mask], self.cols[mask], self.data[mask], self.shape)
 
     # ------------------------------------------------------------------ #
     # conversions

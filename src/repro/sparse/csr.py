@@ -148,10 +148,6 @@ class CSRMatrix:
         total = n * m
         return self.nnz / total if total else 0.0
 
-    def row_nnz(self) -> np.ndarray:
-        """Stored entries per row."""
-        return np.diff(self.indptr)
-
     # ------------------------------------------------------------------ #
     # kernels
     # ------------------------------------------------------------------ #
@@ -179,19 +175,6 @@ class CSRMatrix:
             np.add.at(out, self.indices, self.data * v[_row_ids(self.indptr)])
         return out
 
-    def matmat(self, B: np.ndarray) -> np.ndarray:
-        """Sparse-dense product ``A @ B`` for dense ``B`` of shape ``(m, p)``."""
-        B = np.asarray(B, dtype=np.float64)
-        n, m = self.shape
-        if B.ndim != 2 or B.shape[0] != m:
-            raise ShapeError(f"matmat expects B with {m} rows, got shape {B.shape}")
-        out = np.zeros((n, B.shape[1]), dtype=np.float64)
-        if self.nnz:
-            contrib = self.data[:, None] * B[self.indices]
-            nonempty = np.flatnonzero(np.diff(self.indptr))
-            out[nonempty] = np.add.reduceat(contrib, self.indptr[nonempty], axis=0)
-        return out
-
     def select_rows(self, rows: np.ndarray) -> "CSRMatrix":
         """Return ``A[rows, :]`` (duplicates allowed, order preserved)."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -212,10 +195,6 @@ class CSRMatrix:
             nonempty = np.flatnonzero(np.diff(self.indptr))
             out[nonempty] = np.add.reduceat(sq, self.indptr[nonempty])
         return out
-
-    def scale(self, alpha: float) -> "CSRMatrix":
-        """Return ``alpha * A``."""
-        return CSRMatrix(self.indptr, self.indices, self.data * float(alpha), self.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -58,10 +58,14 @@ def parse_libsvm_lines(
         if len(parts) > 1:
             try:
                 pairs = [p.split(":", 1) for p in parts[1:]]
-                idx = np.array([int(i) - offset for i, _ in pairs], dtype=np.int64)
+                index_values = [int(i) - offset for i, _ in pairs]
                 val = np.array([float(v) for _, v in pairs], dtype=np.float64)
             except (ValueError, IndexError) as exc:
                 raise FormatError(f"line {lineno}: malformed feature pair") from exc
+            try:
+                idx = np.array(index_values, dtype=np.int64)
+            except OverflowError as exc:
+                raise FormatError(f"line {lineno}: feature index out of int64 range") from exc
             if not np.isfinite(val).all():
                 raise FormatError(f"line {lineno}: non-finite feature value")
             if idx.size and idx.min() < 0:

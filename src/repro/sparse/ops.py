@@ -35,7 +35,6 @@ __all__ = [
     "packed_size",
     "gram_flops",
     "rhs_flops",
-    "spmv_flops",
 ]
 
 Matrix = np.ndarray | CSRMatrix | CSCMatrix
@@ -48,7 +47,8 @@ class GramWorkspace:
     every round, so the dense block they are gathered into can live in
     one pool: ``max_cols`` (a rank's ``k·m̄`` columns per round) sizes it
     at its first borrow, and it never regrows after. The ``(d, d)``
-    scratch :func:`sampled_gram` forms its product in stays cache-resident
+    scratch :func:`sampled_gram` forms its product in is allocated at its
+    first borrow too (no solver path borrows it) and stays cache-resident
     across calls, and :func:`sampled_gram_blocks` borrows one
     :class:`~repro.sparse.rfp.RFPGram`, the stage-B writer with its BLAS
     arguments built once. All live and die with the workspace. Results
@@ -64,7 +64,7 @@ class GramWorkspace:
             raise ShapeError(f"GramWorkspace needs d >= 1, got {d}")
         self._pool_size = d * int(max_cols)
         self._pool = np.empty(0, dtype=np.float64)
-        self._scratch = np.empty((d, d), dtype=np.float64)
+        self._scratch = np.empty((0, 0), dtype=np.float64)
         self._rfp_gram: RFPGram | None = None
         self.reuses = 0
 
@@ -353,8 +353,3 @@ def gram_flops(
 def rhs_flops(X: Matrix, cols: np.ndarray) -> int:
     """Flops to form ``X_S y_S`` (2 per stored entry of the sampled block)."""
     return 2 * _nnz_of_columns(X, cols)
-
-
-def spmv_flops(nnz: int) -> int:
-    """Flops for a sparse matrix-vector product with *nnz* stored entries."""
-    return 2 * int(nnz)

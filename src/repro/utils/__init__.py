@@ -1,8 +1,7 @@
-"""Shared utilities: validation, RNG handling, timing, logging."""
+"""Shared utilities: validation and RNG handling."""
 
 from repro.utils.validation import (
     check_array,
-    check_matrix,
     check_vector,
     require,
     check_positive,
@@ -14,15 +13,10 @@ from repro.utils.rng import (
     spawn_generators,
     sample_indices,
     sample_indices_weighted,
-    sampling_matrix,
-    SeedSequenceStream,
 )
-from repro.utils.timer import Timer, WallClock
-from repro.utils.logging import get_logger
 
 __all__ = [
     "check_array",
-    "check_matrix",
     "check_vector",
     "require",
     "check_positive",
@@ -32,9 +26,4 @@ __all__ = [
     "spawn_generators",
     "sample_indices",
     "sample_indices_weighted",
-    "sampling_matrix",
-    "SeedSequenceStream",
-    "Timer",
-    "WallClock",
-    "get_logger",
 ]

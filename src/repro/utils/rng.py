@@ -18,9 +18,7 @@ __all__ = [
     "spawn_generators",
     "sample_indices",
     "sample_indices_weighted",
-    "sampling_matrix",
     "minibatch_size",
-    "SeedSequenceStream",
 ]
 
 RandomState = int | np.random.Generator | np.random.SeedSequence | None
@@ -90,51 +88,3 @@ def sample_indices_weighted(
     if mbar <= 0:
         raise ValidationError(f"mbar must be positive, got {mbar}")
     return rng.choice(probabilities.size, size=mbar, p=probabilities / total).astype(np.int64)
-
-
-def sampling_matrix(indices: np.ndarray, m: int) -> np.ndarray:
-    """Materialize the paper's sampling matrix ``I_n = [e_i1 | ... | e_imbar]``.
-
-    Returns the dense ``m × m̄`` selection matrix. Only used in tests and
-    didactic examples — the solvers use fancy indexing, which is the same
-    linear operator applied implicitly.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 1:
-        raise ValidationError("indices must be one-dimensional")
-    if indices.size and (indices.min() < 0 or indices.max() >= m):
-        raise ValidationError(f"indices out of range for m={m}")
-    mat = np.zeros((m, indices.size), dtype=np.float64)
-    mat[indices, np.arange(indices.size)] = 1.0
-    return mat
-
-
-class SeedSequenceStream:
-    """An endless stream of child seeds derived from one root seed.
-
-    Used by the distributed solvers to give every (iteration, purpose) pair
-    its own generator while remaining reproducible and independent of the
-    number of ranks: all ranks derive the same stream, so replicated
-    sampling decisions agree without communication — exactly how the paper
-    initializes "all processors with the same seed" (§5.5).
-    """
-
-    def __init__(self, seed: RandomState = 0) -> None:
-        if isinstance(seed, np.random.SeedSequence):
-            self._seq = seed
-        elif isinstance(seed, np.random.Generator):
-            self._seq = seed.bit_generator.seed_seq  # type: ignore[assignment]
-        else:
-            self._seq = np.random.SeedSequence(seed)
-        self._count = 0
-
-    def next_generator(self) -> np.random.Generator:
-        """Return the next generator in the stream."""
-        (child,) = self._seq.spawn(1)
-        self._count += 1
-        return np.random.default_rng(child)
-
-    @property
-    def count(self) -> int:
-        """Number of generators handed out so far."""
-        return self._count

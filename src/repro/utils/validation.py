@@ -15,7 +15,6 @@ from repro.exceptions import ShapeError, ValidationError
 __all__ = [
     "require",
     "check_array",
-    "check_matrix",
     "check_vector",
     "check_positive",
     "check_in_range",
@@ -63,11 +62,6 @@ def check_array(
     if np.issubdtype(arr.dtype, np.floating) and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains NaN or infinite entries")
     return arr
-
-
-def check_matrix(x: Any, name: str = "matrix", **kwargs: Any) -> np.ndarray:
-    """Validate a rank-2 array (see :func:`check_array`)."""
-    return check_array(x, name, ndim=2, **kwargs)
 
 
 def check_vector(x: Any, name: str = "vector", **kwargs: Any) -> np.ndarray:

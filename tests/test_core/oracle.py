@@ -1,15 +1,19 @@
-"""Independent numpy oracle for SFISTA / RC-SFISTA on the lasso.
+"""Independent numpy oracles: SFISTA / RC-SFISTA on the lasso, and the
+dense Hessian of a general ERM objective.
 
-Dense arithmetic written straight from the paper: the SVRG estimator of
-Eq. (9) with an epoch anchor and momentum restart, and the ``S``
-Hessian-reuse prox steps of Eqs. (20)–(23) with the proximal-point damping
-``eps_reg``. It shares only the seeded sample draws and the problem's
-step-size inputs with the package, so the one solver body can be checked
-against it at every rank count.
+:func:`rc_sfista_oracle` is dense arithmetic written straight from the
+paper: the SVRG estimator of Eq. (9) with an epoch anchor and momentum
+restart, and the ``S`` Hessian-reuse prox steps of Eqs. (20)–(23) with the
+proximal-point damping ``eps_reg``. It shares only the seeded sample draws
+and the problem's step-size inputs with the package, so the one solver body
+can be checked against it at every rank count.
 
 The overlap factor ``k`` does not appear: the ``k`` sets of a round are the
 next ``k`` draws of the same stream, so it changes only where communication
 happens, never the iterates (Eqs. 16–17).
+
+:func:`hessian_at` is ``∇²f(w)`` formed densely, for the curvature tests of
+losses whose Hessian depends on ``w``.
 """
 
 from __future__ import annotations
@@ -55,3 +59,11 @@ def rc_sfista_oracle(
                 u = np.sign(z) * np.maximum(np.abs(z) - gamma * lam, 0.0)
             w_prev, w, t = w, u, t_next
     return w
+
+
+def hessian_at(problem, w: np.ndarray) -> np.ndarray:
+    """``∇²f(w) = (1/m) X diag(ℓ''(Xᵀw, y)) Xᵀ`` (dense, symmetrized)."""
+    X = problem.X if isinstance(problem.X, np.ndarray) else problem.X.to_dense()
+    weights = problem.loss.curvature(X.T @ np.asarray(w, dtype=np.float64), problem.y)
+    H = (X * weights[None, :]) @ X.T / problem.m
+    return 0.5 * (H + H.T)

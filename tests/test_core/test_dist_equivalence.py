@@ -11,6 +11,8 @@ oracle of ``oracle.py``.
 import numpy as np
 import pytest
 
+from repro.core.objectives import build_objective
+from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.sfista_dist import sfista_distributed
 from repro.distsim.collectives import ceil_log2
@@ -134,6 +136,41 @@ class TestRcSfistaDistEquivalence:
             small_dense_problem, 3, k=4, S=2, b=0.15, iters_per_epoch=12, seed=5
         )
         np.testing.assert_allclose(dist.w, ser.w, atol=1e-9)
+
+
+class TestPnDistEquivalence:
+    """Proximal Newton: the serial PN is the body at P=1 on the serial backend."""
+
+    INNERS = [("fista", 1, 1), ("sfista", 1, 1), ("rc_sfista", 3, 2)]
+
+    @pytest.fixture(scope="class", params=["squared", "logistic"])
+    def problem(self, request, tiny_covtype_problem):
+        if request.param == "squared":
+            return tiny_covtype_problem
+        p = tiny_covtype_problem
+        return build_objective(p.X, p.y, p.lam, loss="logistic")
+
+    @staticmethod
+    def run(problem, nranks, inner, k, S, runtime=None):
+        return proximal_newton_distributed(
+            problem, nranks, inner=inner, k=k, S=S, n_outer=3, inner_iters=7, b=0.3,
+            seed=4, runtime=runtime,
+        )
+
+    @pytest.mark.parametrize("inner,k,S", INNERS)
+    def test_bsp_at_p1_is_bitwise_serial(self, problem, inner, k, S):
+        ser = self.run(problem, 1, inner, k, S, runtime=SERIAL)
+        bsp = self.run(problem, 1, inner, k, S)
+        np.testing.assert_array_equal(bsp.w, ser.w)
+        assert bsp.history.objective_array.tolist() == ser.history.objective_array.tolist()
+
+    @pytest.mark.parametrize("nranks", [2, 3, 5, 8])
+    @pytest.mark.parametrize("inner,k,S", INNERS)
+    def test_matches_serial_any_p(self, problem, nranks, inner, k, S):
+        ser = self.run(problem, 1, inner, k, S, runtime=SERIAL)
+        dist = self.run(problem, nranks, inner, k, S)
+        assert np.count_nonzero(ser.w) > 0
+        np.testing.assert_allclose(dist.w, ser.w, rtol=0, atol=1e-12)
 
 
 class TestCommunicationAccounting:

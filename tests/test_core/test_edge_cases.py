@@ -5,13 +5,9 @@ import pytest
 
 from repro.core.objectives import L1LeastSquares
 from repro.core.fista import fista
-from repro.core.prox_newton import proximal_newton
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.sfista_dist import sfista_distributed
-from repro.data.datasets import dataset_from_libsvm
-from repro.exceptions import DatasetError
 from repro.runtime import RuntimeConfig
-from repro.sparse.io import save_libsvm
 
 SERIAL = RuntimeConfig(backend="serial")
 
@@ -92,70 +88,3 @@ class TestDistributedEdges:
             estimator="plain",
         )
         assert res.n_comm_rounds == 1  # single [G|R] allreduce covers the run
-
-
-class TestPnLineSearch:
-    def test_monotone_with_sampled_hessian(self, tiny_covtype_problem):
-        res = proximal_newton(
-            tiny_covtype_problem, n_outer=20, inner="cd", inner_iters=30,
-            b_hessian=0.05, line_search=True, seed=0,
-        )
-        objs = res.history.objective_array
-        assert np.all(np.diff(objs) <= 1e-10)
-
-    def test_full_step_unaffected_on_easy_problem(self, small_dense_problem):
-        with_ls = proximal_newton(
-            small_dense_problem, n_outer=4, inner="cd", inner_iters=60, line_search=True
-        )
-        without = proximal_newton(
-            small_dense_problem, n_outer=4, inner="cd", inner_iters=60, line_search=False
-        )
-        assert with_ls.final_objective == pytest.approx(without.final_objective, rel=1e-9)
-
-    def test_meta_records_flag(self, small_dense_problem):
-        res = proximal_newton(small_dense_problem, n_outer=1, inner="cd", line_search=True)
-        assert res.meta["line_search"] is True
-
-
-class TestDatasetFromLibsvm:
-    def test_loads_and_solves(self, tmp_path):
-        gen = np.random.default_rng(5)
-        X = gen.standard_normal((6, 60))
-        y = gen.standard_normal(60)
-        path = tmp_path / "real.svm"
-        save_libsvm(path, X, y)
-        ds = dataset_from_libsvm(str(path), name="real")
-        problem = ds.problem()
-        res = fista(problem, max_iter=200)
-        assert np.all(np.isfinite(res.w))
-        assert ds.name == "real"
-
-    def test_samples_normalized(self, tmp_path):
-        gen = np.random.default_rng(6)
-        X = gen.standard_normal((4, 20)) * 7.0
-        path = tmp_path / "scaled.svm"
-        save_libsvm(path, X, gen.standard_normal(20))
-        ds = dataset_from_libsvm(str(path))
-        norms = np.sqrt(ds.X.col_norms_sq())
-        np.testing.assert_allclose(norms[norms > 0], 1.0, atol=1e-10)
-
-    def test_normalize_disabled(self, tmp_path):
-        gen = np.random.default_rng(7)
-        X = gen.standard_normal((4, 20)) * 7.0
-        path = tmp_path / "raw.svm"
-        save_libsvm(path, X, gen.standard_normal(20))
-        ds = dataset_from_libsvm(str(path), normalize=False)
-        norms = np.sqrt(ds.X.col_norms_sq())
-        assert norms.max() > 2.0
-
-    def test_invalid_lam_ratio(self, tmp_path):
-        path = tmp_path / "x.svm"
-        save_libsvm(path, np.ones((2, 3)), np.ones(3))
-        with pytest.raises(DatasetError):
-            dataset_from_libsvm(str(path), lam_ratio=0.0)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.svm"
-        path.write_text("")
-        with pytest.raises(DatasetError):
-            dataset_from_libsvm(str(path))

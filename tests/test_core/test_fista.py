@@ -4,10 +4,22 @@ import numpy as np
 import pytest
 
 from repro.core.fista import fista, ista, momentum_mu, t_next
-from repro.core.objectives import QuadraticModel
 from repro.core.proximal import L1Prox
 from repro.core.stopping import StoppingCriterion
 from repro.exceptions import ValidationError
+
+
+class Quadratic:
+    """A bare smooth problem ``½uᵀHu − Rᵀu`` with no penalty of its own."""
+
+    def __init__(self, H, R):
+        self.H, self.R, self.d = H, R, R.size
+
+    def value(self, u):
+        return 0.5 * float(u @ (self.H @ u)) - float(self.R @ u)
+
+    def gradient(self, u):
+        return self.H @ u - self.R
 
 
 class TestTSequence:
@@ -103,7 +115,7 @@ class TestFista:
     def test_on_quadratic_model_with_explicit_prox(self, rng):
         H = np.diag([2.0, 1.0, 0.5])
         R = np.array([1.0, -1.0, 0.2])
-        model = QuadraticModel(H, R)
+        model = Quadratic(H, R)
         res = fista(model, prox=L1Prox(0.05), step_size=0.5, max_iter=800)
         # KKT: |Hu − R|_j ≤ λ off-support, = −λ·sign on support.
         g = model.gradient(res.w)
@@ -112,7 +124,7 @@ class TestFista:
         np.testing.assert_allclose(g[on], -0.05 * np.sign(res.w[on]), atol=1e-5)
 
     def test_prox_required_without_lam(self):
-        model = QuadraticModel(np.eye(2), np.zeros(2))
+        model = Quadratic(np.eye(2), np.zeros(2))
         with pytest.raises(ValidationError):
             fista(model, max_iter=5)
 

@@ -5,9 +5,18 @@ import pytest
 
 from repro.core.fista import fista
 from repro.core.logistic import L1Logistic
-from repro.core.prox_newton import proximal_newton
+from repro.core.prox_newton import proximal_newton_distributed
 from repro.exceptions import ShapeError, ValidationError
+from repro.runtime import RuntimeConfig
 from repro.sparse.csr import CSCMatrix
+from tests.test_core.oracle import hessian_at
+
+
+def serial_pn(problem, **kw):
+    """Serial PN with the FISTA inner solver: the one body at P=1."""
+    return proximal_newton_distributed(
+        problem, 1, inner="fista", runtime=RuntimeConfig(backend="serial"), **kw
+    )
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +61,7 @@ class TestCalculus:
 
     def test_hessian_finite_difference(self, logit_problem, rng):
         w = 0.3 * rng.standard_normal(logit_problem.d)
-        H = logit_problem.hessian_at(w)
+        H = hessian_at(logit_problem, w)
         eps = 1e-5
         for j in range(3):
             e = np.zeros(logit_problem.d)
@@ -61,12 +70,12 @@ class TestCalculus:
             np.testing.assert_allclose(H[:, j], fd, rtol=1e-3, atol=1e-6)
 
     def test_hessian_psd(self, logit_problem, rng):
-        H = logit_problem.hessian_at(rng.standard_normal(logit_problem.d))
+        H = hessian_at(logit_problem, rng.standard_normal(logit_problem.d))
         assert np.linalg.eigvalsh(H).min() >= -1e-12
 
     def test_lipschitz_upper_bounds_hessian(self, logit_problem, rng):
         L = logit_problem.lipschitz()
-        H = logit_problem.hessian_at(rng.standard_normal(logit_problem.d))
+        H = hessian_at(logit_problem, rng.standard_normal(logit_problem.d))
         assert np.linalg.eigvalsh(H).max() <= L * (1 + 1e-8)
 
     def test_stable_for_large_margins(self, logit_problem):
@@ -85,15 +94,15 @@ class TestCalculus:
 class TestSolvers:
     def test_fista_and_pn_agree(self, logit_problem):
         f = fista(logit_problem, max_iter=1500)
-        pn = proximal_newton(logit_problem, n_outer=20, inner="cd", inner_iters=60)
+        pn = serial_pn(logit_problem, n_outer=20, inner_iters=60)
         assert pn.final_objective == pytest.approx(f.final_objective, rel=1e-5)
 
     def test_pn_reaches_optimality(self, logit_problem):
-        pn = proximal_newton(logit_problem, n_outer=25, inner="cd", inner_iters=80)
+        pn = serial_pn(logit_problem, n_outer=25, inner_iters=80)
         assert logit_problem.optimality_residual(pn.w) < 1e-8
 
     def test_classifier_beats_chance(self, logit_problem):
-        pn = proximal_newton(logit_problem, n_outer=15, inner="cd", inner_iters=50)
+        pn = serial_pn(logit_problem, n_outer=15, inner_iters=50)
         assert logit_problem.accuracy(pn.w) > 0.8
 
     def test_large_lambda_zeroes_solution(self):

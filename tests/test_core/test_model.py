@@ -32,7 +32,7 @@ from repro.core.model import (
     make_penalty,
     parse_penalty_spec,
 )
-from repro.core.objectives import L1LeastSquares, QuadraticModel, build_objective
+from repro.core.objectives import L1LeastSquares, build_objective
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.proximal import ElasticNetProx, GroupL1Prox, L1Prox
 from repro.core.rc_sfista_dist import rc_sfista_distributed
@@ -44,6 +44,7 @@ from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
 from repro.sparse.csr import CSCMatrix
 from repro.sparse.ops import packed_size
+from tests.test_core.oracle import hessian_at
 from tests.test_sparse.rfp_oracle import rfp_to_dense
 
 pytestmark = pytest.mark.losses
@@ -226,18 +227,11 @@ class TestERMObjectiveEquivalence:
         assert not erm.constant_curvature
         with pytest.raises(ValidationError):
             _ = erm.hessian
-        H = erm.hessian_at(np.zeros(erm.d))
+        H = hessian_at(erm, np.zeros(erm.d))
         assert H.shape == (erm.d, erm.d)
         # logistic at w=0: ℓ'' = 1/4 everywhere → H = X diag(1/4) Xᵀ / m
         X = base.X.to_dense() if hasattr(base.X, "to_dense") else np.asarray(base.X)
         np.testing.assert_allclose(H, 0.25 * (X @ X.T) / erm.m, atol=1e-10)
-
-    def test_quadratic_model_linearization(self, pair):
-        _, erm = pair
-        w = np.full(erm.d, 0.1)
-        qm = QuadraticModel.from_linearization(erm.hessian_at(w), erm.gradient(w), w)
-        assert isinstance(qm, QuadraticModel)
-        np.testing.assert_allclose(qm.gradient(w), erm.gradient(w), atol=1e-10)
 
     def test_accuracy_and_residual(self, pair):
         base, _ = pair

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.objectives import L1LeastSquares, QuadraticModel
+from repro.core.objectives import L1LeastSquares
 from repro.exceptions import ShapeError, ValidationError
 from repro.sparse.csr import CSCMatrix, CSRMatrix
 
@@ -133,38 +133,6 @@ class TestOptimalityResidual:
 
     def test_positive_away_from_optimum(self, small):
         assert small.optimality_residual(np.ones(small.d)) > 0
-
-
-class TestQuadraticModel:
-    def test_gradient(self, rng):
-        H = np.eye(3) * 2.0
-        R = np.array([1.0, 2.0, 3.0])
-        model = QuadraticModel(H, R)
-        u = rng.standard_normal(3)
-        np.testing.assert_allclose(model.gradient(u), H @ u - R)
-
-    def test_from_linearization_matches_expansion(self, small, rng):
-        w = rng.standard_normal(small.d)
-        grad = small.gradient(w)
-        model = QuadraticModel.from_linearization(small.hessian, grad, w)
-        u = rng.standard_normal(small.d)
-        direct = 0.5 * (u - w) @ (small.hessian @ (u - w)) + grad @ (u - w)
-        assert model.value(u) - model.value(w) == pytest.approx(direct, rel=1e-9, abs=1e-9)
-
-    def test_model_gradient_at_center_equals_problem_gradient(self, small, rng):
-        w = rng.standard_normal(small.d)
-        model = QuadraticModel.from_linearization(small.hessian, small.gradient(w), w)
-        np.testing.assert_allclose(model.gradient(w), small.gradient(w), atol=1e-10)
-
-    def test_lipschitz(self):
-        H = np.diag([1.0, 5.0, 3.0])
-        assert QuadraticModel(H, np.zeros(3)).lipschitz() == pytest.approx(5.0)
-
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            QuadraticModel(np.ones((2, 3)), np.ones(2))
-        with pytest.raises(ShapeError):
-            QuadraticModel(np.eye(2), np.ones(3))
 
 
 # --------------------------------------------------------------------- #

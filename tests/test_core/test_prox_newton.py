@@ -1,18 +1,27 @@
-"""Unit tests for the proximal Newton method (serial + distributed)."""
+"""Unit tests for the proximal Newton method (serial = the body at P=1)."""
 
 import numpy as np
 import pytest
 
-from repro.core.prox_newton import proximal_newton, proximal_newton_distributed
+from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.stopping import StoppingCriterion
 from repro.exceptions import ValidationError
+from repro.runtime import RuntimeConfig
+
+
+SERIAL = RuntimeConfig(backend="serial")
+
+
+def serial_pn(problem, **kw):
+    """Serial PN: the one body at P=1 on the serial backend."""
+    return proximal_newton_distributed(problem, 1, runtime=SERIAL, **kw)
 
 
 class TestSerialPN:
-    def test_exact_hessian_cd_inner_converges_fast(self, small_dense_problem, small_reference):
+    def test_exact_hessian_converges_fast(self, small_dense_problem, small_reference):
         fstar = small_reference.meta["fstar"]
-        res = proximal_newton(
-            small_dense_problem, n_outer=6, inner="cd", inner_iters=80,
+        res = serial_pn(
+            small_dense_problem, n_outer=6, inner="fista", inner_iters=80,
             stopping=StoppingCriterion(tol=1e-8, fstar=fstar),
         )
         assert res.converged
@@ -20,7 +29,7 @@ class TestSerialPN:
 
     def test_fista_inner_converges(self, small_dense_problem, small_reference):
         fstar = small_reference.meta["fstar"]
-        res = proximal_newton(
+        res = serial_pn(
             small_dense_problem, n_outer=10, inner="fista", inner_iters=200,
             stopping=StoppingCriterion(tol=1e-6, fstar=fstar),
         )
@@ -28,29 +37,26 @@ class TestSerialPN:
 
     def test_sampled_hessian_still_converges(self, small_dense_problem, small_reference):
         fstar = small_reference.meta["fstar"]
-        res = proximal_newton(
-            small_dense_problem, n_outer=25, inner="cd", inner_iters=40,
-            b_hessian=0.5, seed=0,
-            stopping=StoppingCriterion(tol=1e-3, fstar=fstar),
-        )
-        assert res.converged
+        for inner, k, S in (("sfista", 1, 1), ("rc_sfista", 4, 2)):
+            res = serial_pn(
+                small_dense_problem, n_outer=25, inner=inner, k=k, S=S, inner_iters=40,
+                b=0.5, seed=0, stopping=StoppingCriterion(tol=1e-3, fstar=fstar),
+            )
+            assert res.converged, inner
 
     def test_damping_slows_but_converges(self, small_dense_problem):
-        full = proximal_newton(small_dense_problem, n_outer=3, inner="cd", damping=1.0)
-        damped = proximal_newton(small_dense_problem, n_outer=3, inner="cd", damping=0.5)
+        full = serial_pn(small_dense_problem, n_outer=3, inner="fista", damping=1.0)
+        damped = serial_pn(small_dense_problem, n_outer=3, inner="fista", damping=0.5)
         assert damped.final_objective >= full.final_objective - 1e-12
 
     def test_invalid_inner(self, small_dense_problem):
         with pytest.raises(ValidationError):
-            proximal_newton(small_dense_problem, inner="newton")
+            serial_pn(small_dense_problem, inner="newton")
 
-    def test_invalid_b_hessian(self, small_dense_problem):
+    @pytest.mark.parametrize("b", [0.0, 1.5])
+    def test_invalid_b(self, small_dense_problem, b):
         with pytest.raises(ValidationError):
-            proximal_newton(small_dense_problem, b_hessian=0.0)
-
-    def test_w0_validation(self, small_dense_problem):
-        with pytest.raises(ValidationError):
-            proximal_newton(small_dense_problem, w0=np.ones(1))
+            serial_pn(small_dense_problem, inner="sfista", b=b)
 
 
 class TestDistributedPN:

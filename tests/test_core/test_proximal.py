@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.proximal import (
-    BoxProx,
     ElasticNetProx,
     GroupL1Prox,
     L1Prox,
-    L2SquaredProx,
-    ZeroProx,
     soft_threshold,
 )
 from repro.exceptions import ValidationError
@@ -57,15 +54,6 @@ class TestL1Prox:
             L1Prox(-1.0)
 
 
-class TestL2SquaredProx:
-    def test_shrinkage(self):
-        out = L2SquaredProx(1.0).prox(np.array([2.0]), 1.0)
-        assert out[0] == pytest.approx(1.0)
-
-    def test_value(self):
-        assert L2SquaredProx(2.0).value(np.array([3.0])) == 9.0
-
-
 class TestElasticNet:
     def test_reduces_to_l1(self, rng):
         w = rng.standard_normal(5)
@@ -75,37 +63,11 @@ class TestElasticNet:
 
     def test_reduces_to_l2(self, rng):
         w = rng.standard_normal(5)
-        np.testing.assert_allclose(
-            ElasticNetProx(0.0, 0.7).prox(w, 1.0), L2SquaredProx(0.7).prox(w, 1.0)
-        )
+        np.testing.assert_allclose(ElasticNetProx(0.0, 0.7).prox(w, 1.0), w / 1.7)
 
     def test_value(self):
         v = ElasticNetProx(1.0, 2.0).value(np.array([2.0]))
         assert v == pytest.approx(2.0 + 4.0)
-
-
-class TestBoxProx:
-    def test_clipping(self):
-        out = BoxProx(-1.0, 1.0).prox(np.array([-5.0, 0.3, 5.0]), 1.0)
-        np.testing.assert_array_equal(out, [-1.0, 0.3, 1.0])
-
-    def test_value_indicator(self):
-        box = BoxProx(0.0, 1.0)
-        assert box.value(np.array([0.5])) == 0.0
-        assert box.value(np.array([2.0])) == np.inf
-
-    def test_invalid_box(self):
-        with pytest.raises(ValidationError):
-            BoxProx(1.0, -1.0)
-
-
-class TestZeroProx:
-    def test_identity_copy(self, rng):
-        w = rng.standard_normal(4)
-        out = ZeroProx().prox(w, 1.0)
-        np.testing.assert_array_equal(out, w)
-        out[0] = 99
-        assert w[0] != 99
 
 
 class TestGroupL1:
@@ -134,10 +96,7 @@ class TestGroupL1:
 
 ALL_PROXES = [
     L1Prox(0.5),
-    L2SquaredProx(0.7),
     ElasticNetProx(0.3, 0.4),
-    BoxProx(-2.0, 2.0),
-    ZeroProx(),
 ]
 
 
@@ -157,7 +116,7 @@ def test_nonexpansive(prox, a, data, gamma):
 @settings(max_examples=40, deadline=None)
 @given(w=finite_vec, gamma=st.floats(1e-3, 10.0))
 @pytest.mark.parametrize(
-    "prox", [L1Prox(0.5), L2SquaredProx(0.7), ElasticNetProx(0.3, 0.4)],
+    "prox", [L1Prox(0.5), ElasticNetProx(0.3, 0.4)],
     ids=lambda p: type(p).__name__,
 )
 def test_moreau_optimality(prox, w, gamma):
@@ -194,15 +153,9 @@ _GROUPS = [np.arange(0, 5), np.arange(5, 7), np.arange(7, 12)]
 #: Every operator at fixed parameters, on d=12 vectors.
 _ALL_OPERATORS = [
     L1Prox(0.7),
-    L2SquaredProx(0.3),
     ElasticNetProx(0.5, 0.2),
-    BoxProx(-1.0, 2.0),
-    ZeroProx(),
     GroupL1Prox(0.6, _GROUPS),
 ]
-#: The finite-valued ones (prox with γ=0 must be the identity there;
-#: BoxProx is an indicator, so its prox always projects).
-_FINITE_OPERATORS = [op for op in _ALL_OPERATORS if not isinstance(op, BoxProx)]
 
 vec12 = arrays(
     np.float64, _D, elements=st.floats(-50, 50, allow_nan=False, width=64)
@@ -225,7 +178,7 @@ def test_firm_nonexpansiveness(op, x, y, gamma):
 
 
 @pytest_losses
-@pytest.mark.parametrize("op", _FINITE_OPERATORS, ids=lambda o: type(o).__name__)
+@pytest.mark.parametrize("op", _ALL_OPERATORS, ids=lambda o: type(o).__name__)
 @settings(max_examples=25, deadline=None)
 @given(w=vec12)
 def test_gamma_zero_is_identity(op, w):

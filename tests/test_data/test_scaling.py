@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.scaling import center_labels, normalize_feature_rows, normalize_sample_columns
+from repro.data.scaling import normalize_feature_rows, normalize_sample_columns
 from repro.exceptions import ValidationError
 from repro.sparse.csr import CSCMatrix
 
@@ -67,19 +67,3 @@ class TestNormalizeSampleColumns:
         Xn, _ = normalize_sample_columns(X)
         p = L1LeastSquares(Xn, rng.standard_normal(50), 0.1)
         assert p.max_sample_lipschitz == pytest.approx(1.0)
-
-
-class TestCenterLabels:
-    def test_zero_mean(self, rng):
-        y = rng.standard_normal(100) + 5.0
-        yc, mean = center_labels(y)
-        assert abs(yc.mean()) < 1e-12
-        assert mean == pytest.approx(y.mean())
-
-    def test_empty(self):
-        yc, mean = center_labels(np.array([]))
-        assert mean == 0.0
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValidationError):
-            center_labels(np.ones((2, 2)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.synthetic import make_correlated_regression, make_regression
+from repro.data.synthetic import make_regression
 from repro.exceptions import ValidationError
 from repro.sparse.csr import CSCMatrix
 
@@ -51,25 +51,3 @@ class TestMakeRegression:
             make_regression(5, 10, support_fraction=0.0)
         with pytest.raises(ValidationError):
             make_regression(5, 10, noise=-1.0)
-
-
-class TestCorrelatedRegression:
-    def test_shapes(self):
-        X, y, w = make_correlated_regression(10, 60, rng=0)
-        assert X.shape == (10, 60)
-
-    def test_correlation_worsens_conditioning(self):
-        X_lo, _, _ = make_correlated_regression(20, 3000, correlation=0.0, rng=0)
-        X_hi, _, _ = make_correlated_regression(20, 3000, correlation=0.9, rng=0)
-        c_lo = np.linalg.cond(X_lo @ X_lo.T)
-        c_hi = np.linalg.cond(X_hi @ X_hi.T)
-        assert c_hi > c_lo
-
-    def test_adjacent_feature_correlation(self):
-        X, _, _ = make_correlated_regression(5, 20000, correlation=0.7, rng=0)
-        r = np.corrcoef(X[1], X[2])[0, 1]
-        assert r == pytest.approx(0.7, abs=0.05)
-
-    def test_invalid_correlation(self):
-        with pytest.raises(ValidationError):
-            make_correlated_regression(5, 10, correlation=1.0)

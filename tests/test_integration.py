@@ -9,7 +9,7 @@ from repro.core import (
     coordinate_descent_lasso,
     fista,
     lasso_path,
-    proximal_newton,
+    proximal_newton_distributed,
     proxcocoa,
     rc_sfista_distributed,
     solve_reference,
@@ -63,8 +63,9 @@ class TestCrossSolverConsensus:
         solutions = {
             "fista": fista(tiny_covtype_problem, max_iter=4000, stopping=stop),
             "cd": coordinate_descent_lasso(tiny_covtype_problem, max_epochs=1000, stopping=stop),
-            "pn": proximal_newton(
-                tiny_covtype_problem, n_outer=15, inner="cd", inner_iters=80, stopping=stop
+            "pn": proximal_newton_distributed(
+                tiny_covtype_problem, 1, inner="fista", n_outer=15, inner_iters=80,
+                stopping=stop, runtime=RuntimeConfig(backend="serial"),
             ),
             "proxcocoa(P=1)": proxcocoa(
                 tiny_covtype_problem, 1, n_rounds=800, local_epochs=3,
@@ -103,7 +104,10 @@ class TestLogisticIntegration:
         y = np.sign(X.T @ w_true + 0.2 * gen.standard_normal(200))
         y[y == 0] = 1.0
         problem = L1Logistic(X, y, 0.02)
-        res = proximal_newton(problem, n_outer=20, inner="cd", inner_iters=50)
+        res = proximal_newton_distributed(
+            problem, 1, inner="fista", n_outer=20, inner_iters=50,
+            runtime=RuntimeConfig(backend="serial"),
+        )
         assert problem.accuracy(res.w) > 0.85
         # l1 recovers the sparsity pattern approximately
         assert np.sum(np.abs(res.w) > 0.1) <= 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.report import format_series, format_table, format_value
+from repro.perf.report import format_table, format_value
 
 
 class TestFormatValue:
@@ -56,14 +56,3 @@ class TestFormatTable:
     def test_empty_rows(self):
         out = format_table(["a"], [])
         assert "a" in out
-
-
-class TestFormatSeries:
-    def test_basic(self):
-        out = format_series("conv", [1, 2], [0.5, 0.25], x_label="iter", y_label="err")
-        assert "series: conv" in out
-        assert "iter" in out and "err" in out
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1], [1, 2])

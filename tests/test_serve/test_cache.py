@@ -97,13 +97,13 @@ def test_lasso_path_exposes_its_ladder():
 
 
 class TestSolveCache:
-    def test_same_spec_shares_problem_workspace_and_ladder(self):
+    def test_same_spec_shares_problem_and_ladder(self):
         cache = SolveCache()
         a = cache.entry_for(_SPEC)
         b = cache.entry_for({"synthetic": dict(_SPEC["synthetic"], density=1.0)})
         assert a is b
         assert a.problem is b.problem
-        assert a.workspace is b.workspace
+        assert a.ladder is b.ladder
 
     def test_problem_at_shares_data_across_lambdas(self, monkeypatch):
         cache = SolveCache()

@@ -56,21 +56,6 @@ class TestTransforms:
         m = COOMatrix.from_dense(dense)
         np.testing.assert_array_equal(m.transpose().to_dense(), dense.T)
 
-    def test_sum_duplicates(self):
-        m = make([0, 0, 1], [1, 1, 0], [1.0, 2.0, 5.0], (2, 2))
-        summed = m.sum_duplicates()
-        assert summed.nnz == 2
-        np.testing.assert_array_equal(summed.to_dense(), [[0.0, 3.0], [5.0, 0.0]])
-
-    def test_sum_duplicates_empty(self):
-        m = make([], [], [], (2, 2))
-        assert m.sum_duplicates().nnz == 0
-
-    def test_eliminate_zeros(self):
-        m = make([0, 1], [0, 1], [0.0, 2.0], (2, 2))
-        out = m.eliminate_zeros()
-        assert out.nnz == 1
-
     def test_to_dense_sums_duplicates(self):
         m = make([0, 0], [0, 0], [1.0, 4.0], (1, 1))
         np.testing.assert_array_equal(m.to_dense(), [[5.0]])
@@ -100,4 +85,4 @@ class TestConversions:
     def test_to_csr_with_empty_rows(self):
         m = make([2], [1], [3.0], (4, 3))
         csr = m.to_csr()
-        np.testing.assert_array_equal(csr.row_nnz(), [0, 0, 1, 0])
+        np.testing.assert_array_equal(np.diff(csr.indptr), [0, 0, 1, 0])

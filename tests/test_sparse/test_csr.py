@@ -60,16 +60,6 @@ class TestCSRKernels:
         v = rng.standard_normal(dense.shape[0])
         np.testing.assert_allclose(m.rmatvec(v), dense.T @ v)
 
-    def test_matmat(self, dense, rng):
-        m = CSRMatrix.from_dense(dense)
-        B = rng.standard_normal((dense.shape[1], 4))
-        np.testing.assert_allclose(m.matmat(B), dense @ B)
-
-    def test_matmat_shape_check(self, dense):
-        m = CSRMatrix.from_dense(dense)
-        with pytest.raises(ShapeError):
-            m.matmat(np.ones((3, 3)))
-
     def test_select_rows_with_duplicates(self, dense):
         m = CSRMatrix.from_dense(dense)
         rows = np.array([2, 2, 0, 8])
@@ -83,10 +73,6 @@ class TestCSRKernels:
     def test_row_norms_sq(self, dense):
         m = CSRMatrix.from_dense(dense)
         np.testing.assert_allclose(m.row_norms_sq(), (dense**2).sum(axis=1))
-
-    def test_scale(self, dense):
-        m = CSRMatrix.from_dense(dense).scale(2.5)
-        np.testing.assert_allclose(m.to_dense(), 2.5 * dense)
 
     def test_transpose(self, dense):
         m = CSRMatrix.from_dense(dense)

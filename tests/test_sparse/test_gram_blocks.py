@@ -162,6 +162,7 @@ def test_dense_gather_from_a_strided_rank_slice_copies_only_the_selection():
     assert not X_local.flags.c_contiguous and not X_local.flags.f_contiguous
     cols = rng.integers(0, m_local, size=nbar)
     workspace = GramWorkspace(d, nbar)
+    workspace.gram_scratch(d)  # the lazily allocated product scratch is no gather copy
     out = np.empty((1, packed_size(d)))
     H = np.empty((d, d))
     selection = d * nbar * 8

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import FormatError
 from repro.sparse.io import load_libsvm, parse_libsvm_lines, save_libsvm
@@ -78,6 +80,52 @@ class TestParse:
         X, y = parse_libsvm_lines([])
         assert X.shape == (0, 0)
         assert y.size == 0
+
+    @pytest.mark.parametrize(
+        "line", ["1 99999999999999999999:1", "1 -99999999999999999999:1", "1 1:1 9223372036854775809:2"]
+    )
+    def test_index_overflow_is_format_error(self, line):
+        with pytest.raises(FormatError, match="line 2: feature index out of int64 range"):
+            parse_libsvm_lines(["1 1:1.0", line])
+
+
+#: Field-shaped tokens, including the ones a parser trips on: huge and
+#: negative indices, non-finite values, stray separators.
+_ODD = st.sampled_from(
+    ["", "nan", "inf", "-1e400", ":", "1:", ":1", "#", "1:2:3", "x", "0x1", "1_0",
+     "99999999999999999999", "-99999999999999999999", "9223372036854775808"]
+)
+_NUMBER = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_PAIR = st.builds(
+    "{}:{}".format, st.one_of(st.integers(-(2**70), 2**70).map(str), _ODD), st.one_of(_NUMBER, _ODD)
+)
+_LINES = st.one_of(
+    st.builds(
+        lambda label, pairs: " ".join([label, *pairs]),
+        st.one_of(_NUMBER, _ODD),
+        st.lists(st.one_of(_PAIR, _ODD), max_size=5),
+    ),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=3), zero_based=st.booleans())
+def test_fuzzed_lines_parse_or_raise_format_error(lines, zero_based):
+    """Arbitrary text either parses or raises FormatError, nothing else.
+
+    Only parses: a huge feature index gives a huge row count, so the result
+    is never densified.
+    """
+    try:
+        X, y = parse_libsvm_lines(lines, zero_based=zero_based)
+    except FormatError:
+        return
+    assert X.shape[1] == y.size
+    assert np.all(np.isfinite(y))
 
 
 class TestRoundtrip:

@@ -10,7 +10,6 @@ from repro.sparse.ops import (
     rhs_flops,
     sampled_gram,
     sampled_rhs,
-    spmv_flops,
 )
 
 
@@ -92,9 +91,6 @@ class TestFlopAccounting:
         cols = np.array([2, 2])
         nnz = int((D[:, cols] != 0).sum())
         assert rhs_flops(csc, cols) == 2 * nnz
-
-    def test_spmv_flops(self):
-        assert spmv_flops(10) == 20
 
     def test_gram_flops_scale_with_density(self):
         gen = np.random.default_rng(0)

@@ -93,12 +93,3 @@ def test_column_selection_matches_fancy_indexing(dense, data):
     cols = data.draw(st.lists(st.integers(0, m - 1), min_size=0, max_size=2 * m))
     cols = np.asarray(cols, dtype=np.int64)
     np.testing.assert_array_equal(csc.select_columns(cols).to_dense(), dense[:, cols])
-
-
-@settings(max_examples=60, deadline=None)
-@given(dense_matrices())
-def test_sum_duplicates_idempotent(dense):
-    coo = COOMatrix.from_dense(dense)
-    once = coo.sum_duplicates()
-    twice = once.sum_duplicates()
-    np.testing.assert_array_equal(once.to_dense(), twice.to_dense())

@@ -124,6 +124,13 @@ class TestWorkspaceBitIdentity:
                 sampled_gram(csc, draws),
             )
 
+    def test_product_scratch_is_allocated_at_first_borrow(self):
+        workspace = GramWorkspace(50)
+        first = workspace.gram_scratch(50)
+        assert first.shape == (50, 50) and workspace.reuses == 0
+        assert workspace.gram_scratch(50) is first
+        assert workspace.reuses == 1
+
     def test_workspace_validates_dimension(self):
         with pytest.raises(ShapeError):
             GramWorkspace(0)

@@ -5,11 +5,9 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.utils.rng import (
-    SeedSequenceStream,
     as_generator,
     minibatch_size,
     sample_indices,
-    sampling_matrix,
     spawn_generators,
 )
 
@@ -107,49 +105,3 @@ class TestSampleIndices:
         a = sample_indices(np.random.default_rng(4), 100, 10)
         b = sample_indices(np.random.default_rng(4), 100, 10)
         np.testing.assert_array_equal(a, b)
-
-
-class TestSamplingMatrix:
-    def test_selection_operator(self, rng):
-        m = 10
-        idx = np.array([2, 2, 7])
-        I = sampling_matrix(idx, m)
-        assert I.shape == (m, 3)
-        x = rng.standard_normal(m)
-        np.testing.assert_allclose(I.T @ x, x[idx])
-
-    def test_matches_fancy_indexing_on_matrix(self, rng):
-        X = rng.standard_normal((5, 10))
-        idx = np.array([0, 3, 3, 9])
-        I = sampling_matrix(idx, 10)
-        np.testing.assert_allclose(X @ I, X[:, idx])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            sampling_matrix(np.array([10]), 10)
-
-    def test_wrong_ndim(self):
-        with pytest.raises(ValidationError):
-            sampling_matrix(np.array([[1]]), 10)
-
-
-class TestSeedSequenceStream:
-    def test_deterministic_stream(self):
-        s1 = SeedSequenceStream(7)
-        s2 = SeedSequenceStream(7)
-        a = s1.next_generator().standard_normal(4)
-        b = s2.next_generator().standard_normal(4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_distinct_children(self):
-        s = SeedSequenceStream(7)
-        a = s.next_generator().standard_normal(4)
-        b = s.next_generator().standard_normal(4)
-        assert not np.allclose(a, b)
-
-    def test_count(self):
-        s = SeedSequenceStream(0)
-        assert s.count == 0
-        s.next_generator()
-        s.next_generator()
-        assert s.count == 2

@@ -7,7 +7,6 @@ from repro.exceptions import ShapeError, ValidationError
 from repro.utils.validation import (
     check_array,
     check_in_range,
-    check_matrix,
     check_positive,
     check_probability,
     check_vector,
@@ -59,11 +58,6 @@ class TestCheckArray:
 
 
 class TestMatrixVector:
-    def test_check_matrix_requires_2d(self):
-        assert check_matrix([[1.0, 2.0]]).shape == (1, 2)
-        with pytest.raises(ShapeError):
-            check_matrix([1.0, 2.0])
-
     def test_check_vector_requires_1d(self):
         assert check_vector([1.0]).shape == (1,)
         with pytest.raises(ShapeError):
