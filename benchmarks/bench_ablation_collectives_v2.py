@@ -34,7 +34,7 @@ import numpy as np
 from benchmarks._common import QUICK, emit, emit_json, run_once
 from repro.core.objectives import L1LeastSquares
 from repro.core.path import lambda_max
-from repro.core.sfista_dist import sfista_distributed
+from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.data.synthetic import make_regression
 from repro.perf.report import format_table
 from repro.runtime import RuntimeConfig
@@ -72,7 +72,7 @@ def _compute():
     results = {}
     for name, kw in GRID:
         runtime = RuntimeConfig(machine="fat_tree", adaptive_restart=True, **kw)
-        results[name] = sfista_distributed(
+        results[name] = rc_sfista_distributed(
             problem, NRANKS, b=1.0, epochs=1, iters_per_epoch=ITERS,
             comm_mode="gradient", seed=0, runtime=runtime,
         )

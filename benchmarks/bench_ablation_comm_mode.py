@@ -7,7 +7,7 @@ what enables iteration-overlap and Hessian-reuse at all.
 """
 
 from benchmarks._common import QUICK, emit, run_once
-from repro.core.sfista_dist import sfista_distributed
+from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.data.datasets import get_dataset
 from repro.perf.report import format_table
 
@@ -16,7 +16,7 @@ def _compute():
     problem = get_dataset("covtype", size="tiny" if QUICK else "scaled").problem()
     rows = []
     for mode in ("hessian", "gradient"):
-        res = sfista_distributed(
+        res = rc_sfista_distributed(
             problem, 16, b=0.1, iters_per_epoch=32, seed=0, comm_mode=mode,
             monitor_every=32,
         )

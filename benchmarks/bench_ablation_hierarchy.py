@@ -9,7 +9,7 @@ curve just saturates earlier.
 """
 
 from benchmarks._common import emit, run_once
-from repro.experiments.runner import ProblemStats, dry_run_rc_sfista, dry_run_sfista
+from repro.experiments.runner import ProblemStats, dry_run_rc_sfista
 from repro.perf.report import format_table
 
 
@@ -17,7 +17,7 @@ def _compute():
     stats = ProblemStats(d=54, m=10_000, nnz=int(54 * 10_000 * 0.22))
     rows = []
     for machine in ("comet_effective", "comet_4ppn"):
-        base = dry_run_sfista(stats, 256, machine, n_iterations=64, mbar=100)
+        base = dry_run_rc_sfista(stats, 256, machine, n_iterations=64, mbar=100, k=1, S=1)
         for k in (1, 4, 16):
             rc = dry_run_rc_sfista(
                 stats, 256, machine, n_iterations=64, mbar=100, k=k, S=1

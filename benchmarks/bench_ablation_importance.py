@@ -13,7 +13,7 @@ import numpy as np
 from benchmarks._common import emit, run_once
 from repro.core.objectives import L1LeastSquares
 from repro.core.reference import solve_reference
-from repro.core.sfista_dist import sfista_distributed
+from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.perf.report import format_table
 from repro.runtime import RuntimeConfig
 
@@ -39,7 +39,7 @@ def _compute():
         problem = _make_problem(heavy)
         fstar = solve_reference(problem, tol=1e-9).meta["fstar"]
         for mode in ("uniform", "importance"):
-            res = sfista_distributed(
+            res = rc_sfista_distributed(
                 problem, 1, b=0.05, epochs=8, iters_per_epoch=60, seed=0, sampling=mode,
                 runtime=RuntimeConfig(backend="serial"),
             )

@@ -10,7 +10,7 @@ Theorem 1 conditions.
 import numpy as np
 
 from benchmarks._common import QUICK, emit, run_once
-from repro.core.sfista_dist import sfista_distributed
+from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.data.datasets import get_dataset
 from repro.experiments.runner import reference_value
 from repro.perf.report import format_table
@@ -28,7 +28,7 @@ def _compute():
         # The naive step is *expected* to blow up; the divergence guard stops
         # the run and overflow warnings are part of the demonstrated failure.
         with np.errstate(over="ignore", invalid="ignore"):
-            res = sfista_distributed(
+            res = rc_sfista_distributed(
                 problem, 1, b=b, epochs=8, iters_per_epoch=100, seed=0, step_size=step,
                 runtime=RuntimeConfig(backend="serial"),
             )

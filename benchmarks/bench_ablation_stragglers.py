@@ -9,7 +9,7 @@ real 512-rank machine exhibits.
 
 from benchmarks._common import emit, run_once
 from repro.distsim.machine import get_machine
-from repro.experiments.runner import ProblemStats, dry_run_rc_sfista, dry_run_sfista
+from repro.experiments.runner import ProblemStats, dry_run_rc_sfista
 from repro.perf.report import format_table
 
 
@@ -22,8 +22,8 @@ def _compute():
         machine = get_machine("comet_effective").with_(
             straggler_sigma=sigma, name=f"comet_sigma_{sigma}"
         )
-        base = dry_run_sfista(
-            stats, 256, machine, n_iterations=64, mbar=6000, jitter_seed=1
+        base = dry_run_rc_sfista(
+            stats, 256, machine, n_iterations=64, mbar=6000, k=1, S=1, jitter_seed=1
         )
         rc = dry_run_rc_sfista(
             stats, 256, machine, n_iterations=64, mbar=6000, k=8, S=1, jitter_seed=1

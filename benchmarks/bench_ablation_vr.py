@@ -7,7 +7,7 @@ descending.
 """
 
 from benchmarks._common import QUICK, emit, run_once
-from repro.core.sfista_dist import sfista_distributed
+from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.data.datasets import get_dataset
 from repro.experiments.runner import reference_value
 from repro.perf.report import format_table
@@ -20,7 +20,7 @@ def _compute():
     rows = []
     for estimator in ("svrg", "plain"):
         for b in (0.2, 0.05):
-            res = sfista_distributed(
+            res = rc_sfista_distributed(
                 problem, 1, b=b, estimator=estimator, epochs=10, iters_per_epoch=60,
                 seed=0, runtime=RuntimeConfig(backend="serial"),
             )

@@ -11,7 +11,7 @@ Reproduces the Figure 4 methodology end-to-end on one dataset:
 Run:  python examples/distributed_scaling.py
 """
 
-from repro.core import rc_sfista_distributed, sfista_distributed, solve_reference
+from repro.core import rc_sfista_distributed, solve_reference
 from repro.core.stopping import StoppingCriterion
 from repro.data import get_dataset
 from repro.perf.bounds import k_bound_latency_bandwidth
@@ -35,7 +35,7 @@ def main() -> None:
 
     rows = []
     for P in (4, 16, 64):
-        base = sfista_distributed(
+        base = rc_sfista_distributed(
             problem, P, b=b, iters_per_epoch=N, seed=0,
             monitor_every=N, stopping=stop,
             runtime=RuntimeConfig(machine=MACHINE),

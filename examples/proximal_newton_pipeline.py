@@ -25,17 +25,17 @@ def main() -> None:
 
     # --- serial PN (P=1, serial backend) with each inner solver --------- #
     rows = []
-    for inner, kw in (
-        ("fista", {}),
-        ("sfista", {"b": 0.2}),
-        ("rc_sfista", {"k": 4, "S": 2, "b": 0.2}),
+    for label, inner, kw in (
+        ("fista", "fista", {}),
+        ("sfista", "rc_sfista", {"b": 0.2}),  # RC-SFISTA at k = S = 1
+        ("rc_sfista", "rc_sfista", {"k": 4, "S": 2, "b": 0.2}),
     ):
         res = proximal_newton_distributed(
             problem, 1, inner=inner, n_outer=10, inner_iters=150, stopping=stop,
             seed=0, runtime=RuntimeConfig(backend="serial"), **kw,
         )
         rows.append(
-            [f"PN + {inner}", res.n_iterations, f"{res.history.rel_errors[-1]:.2e}",
+            [f"PN + {label}", res.n_iterations, f"{res.history.rel_errors[-1]:.2e}",
              res.converged]
         )
     print(format_table(

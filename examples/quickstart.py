@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import fista, rc_sfista_distributed, sfista_distributed, solve_reference
+from repro.core import fista, rc_sfista_distributed, solve_reference
 from repro.core.stopping import StoppingCriterion
 from repro.data import get_dataset
 from repro.experiments.ascii_plot import ascii_chart
@@ -43,7 +43,7 @@ def main() -> None:
     serial = RuntimeConfig(backend="serial")
     runs = {
         "fista": fista(problem, max_iter=2000, stopping=stop),
-        "sfista (b=1%)": sfista_distributed(
+        "sfista (b=1%)": rc_sfista_distributed(
             problem, 1, b=0.01, epochs=40, iters_per_epoch=100, stopping=stop, seed=0,
             runtime=serial,
         ),

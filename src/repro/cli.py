@@ -36,7 +36,6 @@ from repro.core.path import lambda_max
 from repro.core.proxcocoa import proxcocoa
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.reference import solve_reference
-from repro.core.sfista_dist import sfista_distributed
 from repro.core.stopping import StoppingCriterion
 from repro.data.datasets import DATASETS, get_dataset
 from repro.distsim.faults import CORRUPTION_MODES, FaultPlan, RankCrash, RetryPolicy
@@ -182,7 +181,8 @@ def _solve(args: argparse.Namespace) -> int:
     elif name == "cd":
         result = coordinate_descent_lasso(problem, max_epochs=args.epochs, **common)
     elif name in ("sfista", "sfista_dist"):
-        result = sfista_distributed(
+        # SFISTA is RC-SFISTA at k = S = 1; --k/--S do not apply.
+        result = rc_sfista_distributed(
             problem, args.nranks, b=args.b, seed=args.seed,
             runtime=_build_runtime(args, recorder, registry),
             **budget, **common,

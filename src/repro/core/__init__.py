@@ -4,16 +4,15 @@ Solvers
 -------
 * :func:`repro.core.fista.fista` / :func:`repro.core.fista.ista` —
   deterministic baselines (paper Alg. 2).
-* :func:`repro.core.sfista_dist.sfista_distributed` — stochastic
-  variance-reduced FISTA (paper Algs. 3–4), one allreduce per iteration.
 * :func:`repro.core.rc_sfista_dist.rc_sfista_distributed` — RC-SFISTA
   with iteration overlapping ``k`` and Hessian-reuse ``S`` (paper Alg. 5,
-  Fig. 1).
+  Fig. 1). At ``k = S = 1`` it is SFISTA, the stochastic
+  variance-reduced FISTA of Algs. 3–4 (one allreduce per iteration).
 * :func:`repro.core.prox_newton.proximal_newton_distributed` — the outer
-  PN method (paper Alg. 1) with FISTA, SFISTA or RC-SFISTA as the inner
-  solver (Fig. 7).
+  PN method (paper Alg. 1) with FISTA or RC-SFISTA (SFISTA at
+  ``k = S = 1``) as the inner solver (Fig. 7).
 
-  Each of these three is one body for every rank count: ``nranks=1`` with
+  Each of these two is one body for every rank count: ``nranks=1`` with
   ``runtime=RuntimeConfig(backend="serial")`` is the serial solver.
 * :func:`repro.core.cd.coordinate_descent_lasso` — coordinate-descent
   lasso (the CLI's ``cd`` solver and the ProxCoCoA local solver).
@@ -48,7 +47,6 @@ from repro.core.results import SolveResult, History
 from repro.core.stopping import StoppingCriterion, relative_objective_error
 from repro.core.fista import fista, ista
 from repro.core.sfista import GradientEstimator, stochastic_step_size
-from repro.core.sfista_dist import sfista_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.cd import coordinate_descent_lasso
@@ -86,7 +84,6 @@ __all__ = [
     "ista",
     "GradientEstimator",
     "stochastic_step_size",
-    "sfista_distributed",
     "rc_sfista_distributed",
     "proximal_newton_distributed",
     "coordinate_descent_lasso",

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.proximal import L1Prox, ProximalOperator
+from repro.core.proximal import ProximalOperator
 from repro.core.results import History, SolveResult
 from repro.core.stopping import StoppingCriterion
 from repro.exceptions import ValidationError
@@ -52,14 +52,11 @@ def _prepare(
     w0: np.ndarray | None,
 ) -> tuple[float, ProximalOperator, np.ndarray]:
     if prox is None:
-        # An ERMObjective carries its penalty; L1Prox(lam) remains the
-        # fallback for duck-typed smooth problems that carry only a λ.
+        # An ERMObjective carries its penalty; any other smooth problem
+        # must pass its prox explicitly.
         prox = getattr(problem, "penalty", None)
         if prox is None:
-            lam = getattr(problem, "lam", None)
-            if lam is None:
-                raise ValidationError("prox operator required for problems without .lam")
-            prox = L1Prox(lam)
+            raise ValidationError("prox operator required for problems without .penalty")
     if step_size is None:
         if hasattr(problem, "default_step"):
             step_size = problem.default_step()

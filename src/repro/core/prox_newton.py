@@ -22,12 +22,11 @@ communication pattern:
 * ``inner="fista"`` — deterministic FISTA; every inner iteration applies
   the exact Hessian through the distributed data (one d-word allreduce per
   inner iteration).
-* ``inner="sfista"`` — stochastic inner solver; every inner iteration
-  builds a fresh sampled Hessian (one d(d+1)/2-word allreduce of its
-  distinct entries per inner iteration).
 * ``inner="rc_sfista"`` — the paper's method; ``k`` sampled blocks per
   allreduce (k·d(d+1)/2 words every k inner iterations) and Hessian-reuse
-  ``S``.
+  ``S``. At ``k = S = 1`` it is the SFISTA inner solver: every inner
+  iteration builds a fresh sampled Hessian (one d(d+1)/2-word allreduce
+  of its distinct entries per inner iteration).
 """
 
 from __future__ import annotations
@@ -95,10 +94,8 @@ def proximal_newton_distributed(
         (``phase="outer"``); both observers are strictly out of band.
     """
     config = runtime if runtime is not None else RuntimeConfig()
-    if inner not in ("fista", "sfista", "rc_sfista"):
-        raise ValidationError(f"inner must be fista|sfista|rc_sfista, got {inner!r}")
-    if inner != "rc_sfista" and (k != 1 or S != 1):
-        raise ValidationError("k and S only apply to the rc_sfista inner solver")
+    if inner not in ("fista", "rc_sfista"):
+        raise ValidationError(f"inner must be fista|rc_sfista, got {inner!r}")
     if n_outer < 1 or inner_iters < 1 or k < 1 or S < 1:
         raise ValidationError("n_outer, inner_iters, k, S must be >= 1")
     if monitor_every < 1:
@@ -117,18 +114,13 @@ def proximal_newton_distributed(
     )
     mbar = minibatch_size(problem.m, b)
     # Proximal-point damping of the Hessian-reuse subproblem (see rc_sfista_dist).
-    eps_reg = (
-        0.25 * problem.sampled_hessian_deviation(mbar)
-        if (inner == "rc_sfista" and S > 1)
-        else 0.0
-    )
+    eps_reg = 0.25 * problem.sampled_hessian_deviation(mbar) if S > 1 else 0.0
 
     data = distribute_problem(problem, nranks)
     backend = build_host_backend(config, nranks)
     loop = ResilientLoop(backend, config, solver="proximal_newton_distributed")
     loop.step_size = gamma
-    max_block = k if inner == "rc_sfista" else 1
-    placement = RankPlacement(data, loop, mbar=mbar, blocks=max_block, rhs=False)
+    placement = RankPlacement(data, loop, mbar=mbar, blocks=k, rhs=False)
     loop.start(
         {
             **run_params(loop, nranks, problem),
@@ -256,12 +248,10 @@ def proximal_newton_distributed(
                     inner_count += 1
                     loop.emit(outer=n, inner=inner_count, objective=None)
             else:
-                block_k = k if inner == "rc_sfista" else 1
-                reuse_S = S if inner == "rc_sfista" else 1
-                n_rounds = -(-inner_iters // block_k)
+                n_rounds = -(-inner_iters // k)
                 done = 0
                 for _rnd in range(n_rounds):
-                    block = min(block_k, inner_iters - done)
+                    block = min(k, inner_iters - done)
                     G = sampled_blocks(block)
                     for j in range(block):
                         H_j, _ = placement.block(G, j)
@@ -272,9 +262,9 @@ def proximal_newton_distributed(
                         mu = momentum_mu(t_prev, t_cur)
                         v = u + mu * (u - u_prev)
                         z = hessian_reuse_update(
-                            H_j, R_j, v, gamma=gamma, prox=prox, S=reuse_S, eps_reg=eps_reg
+                            H_j, R_j, v, gamma=gamma, prox=prox, S=S, eps_reg=eps_reg
                         )
-                        for _s in range(reuse_S):  # Hessian-reuse prox steps
+                        for _s in range(S):  # Hessian-reuse prox steps
                             backend.compute(UPDATE_FLOPS(d), label="update")
                         u_prev, u = u, z
                         t_prev = t_cur

@@ -13,12 +13,11 @@ the sampled label terms cancel in Eq. (9), so the SVRG estimator needs only
 ``H_n`` plus replicated vectors: this is what lets RC-SFISTA overlap
 iterations without growing messages.
 
-Both solver bodies — :func:`repro.core.sfista_dist.sfista_distributed`
-(one allreduce per iteration) and
-:func:`repro.core.rc_sfista_dist.rc_sfista_distributed` (k overlapped
-iterations per allreduce, S Hessian-reuse steps each) — import the
-estimator choice and the step-size rule from here. A serial run is either
-body at ``nranks=1`` with ``runtime=RuntimeConfig(backend="serial")``.
+The solver body is :func:`repro.core.rc_sfista_dist.rc_sfista_distributed`
+(k overlapped iterations per allreduce, S Hessian-reuse steps each); SFISTA
+is that body at ``k = S = 1``. It imports the estimator choice and the
+step-size rule from here. A serial run is the body at ``nranks=1`` with
+``runtime=RuntimeConfig(backend="serial")``.
 """
 
 from __future__ import annotations

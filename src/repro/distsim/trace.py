@@ -57,12 +57,3 @@ class Trace:
 
     def __iter__(self) -> "Iterable[TraceEvent]":
         return iter(self.events)
-
-    def totals(self) -> dict[str, float]:
-        """Aggregate flops/words/messages across all events."""
-        return {
-            "flops": sum(e.flops for e in self.events),
-            "words": sum(e.words for e in self.events),
-            "messages": sum(e.messages for e in self.events),
-            "time": sum(e.duration for e in self.events),
-        }

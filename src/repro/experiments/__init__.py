@@ -2,7 +2,6 @@
 
 from repro.experiments.runner import (
     ProblemStats,
-    dry_run_sfista,
     dry_run_rc_sfista,
     dry_run_pn_inner,
     iterations_to_tolerance,
@@ -25,7 +24,6 @@ from repro.experiments.ascii_plot import ascii_chart
 
 __all__ = [
     "ProblemStats",
-    "dry_run_sfista",
     "dry_run_rc_sfista",
     "dry_run_pn_inner",
     "iterations_to_tolerance",

@@ -21,12 +21,11 @@ from repro.core.objectives import L1LeastSquares
 from repro.core.proxcocoa import proxcocoa
 from repro.core.fista import fista
 from repro.core.stopping import StoppingCriterion
-from repro.core.sfista_dist import sfista_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.data.datasets import DATASETS, dataset_table, get_dataset
 from repro.distsim.collectives import ceil_log2
 from repro.perf.bounds import k_bound_latency_bandwidth
-from repro.perf.model import rc_sfista_costs, sfista_costs
+from repro.perf.model import rc_sfista_costs
 from repro.experiments.runner import (
     ProblemStats,
     dry_run_pn_inner,
@@ -90,7 +89,7 @@ def fig2a_sampling_rate(
     iters_per_epoch = min(50, n_iters)
     epochs = -(-n_iters // iters_per_epoch)
     for b in bs:
-        run = sfista_distributed(
+        run = rc_sfista_distributed(
             problem, 1, b=b, estimator="svrg", epochs=epochs,
             iters_per_epoch=iters_per_epoch, seed=seed, stopping=stop,
             restart_momentum=False, runtime=SERIAL,
@@ -450,7 +449,7 @@ def table1_costs(
     f = stats.density
     d = problem.d
 
-    sf = sfista_distributed(
+    sf = rc_sfista_distributed(
         problem, nranks, b=b, iters_per_epoch=n_iters,
         estimator="plain", seed=seed, monitor_every=n_iters,
         runtime=RuntimeConfig(machine=machine),
@@ -460,9 +459,9 @@ def table1_costs(
         estimator="plain", seed=seed, monitor_every=n_iters,
         runtime=RuntimeConfig(machine=machine),
     )
-    model_sf = sfista_costs(n_iters, d, mbar, f, nranks)
+    model_sf = rc_sfista_costs(n_iters, d, mbar, f, nranks, 1, 1)
     model_rc = rc_sfista_costs(n_iters, d, mbar, f, nranks, k, S)
-    paper_sf = sfista_costs(n_iters, d, mbar, f, nranks, exact_words=False)
+    paper_sf = rc_sfista_costs(n_iters, d, mbar, f, nranks, 1, 1, exact_words=False)
     paper_rc = rc_sfista_costs(n_iters, d, mbar, f, nranks, k, S, exact_words=False)
     rows = []
     for label, run, model, paper in (

@@ -40,7 +40,6 @@ from repro.utils.rng import RandomState
 
 __all__ = [
     "ProblemStats",
-    "dry_run_sfista",
     "dry_run_rc_sfista",
     "iterations_to_tolerance",
     "speedup_cell",
@@ -100,52 +99,6 @@ def _update_flops(d: int) -> float:
     return 2.0 * d * d + 8.0 * d
 
 
-def dry_run_sfista(
-    stats: ProblemStats,
-    nranks: int,
-    machine: str | MachineSpec,
-    *,
-    n_iterations: int,
-    mbar: int,
-    estimator: str = "svrg",
-    iters_per_epoch: int | None = None,
-    allreduce_algorithm: str = "recursive_doubling",
-    jitter_seed: RandomState = None,
-) -> BSPCluster:
-    """Drive a cluster through the SFISTA cost schedule (no numerics).
-
-    Returns the cluster; read ``cluster.elapsed`` and ``cluster.cost``.
-    ``n_iterations`` is the total inner-iteration count actually executed;
-    ``iters_per_epoch`` is the anchor-refresh interval of the run being
-    replayed (``None`` → one epoch covering everything), so the schedule
-    pays the SVRG anchor allreduce exactly as often as the real solver did.
-    """
-    if iters_per_epoch is None:
-        iters_per_epoch = n_iterations
-    if n_iterations < 1 or iters_per_epoch < 1:
-        raise ValidationError("n_iterations and iters_per_epoch must be >= 1")
-    epochs = -(-n_iterations // iters_per_epoch)
-    cluster = BSPCluster(
-        nranks, machine, allreduce_algorithm=allreduce_algorithm, jitter_seed=jitter_seed
-    )
-    d = stats.d
-    remaining = n_iterations
-    for _epoch in range(epochs):
-        iters = min(iters_per_epoch, remaining)
-        if iters <= 0:
-            break
-        remaining -= iters
-        if estimator == "svrg":
-            _charge_anchor_gradient(cluster, stats)
-        for _n in range(iters):
-            _charge_hessian_phase(cluster, stats, mbar, 1, with_rhs=(estimator == "plain"))
-            cluster.charge_allreduce(packed_size(d) + d, label="allreduce_HR")
-            if estimator == "svrg":
-                cluster.compute(2.0 * d * d, label="svrg_rhs")
-            cluster.compute(_update_flops(d), label="update")
-    return cluster
-
-
 def dry_run_rc_sfista(
     stats: ProblemStats,
     nranks: int,
@@ -162,7 +115,12 @@ def dry_run_rc_sfista(
 ) -> BSPCluster:
     """Drive a cluster through the RC-SFISTA cost schedule (no numerics).
 
-    See :func:`dry_run_sfista` for the epoch-structure semantics.
+    ``k = S = 1`` is the SFISTA schedule. Returns the cluster; read
+    ``cluster.elapsed`` and ``cluster.cost``. ``n_iterations`` is the total
+    inner-iteration count actually executed; ``iters_per_epoch`` is the
+    anchor-refresh interval of the run being replayed (``None`` → one epoch
+    covering everything), so the schedule pays the SVRG anchor allreduce
+    exactly as often as the real solver did.
     """
     if iters_per_epoch is None:
         iters_per_epoch = n_iterations
@@ -213,13 +171,13 @@ def dry_run_pn_inner(
 
     Mirrors :func:`repro.core.prox_newton.proximal_newton_distributed`
     phase-for-phase: ``inner="fista"`` pays one exact Hessian-apply plus a
-    d-word allreduce per inner iteration; ``inner="sfista"`` one sampled
-    block plus a d(d+1)/2-word allreduce (its packed upper triangle) per
-    inner iteration; ``inner="rc_sfista"`` one k-block k·d(d+1)/2-word
-    allreduce per k inner iterations with S-fold Hessian reuse.
+    d-word allreduce per inner iteration; ``inner="rc_sfista"`` one k-block
+    k·d(d+1)/2-word allreduce (each block its packed upper triangle) per k
+    inner iterations with S-fold Hessian reuse — at ``k = S = 1`` the
+    SFISTA inner solver.
     """
-    if inner not in ("fista", "sfista", "rc_sfista"):
-        raise ValidationError(f"inner must be fista|sfista|rc_sfista, got {inner!r}")
+    if inner not in ("fista", "rc_sfista"):
+        raise ValidationError(f"inner must be fista|rc_sfista, got {inner!r}")
     if min(n_outer, inner_iters, k, S) < 1:
         raise ValidationError("n_outer, inner_iters, k, S must be >= 1")
     cluster = BSPCluster(nranks, machine, allreduce_algorithm=allreduce_algorithm)
@@ -234,16 +192,14 @@ def dry_run_pn_inner(
                 cluster.charge_allreduce(d, label="allreduce_Hv")
                 cluster.compute(8.0 * d, label="update")
         else:
-            block_k = k if inner == "rc_sfista" else 1
-            reuse_S = S if inner == "rc_sfista" else 1
             done = 0
             while done < inner_iters:
-                block = min(block_k, inner_iters - done)
+                block = min(k, inner_iters - done)
                 _charge_hessian_phase(cluster, stats, mbar, block, with_rhs=False)
                 cluster.charge_allreduce(block * packed_size(d), label="allreduce_G")
                 for _j in range(block):
                     cluster.compute(2.0 * d * d, label="model_rhs")
-                    for _s in range(reuse_S):
+                    for _s in range(S):
                         cluster.compute(_update_flops(d), label="update")
                 done += block
     return cluster
@@ -341,9 +297,9 @@ def speedup_cell(
     )
     mbar = base.meta["mbar"]
 
-    sf_cluster = dry_run_sfista(
+    sf_cluster = dry_run_rc_sfista(
         stats, nranks, machine, n_iterations=base.n_iterations, mbar=mbar,
-        estimator=estimator, iters_per_epoch=iters_per_epoch,
+        k=1, S=1, estimator=estimator, iters_per_epoch=iters_per_epoch,
         allreduce_algorithm=allreduce_algorithm,
     )
     rc_cluster = dry_run_rc_sfista(

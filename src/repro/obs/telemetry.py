@@ -1,6 +1,6 @@
 """Solver telemetry: per-iteration records and machine-readable run reports.
 
-The distributed solvers (``rc_sfista_distributed``, ``sfista_distributed``,
+The distributed solvers (``rc_sfista_distributed``,
 ``proximal_newton_distributed``) accept a ``telemetry=`` callback
 implementing the :class:`TelemetryCallback` protocol. The callback is
 strictly *out of band*: it observes the run (one :class:`IterationRecord`

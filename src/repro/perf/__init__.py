@@ -2,10 +2,8 @@
 
 from repro.perf.model import (
     AlgorithmCosts,
-    sfista_costs,
     rc_sfista_costs,
     rc_sfista_runtime,
-    sfista_runtime,
     predicted_speedup,
 )
 from repro.perf.bounds import (
@@ -20,10 +18,8 @@ from repro.perf.report import format_table
 
 __all__ = [
     "AlgorithmCosts",
-    "sfista_costs",
     "rc_sfista_costs",
     "rc_sfista_runtime",
-    "sfista_runtime",
     "predicted_speedup",
     "k_bound_latency_bandwidth",
     "k_bound_flops",

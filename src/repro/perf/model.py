@@ -1,4 +1,7 @@
-"""Closed-form cost model of SFISTA and RC-SFISTA (paper Table 1, Eq. 24).
+"""Closed-form cost model of RC-SFISTA (paper Table 1, Eq. 24).
+
+SFISTA is RC-SFISTA at ``k = S = 1``; its Table 1 row and Eq. 24 runtime
+are :func:`rc_sfista_costs` and :func:`rc_sfista_runtime` at those values.
 
 Two levels of fidelity are provided:
 
@@ -28,9 +31,7 @@ from repro.sparse.ops import packed_size
 
 __all__ = [
     "AlgorithmCosts",
-    "sfista_costs",
     "rc_sfista_costs",
-    "sfista_runtime",
     "rc_sfista_runtime",
     "predicted_speedup",
     "sparse_comm_words",
@@ -106,37 +107,6 @@ def sparse_comm_words(words: float, payload_density: float | None) -> float:
     return sparse_payload_words(float(words), payload_density * float(words))
 
 
-def sfista_costs(
-    N: int,
-    d: int,
-    mbar: int,
-    f: float,
-    P: int,
-    *,
-    exact_words: bool = True,
-    payload_density: float | None = None,
-) -> AlgorithmCosts:
-    """Per-processor costs of N iterations of distributed SFISTA.
-
-    SFISTA allreduces the packed ``[triu(H) | R]`` block of
-    ``w = d(d+1)/2 + d`` words every iteration (recursive doubling ⇒
-    ⌈log₂P⌉ messages and ``w·⌈log₂P⌉`` words per iteration per rank) and
-    performs one inner update per iteration. ``exact_words=False`` charges
-    the paper's ``d²`` words instead. *payload_density* models the
-    sparse-communication mode (see :func:`sparse_comm_words`).
-    """
-    _validate(N, d, P)
-    log_p = ceil_log2(P)
-    words_per_iter = sparse_comm_words(
-        (packed_size(d) + d) if exact_words else d * d, payload_density
-    )
-    return AlgorithmCosts(
-        latency=float(N * log_p),
-        flops=N * (hessian_flops_per_iteration(d, mbar, f, P) + update_flops_per_step(d)),
-        bandwidth=float(N * words_per_iter * log_p),
-    )
-
-
 def rc_sfista_costs(
     N: int,
     d: int,
@@ -154,7 +124,8 @@ def rc_sfista_costs(
     One allreduce of ``k·(d(d+1)/2 + d)`` words every k iterations (the
     paper's ``k·d²`` with ``exact_words=False``): latency shrinks by k,
     bandwidth is unchanged (Table 1, RC-SFISTA row). The Hessian-reuse
-    loop multiplies the update flops by S. *payload_density* models the
+    loop multiplies the update flops by S. ``k = S = 1`` is SFISTA
+    (Table 1, SFISTA row). *payload_density* models the
     sparse-communication mode (see :func:`sparse_comm_words`).
     """
     _validate(N, d, P, k, S)
@@ -193,13 +164,6 @@ def rc_sfista_runtime(
     return m.gamma * flops + m.alpha * latency + m.beta * bandwidth
 
 
-def sfista_runtime(
-    machine: MachineSpec | str, N: int, d: int, mbar: int, f: float, P: int
-) -> float:
-    """Eq. (24) specialized to SFISTA (k = S = 1)."""
-    return rc_sfista_runtime(machine, N, d, mbar, f, P, k=1, S=1)
-
-
 def predicted_speedup(
     machine: MachineSpec | str,
     N: int,
@@ -217,7 +181,7 @@ def predicted_speedup(
     ``N_rc`` allows the RC variant to need a different iteration count (the
     Hessian-reuse effect of §3.2); defaults to the same N.
     """
-    t_base = sfista_runtime(machine, N, d, mbar, f, P)
+    t_base = rc_sfista_runtime(machine, N, d, mbar, f, P, k=1, S=1)
     t_rc = rc_sfista_runtime(machine, N_rc if N_rc is not None else N, d, mbar, f, P, k, S)
     if t_rc <= 0:
         raise ValidationError("non-positive predicted RC-SFISTA runtime")

@@ -35,7 +35,6 @@ from typing import Any, Mapping
 
 from repro.core.fista import fista, ista
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista_dist import sfista_distributed
 from repro.core.stopping import StoppingCriterion
 from repro.distsim.compress import parse_compression_spec
 from repro.exceptions import ValidationError
@@ -362,14 +361,13 @@ class Scheduler:
         seed = solver_kw.get("seed", 0)
         b = float(solver_kw.get("b", 0.01))
         cfg = RuntimeConfig(telemetry=recorder, **config_kw)
+        # "sfista_dist" is RC-SFISTA at k = S = 1; any k/S it sends is ignored.
         if req.solver == "sfista_dist":
-            return sfista_distributed(
-                problem, nranks, b=b, seed=seed, epochs=epochs,
-                iters_per_epoch=iters, stopping=stopping, runtime=cfg,
-            )
+            k, S = 1, 1
+        else:
+            k, S = solver_kw.get("k", 1), solver_kw.get("S", 1)
         return rc_sfista_distributed(
-            problem, nranks,
-            k=solver_kw.get("k", 1), S=solver_kw.get("S", 1),
+            problem, nranks, k=k, S=S,
             b=b, seed=seed, epochs=epochs, iters_per_epoch=iters,
             stopping=stopping, runtime=cfg,
         )

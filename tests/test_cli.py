@@ -69,6 +69,23 @@ class TestSolve:
         result = load_result(out_file)
         assert result.n_iterations == 10
 
+    def test_sfista_dist_is_rc_sfista_at_k1(self, tmp_path, capsys):
+        """``--solver sfista_dist`` runs RC-SFISTA at k = S = 1; --k/--S do
+        not apply to it."""
+        out_file = tmp_path / "res.json"
+        rc = main([
+            "solve", "--dataset", "covtype", "--size", "tiny",
+            "--solver", "sfista_dist", "--nranks", "4", "--k", "4", "--S", "2",
+            "--b", "0.2", "--epochs", "1", "--iters-per-epoch", "8",
+            "--output", str(out_file),
+        ])
+        assert rc == 0
+        from repro.utils.serialization import load_result
+
+        meta = load_result(out_file).meta
+        assert meta["solver"] == "rc_sfista_distributed"
+        assert meta["k"] == meta["S"] == 1
+
     def test_libsvm_input(self, tmp_path, capsys):
         gen = np.random.default_rng(0)
         X = gen.standard_normal((5, 40))

@@ -6,7 +6,6 @@ import pytest
 from repro.core._dist_common import UPDATE_FLOPS, distribute_problem
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista_dist import sfista_distributed
 from repro.exceptions import ValidationError
 from repro.perf.model import update_flops_per_step
 from repro.sparse.ops import sampled_gram
@@ -128,9 +127,6 @@ RUNTIME_KEYS = {
 SOLVER_RUNS = {
     "rc_sfista_distributed": lambda prob: rc_sfista_distributed(
         prob, 4, k=2, b=0.2, iters_per_epoch=4, seed=0
-    ),
-    "sfista_distributed": lambda prob: sfista_distributed(
-        prob, 4, b=0.2, iters_per_epoch=4, seed=0
     ),
     "proximal_newton_distributed": lambda prob: proximal_newton_distributed(
         prob, 4, n_outer=1, inner_iters=4, k=2, b=0.2, seed=0

@@ -14,7 +14,6 @@ import pytest
 from repro.core.objectives import build_objective
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista_dist import sfista_distributed
 from repro.distsim.collectives import ceil_log2
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
@@ -25,8 +24,8 @@ SERIAL = RuntimeConfig(backend="serial")
 
 
 def sfista(problem, **kw):
-    """Serial SFISTA: the one body at P=1 on the serial backend."""
-    return sfista_distributed(problem, 1, runtime=SERIAL, **kw)
+    """Serial SFISTA: RC-SFISTA at k = S = 1, P=1 on the serial backend."""
+    return rc_sfista_distributed(problem, 1, runtime=SERIAL, **kw)
 
 
 def rc_sfista(problem, **kw):
@@ -52,7 +51,7 @@ class TestOracle:
     def test_sfista_matches_oracle(self, small_dense_problem, nranks):
         kw = dict(b=0.15, epochs=2, iters_per_epoch=12, seed=5)
         runtime = SERIAL if nranks == 1 else None
-        res = sfista_distributed(small_dense_problem, nranks, runtime=runtime, **kw)
+        res = rc_sfista_distributed(small_dense_problem, nranks, runtime=runtime, **kw)
         ref = rc_sfista_oracle(small_dense_problem, **kw)
         np.testing.assert_allclose(res.w, ref, atol=1e-9)
 
@@ -61,7 +60,9 @@ class TestSfistaDistEquivalence:
     @pytest.mark.parametrize("nranks", [1, 2, 3, 5, 8])
     def test_matches_serial_any_p(self, tiny_covtype_problem, nranks):
         ser = sfista(tiny_covtype_problem, b=0.2, iters_per_epoch=20, seed=6)
-        dist = sfista_distributed(tiny_covtype_problem, nranks, b=0.2, iters_per_epoch=20, seed=6)
+        dist = rc_sfista_distributed(
+            tiny_covtype_problem, nranks, b=0.2, iters_per_epoch=20, seed=6
+        )
         np.testing.assert_allclose(dist.w, ser.w, atol=1e-9)
 
     @pytest.mark.parametrize("estimator", ["plain", "svrg"])
@@ -69,26 +70,26 @@ class TestSfistaDistEquivalence:
         ser = sfista(
             tiny_covtype_problem, b=0.3, iters_per_epoch=15, seed=1, estimator=estimator
         )
-        dist = sfista_distributed(
+        dist = rc_sfista_distributed(
             tiny_covtype_problem, 4, b=0.3, iters_per_epoch=15, seed=1, estimator=estimator
         )
         np.testing.assert_allclose(dist.w, ser.w, atol=1e-9)
 
     def test_gradient_mode_matches_hessian_mode(self, tiny_covtype_problem):
-        h = sfista_distributed(
+        h = rc_sfista_distributed(
             tiny_covtype_problem, 4, b=0.3, iters_per_epoch=12, seed=2, comm_mode="hessian"
         )
-        g = sfista_distributed(
+        g = rc_sfista_distributed(
             tiny_covtype_problem, 4, b=0.3, iters_per_epoch=12, seed=2, comm_mode="gradient"
         )
         np.testing.assert_allclose(h.w, g.w, atol=1e-8)
 
     def test_gradient_mode_moves_fewer_words(self, tiny_covtype_problem):
         d, P, N = tiny_covtype_problem.d, 4, 10
-        h = sfista_distributed(
+        h = rc_sfista_distributed(
             tiny_covtype_problem, P, b=0.3, iters_per_epoch=N, seed=2, comm_mode="hessian"
         )
-        g = sfista_distributed(
+        g = rc_sfista_distributed(
             tiny_covtype_problem, P, b=0.3, iters_per_epoch=N, seed=2, comm_mode="gradient"
         )
         # Per iteration the Hessian mode ships the packed [triu(H) | R]
@@ -103,13 +104,19 @@ class TestSfistaDistEquivalence:
         ratio = (N + 1) / N * d / (packed_size(d) + d)
         assert g.cost["words_per_rank_max"] < h.cost["words_per_rank_max"] * ratio
 
+    @pytest.mark.parametrize("k,S", [(2, 1), (1, 2), (4, 3)])
+    def test_gradient_mode_needs_k1_s1(self, tiny_covtype_problem, k, S):
+        """The d-word gradient stage reduces no Hessian to overlap or reuse."""
+        with pytest.raises(ValidationError, match="k = S = 1"):
+            rc_sfista_distributed(tiny_covtype_problem, 2, k=k, S=S, comm_mode="gradient")
+
     def test_exact_estimator_rejected(self, tiny_covtype_problem):
         with pytest.raises(ValidationError):
-            sfista_distributed(tiny_covtype_problem, 2, estimator="exact")
+            rc_sfista_distributed(tiny_covtype_problem, 2, estimator="exact")
 
     def test_multi_epoch(self, tiny_covtype_problem):
         ser = sfista(tiny_covtype_problem, b=0.3, epochs=3, iters_per_epoch=8, seed=0)
-        dist = sfista_distributed(
+        dist = rc_sfista_distributed(
             tiny_covtype_problem, 4, b=0.3, epochs=3, iters_per_epoch=8, seed=0
         )
         np.testing.assert_allclose(dist.w, ser.w, atol=1e-9)
@@ -141,7 +148,12 @@ class TestRcSfistaDistEquivalence:
 class TestPnDistEquivalence:
     """Proximal Newton: the serial PN is the body at P=1 on the serial backend."""
 
-    INNERS = [("fista", 1, 1), ("sfista", 1, 1), ("rc_sfista", 3, 2)]
+    # SFISTA is the rc_sfista inner solver at k = S = 1.
+    INNERS = [
+        ("fista", 1, 1),
+        pytest.param("rc_sfista", 1, 1, id="sfista-1-1"),
+        ("rc_sfista", 3, 2),
+    ]
 
     @pytest.fixture(scope="class", params=["squared", "logistic"])
     def problem(self, request, tiny_covtype_problem):
@@ -177,7 +189,7 @@ class TestCommunicationAccounting:
     def test_latency_ratio_is_k(self, tiny_covtype_problem):
         """Table 1: RC-SFISTA message count = SFISTA's / k (same N)."""
         P, N, k = 8, 24, 4
-        base = sfista_distributed(
+        base = rc_sfista_distributed(
             tiny_covtype_problem, P, b=0.2, iters_per_epoch=N, seed=0, estimator="plain"
         )
         rc = rc_sfista_distributed(
@@ -187,7 +199,7 @@ class TestCommunicationAccounting:
 
     def test_bandwidth_unchanged_by_k(self, tiny_covtype_problem):
         P, N = 8, 24
-        base = sfista_distributed(
+        base = rc_sfista_distributed(
             tiny_covtype_problem, P, b=0.2, iters_per_epoch=N, seed=0, estimator="plain"
         )
         rc = rc_sfista_distributed(
@@ -197,7 +209,7 @@ class TestCommunicationAccounting:
 
     def test_word_count_closed_form(self, tiny_covtype_problem):
         d, P, N = tiny_covtype_problem.d, 4, 10
-        res = sfista_distributed(
+        res = rc_sfista_distributed(
             tiny_covtype_problem, P, b=0.2, iters_per_epoch=N, seed=0, estimator="plain"
         )
         # The packed [triu(H) | R] block: d(d+1)/2 + d words per iteration.

@@ -6,7 +6,6 @@ import pytest
 from repro.core.objectives import L1LeastSquares
 from repro.core.fista import fista
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista_dist import sfista_distributed
 from repro.runtime import RuntimeConfig
 
 SERIAL = RuntimeConfig(backend="serial")
@@ -37,7 +36,7 @@ class TestDegenerateProblems:
 
     def test_mbar_one(self, tiny_covtype_problem):
         """b small enough that the mini-batch is a single sample."""
-        res = sfista_distributed(
+        res = rc_sfista_distributed(
             tiny_covtype_problem, 1, b=1e-6, epochs=2, iters_per_epoch=10, seed=0,
             runtime=SERIAL,
         )
@@ -66,10 +65,10 @@ class TestDistributedEdges:
         np.testing.assert_allclose(res.w, ser.w, atol=1e-9)
 
     def test_single_rank_cluster(self, tiny_covtype_problem):
-        res = sfista_distributed(
+        res = rc_sfista_distributed(
             tiny_covtype_problem, 1, b=0.2, iters_per_epoch=8, seed=0
         )
-        ser = sfista_distributed(
+        ser = rc_sfista_distributed(
             tiny_covtype_problem, 1, b=0.2, iters_per_epoch=8, seed=0, runtime=SERIAL
         )
         np.testing.assert_array_equal(res.w, ser.w)  # the same body on both backends

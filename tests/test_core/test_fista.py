@@ -123,7 +123,7 @@ class TestFista:
         assert np.all(np.abs(g[~on]) <= 0.05 + 1e-6)
         np.testing.assert_allclose(g[on], -0.05 * np.sign(res.w[on]), atol=1e-5)
 
-    def test_prox_required_without_lam(self):
+    def test_prox_required_without_penalty(self):
         model = Quadratic(np.eye(2), np.zeros(2))
         with pytest.raises(ValidationError):
             fista(model, max_iter=5)

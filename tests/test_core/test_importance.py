@@ -1,4 +1,4 @@
-"""Unit tests for importance sampling in ``sfista_distributed`` (extension
+"""Unit tests for importance sampling in ``rc_sfista_distributed`` (extension
 beyond the paper)."""
 
 from types import SimpleNamespace
@@ -10,7 +10,7 @@ from repro.core._dist_common import RankPlacement, distribute_problem
 from repro.core.model import ERMObjective
 from repro.core.objectives import L1LeastSquares
 from repro.core.reference import solve_reference
-from repro.core.sfista_dist import importance_probabilities, sfista_distributed
+from repro.core.rc_sfista_dist import importance_probabilities, rc_sfista_distributed
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
 from repro.utils.rng import sample_indices_weighted
@@ -18,8 +18,8 @@ from tests.test_sparse.rfp_oracle import rfp_to_dense
 
 
 def sfista(problem, **kw):
-    """Serial SFISTA: the one body at P=1 on the serial backend."""
-    return sfista_distributed(problem, 1, runtime=RuntimeConfig(backend="serial"), **kw)
+    """Serial SFISTA: RC-SFISTA at k = S = 1, P=1 on the serial backend."""
+    return rc_sfista_distributed(problem, 1, runtime=RuntimeConfig(backend="serial"), **kw)
 
 
 def weighted_stage_b(problem, mbar):
@@ -142,21 +142,36 @@ class TestSolverBenefit:
     def test_importance_iterates_independent_of_p(self, heterogeneous_problem, nranks):
         """Each rank folds the weights of its own columns: P moves no iterate."""
         kw = dict(b=0.1, epochs=2, iters_per_epoch=16, seed=3, sampling="importance")
-        a = sfista_distributed(heterogeneous_problem, nranks, **kw)
+        a = rc_sfista_distributed(heterogeneous_problem, nranks, **kw)
         b = sfista(heterogeneous_problem, **kw)
         np.testing.assert_allclose(a.w, b.w, atol=1e-9)
+
+    @pytest.mark.parametrize("nranks", [1, 3])
+    def test_importance_iterates_independent_of_k(self, heterogeneous_problem, nranks):
+        """Stage A draws the k weighted sets in stream order and stage B folds
+        ω into every block: overlapping moves no iterate (Eqs. 16–17)."""
+        kw = dict(b=0.1, epochs=2, iters_per_epoch=16, seed=3, sampling="importance")
+        runtime = RuntimeConfig(backend="serial") if nranks == 1 else None
+        one = rc_sfista_distributed(heterogeneous_problem, nranks, k=1, runtime=runtime, **kw)
+        four = rc_sfista_distributed(heterogeneous_problem, nranks, k=4, runtime=runtime, **kw)
+        assert four.n_comm_rounds < one.n_comm_rounds
+        np.testing.assert_allclose(four.w, one.w, atol=1e-9)
+        np.testing.assert_allclose(
+            four.history.objectives, one.history.objectives, atol=1e-9
+        )
 
     @pytest.mark.parametrize("loss", ["squared", "logistic"])
     @pytest.mark.parametrize("nranks", [1, 3])
     def test_plain_iterates_match_weighted_reference(self, heterogeneous_problem, loss, nranks):
         """Three plain-estimator steps against the reweighted Eq. (8) from the
-        same draws: ``H = (1/m̄) Σ ω c x xᵀ``, ``R = (1/m̄) Σ ω r x``."""
+        same draws: ``H = (1/m̄) Σ ω c x xᵀ``, ``R = (1/m̄) Σ ω r x``, the
+        loss model taken at the round-start iterate ``w``."""
         X = heterogeneous_problem.X
         y = heterogeneous_problem.y if loss == "squared" else np.sign(heterogeneous_problem.y)
         p = ERMObjective(X, y, loss=loss, penalty="l1", lam=heterogeneous_problem.lam)
         runtime = RuntimeConfig(backend="serial") if nranks == 1 else None
-        res = sfista_distributed(p, nranks, b=0.05, iters_per_epoch=3, seed=4,
-                                 estimator="plain", sampling="importance", runtime=runtime)
+        res = rc_sfista_distributed(p, nranks, b=0.05, iters_per_epoch=3, seed=4,
+                                    estimator="plain", sampling="importance", runtime=runtime)
         probs = importance_probabilities(p)
         omega = 1.0 / (p.m * probs)
         gamma, mbar = res.meta["step_size"], res.meta["mbar"]
@@ -168,7 +183,7 @@ class TestSolverBenefit:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             v = w + (t - 1.0) / t_next * (w - w_prev)
             A = X[:, idx]
-            c, r = p.loss.model(A.T @ v, y[idx])
+            c, r = p.loss.model(A.T @ w, y[idx])
             wc = omega[idx] if c is None else omega[idx] * c
             H = (A * wc) @ A.T / mbar
             R = A @ (omega[idx] * r) / mbar

@@ -36,7 +36,6 @@ from repro.core.objectives import L1LeastSquares, build_objective
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.proximal import ElasticNetProx, GroupL1Prox, L1Prox
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista_dist import sfista_distributed
 from repro.data.synthetic import make_regression
 from repro.distsim.bsp import BSPCluster
 from repro.distsim.trace import Trace
@@ -290,7 +289,7 @@ def _run(solver, problem):
 
 @pytest.mark.parametrize(
     "solver",
-    [rc_sfista_distributed, sfista_distributed, proximal_newton_distributed],
+    [rc_sfista_distributed, proximal_newton_distributed],
     ids=lambda s: s.__name__,
 )
 @pytest.mark.parametrize("penalty", ["elastic_net:l2=1", "group_l1:size=4"])
@@ -379,10 +378,15 @@ def _sparse_problem(penalty):
 
 
 @pytest.mark.parametrize(
-    "solver", [rc_sfista_distributed, sfista_distributed, proximal_newton_distributed],
-    ids=lambda s: s.__name__,
+    "solver, k",
+    [
+        pytest.param(rc_sfista_distributed, 4, id="rc_sfista_distributed"),
+        # Distributed SFISTA: the same body at k = S = 1.
+        pytest.param(rc_sfista_distributed, 1, id="sfista_distributed"),
+        pytest.param(proximal_newton_distributed, 4, id="proximal_newton_distributed"),
+    ],
 )
-def test_general_penalty_charges_the_sparse_gram(solver):
+def test_general_penalty_charges_the_sparse_gram(solver, k):
     """The penalty does not change stage B: squared+elastic_net builds the
     same blocks with the same sparse Gram kernel, and is charged the same
     flops for them, as squared+l1."""
@@ -391,12 +395,11 @@ def test_general_penalty_charges_the_sparse_gram(solver):
         cluster = BSPCluster(4, "comet_paper", trace=Trace())
         runtime = RuntimeConfig(cluster=cluster)
         if solver is proximal_newton_distributed:
-            solver(_sparse_problem(penalty), 4, n_outer=2, inner_iters=8, k=4, b=0.1,
+            solver(_sparse_problem(penalty), 4, n_outer=2, inner_iters=8, k=k, b=0.1,
                    seed=0, runtime=runtime)
         else:
-            kw = {"k": 4} if solver is rc_sfista_distributed else {}
-            solver(_sparse_problem(penalty), 4, b=0.1, iters_per_epoch=8,
-                   estimator="plain", seed=0, runtime=runtime, **kw)
+            solver(_sparse_problem(penalty), 4, k=k, b=0.1, iters_per_epoch=8,
+                   estimator="plain", seed=0, runtime=runtime)
         return sum(e.flops for e in cluster.trace.events if e.label == "hessian_blocks")
 
     l1 = hessian_block_flops("l1")

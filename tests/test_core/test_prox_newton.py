@@ -37,12 +37,12 @@ class TestSerialPN:
 
     def test_sampled_hessian_still_converges(self, small_dense_problem, small_reference):
         fstar = small_reference.meta["fstar"]
-        for inner, k, S in (("sfista", 1, 1), ("rc_sfista", 4, 2)):
+        for k, S in ((1, 1), (4, 2)):  # SFISTA and RC-SFISTA inner solvers
             res = serial_pn(
-                small_dense_problem, n_outer=25, inner=inner, k=k, S=S, inner_iters=40,
+                small_dense_problem, n_outer=25, inner="rc_sfista", k=k, S=S, inner_iters=40,
                 b=0.5, seed=0, stopping=StoppingCriterion(tol=1e-3, fstar=fstar),
             )
-            assert res.converged, inner
+            assert res.converged, (k, S)
 
     def test_damping_slows_but_converges(self, small_dense_problem):
         full = serial_pn(small_dense_problem, n_outer=3, inner="fista", damping=1.0)
@@ -56,22 +56,29 @@ class TestSerialPN:
     @pytest.mark.parametrize("b", [0.0, 1.5])
     def test_invalid_b(self, small_dense_problem, b):
         with pytest.raises(ValidationError):
-            serial_pn(small_dense_problem, inner="sfista", b=b)
+            serial_pn(small_dense_problem, inner="rc_sfista", b=b)
 
 
 class TestDistributedPN:
-    @pytest.mark.parametrize("inner", ["fista", "sfista", "rc_sfista"])
-    def test_inner_variants_reduce_objective(self, tiny_covtype_problem, inner):
+    @pytest.mark.parametrize(
+        "inner, k",
+        [
+            pytest.param("fista", 1, id="fista"),
+            pytest.param("rc_sfista", 1, id="sfista"),  # SFISTA: k = S = 1
+            pytest.param("rc_sfista", 2, id="rc_sfista"),
+        ],
+    )
+    def test_inner_variants_reduce_objective(self, tiny_covtype_problem, inner, k):
         res = proximal_newton_distributed(
             tiny_covtype_problem, 4, inner=inner, n_outer=3, inner_iters=12,
-            k=2 if inner == "rc_sfista" else 1, b=0.3, seed=0,
+            k=k, b=0.3, seed=0,
         )
         start = tiny_covtype_problem.value(np.zeros(tiny_covtype_problem.d))
         assert res.final_objective < start
 
     def test_rc_inner_fewer_messages_than_sfista_inner(self, tiny_covtype_problem):
         sf = proximal_newton_distributed(
-            tiny_covtype_problem, 8, inner="sfista", n_outer=2, inner_iters=8, b=0.3
+            tiny_covtype_problem, 8, inner="rc_sfista", k=1, n_outer=2, inner_iters=8, b=0.3
         )
         rc = proximal_newton_distributed(
             tiny_covtype_problem, 8, inner="rc_sfista", k=4, n_outer=2, inner_iters=8, b=0.3
@@ -88,13 +95,12 @@ class TestDistributedPN:
         expected_words = (n_outer * (inner_iters + 1)) * d * log_p
         assert res.cost["words_per_rank_max"] == pytest.approx(expected_words)
 
-    def test_k_s_rejected_for_other_inners(self, tiny_covtype_problem):
-        with pytest.raises(ValidationError):
-            proximal_newton_distributed(tiny_covtype_problem, 2, inner="fista", k=4)
-
     def test_invalid_inner(self, tiny_covtype_problem):
         with pytest.raises(ValidationError):
             proximal_newton_distributed(tiny_covtype_problem, 2, inner="cg")
+        # SFISTA is inner="rc_sfista" at k = S = 1, not a value of its own.
+        with pytest.raises(ValidationError, match="fista|rc_sfista"):
+            proximal_newton_distributed(tiny_covtype_problem, 2, inner="sfista")
 
     @pytest.mark.parametrize("damping", [0.0, -1.0, float("nan")])
     def test_invalid_damping(self, tiny_covtype_problem, damping):

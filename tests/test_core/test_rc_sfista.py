@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import rc_sfista_dist
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista_dist import sfista_distributed
 from repro.core.stopping import StoppingCriterion
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
@@ -15,7 +14,8 @@ SERIAL = RuntimeConfig(backend="serial")
 
 
 def sfista(problem, **kw):
-    return sfista_distributed(problem, 1, runtime=SERIAL, **kw)
+    """SFISTA: the same body at k = S = 1."""
+    return rc_sfista_distributed(problem, 1, k=1, S=1, runtime=SERIAL, **kw)
 
 
 def rc_sfista(problem, **kw):

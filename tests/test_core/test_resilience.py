@@ -15,7 +15,6 @@ from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.reference import solve_reference
 from repro.core.results import History, SolveResult
-from repro.core.sfista_dist import sfista_distributed
 from repro.distsim.faults import FaultPlan, PayloadCorruption, RankCrash
 from repro.exceptions import (
     ConvergenceError,
@@ -294,8 +293,8 @@ REPLAY_SOLVERS = {
     "rc_sfista_k2": lambda problem, runtime, nranks=4: rc_sfista_distributed(
         problem, nranks, k=2, iters_per_epoch=24, seed=0, runtime=runtime
     ),
-    "sfista": lambda problem, runtime, nranks=4: sfista_distributed(
-        problem, nranks, iters_per_epoch=24, seed=0, runtime=runtime
+    "sfista": lambda problem, runtime, nranks=4: rc_sfista_distributed(
+        problem, nranks, k=1, iters_per_epoch=24, seed=0, runtime=runtime
     ),
 }
 

@@ -1,4 +1,5 @@
-"""Unit tests for SFISTA (the one body at P=1) and the stochastic step-size rule."""
+"""Unit tests for SFISTA (RC-SFISTA at k = S = 1, P = 1) and the stochastic
+step-size rule."""
 
 from types import SimpleNamespace
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core._dist_common import RankPlacement, distribute_problem, svrg_rhs
+from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.sfista import stochastic_step_size
-from repro.core.sfista_dist import sfista_distributed
 from repro.core.stopping import StoppingCriterion
 from repro.exceptions import ValidationError
 from repro.runtime import RuntimeConfig
@@ -15,8 +16,8 @@ from tests.test_sparse.rfp_oracle import rfp_to_dense
 
 
 def sfista(problem, **kw):
-    """Serial SFISTA: the one body at P=1 on the serial backend."""
-    return sfista_distributed(problem, 1, runtime=RuntimeConfig(backend="serial"), **kw)
+    """Serial SFISTA: RC-SFISTA at k = S = 1, P=1 on the serial backend."""
+    return rc_sfista_distributed(problem, 1, runtime=RuntimeConfig(backend="serial"), **kw)
 
 
 def stage_b(problem, mbar):
@@ -141,7 +142,9 @@ class TestSfista:
 
     def test_meta_fields(self, small_dense_problem):
         res = sfista(small_dense_problem, b=0.25, iters_per_epoch=10)
-        assert res.meta["solver"] == "sfista_distributed"
+        assert res.meta["solver"] == "rc_sfista_distributed"
+        assert res.meta["k"] == res.meta["S"] == 1
+        assert (res.meta["comm_mode"], res.meta["sampling"]) == ("hessian", "uniform")
         assert res.meta["mbar"] == int(0.25 * small_dense_problem.m)
         assert res.meta["estimator"] == "svrg"
         assert not res.meta["diverged"]

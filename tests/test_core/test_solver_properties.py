@@ -13,7 +13,6 @@ from repro.core.objectives import L1LeastSquares
 from repro.core.proximal import L1Prox
 from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.core.reference import solve_reference
-from repro.core.sfista_dist import sfista_distributed
 from repro.runtime import RuntimeConfig
 
 SERIAL = RuntimeConfig(backend="serial")
@@ -70,11 +69,13 @@ def test_optimum_is_fixed_point(problem):
 @settings(max_examples=15, deadline=None)
 @given(lasso_problems(), st.integers(2, 10), st.integers(0, 100))
 def test_overlap_invariance_random_instances(problem, k, seed):
-    """rc_sfista(k, S=1) ≡ sfista for arbitrary instances, k and seeds."""
+    """rc_sfista(k, S=1) ≡ sfista (k = 1) for arbitrary instances, k and seeds."""
     a = rc_sfista_distributed(
         problem, 1, k=k, S=1, b=0.5, iters_per_epoch=12, seed=seed, runtime=SERIAL
     )
-    b = sfista_distributed(problem, 1, b=0.5, iters_per_epoch=12, seed=seed, runtime=SERIAL)
+    b = rc_sfista_distributed(
+        problem, 1, k=1, S=1, b=0.5, iters_per_epoch=12, seed=seed, runtime=SERIAL
+    )
     np.testing.assert_allclose(a.w, b.w, atol=1e-8)
 
 
@@ -83,7 +84,7 @@ def test_overlap_invariance_random_instances(problem, k, seed):
 def test_solution_bounded_by_data(problem, seed):
     """Iterates remain finite and the final w has bounded norm for the
     default (guarded) stochastic step."""
-    res = sfista_distributed(
+    res = rc_sfista_distributed(
         problem, 1, b=0.3, epochs=2, iters_per_epoch=20, seed=seed, runtime=SERIAL
     )
     assert np.all(np.isfinite(res.w))

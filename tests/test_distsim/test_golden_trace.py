@@ -124,11 +124,10 @@ def _run_prox_newton(comm: str) -> dict:
 
 
 def _run_sfista(comm_mode: str) -> dict:
-    """Fixed-seed distributed SFISTA solve pinning both comm_mode paths."""
-    from repro.core.sfista_dist import sfista_distributed
-
+    """Fixed-seed distributed SFISTA (RC-SFISTA at k = S = 1) solve pinning
+    both comm_mode paths."""
     cluster = BSPCluster(NRANKS, "comet_paper", trace=Trace())
-    res = sfista_distributed(
+    res = rc_sfista_distributed(
         _problem(),
         NRANKS,
         b=0.1,
@@ -184,7 +183,7 @@ def test_sfista_golden_trace_matches_fixture(update_golden):
         )
     expected = json.loads(SFISTA_FIXTURE.read_text(encoding="utf-8"))
     assert got == expected, (
-        "sfista_distributed accounting drifted from tests/golden/"
+        "SFISTA (k = S = 1) accounting drifted from tests/golden/"
         f"{SFISTA_FIXTURE.name}; if the change is intentional rerun with --update-golden"
     )
 

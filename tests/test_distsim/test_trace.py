@@ -24,15 +24,6 @@ class TestTrace:
         t.record(ev())
         assert len(t) == 0
 
-    def test_totals(self):
-        t = Trace()
-        t.record(ev(flops=10, words=5, messages=2))
-        t.record(ev(flops=1, words=1, messages=1))
-        totals = t.totals()
-        assert totals["flops"] == 11
-        assert totals["words"] == 6
-        assert totals["messages"] == 3
-
     def test_iter(self):
         t = Trace()
         t.record(ev())

@@ -4,12 +4,10 @@ import pytest
 
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista_dist import sfista_distributed
 from repro.experiments.runner import (
     ProblemStats,
     dry_run_pn_inner,
     dry_run_rc_sfista,
-    dry_run_sfista,
     iterations_to_tolerance,
     reference_value,
     speedup_cell,
@@ -37,15 +35,16 @@ class TestDryRunFidelity:
 
     @pytest.mark.parametrize("estimator", ["plain", "svrg"])
     def test_sfista_counters_match(self, tiny_covtype_problem, estimator):
+        """SFISTA is the RC-SFISTA schedule at k = S = 1."""
         P, N = 4, 12
-        real = sfista_distributed(
+        real = rc_sfista_distributed(
             tiny_covtype_problem, P, b=0.2, iters_per_epoch=N, seed=0,
             estimator=estimator, monitor_every=N,
         )
         stats = ProblemStats.of(tiny_covtype_problem)
-        dry = dry_run_sfista(
+        dry = dry_run_rc_sfista(
             stats, P, "comet_effective", n_iterations=N,
-            mbar=real.meta["mbar"], estimator=estimator,
+            mbar=real.meta["mbar"], k=1, S=1, estimator=estimator,
         )
         assert dry.cost.max_messages == real.cost["messages_per_rank_max"]
         assert dry.cost.max_words == pytest.approx(real.cost["words_per_rank_max"])
@@ -81,13 +80,17 @@ class TestDryRunFidelity:
     def test_dry_run_validation(self):
         stats = ProblemStats(d=4, m=10, nnz=40)
         with pytest.raises(ValidationError):
-            dry_run_sfista(stats, 2, "comet_paper", n_iterations=0, mbar=1)
+            dry_run_rc_sfista(stats, 2, "comet_paper", n_iterations=0, mbar=1, k=1, S=1)
         with pytest.raises(ValidationError):
             dry_run_rc_sfista(stats, 2, "comet_paper", n_iterations=4, mbar=1, k=0, S=1)
         with pytest.raises(ValidationError):
             dry_run_pn_inner(
                 stats, 2, "comet_paper", inner="bad", n_outer=1, inner_iters=1, mbar=1
             )
+
+
+#: The sampled PN inner solvers: SFISTA is rc_sfista at k = S = 1.
+SAMPLED_INNERS = [pytest.param("rc_sfista", 1, id="sfista-1"), ("rc_sfista", 4)]
 
 
 class TestDryRunPn:
@@ -104,7 +107,7 @@ class TestDryRunPn:
     def test_rc_inner_latency_reduction(self):
         stats = ProblemStats(d=10, m=100, nnz=1000)
         base = dry_run_pn_inner(
-            stats, 16, "comet_effective", inner="sfista", n_outer=2, inner_iters=16, mbar=10
+            stats, 16, "comet_effective", inner="rc_sfista", n_outer=2, inner_iters=16, mbar=10
         )
         rc = dry_run_pn_inner(
             stats, 16, "comet_effective", inner="rc_sfista", n_outer=2, inner_iters=16,
@@ -113,7 +116,7 @@ class TestDryRunPn:
         assert rc.cost.max_messages < base.cost.max_messages
         assert rc.elapsed < base.elapsed
 
-    @pytest.mark.parametrize("inner, k", [("sfista", 1), ("rc_sfista", 4)])
+    @pytest.mark.parametrize("inner, k", SAMPLED_INNERS)
     def test_sampled_inner_ships_packed_hessians(self, inner, k):
         """Per outer step: the d-word gradient, then every inner iteration's
         packed upper triangle of H (no R block in the PN model)."""
@@ -125,7 +128,7 @@ class TestDryRunPn:
         words = n_outer * (d + inner_iters * packed_size(d)) * ceil_log2(P)
         assert dry.cost.max_words == words
 
-    @pytest.mark.parametrize("inner, k", [("sfista", 1), ("rc_sfista", 4)])
+    @pytest.mark.parametrize("inner, k", SAMPLED_INNERS)
     def test_counters_match_the_real_solver(self, tiny_covtype_problem, inner, k):
         P = 4
         real = proximal_newton_distributed(

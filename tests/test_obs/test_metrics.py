@@ -121,7 +121,7 @@ class TestCollectivesV2Instruments:
 
     def _solve(self, registry, **kw):
         from repro.core.objectives import L1LeastSquares
-        from repro.core.sfista_dist import sfista_distributed
+        from repro.core.rc_sfista_dist import rc_sfista_distributed
         from repro.data.synthetic import make_regression
         from repro.runtime import RuntimeConfig
 
@@ -129,7 +129,7 @@ class TestCollectivesV2Instruments:
             12, 60, density=0.4, support_fraction=0.3, noise=0.01, rng=0
         )
         problem = L1LeastSquares(X, y, 0.05)
-        return sfista_distributed(
+        return rc_sfista_distributed(
             problem, 8, b=0.2, seed=3, epochs=1, iters_per_epoch=8,
             runtime=RuntimeConfig(metrics=registry, **kw),
         )

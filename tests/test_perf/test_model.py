@@ -6,12 +6,13 @@ from repro.distsim.machine import get_machine
 from repro.exceptions import ValidationError
 from repro.perf.model import (
     AlgorithmCosts,
+    hessian_flops_per_iteration,
     predicted_speedup,
     rc_sfista_costs,
     rc_sfista_runtime,
-    sfista_costs,
-    sfista_runtime,
+    update_flops_per_step,
 )
+from repro.sparse.ops import packed_size
 
 
 class TestAlgorithmCosts:
@@ -25,12 +26,12 @@ class TestAlgorithmCosts:
 
 class TestTable1Forms:
     def test_latency_ratio_is_k(self):
-        base = sfista_costs(64, 20, 50, 0.5, 8)
+        base = rc_sfista_costs(64, 20, 50, 0.5, 8, 1, 1)
         rc = rc_sfista_costs(64, 20, 50, 0.5, 8, k=4, S=1)
         assert base.latency / rc.latency == 4
 
     def test_bandwidth_unchanged_by_k(self):
-        base = sfista_costs(64, 20, 50, 0.5, 8)
+        base = rc_sfista_costs(64, 20, 50, 0.5, 8, 1, 1)
         rc = rc_sfista_costs(64, 20, 50, 0.5, 8, k=8, S=1)
         assert base.bandwidth == rc.bandwidth
 
@@ -38,12 +39,18 @@ class TestTable1Forms:
         r1 = rc_sfista_costs(64, 20, 50, 0.5, 8, k=4, S=1)
         r3 = rc_sfista_costs(64, 20, 50, 0.5, 8, k=4, S=3)
         extra = r3.flops - r1.flops
-        from repro.perf.model import update_flops_per_step
-
         assert extra == pytest.approx(64 * 2 * update_flops_per_step(20))
 
     def test_s1_k1_equals_sfista(self):
-        assert rc_sfista_costs(32, 10, 20, 1.0, 4, 1, 1) == sfista_costs(32, 10, 20, 1.0, 4)
+        """k = S = 1 is Table 1's SFISTA row: one packed [triu(H) | R]
+        allreduce and one update per iteration."""
+        N, d, mbar, f, P = 32, 10, 20, 1.0, 4
+        log_p = 2  # ceil(log2(4))
+        assert rc_sfista_costs(N, d, mbar, f, P, 1, 1) == AlgorithmCosts(
+            latency=N * log_p,
+            flops=N * (hessian_flops_per_iteration(d, mbar, f, P) + update_flops_per_step(d)),
+            bandwidth=N * (packed_size(d) + d) * log_p,
+        )
 
     def test_requires_divisibility(self):
         with pytest.raises(ValidationError):
@@ -51,10 +58,10 @@ class TestTable1Forms:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
-            sfista_costs(0, 5, 5, 1.0, 2)
+            rc_sfista_costs(0, 5, 5, 1.0, 2, 1, 1)
 
     def test_single_rank_no_communication(self):
-        c = sfista_costs(10, 5, 5, 1.0, 1)
+        c = rc_sfista_costs(10, 5, 5, 1.0, 1, 1, 1)
         assert c.latency == 0
         assert c.bandwidth == 0
 
@@ -66,9 +73,16 @@ class TestEq24Runtime:
         assert t4 < t1
 
     def test_sfista_runtime_is_k1_s1(self):
-        assert sfista_runtime("comet_paper", 100, 10, 20, 0.5, 16) == rc_sfista_runtime(
-            "comet_paper", 100, 10, 20, 0.5, 16, 1, 1
+        """Eq. (24) at k = S = 1 is SFISTA's runtime, the speedup baseline."""
+        m = get_machine("comet_paper")
+        N, d, mbar, f, P = 100, 10, 20, 0.5, 16
+        t = rc_sfista_runtime(m, N, d, mbar, f, P, 1, 1)
+        assert t == pytest.approx(
+            m.gamma * (N * d * d * mbar * f / P + d * d)
+            + m.alpha * N * 4
+            + m.beta * N * d * d * 4
         )
+        assert predicted_speedup(m, N, d, mbar, f, P, k=1, S=1) == 1.0
 
     def test_s_increases_flop_term(self):
         t1 = rc_sfista_runtime("comet_paper", 100, 100, 10, 1.0, 4, 1, 1)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.distsim.machine import MachineSpec
 from repro.perf.bounds import k_bound_latency_bandwidth, ks_bound_sparse
-from repro.perf.model import rc_sfista_costs, rc_sfista_runtime, sfista_costs
+from repro.perf.model import rc_sfista_costs, rc_sfista_runtime
 
 machines = st.builds(
     MachineSpec,
@@ -33,7 +33,7 @@ workloads = st.tuples(
 def test_latency_divided_by_k_exactly(w):
     rounds, k, d, mbar, f, P, S = w
     N = rounds * k
-    base = sfista_costs(N, d, mbar, f, P)
+    base = rc_sfista_costs(N, d, mbar, f, P, 1, 1)
     rc = rc_sfista_costs(N, d, mbar, f, P, k, S)
     assert base.latency == pytest.approx(k * rc.latency)
 
@@ -43,7 +43,7 @@ def test_latency_divided_by_k_exactly(w):
 def test_bandwidth_invariant_in_k(w):
     rounds, k, d, mbar, f, P, S = w
     N = rounds * k
-    base = sfista_costs(N, d, mbar, f, P)
+    base = rc_sfista_costs(N, d, mbar, f, P, 1, 1)
     rc = rc_sfista_costs(N, d, mbar, f, P, k, S)
     assert base.bandwidth == pytest.approx(rc.bandwidth)
 

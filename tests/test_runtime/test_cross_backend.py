@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista_dist import sfista_distributed
 from repro.runtime import RuntimeConfig
 
 SERIAL = RuntimeConfig(backend="serial")
@@ -30,7 +29,7 @@ SOLVER_RUNS = {
         prob, P, k=2, b=0.2, seed=7, epochs=1, iters_per_epoch=6,
         monitor_every=6, runtime=rt,
     ),
-    "sfista_dist": lambda prob, rt, P=4: sfista_distributed(
+    "sfista_dist": lambda prob, rt, P=4: rc_sfista_distributed(
         prob, P, b=0.2, seed=3, epochs=1, iters_per_epoch=8, runtime=rt,
     ),
     "prox_newton": lambda prob, rt, P=4: proximal_newton_distributed(
@@ -63,8 +62,8 @@ class TestSerialVsBsp:
 
     def test_sfista_serial_backend(self, tiny_covtype_problem):
         kwargs = dict(b=0.2, seed=3, epochs=1, iters_per_epoch=8)
-        bsp = sfista_distributed(tiny_covtype_problem, 1, **kwargs)
-        ser = sfista_distributed(tiny_covtype_problem, 1, runtime=SERIAL, **kwargs)
+        bsp = rc_sfista_distributed(tiny_covtype_problem, 1, **kwargs)
+        ser = rc_sfista_distributed(tiny_covtype_problem, 1, runtime=SERIAL, **kwargs)
         assert np.array_equal(bsp.w, ser.w)
         assert ser.cost is None
 
@@ -117,8 +116,8 @@ class TestRealParallelismConformance:
     def test_gradient_comm_mode(self, tiny_covtype_problem, backend):
         """The per-iteration-gradient variant exercises map_ranks + allreduce."""
         kwargs = dict(b=0.2, seed=3, epochs=1, iters_per_epoch=8, comm_mode="gradient")
-        ref = sfista_distributed(tiny_covtype_problem, 4, **kwargs)
-        res = sfista_distributed(
+        ref = rc_sfista_distributed(tiny_covtype_problem, 4, **kwargs)
+        res = rc_sfista_distributed(
             tiny_covtype_problem, 4, runtime=RuntimeConfig(backend=backend), **kwargs
         )
         assert np.array_equal(ref.w, res.w)
@@ -223,11 +222,11 @@ class TestCompressedConformance:
         """Hierarchical compressed reductions conform across backends too
         (node-leader partial streams instead of per-rank streams)."""
         rt = dict(machine="fat_tree", comm_topology="hier", comm_compress=compress)
-        ref = sfista_distributed(
+        ref = rc_sfista_distributed(
             tiny_covtype_problem, 4, b=0.2, seed=3, epochs=1, iters_per_epoch=8,
             runtime=RuntimeConfig(**rt),
         )
-        res = sfista_distributed(
+        res = rc_sfista_distributed(
             tiny_covtype_problem, 4, b=0.2, seed=3, epochs=1, iters_per_epoch=8,
             runtime=RuntimeConfig(backend=backend, **rt),
         )
@@ -239,11 +238,11 @@ class TestCompressedConformance:
     ):
         """Topology alone never moves a bit: iterates *and* charged costs."""
         kwargs = dict(b=0.2, seed=3, epochs=1, iters_per_epoch=8)
-        flat = sfista_distributed(
+        flat = rc_sfista_distributed(
             tiny_covtype_problem, 4,
             runtime=RuntimeConfig(machine="fat_tree"), **kwargs,
         )
-        hier = sfista_distributed(
+        hier = rc_sfista_distributed(
             tiny_covtype_problem, 4,
             runtime=RuntimeConfig(machine="fat_tree", comm_topology="hier"), **kwargs,
         )
@@ -255,16 +254,16 @@ class TestCommModesBitIdentical:
     @pytest.mark.parametrize(
         "solver_kwargs",
         [
-            dict(_solver="rc", k=2, b=0.2, seed=7, epochs=1, iters_per_epoch=6),
-            dict(_solver="sfista", b=0.2, seed=3, epochs=1, iters_per_epoch=8),
+            dict(k=2, b=0.2, seed=7, epochs=1, iters_per_epoch=6),
+            dict(k=1, b=0.2, seed=3, epochs=1, iters_per_epoch=8),
         ],
         ids=["rc_sfista_dist", "sfista_dist"],
     )
     def test_encoding_never_changes_iterates(self, tiny_covtype_problem, solver_kwargs):
-        kwargs = dict(solver_kwargs)
-        fn = {"rc": rc_sfista_distributed, "sfista": sfista_distributed}[kwargs.pop("_solver")]
         runs = [
-            fn(tiny_covtype_problem, 4, runtime=RuntimeConfig(comm=comm), **kwargs)
+            rc_sfista_distributed(
+                tiny_covtype_problem, 4, runtime=RuntimeConfig(comm=comm), **solver_kwargs
+            )
             for comm in ("dense", "sparse", "auto")
         ]
         for other in runs[1:]:

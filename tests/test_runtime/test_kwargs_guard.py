@@ -13,13 +13,11 @@ import pytest
 
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista_dist import sfista_distributed
 from repro.distsim.faults import FaultPlan
 from repro.runtime import RuntimeConfig
 
 RUNTIME_SOLVERS = [
     rc_sfista_distributed,
-    sfista_distributed,
     proximal_newton_distributed,
 ]
 

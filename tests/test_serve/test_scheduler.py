@@ -255,6 +255,26 @@ class TestObservability:
         _run(main())
 
 
+class TestSfistaJobs:
+    def test_sfista_dist_job_is_rc_sfista_at_k1(self):
+        """A "sfista_dist" job runs RC-SFISTA at k = S = 1, whatever k/S it sends."""
+        async def main():
+            s = Scheduler()
+            await s.start()
+            try:
+                req = SubmitRequest.from_json({
+                    "problem": _SPEC, "solver": "sfista_dist", "include_report": True,
+                    "runtime": {"nranks": 2, "epochs": 1, "iters_per_epoch": 6, "k": 3},
+                })
+                (job,) = await _submit_and_wait(s, [req])
+            finally:
+                await s.stop()
+            assert job.state == "done", job.error
+            assert job.report["solver"] == "rc_sfista_distributed"
+            assert job.report["params"]["k"] == job.report["params"]["S"] == 1
+        _run(main())
+
+
 class TestGeneralObjectives:
     """Serve e2e for non-default (loss, penalty) problem specs."""
 

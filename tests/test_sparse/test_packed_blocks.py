@@ -19,7 +19,7 @@ from repro.core._dist_common import RankPlacement, distribute_problem
 from repro.core.objectives import L1LeastSquares
 from repro.distsim.collectives import ceil_log2
 from repro.exceptions import ShapeError
-from repro.perf.model import rc_sfista_costs, sfista_costs
+from repro.perf.model import rc_sfista_costs
 from repro.sparse.csr import CSCMatrix, CSRMatrix
 from repro.sparse.ops import packed_size, sampled_gram, sampled_rhs
 from repro.sparse.rfp import RFPMatvec, rfp_index
@@ -132,7 +132,7 @@ def test_payload_length_is_the_charged_word_count(d, k):
     log_p = ceil_log2(P)
     assert rc_sfista_costs(N, d, 10, 0.1, P, k, 1).bandwidth == 2 * k * (packed_size(d) + d) * log_p
     assert rc_sfista_costs(N, d, 10, 0.1, P, k, 1, exact_words=False).bandwidth == 2 * k * d * d * log_p
-    assert sfista_costs(N, d, 10, 0.1, P).bandwidth == N * (packed_size(d) + d) * log_p
+    assert rc_sfista_costs(N, d, 10, 0.1, P, 1, 1).bandwidth == N * (packed_size(d) + d) * log_p
 
 
 @pytest.mark.parametrize("rhs", [False, True], ids=["no-rhs", "rhs"])

@@ -20,7 +20,6 @@ import pytest
 
 from repro.core.prox_newton import proximal_newton_distributed
 from repro.core.rc_sfista_dist import rc_sfista_distributed
-from repro.core.sfista_dist import sfista_distributed
 from repro.exceptions import ShapeError
 from repro.runtime import RuntimeConfig
 from repro.sparse import rfp
@@ -174,8 +173,9 @@ _SOLVES = {
     "rc_sfista_distributed": lambda prob, rt: rc_sfista_distributed(
         prob, 3, k=2, S=2, b=0.2, iters_per_epoch=6, seed=0, runtime=rt
     ),
-    "sfista_distributed": lambda prob, rt: sfista_distributed(
-        prob, 3, b=0.2, iters_per_epoch=6, seed=0, runtime=rt
+    # Distributed SFISTA: the same body at k = S = 1.
+    "sfista_distributed": lambda prob, rt: rc_sfista_distributed(
+        prob, 3, k=1, S=1, b=0.2, iters_per_epoch=6, seed=0, runtime=rt
     ),
     "proximal_newton_distributed": lambda prob, rt: proximal_newton_distributed(
         prob, 3, n_outer=2, inner_iters=4, k=2, S=2, b=0.2, seed=0, runtime=rt

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError, ValidationError
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import GramWorkspace, sampled_gram, sampled_rhs
 from repro.sparse.random import random_csr
 
